@@ -7,6 +7,8 @@ Exit codes: 0 on success, 1 when an experiment suite records a failing check,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import random
@@ -85,7 +87,7 @@ def cmd_learn(args) -> int:
                 f"sample has {len(sample)} points but the wrapper needs "
                 f"m = {schedule.total} at eps={args.eps}, delta={args.delta}"
             )
-        hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta, seed)
+        hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta)
         out = {
             "mode": "realizable",
             "hypothesis": serialize.hypothesis_to_dict(hyp),
@@ -149,7 +151,7 @@ def cmd_online(args) -> int:
             ],
         }
     elif args.mode == "agnostic":
-        learner = online.agnostic_online_learn(cls, args.T, seed)
+        learner = online.AgnosticOnlineLearner(cls, args.T, seed=seed)
         stats = []
         for t in range(args.trials):
             trial_rng = experiments.split_rng(seed, "cli-online", t)
@@ -323,14 +325,21 @@ def cmd_experiment(args) -> int:
     return 0 if report.n_failed == 0 else 1
 
 
+# Default grids: sample sizes m for compression, domain sizes n for disambiguation.
+_SCALING_GRIDS = {
+    "compression-size": [8, 16, 32, 64],
+    "disambiguation-size": [4, 6, 8, 10],
+}
+
+
 def cmd_scaling(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    header, rows = experiments.emit_scaling_table(args.name, args.grid, seed)
-    import csv as _csv
-
-    writer = _csv.writer(sys.stdout if args.out is None else open(args.out, "w"))
-    writer.writerow(header)
-    writer.writerows(rows)
+    grid = _SCALING_GRIDS[args.name] if args.grid is None else args.grid
+    header, rows = experiments.emit_scaling_table(args.name, grid, seed)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 
@@ -416,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("scaling", help="emit a measured-vs-envelope CSV table")
-    p.add_argument("name", choices=["compression-size", "disambiguation-size"])
-    p.add_argument("--grid", type=int, nargs="*", default=[8, 16, 32, 64])
+    p.add_argument("name", choices=sorted(_SCALING_GRIDS))
+    p.add_argument("--grid", type=int, nargs="*")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scaling)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -116,12 +117,69 @@ class PartialConceptClass:
 
     def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
         """All-0/1 restrictions realized on ``points`` (concepts with a STAR there drop out)."""
-        out: set[tuple[int, ...]] = set()
-        for h in self.concepts:
-            pat = tuple(h[x] for x in points)
-            if STAR not in pat:
-                out.add(pat)
-        return out
+        return self.packed.patterns(points)
+
+    @cached_property
+    def packed(self) -> "PackedClass":
+        """The class as concept bitmasks, built on first use."""
+        return PackedClass(self)
+
+
+class PackedClass:
+    """A class encoded as concept bitmasks: bit i stands for ``concepts[i]``.
+
+    ``label_masks[x][y]`` is the set of concepts with label y at point x, so
+    restricting a subclass ``mask`` to ``h(x) = y`` is a single AND, and
+    ``full`` is the whole class.  A concept with STAR at x is in neither mask.
+    """
+
+    __slots__ = ("full", "label_masks")
+
+    def __init__(self, cls: PartialConceptClass):
+        self.full = (1 << len(cls.concepts)) - 1
+        self.label_masks = [[0, 0] for _ in range(cls.domain_size)]
+        for i, h in enumerate(cls.concepts):
+            for x, v in enumerate(h.labels):
+                if v != STAR:
+                    self.label_masks[x][v] |= 1 << i
+
+    def mask_of(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Concepts labeling every (point, bit) pair as observed."""
+        mask = self.full
+        for x, y in pairs:
+            mask &= self.label_masks[x][y]
+        return mask
+
+    def shattered(self, mask: int, points: Sequence[int]) -> bool:
+        """Whether the subclass ``mask`` realizes every 0/1 pattern on ``points``."""
+        if not mask:
+            return False
+        parts = [mask]
+        for x in points:
+            m0, m1 = self.label_masks[x]
+            split = []
+            for m in parts:
+                a, b = m & m0, m & m1
+                if not a or not b:
+                    return False
+                split.append(a)
+                split.append(b)
+            parts = split
+        return True
+
+    def patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
+        """The 0/1 patterns on ``points`` some concept of the class realizes."""
+        live = [(0, self.full)]  # (pattern bits, concepts realizing them)
+        for i, x in enumerate(points):
+            m0, m1 = self.label_masks[x]
+            live = [
+                (code | y << i, m & my)
+                for code, m in live
+                for y, my in ((ZERO, m0), (ONE, m1))
+                if m & my
+            ]
+        k = len(points)
+        return {tuple(code >> i & 1 for i in range(k)) for code, _ in live}
 
 
 @dataclass(frozen=True)
@@ -249,7 +307,7 @@ def _check_sample(cls: PartialConceptClass, sample: LabeledSample) -> None:
 def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
     """True iff some concept is defined on all sample points with the observed bits."""
     _check_sample(cls, sample)
-    return any(all(h[x] == y for x, y in sample) for h in cls.concepts)
+    return cls.packed.mask_of(sample) != 0
 
 
 def empirical_error(h: PartialConcept, sample: LabeledSample) -> Fraction:
@@ -258,12 +316,6 @@ def empirical_error(h: PartialConcept, sample: LabeledSample) -> Fraction:
         raise ContractViolation("empirical error of an empty sample is undefined")
     mistakes = sum(1 for x, y in sample if h[x] != y)
     return Fraction(mistakes, len(sample))
-
-
-def restrict(
-    cls: PartialConceptClass, x: int, y: int
-) -> Optional[PartialConceptClass]:
-    return cls.restrict(x, y)
 
 
 def distribution_realizable(cls: PartialConceptClass, dist: FiniteDistribution) -> bool:

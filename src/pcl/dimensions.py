@@ -24,23 +24,8 @@ from .core import (
 
 def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     """A point set is shattered when every binary pattern on it is realized."""
-    pts = tuple(points)
-    target = 1 << len(pts)
-    seen: set[int] = set()
-    for h in cls.concepts:
-        code = 0
-        ok = True
-        for i, x in enumerate(pts):
-            v = h[x]
-            if v == STAR:
-                ok = False
-                break
-            code |= v << i
-        if ok:
-            seen.add(code)
-            if len(seen) == target:
-                return True
-    return len(seen) == target
+    packed = cls.packed
+    return packed.shattered(packed.full, points)
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -80,32 +65,14 @@ def shattering_strength(cls: PartialConceptClass) -> int:
 class LdSolver:
     """Littlestone-dimension recursion over subclasses encoded as concept bitmasks.
 
-    ``label_masks[x][y]`` holds the set of concepts with label y at point x,
-    so restriction is a single AND.  Values are memoized per solver instance;
-    build a fresh solver for a fresh cache.
+    Subclasses are masks of the class's ``packed`` encoding, so restriction
+    is a single AND.  Values are memoized per solver instance; build a fresh
+    solver for a fresh cache.
     """
 
     def __init__(self, cls: PartialConceptClass):
-        self.cls = cls
-        self.n = cls.domain_size
-        rows = [h.labels for h in cls.concepts]
-        self.rows = rows
-        self.full_mask = (1 << len(rows)) - 1
-        self.label_masks = [[0, 0] for _ in range(self.n)]
-        for i, row in enumerate(rows):
-            for x, v in enumerate(row):
-                if v != STAR:
-                    self.label_masks[x][v] |= 1 << i
+        self.packed = cls.packed
         self._memo: dict[int, int] = {0: -1}
-
-    def restricted(self, mask: int, x: int, y: int) -> int:
-        return mask & self.label_masks[x][y]
-
-    def mask_of_sample(self, pairs) -> int:
-        mask = self.full_mask
-        for x, y in pairs:
-            mask &= self.label_masks[x][y]
-        return mask
 
     def ld(self, mask: int) -> int:
         """LD of the subclass given by ``mask``; -1 for the empty subclass."""
@@ -113,9 +80,9 @@ class LdSolver:
         if cached is not None:
             return cached
         best = 0
-        for x in range(self.n):
-            m0 = mask & self.label_masks[x][0]
-            m1 = mask & self.label_masks[x][1]
+        for m0, m1 in self.packed.label_masks:
+            m0 &= mask
+            m1 &= mask
             if m0 and m1:
                 v = 1 + min(self.ld(m0), self.ld(m1))
                 if v > best:
@@ -125,7 +92,7 @@ class LdSolver:
 
 
 def littlestone_dimension(cls: PartialConceptClass) -> int:
-    return LdSolver(cls).ld((1 << len(cls.concepts)) - 1)
+    return LdSolver(cls).ld(cls.packed.full)
 
 
 def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -227,12 +194,21 @@ def support_class(cls: PartialConceptClass) -> TotalConceptClass:
     return TotalConceptClass(cls.domain_size, rows)
 
 
+def natarajan_dimension(cls: PartialConceptClass) -> int:
+    return _largest_subset(cls, _natarajan_shatters)
+
+
+def graph_dimension(cls: PartialConceptClass) -> int:
+    return _largest_subset(cls, _graph_shatters)
+
+
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:
     """Natarajan and graph dimensions of the three-label view, plus support VC."""
-    d_n = _largest_subset(cls, _natarajan_shatters)
-    d_g = _largest_subset(cls, _graph_shatters)
-    d_supp = vc_dimension(support_class(cls))
-    return MulticlassDimensions(natarajan=d_n, graph=d_g, support_vc=d_supp)
+    return MulticlassDimensions(
+        natarajan=natarajan_dimension(cls),
+        graph=graph_dimension(cls),
+        support_vc=vc_dimension(support_class(cls)),
+    )
 
 
 def dual_vc_dimension(cls: PartialConceptClass) -> int:
@@ -304,15 +280,12 @@ def measure_report(
         return DimensionReport("td", threshold_dimension(cls))
     if measure == "strength":
         return DimensionReport("strength", shattering_strength(cls))
-    mc = None
-    if measure in ("natarajan", "graph", "support-vc"):
-        mc = multiclass_dimensions(cls)
     if measure == "natarajan":
-        return DimensionReport("natarajan", mc.natarajan)
+        return DimensionReport("natarajan", natarajan_dimension(cls))
     if measure == "graph":
-        return DimensionReport("graph", mc.graph)
+        return DimensionReport("graph", graph_dimension(cls))
     if measure == "support-vc":
-        return DimensionReport("support-vc", mc.support_vc)
+        return DimensionReport("support-vc", vc_dimension(support_class(cls)))
     return DimensionReport("dual", dual_vc_dimension(cls))
 
 

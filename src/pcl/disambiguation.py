@@ -34,7 +34,7 @@ from .core import (
     TotalConceptClass,
     labeled_sample,
 )
-from .dimensions import multiclass_dimensions, vc_dimension
+from .dimensions import graph_dimension, vc_dimension
 
 
 @dataclass
@@ -65,75 +65,28 @@ class _ShatterOracle:
     """Shattered-subset bookkeeping over subclasses encoded as concept bitmasks.
 
     Only subsets of size up to the class VC dimension can be shattered, so
-    enumeration is capped there.  Results are cached per (mask, subset) and
-    aggregated caches (strength per mask, suffix weight per mask and point)
-    are kept as well, because the sequential procedures revisit the same
-    subclass at many points.
+    enumeration is capped there.  Strength per mask and suffix weight per
+    (mask, point) are cached, because the sequential procedures revisit the
+    same subclass at many points.
     """
 
     def __init__(self, cls: PartialConceptClass, d: int):
-        self.n = cls.domain_size
+        self.packed = cls.packed
         self.d = d
-        self.rows = [h.labels for h in cls.concepts]
-        self.full_mask = (1 << len(self.rows)) - 1
-        self.label_masks = [[0, 0] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for x, v in enumerate(row):
-                if v != STAR:
-                    self.label_masks[x][v] |= 1 << i
         self.subsets = [
             pts
             for k in range(1, d + 1)
-            for pts in combinations(range(self.n), k)
+            for pts in combinations(range(cls.domain_size), k)
         ]
-        self._pattern_table: dict[tuple[int, ...], list[Optional[int]]] = {}
-        self._shattered: dict[tuple[int, tuple[int, ...]], bool] = {}
         self._strength: dict[int, int] = {0: 0}
         self._weight: dict[tuple[int, int], Fraction] = {}
-
-    def _patterns_of(self, pts: tuple[int, ...]) -> list[Optional[int]]:
-        table = self._pattern_table.get(pts)
-        if table is None:
-            table = []
-            for row in self.rows:
-                code = 0
-                for i, x in enumerate(pts):
-                    v = row[x]
-                    if v == STAR:
-                        code = -1
-                        break
-                    code |= v << i
-                table.append(None if code < 0 else code)
-            self._pattern_table[pts] = table
-        return table
-
-    def shattered(self, mask: int, pts: tuple[int, ...]) -> bool:
-        key = (mask, pts)
-        cached = self._shattered.get(key)
-        if cached is not None:
-            return cached
-        table = self._patterns_of(pts)
-        target = 1 << len(pts)
-        seen: set[int] = set()
-        result = False
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            code = table[i]
-            if code is not None:
-                seen.add(code)
-                if len(seen) == target:
-                    result = True
-                    break
-        self._shattered[key] = result
-        return result
 
     def strength(self, mask: int) -> int:
         cached = self._strength.get(mask)
         if cached is not None:
             return cached
-        s = 1 + sum(1 for pts in self.subsets if self.shattered(mask, pts))
+        shattered = self.packed.shattered
+        s = 1 + sum(1 for pts in self.subsets if shattered(mask, pts))
         self._strength[mask] = s
         return s
 
@@ -149,9 +102,10 @@ class _ShatterOracle:
         cached = self._weight.get(key)
         if cached is not None:
             return cached
+        shattered = self.packed.shattered
         total = Fraction(0)
         for pts in self.subsets:
-            if pts[0] > x and self.shattered(mask, pts):
+            if pts[0] > x and shattered(mask, pts):
                 total += Fraction(1, (pts[-1] + 1) ** (self.d + 1))
         self._weight[key] = total
         return total
@@ -163,10 +117,11 @@ def _run_sequential(
     oracle: _ShatterOracle,
     algorithm: str,
 ) -> Disambiguation:
+    packed = oracle.packed
     extension: dict[PartialConcept, PartialConcept] = {}
     updates: dict[PartialConcept, tuple[int, ...]] = {}
     for h in cls.concepts:
-        mask = oracle.full_mask
+        mask = packed.full
         out: list[int] = []
         upd: list[int] = []
         for x in range(cls.domain_size):
@@ -174,7 +129,7 @@ def _run_sequential(
             hx = h[x]
             if hx != STAR and hx != m:
                 out.append(hx)
-                mask &= oracle.label_masks[x][hx]
+                mask &= packed.label_masks[x][hx]
                 upd.append(x)
             else:
                 out.append(m)
@@ -191,14 +146,16 @@ def _run_sequential(
 
 
 def _strength_majority(oracle: _ShatterOracle, mask: int, x: int) -> int:
-    s0 = oracle.strength(mask & oracle.label_masks[x][0])
-    s1 = oracle.strength(mask & oracle.label_masks[x][1])
+    m0, m1 = oracle.packed.label_masks[x]
+    s0 = oracle.strength(mask & m0)
+    s1 = oracle.strength(mask & m1)
     return ZERO if s0 >= s1 else ONE
 
 
 def _weighted_majority(oracle: _ShatterOracle, mask: int, x: int) -> int:
-    m0 = mask & oracle.label_masks[x][0]
-    m1 = mask & oracle.label_masks[x][1]
+    m0, m1 = oracle.packed.label_masks[x]
+    m0 &= mask
+    m1 &= mask
     # A label nobody realizes must not win the vote: otherwise concepts with
     # no shattered structure left would be forced into spurious updates and
     # the prefix-update bound would fail.
@@ -217,7 +174,7 @@ def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     oracle = _ShatterOracle(cls, d)
     res = _run_sequential(cls, _strength_majority, oracle, "majority")
     res.info["vc"] = d
-    res.info["strength"] = oracle.strength(oracle.full_mask)
+    res.info["strength"] = oracle.strength(oracle.packed.full)
     return res
 
 
@@ -486,7 +443,7 @@ def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation
     }
     totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
     bar_vc = vc_dimension(totals)
-    graph_dim = multiclass_dimensions(cls).graph
+    graph_dim = graph_dimension(cls)
     assert bar_vc <= graph_dim, (
         f"indicator disambiguation VC {bar_vc} exceeds graph dimension {graph_dim}"
     )

@@ -217,7 +217,8 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
             rng.randrange(2**31),
         )
         soa = online.Soa(cls)
-        ld = soa.solver.ld(soa.full_mask)
+        packed = cls.packed
+        ld = soa.solver.ld(packed.full)
         worst = 0
         for j in range(seqs_per_class):
             if j % 2 == 0 or ld == 0:
@@ -228,12 +229,12 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                 tree = online.littlestone_tree(cls, ld)
                 seq = []
                 node = tree
-                mask = soa.full_mask
+                mask = packed.full
                 for _ in range(ld):
                     x = node.point
                     y = 1 - soa.predict_mask(mask, x)
                     seq.append((x, y))
-                    mask &= soa.solver.label_masks[x][y]
+                    mask &= packed.label_masks[x][y]
                     node = node.zero if y == 0 else node.one
                 survivor_bits = mask
                 idx = (survivor_bits & -survivor_bits).bit_length() - 1

@@ -289,7 +289,6 @@ def pac_learn_realizable(
     sample: LabeledSample,
     eps: float,
     delta: float,
-    seed: int = 0,
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
     """Train one-inclusion on disjoint batches and keep the validation winner."""
@@ -449,7 +448,7 @@ def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothe
     if comp.bits:
         raise CompressionFormatError("kept-set payloads carry no side bits")
     soa = Soa(cls)
-    if soa.mask_of(comp.subsample) == 0:
+    if cls.packed.mask_of(comp.subsample) == 0:
         raise CompressionFormatError("kept set is not realizable by the class")
     return Hypothesis(
         tuple(soa.predict(comp.subsample, x) for x in range(cls.domain_size))

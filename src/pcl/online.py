@@ -76,22 +76,19 @@ class Soa:
     """
 
     def __init__(self, cls: PartialConceptClass):
-        self.cls = cls
+        self.packed = cls.packed
         self.solver = LdSolver(cls)
-        self.full_mask = self.solver.full_mask
-
-    def mask_of(self, history: Sequence[tuple[int, int]]) -> int:
-        return self.solver.mask_of_sample(history)
 
     def predict_mask(self, mask: int, x: int) -> int:
-        m0 = mask & self.solver.label_masks[x][0]
-        m1 = mask & self.solver.label_masks[x][1]
+        m0, m1 = self.packed.label_masks[x]
+        m0 &= mask
+        m1 &= mask
         ld0 = self.solver.ld(m0) if m0 else -1
         ld1 = self.solver.ld(m1) if m1 else -1
         return 0 if ld0 >= ld1 else 1
 
     def predict(self, history: Sequence[tuple[int, int]], x: int) -> int:
-        return self.predict_mask(self.mask_of(history), x)
+        return self.predict_mask(self.packed.mask_of(history), x)
 
     def __call__(self, history: Sequence[tuple[int, int]], x: int) -> int:
         return self.predict(history, x)
@@ -101,7 +98,7 @@ def soa_predict(
     cls: PartialConceptClass, history: Sequence[tuple[int, int]], x: int
 ) -> int:
     soa = Soa(cls)
-    mask = soa.mask_of(history)
+    mask = cls.packed.mask_of(history)
     if mask == 0:
         raise ContractViolation("history is not realizable by the class")
     return soa.predict_mask(mask, x)
@@ -134,8 +131,9 @@ class LittlestoneTree:
 
 def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTree]:
     """Extract a depth-d witness tree from the LD recursion (None when d = 0)."""
+    packed = cls.packed
     solver = LdSolver(cls)
-    full = solver.full_mask
+    full = packed.full
     if d > solver.ld(full):
         raise ContractViolation(
             f"requested depth {d} exceeds the Littlestone dimension {solver.ld(full)}"
@@ -147,8 +145,9 @@ def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTr
         if depth == 0:
             return None
         for x in range(cls.domain_size):
-            m0 = mask & solver.label_masks[x][0]
-            m1 = mask & solver.label_masks[x][1]
+            m0, m1 = packed.label_masks[x]
+            m0 &= mask
+            m1 &= mask
             if m0 and m1 and solver.ld(m0) >= depth - 1 and solver.ld(m1) >= depth - 1:
                 return LittlestoneTree(x, build(m0, depth - 1), build(m1, depth - 1))
         raise AssertionError("recursion promised a deeper tree than it can build")
@@ -306,7 +305,8 @@ class AgnosticOnlineLearner:
         rng = random.Random(self.seed)
         N = self.n_experts
         eta = math.sqrt((8.0 / self.T) * math.log(N)) if N > 1 else 0.0
-        masks = [soa.full_mask] * N
+        packed = self.cls.packed
+        masks = [packed.full] * N
         cum_losses = np.zeros(N)
         mixtures = np.zeros(self.T)
         expected = 0.0
@@ -329,18 +329,12 @@ class AgnosticOnlineLearner:
             for i, J in enumerate(self.flip_sets):
                 if t in J:
                     flipped = int(preds[i])
-                    masks[i] &= soa.solver.label_masks[x][flipped]
+                    masks[i] &= packed.label_masks[x][flipped]
         best = min_mistakes(self.cls, sequence)
         transcript = OnlineTranscript(tuple(rounds), sampled_mistakes, best)
         return AgnosticRunResult(
             transcript, mixtures, expected, best, self.regret_bound()
         )
-
-
-def agnostic_online_learn(
-    cls: PartialConceptClass, T: int, seed: int = 0, max_experts: int = 100_000
-) -> AgnosticOnlineLearner:
-    return AgnosticOnlineLearner(cls, T, seed=seed, max_experts=max_experts)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from pcl.core import STAR, LabeledSample, PartialConceptClass, is_realizable
+from pcl.core import STAR, LabeledSample, PartialConceptClass
 
 
 def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
@@ -20,6 +20,11 @@ def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
         if STAR not in pat:
             out.add(pat)
     return out
+
+
+def realizable_by_definition(cls: PartialConceptClass, pairs) -> bool:
+    """Some concept agrees with every (point, bit) pair."""
+    return any(all(h[x] == y for x, y in pairs) for h in cls.concepts)
 
 
 def vc_by_definition(cls: PartialConceptClass) -> int:
@@ -100,7 +105,7 @@ def max_realizable_by_enumeration(cls, sample: LabeledSample) -> tuple[int, ...]
         candidates = [
             idx
             for idx in combinations(range(m), k)
-            if is_realizable(cls, sample.subsample(idx))
+            if realizable_by_definition(cls, sample.subsample(idx))
         ]
         if candidates:
             return min(candidates)

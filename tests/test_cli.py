@@ -174,6 +174,13 @@ class TestCliOther:
         assert lines[0] == "m,measured_size,envelope"
         assert len(lines) == 3
 
+    def test_scaling_default_grid_follows_table(self, capsys):
+        rc = main(["scaling", "disambiguation-size"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,measured_totals,envelope"
+        assert [row.split(",")[0] for row in lines[1:]] == ["4", "6", "8", "10"]
+
 
 class TestCliExperiment:
     def test_small_suite_passes_and_writes(self, tmp_path, capsys):

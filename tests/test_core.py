@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcl.core import (
@@ -19,11 +19,15 @@ from pcl.core import (
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
-    restrict,
     uniform_on,
 )
+from pcl.dimensions import is_shattered
 
-from _oracles import approximation_error_by_product, max_realizable_by_enumeration
+from _oracles import (
+    approximation_error_by_product,
+    max_realizable_by_enumeration,
+    patterns_on,
+)
 from _strategies import classes, classes_with_samples
 
 
@@ -123,25 +127,75 @@ class TestEmpiricalError:
             )
 
 
+@st.composite
+def packed_cases(draw):
+    """A class (some columns possibly all STAR), a point tuple and a sample."""
+    cls = draw(classes(max_n=5, max_size=10))
+    n = cls.domain_size
+    blank = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    if blank:
+        rows = (
+            tuple(STAR if x in blank else v for x, v in enumerate(h.labels)) for h in cls
+        )
+        cls = PartialConceptClass(n, tuple(PartialConcept(r) for r in rows))
+    points = tuple(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1))), max_size=6)
+    )
+    if pairs and draw(st.booleans()):
+        x, y = draw(st.sampled_from(pairs))
+        pairs.append((x, y) if draw(st.booleans()) else (x, 1 - y))
+    return cls, points, pairs
+
+
+class TestPackedClass:
+    """The bitmask kernel against the literal pattern enumeration."""
+
+    @settings(max_examples=150)
+    @given(packed_cases())
+    @example((concept_class(3, ["0*1"]), (0, 2), [(0, 0), (2, 1), (0, 0)]))
+    @example((concept_class(3, ["0*1", "1*0", "1*1"]), (0, 1), [(2, 1), (2, 0)]))
+    def test_kernel_matches_brute_force(self, case):
+        cls, points, pairs = case
+        pats = patterns_on(cls, points)
+        assert cls.binary_patterns(points) == pats
+        assert is_shattered(cls, points) == (len(pats) == 2 ** len(points))
+
+        labels = dict(pairs)
+        consistent = all(labels[x] == y for x, y in pairs)
+        pts = sorted(labels)
+        expected = consistent and tuple(labels[x] for x in pts) in patterns_on(cls, pts)
+        assert is_realizable(cls, labeled_sample(pairs)) == expected
+
+        packed = cls.packed
+        mask = packed.mask_of(pairs)
+        kept = [h for h in cls.concepts if all(h[x] == y for x, y in pairs)]
+        assert [h for i, h in enumerate(cls.concepts) if mask >> i & 1] == kept
+        shattered = bool(kept) and len(
+            patterns_on(PartialConceptClass(cls.domain_size, tuple(kept)), points)
+        ) == 2 ** len(points)
+        assert packed.shattered(mask, points) == shattered
+
+
 class TestRestrict:
     def test_total_restriction(self):
         cls = concept_class(3, ["000", "111"])
-        assert restrict(cls, 0, 1) == concept_class(3, ["111"])
+        assert cls.restrict(0, 1) == concept_class(3, ["111"])
 
     def test_empty_restriction_is_none(self):
         cls = concept_class(2, ["0*", "*0"])
-        assert restrict(cls, 0, 1) is None
+        assert cls.restrict(0, 1) is None
 
     def test_star_is_excluded_from_both_sides(self):
         cls = concept_class(3, ["01*", "0*1", "*11"])
-        assert restrict(cls, 1, 1) == concept_class(3, ["01*", "*11"])
+        assert cls.restrict(1, 1) == concept_class(3, ["01*", "*11"])
 
     @settings(max_examples=60)
     @given(classes(), st.integers(0, 4))
     def test_restrictions_partition_the_class(self, cls, x):
         x = x % cls.domain_size
-        r0 = restrict(cls, x, 0)
-        r1 = restrict(cls, x, 1)
+        r0 = cls.restrict(x, 0)
+        r1 = cls.restrict(x, 1)
         side0 = set(r0.concepts) if r0 else set()
         side1 = set(r1.concepts) if r1 else set()
         stars = {h for h in cls.concepts if h[x] == STAR}

@@ -116,12 +116,12 @@ class TestWeightedDisambiguation:
         oracle = _ShatterOracle(cls, d)
         res = weighted_disambiguate(cls)
         for h in cls:
-            mask = oracle.full_mask
+            mask = cls.packed.full
             update_at = set(res.update_positions[h])
             for x in range(cls.domain_size):
                 if x in update_at:
                     before = oracle.suffix_weight(mask, x - 1)
-                    mask &= oracle.label_masks[x][h[x]]
+                    mask &= cls.packed.label_masks[x][h[x]]
                     after = oracle.suffix_weight(mask, x)
                     assert 2 * after <= before
 
