@@ -55,8 +55,7 @@ def cmd_dim(args) -> int:
             pts, hs = report.witness
             out["witness"] = {"points": list(pts), "concepts": [str(h) for h in hs]}
         elif report.measure == "ld":
-            tree = online.littlestone_tree(cls, report.value)
-            out["witness"] = _tree_dict(tree)
+            out["witness"] = _tree_dict(report.witness)
         out["witness_verified"] = report.verify(cls)
     if names:
         out["names"] = names
@@ -184,7 +183,7 @@ def cmd_online(args) -> int:
             "lower_bound": args.d / 2,
         }
     else:  # adversary-regret
-        adv = online.regret_adversary(cls, args.d, args.T, seed)
+        adv = online.regret_adversary(cls, args.d, args.T)
         total = 0.0
         for _ in range(args.trials):
             seq = adv.generate(rng)
@@ -438,8 +437,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every command takes --out; a missing directory fails before any work.
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FormatError(f"--out {args.out}: directory does not exist")
         return args.func(args)
-    except (FormatError, core.ContractViolation, ValueError) as exc:
+    except (FormatError, core.ContractViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,8 @@ size (domains up to ~14 points, classes up to a few dozen concepts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial
+from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -28,38 +29,44 @@ def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     return packed.shattered(packed.full, points)
 
 
-def vc_dimension(cls: PartialConceptClass, witness: bool = False):
-    """Largest shattered subset size, by ascending-size enumeration.
+def shattered_levels(n: int, holds, first: int = 0) -> list[list[tuple[int, ...]]]:
+    """Nonempty subsets of {first, .., n-1} satisfying ``holds``, grouped by size.
 
-    Shattering is downward closed, so the search stops at the first size with
-    no shattered subset.  With ``witness=True`` returns ``(value, points)``.
+    ``holds`` must be downward closed, as every shattering notion is.  Level
+    k+1 extends each set of level k by a larger point and keeps the candidates
+    that hold (the level-wise Apriori search), so each level is in
+    lexicographic order and the search stops at the first empty level.
     """
-    n = cls.domain_size
-    best = 0
-    best_set: tuple[int, ...] = ()
-    for k in range(1, n + 1):
-        found = None
-        for pts in combinations(range(n), k):
-            if is_shattered(cls, pts):
-                found = pts
-                break
-        if found is None:
-            break
-        best, best_set = k, found
+    levels = []
+    level = [()]
+    while True:
+        level = [
+            ext
+            for pts in level
+            for x in range(pts[-1] + 1 if pts else first, n)
+            if holds(ext := pts + (x,))
+        ]
+        if not level:
+            return levels
+        levels.append(level)
+
+
+def vc_dimension(cls: PartialConceptClass, witness: bool = False):
+    """Largest shattered subset size.
+
+    With ``witness=True`` returns ``(value, points)``, where ``points`` is the
+    lexicographically first shattered set of that size.
+    """
+    levels = shattered_levels(cls.domain_size, partial(is_shattered, cls))
     if witness:
-        return best, best_set
-    return best
+        return len(levels), levels[-1][0] if levels else ()
+    return len(levels)
 
 
 def shattering_strength(cls: PartialConceptClass) -> int:
     """Number of shattered subsets of the domain, counting the empty set."""
-    d = vc_dimension(cls)
-    count = 1  # the empty set, shattered by any nonempty class
-    for k in range(1, d + 1):
-        for pts in combinations(range(cls.domain_size), k):
-            if is_shattered(cls, pts):
-                count += 1
-    return count
+    levels = shattered_levels(cls.domain_size, partial(is_shattered, cls))
+    return 1 + sum(map(len, levels))
 
 
 class LdSolver:
@@ -167,17 +174,6 @@ def _graph_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
     return False
 
 
-def _largest_subset(cls: PartialConceptClass, predicate) -> int:
-    n = cls.domain_size
-    best = 0
-    for k in range(1, n + 1):
-        if any(predicate(cls, pts) for pts in combinations(range(n), k)):
-            best = k
-        else:
-            break
-    return best
-
-
 @dataclass(frozen=True)
 class MulticlassDimensions:
     natarajan: int
@@ -195,11 +191,11 @@ def support_class(cls: PartialConceptClass) -> TotalConceptClass:
 
 
 def natarajan_dimension(cls: PartialConceptClass) -> int:
-    return _largest_subset(cls, _natarajan_shatters)
+    return len(shattered_levels(cls.domain_size, partial(_natarajan_shatters, cls)))
 
 
 def graph_dimension(cls: PartialConceptClass) -> int:
-    return _largest_subset(cls, _graph_shatters)
+    return len(shattered_levels(cls.domain_size, partial(_graph_shatters, cls)))
 
 
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:
@@ -221,7 +217,8 @@ def dual_vc_dimension(cls: PartialConceptClass) -> int:
     dual = TotalConceptClass(len(cls.concepts), tuple(PartialConcept(r) for r in transposed))
     d_star = vc_dimension(dual)
     d = vc_dimension(cls)
-    assert d_star <= 2 ** (d + 1), f"dual dimension {d_star} exceeds 2^(d+1) for d={d}"
+    if d_star > 2 ** (d + 1):
+        raise AssertionError(f"dual dimension {d_star} exceeds 2^(d+1) for d={d}")
     return d_star
 
 
@@ -245,7 +242,11 @@ class DimensionReport:
     value: int
     witness: Optional[object] = None
 
-    def verify(self, cls: PartialConceptClass) -> bool:
+    def verify(self, cls: PartialConceptClass) -> Optional[bool]:
+        """Re-check the witness against the class; None when there is none to check.
+
+        The LD witness is a mistake tree; the empty tree (None) witnesses LD 0.
+        """
         if self.measure == "vc" and self.witness is not None:
             pts = tuple(self.witness)
             return len(pts) == self.value and (self.value == 0 or is_shattered(cls, pts))
@@ -258,7 +259,13 @@ class DimensionReport:
                 for i in range(self.value)
                 for j in range(self.value)
             )
-        return True
+        if self.measure == "ld" and (self.witness is not None or self.value == 0):
+            from .online import verify_tree  # online builds on this module
+
+            tree = self.witness
+            depths = {len(path) for path in tree.paths()} if tree else {0}
+            return depths == {self.value} and verify_tree(cls, tree)
+        return None
 
 
 def measure_report(
@@ -272,7 +279,12 @@ def measure_report(
             return DimensionReport("vc", value, pts)
         return DimensionReport("vc", vc_dimension(cls))
     if measure == "ld":
-        return DimensionReport("ld", littlestone_dimension(cls))
+        value = littlestone_dimension(cls)
+        if witness:
+            from .online import littlestone_tree
+
+            return DimensionReport("ld", value, littlestone_tree(cls, value))
+        return DimensionReport("ld", value)
     if measure == "td":
         if witness:
             value, chain = threshold_dimension(cls, witness=True)

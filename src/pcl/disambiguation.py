@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -34,7 +35,7 @@ from .core import (
     TotalConceptClass,
     labeled_sample,
 )
-from .dimensions import graph_dimension, vc_dimension
+from .dimensions import graph_dimension, shattered_levels, vc_dimension
 
 
 @dataclass
@@ -64,31 +65,25 @@ class Disambiguation:
 class _ShatterOracle:
     """Shattered-subset bookkeeping over subclasses encoded as concept bitmasks.
 
-    Only subsets of size up to the class VC dimension can be shattered, so
-    enumeration is capped there.  Strength per mask and suffix weight per
-    (mask, point) are cached, because the sequential procedures revisit the
-    same subclass at many points.
+    Strength per mask and suffix weight per (mask, point) are cached, because
+    the sequential procedures revisit the same subclass at many points.
     """
 
-    def __init__(self, cls: PartialConceptClass, d: int):
+    def __init__(self, cls: PartialConceptClass):
         self.packed = cls.packed
-        self.d = d
-        self.subsets = [
-            pts
-            for k in range(1, d + 1)
-            for pts in combinations(range(cls.domain_size), k)
-        ]
+        self.n = cls.domain_size
+        self.d = vc_dimension(cls)
         self._strength: dict[int, int] = {0: 0}
         self._weight: dict[tuple[int, int], Fraction] = {}
 
+    def _levels(self, mask: int, first: int = 0) -> list[list[tuple[int, ...]]]:
+        return shattered_levels(self.n, partial(self.packed.shattered, mask), first)
+
     def strength(self, mask: int) -> int:
         cached = self._strength.get(mask)
-        if cached is not None:
-            return cached
-        shattered = self.packed.shattered
-        s = 1 + sum(1 for pts in self.subsets if shattered(mask, pts))
-        self._strength[mask] = s
-        return s
+        if cached is None:
+            cached = self._strength[mask] = 1 + sum(map(len, self._levels(mask)))
+        return cached
 
     def suffix_weight(self, mask: int, x: int) -> Fraction:
         """Sum of 1/max(S)^(d+1) over nonempty shattered subsets of {x+1, ..}.
@@ -96,19 +91,18 @@ class _ShatterOracle:
         Points are weighted by their 1-based position, matching the harmonic
         convergence of the potential.
         """
-        if mask == 0:
-            return Fraction(0)
         key = (mask, x)
         cached = self._weight.get(key)
-        if cached is not None:
-            return cached
-        shattered = self.packed.shattered
-        total = Fraction(0)
-        for pts in self.subsets:
-            if pts[0] > x and shattered(mask, pts):
-                total += Fraction(1, (pts[-1] + 1) ** (self.d + 1))
-        self._weight[key] = total
-        return total
+        if cached is None:
+            cached = self._weight[key] = sum(
+                (
+                    Fraction(1, (pts[-1] + 1) ** (self.d + 1))
+                    for level in self._levels(mask, x + 1)
+                    for pts in level
+                ),
+                Fraction(0),
+            )
+        return cached
 
 
 def _run_sequential(
@@ -170,26 +164,18 @@ def _weighted_majority(oracle: _ShatterOracle, mask: int, x: int) -> int:
 
 def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Strength-vote sequential disambiguation; u(h) <= log2 s(H) per concept."""
-    d = vc_dimension(cls)
-    oracle = _ShatterOracle(cls, d)
+    oracle = _ShatterOracle(cls)
     res = _run_sequential(cls, _strength_majority, oracle, "majority")
-    res.info["vc"] = d
+    res.info["vc"] = oracle.d
     res.info["strength"] = oracle.strength(oracle.packed.full)
     return res
 
 
-def weighted_disambiguate(
-    cls: PartialConceptClass, d: Optional[int] = None
-) -> Disambiguation:
+def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
-    actual = vc_dimension(cls)
-    if d is None:
-        d = actual
-    elif d != actual:
-        raise ContractViolation(f"declared dimension {d} but class has VC {actual}")
-    oracle = _ShatterOracle(cls, d)
+    oracle = _ShatterOracle(cls)
     res = _run_sequential(cls, _weighted_majority, oracle, "weighted")
-    res.info["vc"] = d
+    res.info["vc"] = oracle.d
     return res
 
 
@@ -444,9 +430,10 @@ def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation
     totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
     bar_vc = vc_dimension(totals)
     graph_dim = graph_dimension(cls)
-    assert bar_vc <= graph_dim, (
-        f"indicator disambiguation VC {bar_vc} exceeds graph dimension {graph_dim}"
-    )
+    if bar_vc > graph_dim:
+        raise AssertionError(
+            f"indicator disambiguation VC {bar_vc} exceeds graph dimension {graph_dim}"
+        )
     return Disambiguation(
         totals=totals,
         algorithm="support",

@@ -64,8 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: Optional[int] = None
     params: dict = field(default_factory=dict)
-    out_json: Optional[str] = None
-    out_csv: Optional[str] = None
 
 
 @dataclass

@@ -368,9 +368,7 @@ class RegretAdversary:
         return list(zip(xs, ys))
 
 
-def regret_adversary(
-    cls: PartialConceptClass, d: int, T: int, seed: int = 0
-) -> RegretAdversary:
+def regret_adversary(cls: PartialConceptClass, d: int, T: int) -> RegretAdversary:
     if T < d:
         raise ContractViolation("horizon must be at least the tree depth")
     tree = littlestone_tree(cls, d)

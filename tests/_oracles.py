@@ -27,25 +27,66 @@ def realizable_by_definition(cls: PartialConceptClass, pairs) -> bool:
     return any(all(h[x] == y for x, y in pairs) for h in cls.concepts)
 
 
+def shattered_sets_by_definition(cls: PartialConceptClass) -> list[tuple[int, ...]]:
+    """Check every subset of every size against the shattering definition.
+
+    Returns the shattered ones, the empty set included, by size and then
+    lexicographically.
+    """
+    n = cls.domain_size
+    return [
+        pts
+        for k in range(n + 1)
+        for pts in combinations(range(n), k)
+        if len(patterns_on(cls, pts)) == 2 ** k
+    ]
+
+
 def vc_by_definition(cls: PartialConceptClass) -> int:
-    """Check every subset of every size against the shattering definition."""
+    return len(shattered_sets_by_definition(cls)[-1])
+
+
+def strength_by_definition(cls: PartialConceptClass) -> int:
+    return len(shattered_sets_by_definition(cls))
+
+
+def _ternary_patterns(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
+    return {tuple(h[x] for x in pts) for h in cls.concepts}
+
+
+def natarajan_by_definition(cls: PartialConceptClass) -> int:
+    """Largest S with f0, f1: S -> {0, 1, *} differing everywhere such that every
+    selection between them, point by point, is the restriction of some concept."""
     n = cls.domain_size
     best = 0
     for k in range(1, n + 1):
         for pts in combinations(range(n), k):
-            if len(patterns_on(cls, pts)) == 2 ** k:
-                best = max(best, k)
+            pats = _ternary_patterns(cls, pts)
+            for f0 in product((0, 1, STAR), repeat=k):
+                for f1 in product((0, 1, STAR), repeat=k):
+                    if any(a == b for a, b in zip(f0, f1)):
+                        continue
+                    if all(
+                        tuple(f1[i] if bits[i] else f0[i] for i in range(k)) in pats
+                        for bits in product((0, 1), repeat=k)
+                    ):
+                        best = max(best, k)
     return best
 
 
-def strength_by_definition(cls: PartialConceptClass) -> int:
+def graph_by_definition(cls: PartialConceptClass) -> int:
+    """Largest S with f: S -> {0, 1, *} such that every T within S is exactly
+    the set where some concept agrees with f."""
     n = cls.domain_size
-    count = 1
+    best = 0
     for k in range(1, n + 1):
         for pts in combinations(range(n), k):
-            if len(patterns_on(cls, pts)) == 2 ** k:
-                count += 1
-    return count
+            pats = _ternary_patterns(cls, pts)
+            for f in product((0, 1, STAR), repeat=k):
+                agreements = {tuple(p[i] == f[i] for i in range(k)) for p in pats}
+                if len(agreements) == 2 ** k:
+                    best = max(best, k)
+    return best
 
 
 def _tree_exists(rows: list[tuple[int, ...]], n: int, d: int) -> bool:

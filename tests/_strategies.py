@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from pcl.core import PartialConcept, PartialConceptClass
+from pcl.core import STAR, PartialConcept, PartialConceptClass
 
 
 @st.composite
@@ -17,6 +17,18 @@ def classes(draw, min_n=1, max_n=5, max_size=12, alphabet=(0, 1, 2)):
             max_size=max_size,
         )
     )
+    return PartialConceptClass(n, tuple(PartialConcept(r) for r in rows))
+
+
+@st.composite
+def classes_with_blank_columns(draw):
+    """Classes on up to 5 points with up to two columns overwritten by STAR."""
+    cls = draw(classes(max_n=5, max_size=10))
+    n = cls.domain_size
+    blank = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    if not blank:
+        return cls
+    rows = (tuple(STAR if x in blank else v for x, v in enumerate(h.labels)) for h in cls)
     return PartialConceptClass(n, tuple(PartialConcept(r) for r in rows))
 
 

@@ -74,6 +74,19 @@ class TestCliDim:
         assert out["value"] == 1
         assert out["witness_verified"] is True
 
+    def test_ld_witness_tree_verified(self, class_file, capsys):
+        assert main(["dim", "--input", class_file, "--measure", "ld", "--witness"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == 1
+        assert out["witness"] == {"point": 0, "zero": None, "one": None}
+        assert out["witness_verified"] is True
+
+    def test_measure_without_witness_prints_null(self, class_file, capsys):
+        assert main(["dim", "--input", class_file, "--measure", "strength", "--witness"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == 4
+        assert out["witness_verified"] is None
+
     def test_all_measures_run(self, class_file):
         for measure in ["vc", "ld", "td", "strength", "natarajan", "graph", "support-vc", "dual"]:
             assert main(["dim", "--input", class_file, "--measure", measure]) == 0
@@ -181,6 +194,11 @@ class TestCliOther:
         assert lines[0] == "n,measured_totals,envelope"
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "6", "8", "10"]
 
+    def test_scaling_missing_out_dir_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "table.csv")
+        assert main(["scaling", "compression-size", "--grid", "8", "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
 
 class TestCliExperiment:
     def test_small_suite_passes_and_writes(self, tmp_path, capsys):
@@ -199,6 +217,11 @@ class TestCliExperiment:
         assert csv_text.splitlines()[0] == (
             "experiment,check,statement,measured,bound,passed"
         )
+
+    def test_missing_out_dir_exits_2(self, tmp_path, capsys):
+        prefix = str(tmp_path / "missing" / "report")
+        assert main(["experiment", "erm-failure", "--trials", "10", "--out", prefix]) == 2
+        assert prefix in capsys.readouterr().err
 
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pcl.core import (
     STAR,
     ContractViolation,
-    PartialConcept,
     PartialConceptClass,
     approximation_error,
     best_empirical_error,
@@ -28,7 +27,7 @@ from _oracles import (
     max_realizable_by_enumeration,
     patterns_on,
 )
-from _strategies import classes, classes_with_samples
+from _strategies import classes, classes_with_blank_columns, classes_with_samples
 
 
 def k4_star_class():
@@ -130,14 +129,8 @@ class TestEmpiricalError:
 @st.composite
 def packed_cases(draw):
     """A class (some columns possibly all STAR), a point tuple and a sample."""
-    cls = draw(classes(max_n=5, max_size=10))
+    cls = draw(classes_with_blank_columns())
     n = cls.domain_size
-    blank = draw(st.sets(st.integers(0, n - 1), max_size=2))
-    if blank:
-        rows = (
-            tuple(STAR if x in blank else v for x, v in enumerate(h.labels)) for h in cls
-        )
-        cls = PartialConceptClass(n, tuple(PartialConcept(r) for r in rows))
     points = tuple(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
     pairs = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1))), max_size=6)

@@ -1,31 +1,40 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pcl.core import ContractViolation, concept_class, total_class
+from pcl import dimensions
+from pcl.core import ContractViolation, PartialConceptClass, concept_class, total_class
 from pcl.dimensions import (
     DimensionReport,
     dual_vc_dimension,
+    graph_dimension,
     is_shattered,
     littlestone_dimension,
     measure_report,
     multiclass_dimensions,
+    natarajan_dimension,
     sauer_bound,
     shattering_strength,
     support_class,
     threshold_dimension,
     vc_dimension,
 )
+from pcl.disambiguation import _ShatterOracle
 
 from _oracles import (
+    graph_by_definition,
     ld_by_definition,
+    natarajan_by_definition,
+    shattered_sets_by_definition,
     strength_by_definition,
     td_by_definition,
     vc_by_definition,
 )
-from _strategies import classes
+from _strategies import classes, classes_with_blank_columns
 
 
 def zero_star_cube(n):
@@ -66,6 +75,43 @@ class TestVcDimension:
     @given(classes(max_n=4, max_size=10))
     def test_matches_definition_oracle(self, cls):
         assert vc_dimension(cls) == vc_by_definition(cls)
+
+
+@st.composite
+def level_cases(draw):
+    """A class (some columns possibly all STAR), a subclass mask and a point."""
+    cls = draw(classes_with_blank_columns())
+    mask = draw(st.integers(0, cls.packed.full))
+    return cls, mask, draw(st.integers(-1, cls.domain_size - 1))
+
+
+class TestShatteredLevels:
+    """Every measure on the level-wise search against full subset scans."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(level_cases())
+    @example((concept_class(3, ["0*1"]), 1, -1))
+    @example((concept_class(4, ["0*11", "1*00", "1*10", "0*01"]), 0b1011, 0))
+    def test_matches_definition(self, case):
+        cls, mask, x = case
+        assert natarajan_dimension(cls) == natarajan_by_definition(cls)
+        assert graph_dimension(cls) == graph_by_definition(cls)
+        sets = shattered_sets_by_definition(cls)
+        d = len(sets[-1])
+        first_largest = next(pts for pts in sets if len(pts) == d)
+        assert vc_dimension(cls, witness=True) == (d, first_largest)
+
+        kept = tuple(h for i, h in enumerate(cls.concepts) if mask >> i & 1)
+        sub = []
+        if kept:
+            sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
+        oracle = _ShatterOracle(cls)
+        assert oracle.d == d
+        assert oracle.strength(mask) == len(sub)
+        assert oracle.suffix_weight(mask, x) == sum(
+            (Fraction(1, (pts[-1] + 1) ** (d + 1)) for pts in sub if pts and pts[0] > x),
+            Fraction(0),
+        )
 
 
 class TestLittlestoneDimension:
@@ -199,6 +245,13 @@ class TestDualVcDimension:
         with pytest.raises(ContractViolation):
             dual_vc_dimension(concept_class(2, ["0*"]))
 
+    def test_dual_bound_check_raises(self, monkeypatch):
+        # Dual VC 5 against primal VC 0 breaks d* <= 2^(d+1) = 2.
+        values = iter([5, 0])
+        monkeypatch.setattr(dimensions, "vc_dimension", lambda cls: next(values))
+        with pytest.raises(AssertionError, match="exceeds 2"):
+            dual_vc_dimension(full_cube(2))
+
     @settings(max_examples=30)
     @given(classes(max_n=4, max_size=8, alphabet=(0, 1)))
     def test_dual_bound(self, cls):
@@ -217,6 +270,18 @@ class TestReports:
         with pytest.raises(ValueError):
             measure_report(full_cube(2), "banana")
 
-    def test_report_without_witness_verifies_trivially(self):
+    def test_report_without_witness_is_not_verified(self):
         cls = zero_star_cube(2)
-        assert DimensionReport("strength", 1).verify(cls)
+        assert DimensionReport("strength", 1).verify(cls) is None
+        assert DimensionReport("vc", 0).verify(cls) is None
+        assert DimensionReport("ld", 1).verify(cls) is None
+
+    def test_ld_report_checks_its_tree(self):
+        cls = full_cube(2)
+        report = measure_report(cls, "ld", witness=True)
+        assert report.value == 2
+        assert report.verify(cls)
+        assert not DimensionReport("ld", 1, report.witness).verify(cls)
+        no_11 = concept_class(2, ["00", "01", "10"])
+        assert not DimensionReport("ld", 2, report.witness).verify(no_11)
+        assert measure_report(zero_star_cube(2), "ld", witness=True).verify(zero_star_cube(2))

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+from pcl import disambiguation
 from pcl.core import ContractViolation, concept, concept_class, total_class
 from pcl.dimensions import (
     littlestone_dimension,
@@ -78,10 +79,6 @@ class TestWeightedDisambiguation:
         assert res.totals == total_class(3, ["000"])
         assert all(res.update_count(h) == 0 for h in zero_star_cube(3))
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            weighted_disambiguate(zero_star_cube(2), d=1)
-
     def test_single_total_concept_needs_no_updates(self):
         # A lone all-ones concept must not be dragged off its own labels.
         cls = concept_class(8, ["1" * 8])
@@ -112,8 +109,7 @@ class TestWeightedDisambiguation:
     def test_weight_halves_at_every_update(self, cls):
         from pcl.disambiguation import _ShatterOracle
 
-        d = vc_dimension(cls)
-        oracle = _ShatterOracle(cls, d)
+        oracle = _ShatterOracle(cls)
         res = weighted_disambiguate(cls)
         for h in cls:
             mask = cls.packed.full
@@ -285,6 +281,12 @@ class TestSupportIndicator:
         res = support_indicator_disambiguation(zero_star_cube(3))
         assert res.totals == total_class(3, ["000"])
         assert res.info["vc"] == 0
+
+    def test_graph_bound_check_raises(self, monkeypatch):
+        # Indicator VC 1 against a graph dimension forced to 0 breaks VC <= graph.
+        monkeypatch.setattr(disambiguation, "graph_dimension", lambda cls: 0)
+        with pytest.raises(AssertionError, match="exceeds graph dimension"):
+            support_indicator_disambiguation(concept_class(2, ["1*", "*1"]))
 
     @settings(max_examples=40, deadline=None)
     @given(classes(max_n=4, max_size=8))
