@@ -73,20 +73,26 @@ def _tree_dict(tree):
     }
 
 
+def _load_sample(path, cls):
+    sample = serialize.sample_from_list(serialize.load_json(path))
+    for x, _ in sample:
+        if x >= cls.domain_size:
+            raise FormatError(
+                f"sample: point {x} is outside the domain of size {cls.domain_size}"
+            )
+    return sample
+
+
 def cmd_learn(args) -> int:
     cls, _ = serialize.class_from_dict(serialize.load_json(args.input))
-    sample = serialize.sample_from_list(serialize.load_json(args.sample))
+    sample = _load_sample(args.sample, cls)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.mode == "realizable":
+        # pac_learn_realizable rejects a sample shorter than the schedule's m
+        hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta)
         schedule = learners.pac_schedule(
             dimensions.vc_dimension(cls), args.eps, args.delta
         )
-        if len(sample) < schedule.total:
-            raise FormatError(
-                f"sample has {len(sample)} points but the wrapper needs "
-                f"m = {schedule.total} at eps={args.eps}, delta={args.delta}"
-            )
-        hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta)
         out = {
             "mode": "realizable",
             "hypothesis": serialize.hypothesis_to_dict(hyp),
@@ -134,10 +140,12 @@ def cmd_online(args) -> int:
     cls, _ = serialize.class_from_dict(serialize.load_json(args.input))
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
+    if args.mode != "soa" and args.trials < 1:
+        raise FormatError(f"--trials must be at least 1, got {args.trials}")
     if args.mode == "soa":
         if args.sample is None:
             raise FormatError("soa mode needs --sample with the round sequence")
-        seq = serialize.sample_from_list(serialize.load_json(args.sample))
+        seq = _load_sample(args.sample, cls)
         transcript = online.play_sequence(cls, online.Soa(cls), seq.pairs)
         out = {
             "mode": "soa",
@@ -178,7 +186,7 @@ def cmd_online(args) -> int:
         out = {
             "mode": "adversary-mistake",
             "d": args.d,
-            "mc_mean_mistakes": sum(means) / len(means) if means else 0.0,
+            "mc_mean_mistakes": sum(means) / len(means),
             "exact_expected_vs_soa": str(exact) if exact is not None else None,
             "lower_bound": args.d / 2,
         }
@@ -194,7 +202,7 @@ def cmd_online(args) -> int:
             "mode": "adversary-regret",
             "d": args.d,
             "T": args.T,
-            "mc_mean_regret_constant0": total / max(args.trials, 1),
+            "mc_mean_regret_constant0": total / args.trials,
             "lower_bound": 0.25 * (args.d * args.T) ** 0.5,
         }
     _emit(out, args.out)
@@ -267,7 +275,7 @@ def cmd_construct(args) -> int:
     elif args.kind == "gamma-boost":
         base, _ = serialize.class_from_dict(serialize.load_json(args.base))
         base = core.total_class(base.domain_size, base.concepts)
-        sample = serialize.sample_from_list(serialize.load_json(args.sample))
+        sample = _load_sample(args.sample, base)
         game = geometry.weak_learning_game(base, sample)
         gamma = 1 - 2 * game.value
         out = {
@@ -310,6 +318,11 @@ def cmd_experiment(args) -> int:
         params=params,
     )
     report = experiments.run_experiment(cfg)
+    if not report.checks:
+        raise FormatError(
+            f"{args.name} ran no checks (params {params}, trials {args.trials}); "
+            "a report with no checks cannot pass"
+        )
     payload = report.to_dict()
     if args.out:
         serialize.dump_json(payload, args.out + ".json")
@@ -334,6 +347,9 @@ _SCALING_GRIDS = {
 def cmd_scaling(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     grid = _SCALING_GRIDS[args.name] if args.grid is None else args.grid
+    for value in grid:
+        if value < 1:
+            raise FormatError(f"--grid values must be positive, got {value}")
     header, rows = experiments.emit_scaling_table(args.name, grid, seed)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)

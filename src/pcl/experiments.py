@@ -292,10 +292,11 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                         violations += 1
                     if literal_checked < cross_checks and k <= 4:
                         sample = labeled_sample(list(zip(pts, v)))
-                        assert learners.loo_error(cls, sample, cache) == loo, (
-                            "orientation-based average disagrees with the "
-                            "literal leave-one-out computation"
-                        )
+                        if learners.loo_error(cls, sample, cache) != loo:
+                            raise AssertionError(
+                                "orientation-based average disagrees with the "
+                                "literal leave-one-out computation"
+                            )
                         literal_checked += 1
         checks.append(
             CheckRecord(
@@ -380,7 +381,8 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     for ci, cls in enumerate(class_specs):
         learner = online.AgnosticOnlineLearner(cls, T=T, seed=_digest(cfg.seed, "ao", ci))
         ld = learner.ld
-        assert ld <= 2, "upper-side classes are meant to stay at LD <= 2"
+        if ld > 2:
+            raise AssertionError("upper-side classes are meant to stay at LD <= 2")
         rng = split_rng(cfg.seed, "ao-seq", ci)
         worst = -math.inf
         bound = learner.regret_bound() + ld
@@ -574,7 +576,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
             continue
         sample = labeled_sample(seq)
         vc = dimensions.vc_dimension(cls)
-        k = 3 * max(vc, 1)
+        k = learners.boosting_round_size(vc)
         hyp, comp = learners.alpha_boost_compress(
             cls, sample, seed=rng.randrange(2**31), cache=cache
         )
@@ -909,7 +911,7 @@ def emit_scaling_table(
         for m in grid:
             rng = split_rng(seed, "scale-compress", m)
             cls = _random_class_with_vc_cap(rng, max_n=6, max_size=20, vc_cap=3)
-            k = 3 * max(dimensions.vc_dimension(cls), 1)
+            k = learners.boosting_round_size(dimensions.vc_dimension(cls))
             seq = _random_realizable_sequence(cls, rng, m)
             sample = labeled_sample(seq)
             _, comp = learners.alpha_boost_compress(

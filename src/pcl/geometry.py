@@ -20,10 +20,13 @@ import numpy as np
 
 from .core import ContractViolation, LabeledSample, TotalConceptClass
 from .dimensions import dual_vc_dimension
-from .learners import Hypothesis
+from .learners import Hypothesis, boost_to_consistency
 
 DECISION_TOL = 1e-6
 CONVERGE_TOL = 1e-12
+WOLFE_MAX_ITER = 10_000  # Wolfe's method is finite; this only guards a stall
+PERCEPTRON_UPDATE_CAP = 10**6
+MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
 
 
 @dataclass(eq=False)
@@ -115,7 +118,7 @@ def _affine_minimizer(P: np.ndarray) -> np.ndarray:
     return sol[:k]
 
 
-def min_norm_point(points: np.ndarray, max_iter: int = 10_000) -> np.ndarray:
+def min_norm_point(points: np.ndarray) -> np.ndarray:
     """Point of minimum norm in the convex hull of the rows (Wolfe, 1976).
 
     Finite active-set method; terminates when no point improves the support
@@ -128,7 +131,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = 10_000) -> np.ndarray:
     lam = np.array([1.0])
     x = pts[start].copy()
     scale = max(1.0, norms.max())
-    for _ in range(max_iter):
+    for _ in range(WOLFE_MAX_ITER):
         dots = pts @ x
         j = int(np.argmin(dots))
         if x @ x - dots[j] <= CONVERGE_TOL * scale:
@@ -186,18 +189,16 @@ class SeparabilityReport:
     marginal: bool
 
 
-def separability_report(
-    data: EuclideanDataset, decision_tol: float = DECISION_TOL
-) -> SeparabilityReport:
+def separability_report(data: EuclideanDataset) -> SeparabilityReport:
     """Ball-radius and hull-gap checks against the dataset's (R, gamma)."""
     _, r = min_enclosing_ball(data.points)
     gap, _ = hull_distance(
         data.points[data.labels == 1], data.points[data.labels == 0]
     )
-    ball_ok = r <= data.radius + decision_tol
-    gap_ok = gap >= 2 * data.gamma - decision_tol
-    marginal = abs(r - data.radius) <= decision_tol or (
-        math.isfinite(gap) and abs(gap - 2 * data.gamma) <= decision_tol
+    ball_ok = r <= data.radius + DECISION_TOL
+    gap_ok = gap >= 2 * data.gamma - DECISION_TOL
+    marginal = abs(r - data.radius) <= DECISION_TOL or (
+        math.isfinite(gap) and abs(gap - 2 * data.gamma) <= DECISION_TOL
     )
     return SeparabilityReport(r, gap, ball_ok and gap_ok, marginal)
 
@@ -242,7 +243,6 @@ def perceptron_run(
     points: np.ndarray,
     labels: np.ndarray,
     max_passes: int = 1,
-    update_cap: int = 10**6,
 ) -> PerceptronReport:
     """Classic perceptron on the lifted representation (unit bias coordinate).
 
@@ -266,9 +266,9 @@ def perceptron_run(
                 w = w + y * x
                 mistakes += 1
                 clean = False
-                if mistakes >= update_cap:
+                if mistakes >= PERCEPTRON_UPDATE_CAP:
                     break
-        if mistakes >= update_cap:
+        if mistakes >= PERCEPTRON_UPDATE_CAP:
             break
         if clean:
             converged = True
@@ -309,11 +309,11 @@ def orthonormal_points(radius: float, gamma: float) -> np.ndarray:
 
 
 def orthonormal_shattering_instance(
-    radius: float, gamma: float, max_points: int = 12
+    radius: float, gamma: float
 ) -> list[EuclideanDataset]:
     """One dataset per bipartition of the axis family, all sharing the points."""
     pts = orthonormal_points(radius, gamma)
-    if len(pts) > max_points:
+    if len(pts) > MAX_ORTHONORMAL_POINTS:
         raise ValueError(f"{2 ** len(pts)} labelings exceed the enumeration cap")
     return [
         EuclideanDataset(pts, np.array(bits), radius=radius, gamma=gamma)
@@ -330,7 +330,7 @@ class LabelingCertificate:
 
 
 def certify_orthonormal_labelings(
-    radius: float, gamma: float, max_points: int = 12
+    radius: float, gamma: float
 ) -> list[LabelingCertificate]:
     """Certify every bipartition of the axis family as (R, gamma)-separable.
 
@@ -338,26 +338,19 @@ def certify_orthonormal_labelings(
     (gamma/R times the signed sum of basis vectors) and by the generic
     ball-plus-hull-gap checker.  Both verdicts are recorded per labeling.
     """
-    pts = orthonormal_points(radius, gamma)
-    m = len(pts)
-    if m > max_points:
-        raise ValueError(f"{2**m} labelings exceed the enumeration cap")
     out = []
-    for bits in product((0, 1), repeat=m):
-        labels = np.array(bits)
-        signs = np.where(labels == 1, 1.0, -1.0)
+    for data in orthonormal_shattering_instance(radius, gamma):
+        signs = np.where(data.labels == 1, 1.0, -1.0)
         w = (gamma / radius) * signs  # witness in basis coordinates
-        dots = pts @ w
+        dots = data.points @ w
         witness_ok = bool(
             np.linalg.norm(w) <= 1 + 1e-9
             and np.allclose(dots * signs, gamma, atol=1e-9)
         )
-        report = separability_report(
-            EuclideanDataset(pts, labels, radius=radius, gamma=gamma)
-        )
+        report = separability_report(data)
         out.append(
             LabelingCertificate(
-                labels=bits,
+                labels=tuple(int(v) for v in data.labels),
                 witness_ok=witness_ok,
                 generic_ok=report.separable,
                 witness_norm=float(np.linalg.norm(w)),
@@ -511,10 +504,7 @@ class MajorityFitReport:
 
 
 def boosting_disambiguate_sample(
-    base: TotalConceptClass,
-    sample: LabeledSample,
-    gamma,
-    domain_size: Optional[int] = None,
+    base: TotalConceptClass, sample: LabeledSample, gamma
 ) -> tuple[Hypothesis, MajorityFitReport]:
     """Majority of base hypotheses consistent with a weakly-learnable sample.
 
@@ -526,22 +516,19 @@ def boosting_disambiguate_sample(
     g = float(gamma)
     if not 0 < g <= 1:
         raise ContractViolation("gamma must lie in (0, 1]")
-    n = domain_size or base.domain_size
     pairs = sample.pairs
     m = len(pairs)
     if m == 0:
         raise ContractViolation("need a nonempty sample")
     step = 3.0 if g >= 1 else (1 + g) / (1 - g)
     cap = math.ceil((16.0 / g**2) * math.log(m + 2))
-    weights = [1.0] * m
     threshold = (1.0 - g) / 2.0
-    votes = [0] * n
     rows = [h.labels for h in base.concepts]
     errs_per_row = [
         [1 if row[x] != y else 0 for x, y in pairs] for row in rows
     ]
-    used = 0
-    for t in range(1, cap + 1):
+
+    def weak(weights: list[float], t: int) -> tuple[int, ...]:
         total_w = sum(weights)
         best_i, best_err = None, None
         for i, errs in enumerate(errs_per_row):
@@ -553,27 +540,18 @@ def boosting_disambiguate_sample(
                 f"round {t}: best weighted error {best_err:.4f} exceeds "
                 f"(1-gamma)/2; the sample is not gamma-realizable at gamma={g}"
             )
-        used = t
-        row = rows[best_i]
-        for x in range(n):
-            votes[x] += row[x]
-        if all((1 if 2 * votes[x] > t else 0) == y for x, y in pairs):
-            break
-        for idx, bad in enumerate(errs_per_row[best_i]):
-            if bad:
-                weights[idx] *= step
-        top = max(weights)
-        if top > 1e250:
-            weights = [w / top for w in weights]
-    else:
+        return rows[best_i]
+
+    fit = boost_to_consistency(base.domain_size, pairs, weak, step, cap)
+    if fit is None:
         raise BoostingFailure(
             f"no consistent majority within {cap} rounds; "
             "the declared gamma is likely overstated"
         )
-    hyp = Hypothesis(tuple(1 if 2 * votes[x] > used else 0 for x in range(n)))
+    hyp, rounds = fit
     d_star = dual_vc_dimension(base)
     report = MajorityFitReport(
-        rounds=used,
+        rounds=rounds,
         cap=cap,
         dual_dimension=d_star,
         reference_rounds=math.ceil(d_star / g**2),

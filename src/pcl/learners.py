@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -18,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from .core import (
     ContractViolation,
     LabeledSample,
+    PartialConcept,
     PartialConceptClass,
     best_empirical_error,
     is_realizable,
@@ -104,8 +106,6 @@ class OneInclusionGraph:
             )
         self.patterns = pats
         self.index = {p: i for i, p in enumerate(pats)}
-        from .core import PartialConcept
-
         pattern_cls = PartialConceptClass(
             len(points), tuple(PartialConcept(p) for p in pats)
         )
@@ -131,7 +131,8 @@ class OneInclusionGraph:
             if over is None:
                 return
             guard -= 1
-            assert guard > 0, "orientation repair failed to terminate"
+            if guard <= 0:
+                raise AssertionError("orientation repair failed to terminate")
             # BFS along oriented edges for a vertex with spare out-capacity
             parent = {over: None}
             queue = [over]
@@ -145,9 +146,10 @@ class OneInclusionGraph:
                             target = w
                             break
                         queue.append(w)
-            assert target is not None, (
-                "no reversible path found; edge density exceeded the VC bound"
-            )
+            if target is None:
+                raise AssertionError(
+                    "no reversible path found; edge density exceeded the VC bound"
+                )
             node = target
             while parent[node] is not None:
                 prev = parent[node]
@@ -184,45 +186,50 @@ class OneInclusionCache:
         return g
 
 
+def _predictor(
+    cls: PartialConceptClass, train: LabeledSample, cache: OneInclusionCache
+) -> Callable[[int], int]:
+    """The one-inclusion predictor trained on ``train``, as a function of the test point.
+
+    Only two patterns on train + {test} can agree with the training labels:
+    those labels completed with 0 or with 1 at the test point.  When one is
+    realizable its label is the prediction; when both are, the edge between
+    them points at it.  When neither is, the prediction defaults to 0; the
+    leave-one-out guarantee concerns realizable samples only, where this
+    cannot happen.
+    """
+    if not is_realizable(cls, train):
+        raise ContractViolation("training sample is not realizable by the class")
+    constraints = dict(train.pairs)
+    mask = cls.packed.mask_of(train)
+    label_masks = cls.packed.label_masks
+
+    def predict(test: int) -> int:
+        if not 0 <= test < cls.domain_size:
+            raise ValueError(
+                f"test point {test} out of range for domain of size {cls.domain_size}"
+            )
+        if test in constraints:
+            return constraints[test]
+        m0, m1 = label_masks[test]
+        if not mask & m0 or not mask & m1:
+            return 1 if mask & m1 else 0
+        points = tuple(sorted({*constraints, test}))
+        a = tuple(constraints.get(x, 0) for x in points)
+        b = tuple(constraints.get(x, 1) for x in points)
+        return cache.graph(cls, points).oriented_toward(a, b)[points.index(test)]
+
+    return predict
+
+
 def one_inclusion_predict(
     cls: PartialConceptClass,
     train: LabeledSample,
     test: int,
     cache: Optional[OneInclusionCache] = None,
 ) -> int:
-    """Predict the test label from the oriented one-inclusion graph.
-
-    The patterns consistent with the training labels differ at most in the
-    test coordinate; when both completions are realizable the edge between
-    them points at the prediction.  When no concept is both consistent with
-    the training labels and defined at the test point there is nothing to
-    orient, and the prediction defaults to 0; the leave-one-out guarantee
-    only concerns samples whose full labeling is realizable, where this
-    cannot happen.
-    """
-    if not is_realizable(cls, train):
-        raise ContractViolation("training sample is not realizable by the class")
-    constraints: dict[int, int] = {}
-    for x, y in train:
-        constraints[x] = y
-    if test in constraints:
-        return constraints[test]
-    points = tuple(sorted(set(constraints) | {test}))
-    if not cls.binary_patterns(points):
-        return 0
-    graph = (cache or OneInclusionCache()).graph(cls, points)
-    consistent = [
-        pat
-        for pat in graph.patterns
-        if all(pat[points.index(x)] == y for x, y in constraints.items())
-    ]
-    t = points.index(test)
-    if not consistent:
-        return 0
-    if len(consistent) == 1:
-        return consistent[0][t]
-    a, b = consistent
-    return graph.oriented_toward(a, b)[t]
+    """Predict the test label from the oriented one-inclusion graph."""
+    return _predictor(cls, train, cache or OneInclusionCache())(test)
 
 
 def materialize_transductive(
@@ -231,11 +238,8 @@ def materialize_transductive(
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
     """Evaluate the one-inclusion predictor at every domain point."""
-    cache = cache or OneInclusionCache()
-    labels = tuple(
-        one_inclusion_predict(cls, train, x, cache) for x in range(cls.domain_size)
-    )
-    return Hypothesis(labels)
+    predict = _predictor(cls, train, cache or OneInclusionCache())
+    return Hypothesis(tuple(map(predict, range(cls.domain_size))))
 
 
 def loo_error(
@@ -307,8 +311,10 @@ def pac_learn_realizable(
         batch = labeled_sample(sample.pairs[lo : lo + schedule.batch_size])
         hyps.append(materialize_transductive(cls, batch, cache))
     lo = schedule.batches * schedule.batch_size
-    validation = sample.pairs[lo : lo + schedule.validation_size]
-    scores = [sum(1 for x, y in validation if h.labels[x] != y) for h in hyps]
+    validation = Counter(sample.pairs[lo : lo + schedule.validation_size])
+    scores = [
+        sum(c for (x, y), c in validation.items() if h.labels[x] != y) for h in hyps
+    ]
     return hyps[scores.index(min(scores))]
 
 
@@ -316,8 +322,48 @@ def pac_learn_realizable(
 # boosting-based compression
 
 
+WEAK_DRAWS = 256  # random k-point draws per round before the exhaustive search
+EXHAUSTIVE_CAP = 200_000  # most k-multisets the exhaustive search may try
+
+
 def boosting_round_cap(m: int) -> int:
     return math.ceil(72.0 * math.log(m + 2))
+
+
+def boosting_round_size(vc: int) -> int:
+    """Training points per weak hypothesis for a class of VC dimension ``vc``."""
+    return 3 * max(vc, 1)
+
+
+def boost_to_consistency(
+    domain_size: int,
+    pairs: Sequence[tuple[int, int]],
+    weak: Callable[[list[float], int], Sequence[int]],
+    step: float,
+    cap: int,
+) -> Optional[tuple[Hypothesis, int]]:
+    """Multiplicative weights until the majority vote fits every pair.
+
+    ``weak(weights, t)`` returns round t's labels of the whole domain for the
+    current pair weights; each pair it mislabels then has its weight
+    multiplied by ``step``.  Returns the majority and the number of rounds,
+    or None when ``cap`` rounds pass without a consistent majority.
+    """
+    weights = [1.0] * len(pairs)
+    ones_votes = [0] * domain_size
+    for t in range(1, cap + 1):
+        labels = weak(weights, t)
+        for x in range(domain_size):
+            ones_votes[x] += labels[x]
+        if all((1 if 2 * ones_votes[x] > t else 0) == y for x, y in pairs):
+            return Hypothesis(tuple(1 if 2 * v > t else 0 for v in ones_votes)), t
+        for i, (x, y) in enumerate(pairs):
+            if labels[x] != y:
+                weights[i] *= step
+        top = max(weights)
+        if top > 1e250:  # keep the float weights in range on long runs
+            weights = [w / top for w in weights]
+    return None
 
 
 def _weak_hypothesis(
@@ -327,8 +373,6 @@ def _weak_hypothesis(
     k: int,
     rng: random.Random,
     cache: OneInclusionCache,
-    budget: int,
-    exhaustive_cap: int = 200_000,
 ) -> tuple[Hypothesis, LabeledSample]:
     """A k-point-trained hypothesis with weighted error at most 1/3.
 
@@ -343,7 +387,7 @@ def _weak_hypothesis(
             sum(w for (x, y), w in zip(pairs, weights) if h.labels[x] != y) / total
         )
 
-    for _ in range(budget):
+    for _ in range(WEAK_DRAWS):
         drawn = rng.choices(pairs, weights=weights, k=k)
         train = labeled_sample(drawn)
         h = materialize_transductive(cls, train, cache)
@@ -351,7 +395,7 @@ def _weak_hypothesis(
             return h, train
     distinct = sorted(set(pairs))
     n_candidates = math.comb(len(distinct) + k - 1, k)
-    if n_candidates > exhaustive_cap:
+    if n_candidates > EXHAUSTIVE_CAP:
         raise WeakLearnerNotFound(
             f"random search failed and {n_candidates} candidates exceed the cap"
         )
@@ -371,7 +415,6 @@ def alpha_boost_compress(
     sample: LabeledSample,
     seed: int = 0,
     cache: Optional[OneInclusionCache] = None,
-    weak_budget: int = 256,
 ) -> tuple[Hypothesis, CompressionOutput]:
     """Boost the one-inclusion weak learner until the majority fits the sample.
 
@@ -385,40 +428,21 @@ def alpha_boost_compress(
     cache = cache or OneInclusionCache()
     rng = random.Random(seed)
     pairs = sample.pairs
-    m = len(pairs)
-    k = 3 * max(vc_dimension(cls), 1)
-    cap = boosting_round_cap(m)
-    weights = [1.0] * m
-    hyps: list[Hypothesis] = []
+    k = boosting_round_size(vc_dimension(cls))
     trains: list[LabeledSample] = []
-    ones_votes = [0] * cls.domain_size
-    for t in range(1, cap + 1):
-        h, train = _weak_hypothesis(
-            cls, pairs, weights, k, rng, cache, budget=weak_budget
-        )
-        hyps.append(h)
+
+    def weak(weights: list[float], t: int) -> tuple[int, ...]:
+        h, train = _weak_hypothesis(cls, pairs, weights, k, rng, cache)
         trains.append(train)
-        for x in range(cls.domain_size):
-            ones_votes[x] += h.labels[x]
-        consistent = all(
-            (1 if 2 * ones_votes[x] > t else 0) == y for x, y in pairs
-        )
-        if consistent:
-            break
-        for i, (x, y) in enumerate(pairs):
-            if h.labels[x] != y:
-                weights[i] *= 2.0
-        top = max(weights)
-        if top > 1e250:  # keep the float weights in range on long runs
-            weights = [w / top for w in weights]
-    else:
+        return h.labels
+
+    cap = boosting_round_cap(len(pairs))
+    fit = boost_to_consistency(cls.domain_size, pairs, weak, 2.0, cap)
+    if fit is None:
         raise BoostingCapExceeded(
-            f"majority still inconsistent after {cap} rounds on {m} points"
+            f"majority still inconsistent after {cap} rounds on {len(pairs)} points"
         )
-    T = len(hyps)
-    majority = Hypothesis(
-        tuple(1 if 2 * ones_votes[x] > T else 0 for x in range(cls.domain_size))
-    )
+    majority, T = fit
     subsample = tuple(p for train in trains for p in train.pairs)
     bits = tuple(int(b) for b in format(T, "b"))
     return majority, CompressionOutput(subsample, bits)
@@ -472,7 +496,7 @@ def reconstruct(
     T = int("".join(str(b) for b in comp.bits), 2)
     if T <= 0:
         raise CompressionFormatError("round count must be positive")
-    k = 3 * max(vc_dimension(cls), 1)
+    k = boosting_round_size(vc_dimension(cls))
     if len(comp.subsample) != T * k:
         raise CompressionFormatError(
             f"subsample length {len(comp.subsample)} does not split into "
@@ -515,6 +539,9 @@ def ld_compression_scheme(cls: PartialConceptClass) -> CompressionScheme:
 # agnostic learning and SRM
 
 
+BOUND_CONSTANT = 4.0  # leading constant of the agnostic and SRM deviation bounds
+
+
 def _log(x: float) -> float:
     """max(ln x, 1): keeps the bound expressions monotone near small arguments."""
     return max(math.log(x), 1.0)
@@ -527,16 +554,14 @@ class AgnosticReport:
     kept: int
     total: int
     bound: float
-    constant: float
     delta: float
 
 
-def agnostic_bound(
-    vc: int, m: int, delta: float, empirical: float, constant: float = 4.0
-) -> float:
+def agnostic_bound(vc: int, m: int, delta: float, empirical: float) -> float:
     """Empirical error plus the compression-style deviation term."""
     rate = (vc * _log(m) ** 2 + _log(1.0 / delta)) / m
-    return empirical + constant * math.sqrt(empirical * rate) + constant * rate
+    c = BOUND_CONSTANT
+    return empirical + c * math.sqrt(empirical * rate) + c * rate
 
 
 def agnostic_learn(
@@ -544,7 +569,6 @@ def agnostic_learn(
     sample: LabeledSample,
     delta: float = 0.05,
     seed: int = 0,
-    constant: float = 4.0,
     cache: Optional[OneInclusionCache] = None,
 ) -> tuple[Hypothesis, AgnosticReport]:
     """Fit the largest realizable subsequence, then boost it to consistency."""
@@ -559,16 +583,14 @@ def agnostic_learn(
         )
     err = hyp.sample_error(sample)
     class_err = best_empirical_error(cls, sample)
-    assert err <= class_err, "the boosted fit must err at most where the class does"
+    if err > class_err:
+        raise AssertionError("the boosted fit must err at most where the class does")
     report = AgnosticReport(
         hypothesis_error=err,
         class_error=class_err,
         kept=len(kept),
         total=len(sample),
-        bound=agnostic_bound(
-            vc_dimension(cls), len(sample), delta, float(class_err), constant
-        ),
-        constant=constant,
+        bound=agnostic_bound(vc_dimension(cls), len(sample), delta, float(class_err)),
         delta=delta,
     )
     return hyp, report
@@ -592,7 +614,6 @@ def srm_select(
     sample: LabeledSample,
     delta: float = 0.05,
     mode: str = "realizable",
-    constant: float = 4.0,
 ) -> SrmSelection:
     """Pick the hierarchy level with the best complexity-penalized bound.
 
@@ -614,10 +635,10 @@ def srm_select(
         err = float(best_empirical_error(cls, sample))
         rate = (vc * _log(n) ** 2 + _log(1.0 / delta_i)) / n
         if mode == "realizable":
-            b = constant * rate
+            b = BOUND_CONSTANT * rate
             scores.append(b if err == 0.0 else math.inf)
         else:
-            b = constant * math.sqrt(rate)
+            b = BOUND_CONSTANT * math.sqrt(rate)
             scores.append(err + b)
         bounds.append(b)
     best_score = min(scores)

@@ -369,6 +369,8 @@ class RegretAdversary:
 
 
 def regret_adversary(cls: PartialConceptClass, d: int, T: int) -> RegretAdversary:
+    if d < 1:
+        raise ContractViolation(f"the tree depth d must be at least 1, got {d}")
     if T < d:
         raise ContractViolation("horizon must be at least the tree depth")
     tree = littlestone_tree(cls, d)

@@ -22,7 +22,6 @@ from .core import (
     labeled_sample,
 )
 from .disambiguation import BicliqueInstance, Disambiguation
-from .geometry import EuclideanDataset
 from .learners import CompressionOutput, Hypothesis
 
 
@@ -34,7 +33,8 @@ def _require(obj: dict, field: str, kind, where: str):
     if field not in obj:
         raise FormatError(f"{where}: missing field {field!r}")
     value = obj[field]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, which Python counts as an int
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise FormatError(
             f"{where}: field {field!r} must be {kind.__name__}, got {type(value).__name__}"
         )
@@ -58,6 +58,9 @@ def class_from_dict(obj: dict) -> tuple[PartialConceptClass, Optional[list[str]]
     if names is not None:
         if not isinstance(names, list) or len(names) != n:
             raise FormatError("class: field 'names' must list one name per point")
+    for row in rows:
+        if not isinstance(row, str):
+            raise FormatError(f"class: field 'concepts' must hold strings, got {row!r}")
     try:
         cls = PartialConceptClass(
             n, tuple(PartialConcept.parse(r) for r in rows)
@@ -65,10 +68,6 @@ def class_from_dict(obj: dict) -> tuple[PartialConceptClass, Optional[list[str]]
     except ValueError as exc:
         raise FormatError(f"class: {exc}") from None
     return cls, names
-
-
-def sample_to_list(sample: LabeledSample) -> list[list[int]]:
-    return [[x, y] for x, y in sample]
 
 
 def sample_from_list(obj) -> LabeledSample:
@@ -166,31 +165,6 @@ def disambiguation_to_dict(res: Disambiguation) -> dict:
             str(h): list(pos) for h, pos in res.update_positions.items()
         }
     return out
-
-
-def dataset_to_dict(data: EuclideanDataset) -> dict:
-    return {
-        "points": [[float(v) for v in p] for p in data.points],
-        "labels": [int(v) for v in data.labels],
-        "radius": data.radius,
-        "gamma": data.gamma,
-    }
-
-
-def dataset_from_dict(obj: dict) -> EuclideanDataset:
-    pts = _require(obj, "points", list, "dataset")
-    labels = _require(obj, "labels", list, "dataset")
-    radius = _require(obj, "radius", (int, float), "dataset")
-    gamma = _require(obj, "gamma", (int, float), "dataset")
-    try:
-        return EuclideanDataset(
-            np.array(pts, dtype=float),
-            np.array(labels, dtype=int),
-            radius=float(radius),
-            gamma=float(gamma),
-        )
-    except ValueError as exc:
-        raise FormatError(f"dataset: {exc}") from None
 
 
 def _plain(value):

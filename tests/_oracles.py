@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from pcl.core import STAR, LabeledSample, PartialConceptClass
+from pcl.learners import OneInclusionGraph
 
 
 def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
@@ -48,6 +49,29 @@ def vc_by_definition(cls: PartialConceptClass) -> int:
 
 def strength_by_definition(cls: PartialConceptClass) -> int:
     return len(shattered_sets_by_definition(cls))
+
+
+def one_inclusion_by_definition(cls: PartialConceptClass, train, test: int) -> int:
+    """The one-inclusion prediction read off the patterns on train + {test}.
+
+    The realized patterns that agree with every training pair are the
+    completions of the training labels; with two of them the prediction is
+    the head of the edge joining them in a fresh one-inclusion graph.
+    """
+    labels = dict(train)
+    points = tuple(sorted({*labels, test}))
+    completions = sorted(
+        pat
+        for pat in patterns_on(cls, points)
+        if all(pat[points.index(x)] == y for x, y in labels.items())
+    )
+    t = points.index(test)
+    if not completions:
+        return 0
+    if len(completions) == 1:
+        return completions[0][t]
+    a, b = completions
+    return OneInclusionGraph(cls, points).oriented_toward(a, b)[t]
 
 
 def _ternary_patterns(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:

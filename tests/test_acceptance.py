@@ -5,13 +5,70 @@ asserts that no check failed, and prints a single pass/fail line (visible
 with ``pytest -s`` or in the captured output of a failing run).
 """
 
+import hashlib
 import time
 
 import pytest
 
 from pcl.experiments import ExperimentConfig, run_experiment
+from pcl.serialize import dump_json
 
 ACCEPTANCE_SEED = 20240817
+
+# sha256 of the bytes ``pcl experiment <name>`` prints for each suite at
+# ACCEPTANCE_SEED with the parameters below.  A change that alters any report
+# byte for this seed fails here, so speed-ups and refactors show they keep
+# the reports as they were.
+REPORT_SHA256 = {
+    "soa-mistake-bound": (
+        "cf8f43bcc6a011e46796053fa046fad4"
+        "d36acf7881ea5437e2e848f4b75c31e9"
+    ),
+    "one-inclusion-loo": (
+        "f767265c2aaaab77bf45ab8f0bec1288"
+        "d542ec4296c1bce1256ad783030940ca"
+    ),
+    "experts-regret": (
+        "38014e973db15fb6b5fc8b7474184fc2"
+        "f97a479a5fd6920f5ac0a22ff3575b4c"
+    ),
+    "agnostic-online-regret": (
+        "e1f552caed0f9a1f4522278d4efd05f1"
+        "7a64cdcad88d396f095042496c672314"
+    ),
+    "disambiguation-bounds": (
+        "9a22e5917565dd63ae3c30eeb0c4ba54"
+        "553fecd801d786b891fbd13a3840081b"
+    ),
+    "biclique-lower-bound": (
+        "8caf27873e706fde0e8aff3eef412ccd"
+        "6339f6975e55e960f02bd7c1d405eba6"
+    ),
+    "compression-bounds": (
+        "1d00e64f7ee845771c13356240b25830"
+        "dff542974ac4d48010c889717a78748f"
+    ),
+    "pac-realizable": (
+        "31d820756c4018842c6e6b883712d85e"
+        "5a48403a33681848f209e86bc4b15813"
+    ),
+    "erm-failure": (
+        "a73b00c4fc6282b6e644d78ca9b886f6"
+        "fd488967b8bec0af6057214fa8ae41ea"
+    ),
+    "geometry": (
+        "d8a01e2852d4e6b2e5370be2535b55f5"
+        "a00c0e0788992c3e8c9d4dc09dc04e10"
+    ),
+    "approximation-monotonicity": (
+        "c8a97c29458f174d565bdd6a132f01c3"
+        "5c31cbe62d8db771a679924cf0a4aa80"
+    ),
+    "multiclass-inequalities": (
+        "9156cffdfbfb95111598389fe2f38778"
+        "eea6f28dcedb208af24f46847befff10"
+    ),
+}
 
 
 def _run(name, budget_s, label, trials=None, params=None):
@@ -30,6 +87,8 @@ def _run(name, budget_s, label, trials=None, params=None):
     failing = [c for c in report.checks if not c.passed]
     assert not failing, f"failing checks: {[c.name for c in failing]}"
     assert elapsed < budget_s, f"suite took {elapsed:.1f}s, budget {budget_s}s"
+    text = dump_json(report.to_dict(), None) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
     return report
 
 

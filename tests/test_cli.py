@@ -252,6 +252,49 @@ class TestCliExperiment:
         assert a != b
 
 
+class TestCliContract:
+    """Bad input exits 2 naming the field or value, never with a traceback."""
+
+    def _fails_naming(self, argv, named, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err
+
+    def test_non_string_concept(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"domain_size": 3, "concepts": [5]}))
+        self._fails_naming(["dim", "--input", str(path), "--measure", "vc"], "concepts", capsys)
+
+    def test_bool_domain_size(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"domain_size": True, "concepts": ["0"]}))
+        self._fails_naming(
+            ["dim", "--input", str(path), "--measure", "vc"], "domain_size", capsys
+        )
+
+    def test_soa_point_outside_domain(self, class_file, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps([[0, 1], [7, 1]]))
+        argv = ["online", "--input", class_file, "--mode", "soa", "--sample", str(path)]
+        self._fails_naming(argv, "point 7", capsys)
+
+    def test_scaling_grid_zero(self, capsys):
+        self._fails_naming(["scaling", "compression-size", "--grid", "0"], "--grid", capsys)
+
+    def test_online_agnostic_zero_trials(self, class_file, capsys):
+        argv = ["online", "--input", class_file, "--mode", "agnostic", "--trials", "0"]
+        self._fails_naming(argv, "--trials", capsys)
+
+    def test_adversary_regret_zero_depth(self, class_file, capsys):
+        argv = ["online", "--input", class_file, "--mode", "adversary-regret", "--d", "0"]
+        self._fails_naming(argv, "depth d", capsys)
+
+    def test_report_without_checks_does_not_pass(self, capsys):
+        argv = ["experiment", "soa-mistake-bound", "--param", "classes=-1"]
+        self._fails_naming(argv, "'classes': -1", capsys)
+
+
 class TestScalingTables:
     def test_empty_grid_yields_header_only(self):
         from pcl.experiments import emit_scaling_table

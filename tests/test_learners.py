@@ -4,9 +4,12 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcl.core import ContractViolation, concept_class, labeled_sample, uniform_on
+from pcl import learners
+from pcl.core import STAR, ContractViolation, concept_class, labeled_sample, uniform_on
 from pcl.dimensions import littlestone_dimension, vc_dimension
+from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
@@ -16,8 +19,10 @@ from pcl.learners import (
     agnostic_learn,
     alpha_boost_compress,
     boosting_round_cap,
+    boosting_round_size,
     ld_compress,
     loo_error,
+    materialize_transductive,
     one_inclusion_predict,
     pac_learn_realizable,
     pac_schedule,
@@ -25,7 +30,8 @@ from pcl.learners import (
     srm_select,
 )
 
-from _strategies import classes
+from _oracles import one_inclusion_by_definition
+from _strategies import classes, classes_with_blank_columns
 import random
 
 
@@ -57,6 +63,31 @@ class TestOneInclusion:
         cls = concept_class(2, ["01", "10", "00"])
         train = labeled_sample([(0, 0), (0, 0), (1, 1)])
         assert one_inclusion_predict(cls, train, 0) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(classes_with_blank_columns(), st.data())
+    def test_predictor_matches_definition(self, cls, data):
+        # training points repeat and are drawn from one concept's support, so
+        # every domain point is either a training point or a fresh test point
+        n = cls.domain_size
+        h = data.draw(st.sampled_from(cls.concepts))
+        xs = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+        train = labeled_sample((x, h[x]) for x in xs if h[x] != STAR)
+        cache = OneInclusionCache()
+        preds = tuple(one_inclusion_predict(cls, train, x, cache) for x in range(n))
+        assert preds == tuple(
+            one_inclusion_by_definition(cls, train.pairs, x) for x in range(n)
+        )
+        assert materialize_transductive(cls, train, cache).labels == preds
+        for outside in (-1, n):
+            with pytest.raises(ValueError, match=f"test point {outside} "):
+                one_inclusion_predict(cls, train, outside, cache)
+
+    def test_loo_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(learners, "loo_error", lambda *args: Fraction(-1))
+        cfg = ExperimentConfig("one-inclusion-loo", seed=0, params={"classes": 1})
+        with pytest.raises(AssertionError, match="literal leave-one-out"):
+            run_experiment(cfg)
 
     def test_order_independence(self):
         cls = concept_class(3, ["011", "101", "110", "000"])
@@ -154,7 +185,7 @@ class TestAlphaBoost:
         sample = labeled_sample([(0, 1), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1), (0, 1), (1, 1)])
         hyp, comp = alpha_boost_compress(cls, sample)
         assert hyp.sample_error(sample) == 0
-        k = 3 * max(vc_dimension(cls), 1)
+        k = boosting_round_size(vc_dimension(cls))
         assert comp.size <= k * boosting_round_cap(len(sample)) + len(comp.bits)
 
     def test_single_point_sample(self):
@@ -162,7 +193,7 @@ class TestAlphaBoost:
         sample = labeled_sample([(0, 0)])
         hyp, comp = alpha_boost_compress(cls, sample)
         assert hyp.labels[0] == 0
-        k = 3 * max(vc_dimension(cls), 1)
+        k = boosting_round_size(vc_dimension(cls))
         assert len(comp.subsample) == k  # one round
         assert comp.bits == (1,)
 
@@ -250,6 +281,12 @@ class TestAgnosticLearn:
         hyp, report = agnostic_learn(cls, sample)
         assert hyp == Hypothesis((0, 0))
         assert report.hypothesis_error == Fraction(1, 3) == report.class_error
+
+    def test_fit_check_raises(self, monkeypatch):
+        monkeypatch.setattr(learners, "best_empirical_error", lambda *args: Fraction(-1))
+        cls = concept_class(2, ["01"])
+        with pytest.raises(AssertionError, match="err at most where the class does"):
+            agnostic_learn(cls, labeled_sample([(0, 0), (1, 1)]))
 
     def test_nothing_realizable_returns_zeros(self):
         cls = concept_class(2, ["**"])
