@@ -260,6 +260,8 @@ def cmd_construct(args) -> int:
             "all_separable": all(c.witness_ok and c.generic_ok for c in certs),
         }
     elif args.kind == "general-margin":
+        if args.grid < 1:
+            raise FormatError(f"--grid must be positive, got {args.grid}")
         side = np.linspace(0.0, 1.0, args.grid)
         grid = np.array([[x, y] for x in side for y in side])
         packing = geometry.greedy_packing(grid, args.gamma)
@@ -273,6 +275,9 @@ def cmd_construct(args) -> int:
             },
         }
     elif args.kind == "gamma-boost":
+        for flag, value in (("--base", args.base), ("--sample", args.sample)):
+            if value is None:
+                raise FormatError(f"construct gamma-boost needs {flag}")
         base, _ = serialize.class_from_dict(serialize.load_json(args.base))
         base = core.total_class(base.domain_size, base.concepts)
         sample = _load_sample(args.sample, base)

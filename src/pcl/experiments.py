@@ -217,6 +217,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
         soa = online.Soa(cls)
         packed = cls.packed
         ld = soa.solver.ld(packed.full)
+        tree = online.littlestone_tree(cls, ld)
         worst = 0
         for j in range(seqs_per_class):
             if j % 2 == 0 or ld == 0:
@@ -224,7 +225,6 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
             else:
                 # adversarial: walk the mistake tree against the learner itself,
                 # then continue with a consistent tail
-                tree = online.littlestone_tree(cls, ld)
                 seq = []
                 node = tree
                 mask = packed.full
@@ -708,12 +708,13 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
     side = np.linspace(0.0, 1.0, 5)
     grid = np.array([[x, y] for x in side for y in side])
     gamma = 0.6
+    packing = geometry.greedy_packing(grid, gamma)
     tested = 0
     mismatches = 0
 
     def check_labeling(labeled):
         nonlocal tested, mismatches
-        rule = geometry.voronoi_disambiguate(grid, labeled, gamma)
+        rule = geometry.voronoi_disambiguate(packing, labeled)
         out = rule.labels_for_points()
         tested += 1
         mismatches += any(out[i] != y for i, y in labeled)

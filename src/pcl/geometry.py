@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -83,19 +82,19 @@ def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     order = list(range(len(pts)))
     random.Random(0x5EED).shuffle(order)
     dim = len(pts[0])
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(pts) + 100))
 
-    def welzl(i: int, boundary: list[np.ndarray]) -> tuple[Optional[np.ndarray], float]:
-        if i == len(order) or len(boundary) == dim + 1:
-            return _circumball(boundary)
-        c, r = welzl(i + 1, boundary)
-        p = pts[order[i]]
-        if c is not None and np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
+    # Welzl's tail calls unrolled: recursing only to grow the boundary, depth <= D + 2
+    def ball(i: int, boundary: list[np.ndarray]) -> tuple[Optional[np.ndarray], float]:
+        c, r = _circumball(boundary)
+        if len(boundary) == dim + 1:
             return c, r
-        return welzl(i + 1, boundary + [p])
+        for j in range(len(order) - 1, i - 1, -1):
+            p = pts[order[j]]
+            if c is None or not np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
+                c, r = ball(j + 1, boundary + [p])
+        return c, r
 
-    c, r = welzl(0, [])
-    return c, r
+    return ball(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +188,8 @@ class SeparabilityReport:
     marginal: bool
 
 
-def separability_report(data: EuclideanDataset) -> SeparabilityReport:
-    """Ball-radius and hull-gap checks against the dataset's (R, gamma)."""
-    _, r = min_enclosing_ball(data.points)
+def _separability(data: EuclideanDataset, r: float) -> SeparabilityReport:
+    """The verdict for the points' enclosing-ball radius ``r``."""
     gap, _ = hull_distance(
         data.points[data.labels == 1], data.points[data.labels == 0]
     )
@@ -203,8 +201,9 @@ def separability_report(data: EuclideanDataset) -> SeparabilityReport:
     return SeparabilityReport(r, gap, ball_ok and gap_ok, marginal)
 
 
-def is_r_gamma_separable(data: EuclideanDataset) -> bool:
-    return separability_report(data).separable
+def separability_report(data: EuclideanDataset) -> SeparabilityReport:
+    """Ball-radius and hull-gap checks against the dataset's (R, gamma)."""
+    return _separability(data, min_enclosing_ball(data.points)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,25 @@ def perceptron_run(
 # orthonormal shattering instance
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ContractViolation(f"{name} must be positive and finite, got {value}")
+
+
 def orthonormal_points(radius: float, gamma: float) -> np.ndarray:
     """The scaled standard basis family: floor(R^2 / gamma^2) axis points."""
-    m = math.floor(radius**2 / gamma**2)
+    _require_positive("radius", radius)
+    _require_positive("gamma", gamma)
+    try:
+        m = math.floor(radius**2 / gamma**2)
+    except (OverflowError, ZeroDivisionError):
+        m = math.inf
     if m < 1:
         raise ContractViolation("need radius^2 / gamma^2 >= 1")
+    if m > MAX_ORTHONORMAL_POINTS:
+        raise ContractViolation(
+            f"m = {m} axis points exceed the cap of {MAX_ORTHONORMAL_POINTS}"
+        )
     return radius * np.eye(m)
 
 
@@ -313,8 +326,6 @@ def orthonormal_shattering_instance(
 ) -> list[EuclideanDataset]:
     """One dataset per bipartition of the axis family, all sharing the points."""
     pts = orthonormal_points(radius, gamma)
-    if len(pts) > MAX_ORTHONORMAL_POINTS:
-        raise ValueError(f"{2 ** len(pts)} labelings exceed the enumeration cap")
     return [
         EuclideanDataset(pts, np.array(bits), radius=radius, gamma=gamma)
         for bits in product((0, 1), repeat=len(pts))
@@ -338,8 +349,10 @@ def certify_orthonormal_labelings(
     (gamma/R times the signed sum of basis vectors) and by the generic
     ball-plus-hull-gap checker.  Both verdicts are recorded per labeling.
     """
+    family = orthonormal_shattering_instance(radius, gamma)
+    _, r = min_enclosing_ball(family[0].points)  # every labeling has these points
     out = []
-    for data in orthonormal_shattering_instance(radius, gamma):
+    for data in family:
         signs = np.where(data.labels == 1, 1.0, -1.0)
         w = (gamma / radius) * signs  # witness in basis coordinates
         dots = data.points @ w
@@ -347,7 +360,7 @@ def certify_orthonormal_labelings(
             np.linalg.norm(w) <= 1 + 1e-9
             and np.allclose(dots * signs, gamma, atol=1e-9)
         )
-        report = separability_report(data)
+        report = _separability(data, r)
         out.append(
             LabelingCertificate(
                 labels=tuple(int(v) for v in data.labels),
@@ -563,12 +576,13 @@ def boosting_disambiguate_sample(
 # greedy packing, Voronoi labeling rule
 
 
-@dataclass
+@dataclass(eq=False)
 class PackingResult:
     chosen: tuple[int, ...]
     min_pairwise: float
     cells: tuple[int, ...]
     radius: float
+    centers: np.ndarray
 
 
 def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
@@ -578,6 +592,7 @@ def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
     strictly within gamma/2 of some chosen one, so each cell has diameter
     below gamma.  Cell ties go to the earlier chosen center.
     """
+    _require_positive("gamma", gamma)
     pts = np.asarray(points, dtype=float)
     radius = gamma / 2.0
     chosen: list[int] = []
@@ -597,7 +612,7 @@ def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
         )
     else:
         min_pair = math.inf
-    return PackingResult(tuple(chosen), min_pair, tuple(cells), radius)
+    return PackingResult(tuple(chosen), min_pair, tuple(cells), radius, centers)
 
 
 def is_gamma_separated(
@@ -615,12 +630,11 @@ def is_gamma_separated(
 class VoronoiRule:
     """Total labeling rule: the label of the nearest packing center's cell."""
 
-    centers: np.ndarray
     cell_labels: tuple[int, ...]
     packing: PackingResult
 
     def predict(self, x: np.ndarray) -> int:
-        dists = np.linalg.norm(self.centers - np.asarray(x, dtype=float), axis=1)
+        dists = np.linalg.norm(self.packing.centers - np.asarray(x, dtype=float), axis=1)
         return self.cell_labels[int(np.argmin(dists))]
 
     def labels_for_points(self) -> tuple[int, ...]:
@@ -628,15 +642,13 @@ class VoronoiRule:
 
 
 def voronoi_disambiguate(
-    points: np.ndarray, labeled: Sequence[tuple[int, int]], gamma: float
+    packing: PackingResult, labeled: Sequence[tuple[int, int]]
 ) -> VoronoiRule:
     """Extend a gamma-separated partial labeling to all points via packing cells.
 
     Every cell has diameter below gamma, so the labeled data inside one cell
     must agree; the cell takes that label, or 0 when it holds no labeled data.
     """
-    pts = np.asarray(points, dtype=float)
-    packing = greedy_packing(pts, gamma)
     cell_labels = [0] * len(packing.chosen)
     cell_seen: dict[int, int] = {}
     for idx, y in labeled:
@@ -644,11 +656,11 @@ def voronoi_disambiguate(
         if c in cell_seen and cell_seen[c] != y:
             raise ContractViolation(
                 f"cell {c} holds both labels; the labeling is not "
-                f"gamma-separated at gamma={gamma}"
+                f"gamma-separated at gamma={2 * packing.radius}"
             )
         cell_seen[c] = y
         cell_labels[c] = y
-    return VoronoiRule(pts[list(packing.chosen)], tuple(cell_labels), packing)
+    return VoronoiRule(tuple(cell_labels), packing)
 
 
 def brute_force_max_packing(points: np.ndarray, radius: float) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from pcl.core import STAR, LabeledSample, PartialConceptClass
 from pcl.learners import OneInclusionGraph
 
@@ -190,3 +192,31 @@ def approximation_error_by_product(cls, dist, n: int) -> Fraction:
         )
         total += weight * Fraction(best, n)
     return total
+
+
+def enclosing_ball_by_definition(points) -> tuple[np.ndarray, float]:
+    """The smallest circumball, over subsets of at most D + 1 points, that
+    contains every point.
+
+    A subset's circumcenter is the point of its affine hull equidistant from
+    its members, found with ``lstsq``; subsets with no such point (collinear
+    triples, say) are skipped.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    scale = 1.0 + float(np.abs(pts).max())
+    best = None
+    for k in range(1, min(n, dim + 1) + 1):
+        for subset in combinations(range(n), k):
+            p0 = pts[subset[0]]
+            A = pts[list(subset[1:])] - p0
+            mu = np.linalg.lstsq(A @ A.T, 0.5 * (A * A).sum(axis=1), rcond=None)[0]
+            center = p0 + A.T @ mu
+            dists = np.linalg.norm(pts[list(subset)] - center, axis=1)
+            if dists.max() - dists.min() > 1e-9 * scale:
+                continue
+            r = float(dists.max())
+            if np.linalg.norm(pts - center, axis=1).max() <= r + 1e-9 * scale:
+                if best is None or r < best[1]:
+                    best = (center, r)
+    return best

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from pcl.core import STAR, PartialConcept, PartialConceptClass
@@ -41,3 +42,20 @@ def classes_with_samples(draw, max_n=5, max_size=10, max_len=6):
         for _ in range(m)
     )
     return cls, pairs
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 7 points of a small lattice in R^1..R^3, so duplicates are common;
+    half of the clouds lie on one line."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    coords = st.tuples(*([st.integers(-3, 3)] * dim))
+    if draw(st.booleans()):
+        base = np.array(draw(coords))
+        step = np.array(draw(coords))
+        ts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        pts = [base + t * step for t in ts]
+    else:
+        pts = draw(st.lists(coords, min_size=n, max_size=n))
+    return draw(st.sampled_from((1.0, 0.1, 2.5))) * np.array(pts, dtype=float)

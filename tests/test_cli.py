@@ -294,6 +294,34 @@ class TestCliContract:
         argv = ["experiment", "soa-mistake-bound", "--param", "classes=-1"]
         self._fails_naming(argv, "'classes': -1", capsys)
 
+    def test_margin_zero_gamma(self, capsys):
+        self._fails_naming(["construct", "margin", "--gamma", "0"], "gamma", capsys)
+
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_margin_non_finite_radius(self, radius, capsys):
+        argv = ["construct", "margin", "--radius", radius]
+        self._fails_naming(argv, f"radius must be positive and finite, got {radius}", capsys)
+
+    def test_margin_axis_points_over_cap(self, capsys):
+        argv = ["construct", "margin", "--radius", "20"]
+        self._fails_naming(argv, "m = 400 axis points exceed the cap of 12", capsys)
+
+    def test_gamma_boost_needs_base(self, sample_file, capsys):
+        argv = ["construct", "gamma-boost", "--sample", sample_file]
+        self._fails_naming(argv, "needs --base", capsys)
+
+    def test_gamma_boost_needs_sample(self, class_file, capsys):
+        argv = ["construct", "gamma-boost", "--base", class_file]
+        self._fails_naming(argv, "needs --sample", capsys)
+
+    def test_general_margin_empty_grid(self, capsys):
+        self._fails_naming(["construct", "general-margin", "--grid", "0"], "--grid", capsys)
+
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+    def test_general_margin_bad_gamma(self, gamma, capsys):
+        argv = ["construct", "general-margin", "--gamma", gamma]
+        self._fails_naming(argv, "gamma must be positive and finite", capsys)
+
 
 class TestScalingTables:
     def test_empty_grid_yields_header_only(self):

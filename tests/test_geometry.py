@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pcl.core import ContractViolation, labeled_sample, total_class
 from pcl.geometry import (
@@ -18,15 +20,18 @@ from pcl.geometry import (
     greedy_packing,
     hull_distance,
     is_gamma_separated,
-    is_r_gamma_separable,
     min_enclosing_ball,
     min_norm_point,
     orthonormal_points,
+    orthonormal_shattering_instance,
     perceptron_run,
     separability_report,
     voronoi_disambiguate,
     weak_learning_game,
 )
+
+from _oracles import enclosing_ball_by_definition
+from _strategies import point_clouds
 
 
 class TestMinEnclosingBall:
@@ -52,6 +57,21 @@ class TestMinEnclosingBall:
             assert dists.max() <= r + 1e-8
             # at least one point sits on the boundary
             assert dists.max() >= r - 1e-6
+
+    def test_recursion_limit_untouched(self):
+        before = sys.getrecursionlimit()
+        pts = np.random.default_rng(2).normal(size=(400, 2))
+        min_enclosing_ball(pts)
+        assert sys.getrecursionlimit() == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_clouds())
+    def test_matches_definition(self, pts):
+        c, r = min_enclosing_ball(pts)
+        ref_c, ref_r = enclosing_ball_by_definition(pts)
+        scale = 1.0 + float(np.abs(pts).max())
+        assert r == pytest.approx(ref_r, abs=1e-9 * scale)
+        assert np.allclose(c, ref_c, atol=1e-7 * scale)
 
 
 class TestHullDistance:
@@ -117,7 +137,7 @@ class TestSeparability:
             radius=1.0,
             gamma=1.0,
         )
-        assert is_r_gamma_separable(data)
+        assert separability_report(data).separable
 
     def test_slightly_larger_gamma_fails(self):
         data = EuclideanDataset(
@@ -143,7 +163,7 @@ class TestSeparability:
             radius=1.0,
             gamma=1.0,
         )
-        assert not is_r_gamma_separable(data)
+        assert not separability_report(data).separable
 
 
 class TestPerceptron:
@@ -183,11 +203,17 @@ class TestOrthonormalInstance:
         assert len(orthonormal_points(2.0, 1.0)) == 4
 
     def test_family_members_are_separable_datasets(self):
-        from pcl.geometry import orthonormal_shattering_instance
-
         family = orthonormal_shattering_instance(1.0, 1.0)
         assert len(family) == 2
-        assert all(is_r_gamma_separable(d) for d in family)
+        assert all(separability_report(d).separable for d in family)
+
+    @pytest.mark.parametrize("radius,gamma", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)])
+    def test_shared_ball_verdict_matches_per_dataset_report(self, radius, gamma):
+        certs = certify_orthonormal_labelings(radius, gamma)
+        family = orthonormal_shattering_instance(radius, gamma)
+        assert [c.labels for c in certs] == [tuple(d.labels) for d in family]
+        for cert, data in zip(certs, family):
+            assert cert.generic_ok == separability_report(data).separable
 
     @pytest.mark.parametrize("radius,gamma", [(1.0, 1.0), (2.0, 1.0)])
     def test_all_labelings_certified_both_ways(self, radius, gamma):
@@ -364,6 +390,7 @@ class TestPackingAndVoronoi:
         side = np.linspace(0.0, 1.0, 5)
         grid = np.array([[x, y] for x in side for y in side])
         gamma = 0.6
+        packing = greedy_packing(grid, gamma)
         rng = random.Random(7)
         checked = 0
         for _ in range(300):
@@ -372,7 +399,7 @@ class TestPackingAndVoronoi:
             labeled = [(i, rng.randint(0, 1)) for i in idx]
             if not is_gamma_separated(grid, labeled, gamma):
                 continue
-            rule = voronoi_disambiguate(grid, labeled, gamma)
+            rule = voronoi_disambiguate(packing, labeled)
             out = rule.labels_for_points()
             assert all(out[i] == y for i, y in labeled)
             checked += 1
@@ -380,8 +407,8 @@ class TestPackingAndVoronoi:
 
     def test_inconsistent_labeling_rejected(self):
         pts = np.array([[0.0], [0.1]])
-        with pytest.raises(ContractViolation):
-            voronoi_disambiguate(pts, [(0, 0), (1, 1)], 1.0)
+        with pytest.raises(ContractViolation, match="gamma=1.0"):
+            voronoi_disambiguate(greedy_packing(pts, 1.0), [(0, 0), (1, 1)])
 
     def test_greedy_matches_brute_force_on_small_grids(self):
         side = np.linspace(0.0, 1.0, 3)
