@@ -90,9 +90,7 @@ def cmd_learn(args) -> int:
     if args.mode == "realizable":
         # pac_learn_realizable rejects a sample shorter than the schedule's m
         hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta)
-        schedule = learners.pac_schedule(
-            dimensions.vc_dimension(cls), args.eps, args.delta
-        )
+        schedule = learners.pac_schedule(cls.vc, args.eps, args.delta)
         out = {
             "mode": "realizable",
             "hypothesis": serialize.hypothesis_to_dict(hyp),

@@ -13,9 +13,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 ZERO, ONE, STAR = 0, 1, 2
 
@@ -124,6 +126,13 @@ class PartialConceptClass:
         """The class as concept bitmasks, built on first use."""
         return PackedClass(self)
 
+    @cached_property
+    def vc(self) -> int:
+        """The VC dimension, computed on first use."""
+        from .dimensions import vc_dimension  # dimensions builds on this module
+
+        return vc_dimension(self)
+
 
 class PackedClass:
     """A class encoded as concept bitmasks: bit i stands for ``concepts[i]``.
@@ -212,7 +221,9 @@ class LabeledSample:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for x, y in self.pairs:
+        # each distinct pair once, in order of first appearance, so the
+        # first bad entry of the sequence is the one reported
+        for x, y in dict.fromkeys(self.pairs):
             if y not in (ZERO, ONE):
                 raise ValueError(f"sample label must be 0 or 1, got {y!r}")
             if x < 0:
@@ -250,6 +261,8 @@ class FiniteDistribution:
         for (x, y), w in self.atoms:
             if y not in (ZERO, ONE):
                 raise ValueError(f"atom label must be 0 or 1, got {y!r}")
+            if x < 0:
+                raise ValueError(f"atom point must be a nonnegative index, got {x!r}")
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w}")
             if (x, y) in seen:
@@ -269,10 +282,32 @@ class FiniteDistribution:
                 return w
         return Fraction(0)
 
+    @cached_property
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom pairs as an object array, and the running totals of their
+        float weights summed in the order ``rng.choices`` sums them."""
+        pairs = np.fromiter(self.support_pairs(), dtype=object, count=len(self.atoms))
+        return pairs, np.array(list(accumulate(float(w) for _, w in self.atoms)))
+
     def sample(self, rng: random.Random, n: int) -> LabeledSample:
-        pairs = [p for p, _ in self.atoms]
-        weights = [float(w) for _, w in self.atoms]
-        return LabeledSample(tuple(rng.choices(pairs, weights=weights, k=n)))
+        """n independent draws of atom pairs, taken from ``rng`` in one bulk call.
+
+        For a ``random.Random``, the sample and the state ``rng`` is left in
+        are exactly those of ``rng.choices(pairs, weights=[float(w), ...],
+        k=n)``.  Each ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
+        over the generator's next two 32-bit words a and b, and
+        ``getrandbits(64 * n)`` returns the next 2n words in order, least
+        significant first.  A draw is then the first atom whose running
+        weight exceeds ``random() * total``, the last atom at most, as
+        ``choices`` bisects it.
+        """
+        if n < 0:
+            raise ContractViolation(f"sample size must be nonnegative, got {n}")
+        pairs, cum = self._draw_table
+        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+        u = ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) * 2.0**-53
+        picks = np.searchsorted(cum, u * cum[-1], side="right").clip(max=len(cum) - 1)
+        return LabeledSample(tuple(pairs[picks].tolist()))
 
 
 def finite_distribution(
@@ -300,8 +335,10 @@ def _check_point(cls: PartialConceptClass, x: int) -> None:
 
 
 def _check_sample(cls: PartialConceptClass, sample: LabeledSample) -> None:
+    n = cls.domain_size
     for x, _ in sample:
-        _check_point(cls, x)
+        if not 0 <= x < n:
+            _check_point(cls, x)
 
 
 def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:

@@ -161,11 +161,13 @@ def _natarajan_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
 
 
 def _graph_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
-    # Shattering by agreement indicators against some ternary reference pattern.
+    # Shattering by agreement indicators against some ternary reference
+    # pattern.  The all-agree indicator needs a concept equal to the
+    # reference on pts, so only patterns the class realizes there can serve.
     pats = _ternary_patterns(cls, pts)
     d = len(pts)
     target = 1 << d
-    for ref in product((ZERO, ONE, STAR), repeat=d):
+    for ref in pats:
         masks = set()
         for p in pats:
             masks.add(sum(1 << i for i in range(d) if p[i] == ref[i]))

@@ -625,7 +625,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         while True:
             cls = _random_class_with_vc_cap(rng, max_n=6, max_size=12, vc_cap=2)
             carriers = [h for h in cls.concepts if len(h.support()) >= 2]
-            if carriers and dimensions.vc_dimension(cls) >= 1:
+            if carriers and cls.vc >= 1:
                 break
         target = rng.choice(carriers)
         supp = target.support()
@@ -634,7 +634,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         dist = core.finite_distribution(
             {(x, target[x]): Fraction(w, total) for x, w in zip(supp, weights)}
         )
-        schedule = learners.pac_schedule(dimensions.vc_dimension(cls), eps, delta)
+        schedule = learners.pac_schedule(cls.vc, eps, delta)
         cache = learners.OneInclusionCache()
         failures = 0
         for t in range(trials):
@@ -659,7 +659,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
                     "m": schedule.total,
                     "sigma": sigma,
                     "z": (rate - delta) / sigma,
-                    "vc": dimensions.vc_dimension(cls),
+                    "vc": cls.vc,
                 },
             )
         )

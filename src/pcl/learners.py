@@ -25,7 +25,6 @@ from .core import (
     is_realizable,
     labeled_sample,
 )
-from .dimensions import vc_dimension
 from .online import Soa
 
 
@@ -109,7 +108,7 @@ class OneInclusionGraph:
         pattern_cls = PartialConceptClass(
             len(points), tuple(PartialConcept(p) for p in pats)
         )
-        self.vc = vc_dimension(pattern_cls)
+        self.vc = pattern_cls.vc
         self.head: dict[tuple[int, int], int] = {}
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
@@ -201,7 +200,9 @@ def _predictor(
     if not is_realizable(cls, train):
         raise ContractViolation("training sample is not realizable by the class")
     constraints = dict(train.pairs)
-    mask = cls.packed.mask_of(train)
+    # a realizable sample labels each point one way, so its distinct pairs
+    # give the same mask as every entry
+    mask = cls.packed.mask_of(constraints.items())
     label_masks = cls.packed.label_masks
 
     def predict(test: int) -> int:
@@ -296,7 +297,7 @@ def pac_learn_realizable(
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
     """Train one-inclusion on disjoint batches and keep the validation winner."""
-    schedule = pac_schedule(vc_dimension(cls), eps, delta)
+    schedule = pac_schedule(cls.vc, eps, delta)
     if len(sample) < schedule.total:
         raise ContractViolation(
             f"sample of size {len(sample)} is too short; "
@@ -308,7 +309,7 @@ def pac_learn_realizable(
     hyps = []
     for i in range(schedule.batches):
         lo = i * schedule.batch_size
-        batch = labeled_sample(sample.pairs[lo : lo + schedule.batch_size])
+        batch = LabeledSample(sample.pairs[lo : lo + schedule.batch_size])
         hyps.append(materialize_transductive(cls, batch, cache))
     lo = schedule.batches * schedule.batch_size
     validation = Counter(sample.pairs[lo : lo + schedule.validation_size])
@@ -428,7 +429,7 @@ def alpha_boost_compress(
     cache = cache or OneInclusionCache()
     rng = random.Random(seed)
     pairs = sample.pairs
-    k = boosting_round_size(vc_dimension(cls))
+    k = boosting_round_size(cls.vc)
     trains: list[LabeledSample] = []
 
     def weak(weights: list[float], t: int) -> tuple[int, ...]:
@@ -496,7 +497,7 @@ def reconstruct(
     T = int("".join(str(b) for b in comp.bits), 2)
     if T <= 0:
         raise CompressionFormatError("round count must be positive")
-    k = boosting_round_size(vc_dimension(cls))
+    k = boosting_round_size(cls.vc)
     if len(comp.subsample) != T * k:
         raise CompressionFormatError(
             f"subsample length {len(comp.subsample)} does not split into "
@@ -590,7 +591,7 @@ def agnostic_learn(
         class_error=class_err,
         kept=len(kept),
         total=len(sample),
-        bound=agnostic_bound(vc_dimension(cls), len(sample), delta, float(class_err)),
+        bound=agnostic_bound(cls.vc, len(sample), delta, float(class_err)),
         delta=delta,
     )
     return hyp, report
@@ -631,7 +632,7 @@ def srm_select(
     scores = []
     for i, (cls, _) in enumerate(hierarchy, start=1):
         delta_i = delta / (i * (i + 1))
-        vc = vc_dimension(cls)
+        vc = cls.vc
         err = float(best_empirical_error(cls, sample))
         rate = (vc * _log(n) ** 2 + _log(1.0 / delta_i)) / n
         if mode == "realizable":

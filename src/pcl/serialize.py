@@ -30,6 +30,8 @@ class FormatError(ValueError):
 
 
 def _require(obj: dict, field: str, kind, where: str):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     if field not in obj:
         raise FormatError(f"{where}: missing field {field!r}")
     value = obj[field]

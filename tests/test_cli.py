@@ -322,6 +322,21 @@ class TestCliContract:
         argv = ["construct", "general-margin", "--gamma", gamma]
         self._fails_naming(argv, "gamma must be positive and finite", capsys)
 
+    @pytest.mark.parametrize("value", [None, 5, [], "x"], ids=["null", "number", "array", "string"])
+    @pytest.mark.parametrize("command", ["dim", "biclique", "gamma-boost"])
+    def test_non_object_json(self, value, command, tmp_path, sample_file, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        argv, where = {
+            "dim": (["dim", "--input", str(path), "--measure", "vc"], "class"),
+            "biclique": (["construct", "biclique", "--graph", str(path)], "graph"),
+            "gamma-boost": (
+                ["construct", "gamma-boost", "--base", str(path), "--sample", sample_file],
+                "class",
+            ),
+        }[command]
+        self._fails_naming(argv, f"{where}: expected a JSON object", capsys)
+
 
 class TestScalingTables:
     def test_empty_grid_yields_header_only(self):

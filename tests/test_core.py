@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from pcl.core import (
     STAR,
     ContractViolation,
+    LabeledSample,
     PartialConceptClass,
     approximation_error,
     best_empirical_error,
@@ -64,6 +66,23 @@ class TestConstruction:
     def test_distribution_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             finite_distribution({(0, 0): Fraction(1, 2)})
+
+    def test_negative_atom_point_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative index, got -1"):
+            finite_distribution({(-1, 0): 1})
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (((3, 2),), "label must be 0 or 1, got 2"),
+            (((-4, 1),), "nonnegative index, got -4"),
+            (((-4, 1), (3, 2), (-4, 1)), "got -4"),
+            (((3, 2), (-4, 1)), "got 2"),
+        ],
+    )
+    def test_first_bad_pair_of_a_long_sample_reported(self, tail, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledSample(((0, 1), (1, 0)) * 2500 + tail)
 
 
 class TestRealizability:
@@ -211,6 +230,51 @@ class TestDistributions:
         # distribution over one support is realizable by that concept.
         cls = concept_class(4, ["00**", "0*0*", "**00"])
         assert distribution_realizable(cls, uniform_on([(0, 0), (1, 0)]))
+
+
+class TestSampleStream:
+    """``FiniteDistribution.sample`` is ``rng.choices``, draw for draw."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.sampled_from((0, 1)), st.integers(1, 10**15)),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda atom: atom[:2],
+        ),
+        st.integers(0, 2000),
+        st.integers(0, 2**64),
+    )
+    @example([(0, 0, 1)], 0, 0)
+    @example([(0, 0, 1), (1, 1, 10**15)], 1, 5)
+    @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, 7)
+    def test_matches_choices(self, atoms, n, seed):
+        # raw weights up to 10**15 apart, so some atoms are tiny
+        total = sum(r for _, _, r in atoms)
+        dist = finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
+        ours, theirs = Random(seed), Random(seed)
+        drawn = dist.sample(ours, n).pairs
+        support = [p for p, _ in dist.atoms]
+        weights = [float(w) for _, w in dist.atoms]
+        assert drawn == tuple(theirs.choices(support, weights=weights, k=n))
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_draw_on_an_atom_boundary(self, seed, above):
+        # The first atom's weight is the first random() value itself, or one
+        # step of 2**-53 above it, so that draw falls on or just below its edge.
+        w = Fraction(Random(seed).random()) + Fraction(above, 2**53)
+        dist = finite_distribution({(0, 0): w, (1, 1): 1 - w})
+        drawn = dist.sample(Random(seed), 1).pairs
+        weights = [float(w), float(1 - w)]
+        assert drawn == tuple(Random(seed).choices([(0, 0), (1, 1)], weights=weights))
+        assert drawn == (((0, 0),) if above else ((1, 1),))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ContractViolation, match="got -1"):
+            uniform_on([(0, 0)]).sample(Random(0), -1)
 
 
 class TestMaxRealizableSubsequence:

@@ -74,7 +74,7 @@ class TestVcDimension:
     @settings(max_examples=80)
     @given(classes(max_n=4, max_size=10))
     def test_matches_definition_oracle(self, cls):
-        assert vc_dimension(cls) == vc_by_definition(cls)
+        assert cls.vc == vc_dimension(cls) == vc_by_definition(cls)
 
 
 @st.composite
