@@ -12,7 +12,6 @@ from .core import (
     TotalConceptClass,
     concept,
     concept_class,
-    empirical_error,
     finite_distribution,
     is_realizable,
     labeled_sample,

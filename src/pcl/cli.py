@@ -224,9 +224,7 @@ def cmd_disambiguate(args) -> int:
         if res.extension_of is not None
         else None
     )
-    out["weak_verified_len3"] = disambiguation.is_disambiguation(
-        cls, res.totals, "weak", max_len=3
-    )
+    out["weak_verified_len3"] = disambiguation.weak_violation(cls, res.totals, 3) is None
     _emit(out, args.out)
     return 0
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -107,16 +107,6 @@ class PartialConceptClass:
     def __contains__(self, h: PartialConcept) -> bool:
         return h in self.concepts
 
-    def restrict(self, x: int, y: int) -> Optional["PartialConceptClass"]:
-        """Subclass with ``h(x) = y`` exactly; ``None`` when no concept qualifies."""
-        _check_point(self, x)
-        if y not in (ZERO, ONE):
-            raise ValueError("restriction label must be 0 or 1")
-        kept = tuple(h for h in self.concepts if h[x] == y)
-        if not kept:
-            return None
-        return PartialConceptClass(self.domain_size, kept)
-
     def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
         """All-0/1 restrictions realized on ``points`` (concepts with a STAR there drop out)."""
         return self.packed.patterns(points)
@@ -132,6 +122,13 @@ class PartialConceptClass:
         from .dimensions import vc_dimension  # dimensions builds on this module
 
         return vc_dimension(self)
+
+    @cached_property
+    def ld_solver(self) -> "LdSolver":
+        """The Littlestone-dimension solver, whose memo every LD reader shares."""
+        from .dimensions import LdSolver  # dimensions builds on this module
+
+        return LdSolver(self)
 
 
 class PackedClass:
@@ -238,9 +235,6 @@ class LabeledSample:
     def __getitem__(self, i: int) -> tuple[int, int]:
         return self.pairs[i]
 
-    def points(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
-
     def subsample(self, indices: Sequence[int]) -> "LabeledSample":
         return LabeledSample(tuple(self.pairs[i] for i in indices))
 
@@ -275,12 +269,6 @@ class FiniteDistribution:
 
     def support_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(pair for pair, _ in self.atoms)
-
-    def weight(self, pair: tuple[int, int]) -> Fraction:
-        for p, w in self.atoms:
-            if p == pair:
-                return w
-        return Fraction(0)
 
     @cached_property
     def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -347,20 +335,6 @@ def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
     return cls.packed.mask_of(sample) != 0
 
 
-def empirical_error(h: PartialConcept, sample: LabeledSample) -> Fraction:
-    """Fraction of sample entries where ``h`` disagrees; STAR always disagrees."""
-    if len(sample) == 0:
-        raise ContractViolation("empirical error of an empty sample is undefined")
-    mistakes = sum(1 for x, y in sample if h[x] != y)
-    return Fraction(mistakes, len(sample))
-
-
-def distribution_realizable(cls: PartialConceptClass, dist: FiniteDistribution) -> bool:
-    """Realizability of a finite-support distribution = realizability of its support."""
-    support = labeled_sample(dist.support_pairs())
-    return is_realizable(cls, support)
-
-
 def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> int:
     """Fewest disagreements of any single concept with the pair sequence."""
     best = len(pairs)
@@ -406,40 +380,25 @@ def max_realizable_subsequence(
 
 
 def approximation_error(
-    cls: PartialConceptClass,
-    dist: FiniteDistribution,
-    n: int,
-    trials: int = 1000,
-    seed: int = 0,
-    exact: bool = False,
+    cls: PartialConceptClass, dist: FiniteDistribution, n: int
 ) -> Fraction:
-    """Estimate (or enumerate) the expected best empirical error of size-n samples.
+    """The expected best empirical error of size-n samples, computed exactly.
 
-    With ``exact=True`` the value is computed by enumerating all size-n
-    multisets of atoms with their multinomial weights, which is feasible for
-    small n and small support.
+    Enumerates all size-n multisets of atoms with their multinomial weights,
+    which is feasible for small n and small support.
     """
     if n < 1:
         raise ContractViolation("n must be at least 1")
-    if exact:
-        total = Fraction(0)
-        for combo in combinations_with_replacement(dist.atoms, n):
-            weight = Fraction(factorial(n))
-            counts: dict[tuple[int, int], int] = {}
-            for pair, _ in combo:
-                counts[pair] = counts.get(pair, 0) + 1
-            for c in counts.values():
-                weight /= factorial(c)
-            for _, w in combo:
-                weight *= w
-            pairs = [pair for pair, _ in combo]
-            total += weight * Fraction(min_mistakes(cls, pairs), n)
-        return total
-    if trials < 1:
-        raise ContractViolation("trials must be at least 1")
-    rng = random.Random(seed)
-    acc = Fraction(0)
-    for _ in range(trials):
-        pairs = dist.sample(rng, n).pairs
-        acc += Fraction(min_mistakes(cls, pairs), n)
-    return acc / trials
+    total = Fraction(0)
+    for combo in combinations_with_replacement(dist.atoms, n):
+        weight = Fraction(factorial(n))
+        counts: dict[tuple[int, int], int] = {}
+        for pair, _ in combo:
+            counts[pair] = counts.get(pair, 0) + 1
+        for c in counts.values():
+            weight /= factorial(c)
+        for _, w in combo:
+            weight *= w
+        pairs = [pair for pair, _ in combo]
+        total += weight * Fraction(min_mistakes(cls, pairs), n)
+    return total

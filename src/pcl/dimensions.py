@@ -73,8 +73,8 @@ class LdSolver:
     """Littlestone-dimension recursion over subclasses encoded as concept bitmasks.
 
     Subclasses are masks of the class's ``packed`` encoding, so restriction
-    is a single AND.  Values are memoized per solver instance; build a fresh
-    solver for a fresh cache.
+    is a single AND.  Values are memoized per solver instance; each class
+    builds one, ``PartialConceptClass.ld_solver``, which every reader shares.
     """
 
     def __init__(self, cls: PartialConceptClass):
@@ -99,7 +99,7 @@ class LdSolver:
 
 
 def littlestone_dimension(cls: PartialConceptClass) -> int:
-    return LdSolver(cls).ld(cls.packed.full)
+    return cls.ld_solver.ld(cls.packed.full)
 
 
 def threshold_dimension(cls: PartialConceptClass, witness: bool = False):

@@ -18,7 +18,6 @@ bounds certify.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -179,21 +178,6 @@ def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     return res
 
 
-def is_disambiguation(
-    cls: PartialConceptClass,
-    totals: TotalConceptClass,
-    mode: str = "strong",
-    max_len: int = 3,
-    rng: Optional[random.Random] = None,
-    samples: int = 2000,
-) -> bool:
-    if mode == "strong":
-        return strong_violation(cls, totals) is None
-    if mode == "weak":
-        return weak_violation(cls, totals, max_len, rng=rng, samples=samples) is None
-    raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
-
-
 def strong_violation(
     cls: PartialConceptClass, totals: TotalConceptClass
 ) -> Optional[PartialConcept]:
@@ -205,65 +189,39 @@ def strong_violation(
     return None
 
 
-def weak_violation(
-    cls: PartialConceptClass,
-    totals: TotalConceptClass,
-    max_len: int,
-    rng: Optional[random.Random] = None,
-    samples: int = 2000,
-):
+def weak_violation(cls: PartialConceptClass, totals: TotalConceptClass, max_len: int):
     """A realizable (points, pattern) pair the totals miss, or None.
 
-    Exhaustive over all distinct-point subsets up to length 6; beyond that a
-    seeded random subset sample is checked instead (the combinatorics explode).
+    Checks every set of at most ``max_len`` distinct points, smallest first.
     """
     n = cls.domain_size
-    max_len = min(max_len, n)
-
-    def violation_on(pts: tuple[int, ...]):
-        missing = cls.binary_patterns(pts) - totals.binary_patterns(pts)
-        if missing:
-            return pts, sorted(missing)[0]
-        return None
-
-    if max_len <= 6:
-        for k in range(1, max_len + 1):
-            for pts in combinations(range(n), k):
-                bad = violation_on(pts)
-                if bad:
-                    return bad
-        return None
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        k = rng.randint(1, max_len)
-        pts = tuple(sorted(rng.sample(range(n), k)))
-        bad = violation_on(pts)
-        if bad:
-            return bad
+    for k in range(1, min(max_len, n) + 1):
+        for pts in combinations(range(n), k):
+            missing = cls.binary_patterns(pts) - totals.binary_patterns(pts)
+            if missing:
+                return pts, sorted(missing)[0]
     return None
 
 
-def compression_to_disambiguation(
-    cls: PartialConceptClass,
-    scheme,
-    k: Optional[int] = None,
-    verify_len: int = 3,
-    enumeration_budget: int = 200_000,
-) -> Disambiguation:
+ENUMERATION_BUDGET = 200_000  # most (sample, bits) candidates a scheme is rebuilt from
+VERIFY_LEN = 3  # longest point sets on which the rebuilt totals are checked
+
+
+def compression_to_disambiguation(cls: PartialConceptClass, scheme) -> Disambiguation:
     """Totals obtained by reconstructing from every short realizable subsample.
 
     ``scheme`` must expose ``size`` and ``reconstruct(sample, bits)`` returning
-    a total predictor with ``.labels``.  All realizable subsamples of length at
-    most k and all bit strings of length at most k are enumerated; the result
-    is then verified to weakly disambiguate the class, and a violation is
+    a total predictor with ``.labels``.  With k the scheme's size, all
+    realizable subsamples of length at most k and all bit strings of length at
+    most k are enumerated; the result is then verified to weakly disambiguate
+    the class on every set of at most ``VERIFY_LEN`` points, and a violation is
     reported as evidence that the scheme was not valid for the class.
     """
-    if k is None:
-        k = scheme.size
+    k = scheme.size
     n = cls.domain_size
     pair_pool = [(x, y) for x in range(n) for y in (ZERO, ONE)]
     total_candidates = sum((2 * n) ** j * 2 ** j for j in range(k + 1))
-    if total_candidates > enumeration_budget:
+    if total_candidates > ENUMERATION_BUDGET:
         raise ValueError(
             f"enumeration of {total_candidates} candidates exceeds the budget"
         )
@@ -285,7 +243,7 @@ def compression_to_disambiguation(
     totals = TotalConceptClass(
         cls.domain_size, tuple(PartialConcept(t) for t in seen)
     )
-    bad = weak_violation(cls, totals, verify_len)
+    bad = weak_violation(cls, totals, VERIFY_LEN)
     if bad is not None:
         pts, pattern = bad
         raise ContractViolation(
@@ -296,7 +254,11 @@ def compression_to_disambiguation(
     return Disambiguation(
         totals=totals,
         algorithm="compression",
-        info={"scheme_size": k, "candidates": total_candidates, "verified_len": verify_len},
+        info={
+            "scheme_size": k,
+            "candidates": total_candidates,
+            "verified_len": VERIFY_LEN,
+        },
     )
 
 
@@ -465,18 +427,11 @@ def majority_table(k: int) -> dict[tuple[int, ...], int]:
     return table
 
 
-def identity_table() -> dict[tuple[int, ...], int]:
-    return {(v,): v for v in (ZERO, ONE, STAR)}
-
-
-def indicator_table() -> dict[tuple[int, ...], int]:
-    return {(v,): (ONE if v == ONE else ZERO) for v in (ZERO, ONE, STAR)}
+COMPOSE_BUDGET = 2_000_000  # most concept tuples a composition may enumerate
 
 
 def majority_compose(
-    classes: Sequence[PartialConceptClass],
-    table: TruthTable,
-    budget: int = 2_000_000,
+    classes: Sequence[PartialConceptClass], table: TruthTable
 ) -> PartialConceptClass:
     """Pointwise composition { x -> U(h_1(x), .., h_k(x)) } over all tuples."""
     if not classes:
@@ -491,7 +446,7 @@ def majority_compose(
     count = 1
     for c in classes:
         count *= len(c)
-    if count > budget:
+    if count > COMPOSE_BUDGET:
         raise ValueError(f"composition over {count} tuples exceeds the budget")
     composed: set[PartialConcept] = set()
     for hs in product(*(c.concepts for c in classes)):

@@ -29,6 +29,7 @@ from .core import (
     labeled_sample,
     uniform_on,
 )
+from .serialize import json_value
 
 SCHEMA_VERSION = 1
 
@@ -86,15 +87,15 @@ class Report:
             "schema": SCHEMA_VERSION,
             "experiment": self.experiment,
             "seed": self.seed,
-            "params": {k: _json_value(v) for k, v in sorted(self.params.items())},
+            "params": {k: json_value(v) for k, v in sorted(self.params.items())},
             "checks": [
                 {
                     "name": c.name,
                     "statement": c.statement,
-                    "measured": _json_value(c.measured),
-                    "bound": _json_value(c.bound),
+                    "measured": json_value(c.measured),
+                    "bound": json_value(c.bound),
                     "passed": bool(c.passed),
-                    "extra": {k: _json_value(v) for k, v in sorted(c.extra.items())},
+                    "extra": {k: json_value(v) for k, v in sorted(c.extra.items())},
                 }
                 for c in self.checks
             ],
@@ -113,28 +114,12 @@ class Report:
                     self.experiment,
                     c.name,
                     c.statement,
-                    _json_value(c.measured),
-                    _json_value(c.bound),
+                    json_value(c.measured),
+                    json_value(c.bound),
                     int(c.passed),
                 ]
             )
         return buf.getvalue()
-
-
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, dict):
-        return {k: _json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +786,7 @@ def suite_approximation_monotonicity(cfg: ExperimentConfig) -> Report:
     ]
     checks = []
     for i, (cls, dist) in enumerate(pairs):
-        values = [
-            core.approximation_error(cls, dist, n, exact=True) for n in (1, 2, 3)
-        ]
+        values = [core.approximation_error(cls, dist, n) for n in (1, 2, 3)]
         monotone = values[0] <= values[1] <= values[2]
         checks.append(
             CheckRecord(

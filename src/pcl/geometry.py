@@ -463,47 +463,6 @@ def weak_learning_game(
     return WeakGameValue(value, mixture, tuple(columns))
 
 
-def gamma_realizable_check(
-    base: TotalConceptClass, sample: LabeledSample, gamma
-) -> bool:
-    """Is every distribution on the sample weakly learnable with edge gamma/2?"""
-    g = Fraction(gamma)
-    if not 0 < g <= 1:
-        raise ContractViolation("gamma must lie in (0, 1]")
-    return weak_learning_game(base, sample).value <= (1 - g) / 2
-
-
-def approximate_game_value(
-    base: TotalConceptClass, sample: LabeledSample, iters: int = 2000
-) -> tuple[float, float]:
-    """Multiplicative-weights bracket [lo, hi] around the game value.
-
-    Useful when the exact LP would be too large; the gap shrinks like
-    sqrt(log(rows)/iters).
-    """
-    pairs = sorted(set(sample.pairs))
-    cols = sorted(
-        {tuple(1 if h[x] != y else 0 for x, y in pairs) for h in base.concepts}
-    )
-    errs = np.array(cols, dtype=float).T  # rows: pairs, cols: hypotheses
-    n_rows = len(pairs)
-    eta = math.sqrt(math.log(max(n_rows, 2)) / iters)
-    cum = np.zeros(n_rows)
-    lo = 0.0
-    counts = np.zeros(errs.shape[1])
-    for _ in range(iters):
-        p = np.exp(eta * (cum - cum.max()))
-        p /= p.sum()
-        col_errs = p @ errs
-        j = int(np.argmin(col_errs))
-        lo = max(lo, float(col_errs[j]))
-        counts[j] += 1
-        cum += errs[:, j]
-    mix = counts / counts.sum()
-    hi = float((errs @ mix).max())
-    return lo, hi
-
-
 class BoostingFailure(RuntimeError):
     """Empirical boosting did not reach consistency within its round cap."""
 
@@ -576,13 +535,12 @@ def boosting_disambiguate_sample(
 # greedy packing, Voronoi labeling rule
 
 
-@dataclass(eq=False)
+@dataclass
 class PackingResult:
     chosen: tuple[int, ...]
     min_pairwise: float
     cells: tuple[int, ...]
     radius: float
-    centers: np.ndarray
 
 
 def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
@@ -612,7 +570,7 @@ def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
         )
     else:
         min_pair = math.inf
-    return PackingResult(tuple(chosen), min_pair, tuple(cells), radius, centers)
+    return PackingResult(tuple(chosen), min_pair, tuple(cells), radius)
 
 
 def is_gamma_separated(
@@ -628,14 +586,10 @@ def is_gamma_separated(
 
 @dataclass
 class VoronoiRule:
-    """Total labeling rule: the label of the nearest packing center's cell."""
+    """Total labeling rule: each point takes the label of its packing cell."""
 
     cell_labels: tuple[int, ...]
     packing: PackingResult
-
-    def predict(self, x: np.ndarray) -> int:
-        dists = np.linalg.norm(self.packing.centers - np.asarray(x, dtype=float), axis=1)
-        return self.cell_labels[int(np.argmin(dists))]
 
     def labels_for_points(self) -> tuple[int, ...]:
         return tuple(self.cell_labels[c] for c in self.packing.cells)
@@ -661,29 +615,6 @@ def voronoi_disambiguate(
         cell_seen[c] = y
         cell_labels[c] = y
     return VoronoiRule(tuple(cell_labels), packing)
-
-
-def brute_force_max_packing(points: np.ndarray, radius: float) -> int:
-    """Largest subset with pairwise distances >= radius (exhaustive, small inputs)."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n > 20:
-        raise ValueError("brute-force packing is limited to 20 points")
-    ok = [
-        [np.linalg.norm(pts[i] - pts[j]) >= radius for j in range(n)]
-        for i in range(n)
-    ]
-    best = 0
-
-    def grow(start: int, members: list[int]) -> None:
-        nonlocal best
-        best = max(best, len(members))
-        for i in range(start, n):
-            if all(ok[i][j] for j in members):
-                grow(i + 1, members + [i])
-
-    grow(0, [])
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Batch learners: one-inclusion prediction, the PAC wrapper, boosting
-compression, the agnostic reduction, and SRM model selection.
+compression, and the agnostic reduction.
 
 The one-inclusion predictor is transductive: it never materializes a global
 hypothesis by itself.  Where a total hypothesis is needed it is evaluated
@@ -160,9 +160,6 @@ class OneInclusionGraph:
 
     def out_degree(self, pattern: tuple[int, ...]) -> int:
         return len(self.out[self.index[pattern]])
-
-    def max_out_degree(self) -> int:
-        return max(len(o) for o in self.out)
 
     def oriented_toward(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Head pattern of the edge {a, b}."""
@@ -537,10 +534,10 @@ def ld_compression_scheme(cls: PartialConceptClass) -> CompressionScheme:
 
 
 # ---------------------------------------------------------------------------
-# agnostic learning and SRM
+# agnostic learning
 
 
-BOUND_CONSTANT = 4.0  # leading constant of the agnostic and SRM deviation bounds
+BOUND_CONSTANT = 4.0  # leading constant of the agnostic deviation bound
 
 
 def _log(x: float) -> float:
@@ -570,7 +567,6 @@ def agnostic_learn(
     sample: LabeledSample,
     delta: float = 0.05,
     seed: int = 0,
-    cache: Optional[OneInclusionCache] = None,
 ) -> tuple[Hypothesis, AgnosticReport]:
     """Fit the largest realizable subsequence, then boost it to consistency."""
     from .core import max_realizable_subsequence
@@ -579,9 +575,7 @@ def agnostic_learn(
     if not kept:
         hyp = Hypothesis(tuple([0] * cls.domain_size))
     else:
-        hyp, _ = alpha_boost_compress(
-            cls, sample.subsample(kept), seed=seed, cache=cache
-        )
+        hyp, _ = alpha_boost_compress(cls, sample.subsample(kept), seed=seed)
     err = hyp.sample_error(sample)
     class_err = best_empirical_error(cls, sample)
     if err > class_err:
@@ -595,64 +589,3 @@ def agnostic_learn(
         delta=delta,
     )
     return hyp, report
-
-
-class NoConsistentClass(RuntimeError):
-    """Realizable-mode SRM found no class fitting the sample exactly."""
-
-
-@dataclass
-class SrmSelection:
-    index: int
-    hypothesis: Hypothesis
-    bound: float
-    mode: str
-    per_class_bounds: tuple[float, ...]
-
-
-def srm_select(
-    hierarchy: Sequence[tuple[PartialConceptClass, Callable[[LabeledSample], Hypothesis]]],
-    sample: LabeledSample,
-    delta: float = 0.05,
-    mode: str = "realizable",
-) -> SrmSelection:
-    """Pick the hierarchy level with the best complexity-penalized bound.
-
-    Realizable mode restricts to levels with zero best empirical error and
-    minimizes a * (VC log^2 n + log(1/delta_i)) / n; agnostic mode minimizes
-    the empirical error plus the square-root form.  Each level i spends
-    confidence delta / (i (i+1)) so the union over levels stays below delta.
-    """
-    if not hierarchy:
-        raise ContractViolation("the hierarchy must be nonempty")
-    if mode not in ("realizable", "agnostic"):
-        raise ValueError(f"mode must be realizable or agnostic, got {mode!r}")
-    n = len(sample)
-    bounds = []
-    scores = []
-    for i, (cls, _) in enumerate(hierarchy, start=1):
-        delta_i = delta / (i * (i + 1))
-        vc = cls.vc
-        err = float(best_empirical_error(cls, sample))
-        rate = (vc * _log(n) ** 2 + _log(1.0 / delta_i)) / n
-        if mode == "realizable":
-            b = BOUND_CONSTANT * rate
-            scores.append(b if err == 0.0 else math.inf)
-        else:
-            b = BOUND_CONSTANT * math.sqrt(rate)
-            scores.append(err + b)
-        bounds.append(b)
-    best_score = min(scores)
-    if math.isinf(best_score):
-        raise NoConsistentClass(
-            "no class in the hierarchy fits the sample with zero empirical error"
-        )
-    idx = scores.index(best_score)
-    cls, learner = hierarchy[idx]
-    return SrmSelection(
-        index=idx,
-        hypothesis=learner(sample),
-        bound=best_score,
-        mode=mode,
-        per_class_bounds=tuple(bounds),
-    )

@@ -23,7 +23,7 @@ from .core import (
     labeled_sample,
     min_mistakes,
 )
-from .dimensions import LdSolver, littlestone_dimension
+from .dimensions import littlestone_dimension
 
 Learner = Callable[[Sequence[tuple[int, int]], int], int]
 
@@ -71,13 +71,14 @@ class Soa:
     """Standard optimal algorithm: predict the label whose restriction keeps LD larger.
 
     Ties break toward 0.  The consistent subclass is tracked as a concept
-    bitmask and the LD recursion cache is shared across all calls made through
-    one instance, so repeated play over the same class stays cheap.
+    bitmask and the LD recursion cache is the class's own, shared with every
+    other LD reader of the class, so repeated play over the same class stays
+    cheap.
     """
 
     def __init__(self, cls: PartialConceptClass):
         self.packed = cls.packed
-        self.solver = LdSolver(cls)
+        self.solver = cls.ld_solver
 
     def predict_mask(self, mask: int, x: int) -> int:
         m0, m1 = self.packed.label_masks[x]
@@ -94,16 +95,6 @@ class Soa:
         return self.predict(history, x)
 
 
-def soa_predict(
-    cls: PartialConceptClass, history: Sequence[tuple[int, int]], x: int
-) -> int:
-    soa = Soa(cls)
-    mask = cls.packed.mask_of(history)
-    if mask == 0:
-        raise ContractViolation("history is not realizable by the class")
-    return soa.predict_mask(mask, x)
-
-
 @dataclass(frozen=True)
 class LittlestoneTree:
     """A complete binary mistake tree; children are None exactly at the leaves."""
@@ -111,11 +102,6 @@ class LittlestoneTree:
     point: int
     zero: Optional["LittlestoneTree"]
     one: Optional["LittlestoneTree"]
-
-    def depth(self) -> int:
-        if self.zero is None:
-            return 1
-        return 1 + self.zero.depth()
 
     def paths(self):
         """Yield every root-to-leaf path as a tuple of (point, branch-bit) pairs."""
@@ -132,7 +118,7 @@ class LittlestoneTree:
 def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTree]:
     """Extract a depth-d witness tree from the LD recursion (None when d = 0)."""
     packed = cls.packed
-    solver = LdSolver(cls)
+    solver = cls.ld_solver
     full = packed.full
     if d > solver.ld(full):
         raise ContractViolation(
@@ -262,6 +248,9 @@ class AgnosticRunResult:
         return self.expected_mistakes - self.best_in_class
 
 
+MAX_EXPERTS = 100_000  # most SOA variants one agnostic learner may run
+
+
 class AgnosticOnlineLearner:
     """Exponential weights over SOA variants indexed by mistake-round subsets.
 
@@ -271,21 +260,15 @@ class AgnosticOnlineLearner:
     concept in the class, so the experts bound turns into a regret bound.
     """
 
-    def __init__(
-        self,
-        cls: PartialConceptClass,
-        T: int,
-        seed: int = 0,
-        max_experts: int = 100_000,
-    ):
+    def __init__(self, cls: PartialConceptClass, T: int, seed: int = 0):
         self.cls = cls
         self.T = T
         self.seed = seed
         self.ld = littlestone_dimension(cls)
         self.n_experts = sum(comb(T, i) for i in range(self.ld + 1))
-        if self.n_experts > max_experts:
+        if self.n_experts > MAX_EXPERTS:
             raise ValueError(
-                f"{self.n_experts} experts exceed the budget of {max_experts}"
+                f"{self.n_experts} experts exceed the budget of {MAX_EXPERTS}"
             )
         self.flip_sets = [
             frozenset(J)
@@ -380,16 +363,5 @@ def regret_adversary(cls: PartialConceptClass, d: int, T: int) -> RegretAdversar
 def constant_learner(bit: int) -> Learner:
     def predict(history, x):
         return bit
-
-    return predict
-
-
-def follow_the_leader() -> Learner:
-    """Predict the majority label seen so far at the queried point (ties -> 0)."""
-
-    def predict(history, x):
-        ones = sum(1 for p, y in history if p == x and y == 1)
-        zeros = sum(1 for p, y in history if p == x and y == 0)
-        return 1 if ones > zeros else 0
 
     return predict

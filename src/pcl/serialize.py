@@ -1,8 +1,8 @@
-"""JSON formats for classes, samples, distributions, graphs, and compressions.
+"""JSON formats for classes, samples, biclique graphs, and the CLI's outputs.
 
 Class files look like ``{"domain_size": n, "concepts": ["01*", ...]}`` with an
 optional ``names`` list mapping indices to external point names.  Samples are
-``[[x, y], ...]``; distributions ``{"atoms": [[x, y, "p/q"], ...]}``.
+``[[x, y], ...]``.  Points, labels and vertices must be JSON integers.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    FiniteDistribution,
-    LabeledSample,
-    PartialConcept,
-    PartialConceptClass,
-    labeled_sample,
-)
+from .core import LabeledSample, PartialConcept, PartialConceptClass
 from .disambiguation import BicliqueInstance, Disambiguation
 from .learners import CompressionOutput, Hypothesis
 
@@ -41,6 +35,25 @@ def _require(obj: dict, field: str, kind, where: str):
             f"{where}: field {field!r} must be {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(entry, where: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; ``where`` names the entry otherwise."""
+    if not isinstance(entry, list) or not all(map(_is_int, entry)):
+        raise FormatError(f"{where} {json.dumps(entry)} must be a list of integers")
+    return tuple(entry)
+
+
+def _int_pair(entry, where: str) -> tuple[int, ...]:
+    """A JSON pair of integers as a tuple; ``where`` names the entry otherwise."""
+    if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_int, entry)):
+        raise FormatError(f"{where} {json.dumps(entry)} must be a pair of integers")
+    return tuple(entry)
 
 
 def class_to_dict(cls: PartialConceptClass, names: Optional[list[str]] = None) -> dict:
@@ -75,31 +88,11 @@ def class_from_dict(obj: dict) -> tuple[PartialConceptClass, Optional[list[str]]
 def sample_from_list(obj) -> LabeledSample:
     if not isinstance(obj, list):
         raise FormatError("sample: expected a list of [x, y] pairs")
+    pairs = tuple(_int_pair(entry, f"sample: entry {i}") for i, entry in enumerate(obj))
     try:
-        return labeled_sample(obj)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"sample: {exc}") from None
-
-
-def distribution_to_dict(dist: FiniteDistribution) -> dict:
-    return {"atoms": [[x, y, str(w)] for (x, y), w in dist.atoms]}
-
-
-def distribution_from_dict(obj: dict) -> FiniteDistribution:
-    atoms = _require(obj, "atoms", list, "distribution")
-    parsed = []
-    for entry in atoms:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise FormatError("distribution: atoms must be [x, y, weight] triples")
-        x, y, w = entry
-        try:
-            parsed.append(((int(x), int(y)), Fraction(str(w))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"distribution: bad weight {w!r} ({exc})") from None
-    try:
-        return FiniteDistribution(tuple(parsed))
+        return LabeledSample(pairs)
     except ValueError as exc:
-        raise FormatError(f"distribution: {exc}") from None
+        raise FormatError(f"sample: {exc}") from None
 
 
 def biclique_to_dict(inst: BicliqueInstance) -> dict:
@@ -114,14 +107,16 @@ def biclique_from_dict(obj: dict) -> BicliqueInstance:
     n = _require(obj, "vertices", int, "graph")
     edges = _require(obj, "edges", list, "graph")
     partition = _require(obj, "partition", list, "graph")
+    edge_pairs = tuple(_int_pair(e, f"graph: edge {i}") for i, e in enumerate(edges))
+    pieces = []
+    for i, piece in enumerate(partition):
+        if not isinstance(piece, list) or len(piece) != 2:
+            raise FormatError(f"graph: biclique {i} must be a [left, right] pair")
+        pieces.append(tuple(_int_list(side, f"graph: biclique {i} side") for side in piece))
     try:
-        inst = BicliqueInstance(
-            n,
-            tuple(tuple(map(int, e)) for e in edges),
-            tuple((tuple(map(int, l)), tuple(map(int, r))) for l, r in partition),
-        )
+        inst = BicliqueInstance(n, edge_pairs, tuple(pieces))
         inst.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"graph: {exc}") from None
     return inst
 
@@ -135,21 +130,6 @@ def compression_to_dict(comp: CompressionOutput) -> dict:
     }
 
 
-def compression_from_dict(obj: dict) -> CompressionOutput:
-    sub = _require(obj, "subsample", list, "compression")
-    hexstr = _require(obj, "bits_hex", str, "compression")
-    n_bits = _require(obj, "n_bits", int, "compression")
-    try:
-        pairs = tuple((int(x), int(y)) for x, y in sub)
-        value = int(hexstr, 16) if n_bits else 0
-        bits = tuple(int(ch) for ch in format(value, "b").zfill(n_bits)) if n_bits else ()
-        if n_bits and len(bits) != n_bits:
-            raise ValueError("bit payload wider than declared")
-        return CompressionOutput(pairs, bits)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"compression: {exc}") from None
-
-
 def hypothesis_to_dict(hyp: Hypothesis) -> dict:
     return {"labels": "".join(str(v) for v in hyp.labels)}
 
@@ -158,7 +138,7 @@ def disambiguation_to_dict(res: Disambiguation) -> dict:
     out = {
         "algorithm": res.algorithm,
         "totals": [str(h) for h in res.totals.concepts],
-        "info": {k: _plain(v) for k, v in res.info.items()},
+        "info": json_value(res.info),
     }
     if res.extension_of is not None:
         out["extensions"] = {str(h): str(t) for h, t in res.extension_of.items()}
@@ -169,14 +149,22 @@ def disambiguation_to_dict(res: Disambiguation) -> dict:
     return out
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+def json_value(v):
+    """``v`` as plain JSON: Fractions as strings, numpy scalars as Python
+    numbers, and containers rebuilt with their items converted."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, np.bool_):
+        return bool(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, dict):
+        return {k: json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_value(x) for x in v]
+    return v
 
 
 def load_json(path: Union[str, Path]):

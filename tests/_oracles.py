@@ -14,6 +14,7 @@ import numpy as np
 
 from pcl.core import STAR, LabeledSample, PartialConceptClass
 from pcl.learners import OneInclusionGraph
+from pcl.online import Learner
 
 
 def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
@@ -23,6 +24,12 @@ def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
         if STAR not in pat:
             out.add(pat)
     return out
+
+
+def restrict(cls: PartialConceptClass, x: int, y: int):
+    """The subclass with h(x) = y exactly, or None when no concept qualifies."""
+    kept = tuple(h for h in cls.concepts if h[x] == y)
+    return PartialConceptClass(cls.domain_size, kept) if kept else None
 
 
 def realizable_by_definition(cls: PartialConceptClass, pairs) -> bool:
@@ -220,3 +227,32 @@ def enclosing_ball_by_definition(points) -> tuple[np.ndarray, float]:
                 if best is None or r < best[1]:
                     best = (center, r)
     return best
+
+
+def brute_force_max_packing(points, radius: float) -> int:
+    """Largest subset with pairwise distances >= radius (exhaustive, small inputs)."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    ok = [[np.linalg.norm(pts[i] - pts[j]) >= radius for j in range(n)] for i in range(n)]
+    best = 0
+
+    def grow(start: int, members: list[int]) -> None:
+        nonlocal best
+        best = max(best, len(members))
+        for i in range(start, n):
+            if all(ok[i][j] for j in members):
+                grow(i + 1, members + [i])
+
+    grow(0, [])
+    return best
+
+
+def follow_the_leader() -> Learner:
+    """Predict the majority label seen so far at the queried point (ties -> 0)."""
+
+    def predict(history, x):
+        ones = sum(1 for p, y in history if p == x and y == 1)
+        zeros = sum(1 for p, y in history if p == x and y == 0)
+        return 1 if ones > zeros else 0
+
+    return predict

@@ -1,21 +1,25 @@
 import json
-from fractions import Fraction
 
 import pytest
 
 from pcl.cli import main
-from pcl.core import concept_class, uniform_on
+from pcl.core import concept_class
 from pcl.learners import CompressionOutput
 from pcl.serialize import (
     FormatError,
     class_from_dict,
     class_to_dict,
-    compression_from_dict,
     compression_to_dict,
-    distribution_from_dict,
-    distribution_to_dict,
     sample_from_list,
 )
+
+
+def compression_from_dict(obj) -> CompressionOutput:
+    """Decode the compression payload the CLI prints."""
+    n_bits = obj["n_bits"]
+    bits = format(int(obj["bits_hex"], 16), "b").zfill(n_bits) if n_bits else ""
+    assert len(bits) == n_bits, "bit payload wider than declared"
+    return CompressionOutput(tuple(map(tuple, obj["subsample"])), tuple(map(int, bits)))
 
 
 @pytest.fixture
@@ -46,16 +50,6 @@ class TestSerialize:
     def test_missing_field_named(self):
         with pytest.raises(FormatError, match="domain_size"):
             class_from_dict({"concepts": ["01"]})
-
-    def test_distribution_round_trip(self):
-        dist = uniform_on([(0, 0), (1, 1), (2, 0)])
-        rebuilt = distribution_from_dict(distribution_to_dict(dist))
-        assert rebuilt == dist
-
-    def test_distribution_rational_weights(self):
-        obj = {"atoms": [[0, 0, "1/3"], [1, 1, "2/3"]]}
-        dist = distribution_from_dict(obj)
-        assert dist.weight((1, 1)) == Fraction(2, 3)
 
     def test_compression_round_trip(self):
         comp = CompressionOutput(((0, 1), (2, 0)), (1, 0, 1))
@@ -321,6 +315,43 @@ class TestCliContract:
     def test_general_margin_bad_gamma(self, gamma, capsys):
         argv = ["construct", "general-margin", "--gamma", gamma]
         self._fails_naming(argv, "gamma must be positive and finite", capsys)
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ([0.5, 1], "entry 0 [0.5, 1]"),
+            ([1, 1.9], "entry 0 [1, 1.9]"),
+            ([True, 0], "entry 0 [true, 0]"),
+            (["2", "1"], 'entry 0 ["2", "1"]'),
+            ([0, 1, 1], "entry 0 [0, 1, 1]"),
+            (7, "entry 0 7"),
+        ],
+        ids=["float-point", "float-label", "bool-point", "strings", "triple", "number"],
+    )
+    def test_sample_entry_not_an_integer_pair(
+        self, entry, named, class_file, tmp_path, capsys
+    ):
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps([entry, [1, 1]]))
+        argv = ["online", "--input", class_file, "--mode", "soa", "--sample", str(path)]
+        self._fails_naming(argv, f"sample: {named} must be a pair of integers", capsys)
+
+    @pytest.mark.parametrize(
+        "edges, partition, named",
+        [
+            ([[0.7, 1.2]], [[[0], [1]]], "edge 0 [0.7, 1.2] must be a pair of integers"),
+            ([[0, True]], [[[0], [1]]], "edge 0 [0, true] must be a pair of integers"),
+            ([[0, 1]], [[[0.0], [1]]], "biclique 0 side [0.0] must be a list of integers"),
+            ([[0, 1]], [[[0], ["1"]]], 'biclique 0 side ["1"] must be a list of integers'),
+            ([[0, 1]], [[[0]]], "biclique 0 must be a [left, right] pair"),
+        ],
+        ids=["float-edge", "bool-edge", "float-member", "string-member", "one-sided"],
+    )
+    def test_graph_entry_not_integers(self, edges, partition, named, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        graph = {"vertices": 2, "edges": edges, "partition": partition}
+        path.write_text(json.dumps(graph))
+        self._fails_naming(["construct", "biclique", "--graph", str(path)], named, capsys)
 
     @pytest.mark.parametrize("value", [None, 5, [], "x"], ids=["null", "number", "array", "string"])
     @pytest.mark.parametrize("command", ["dim", "biclique", "gamma-boost"])

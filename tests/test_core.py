@@ -14,8 +14,6 @@ from pcl.core import (
     best_empirical_error,
     concept,
     concept_class,
-    distribution_realizable,
-    empirical_error,
     finite_distribution,
     is_realizable,
     labeled_sample,
@@ -28,6 +26,7 @@ from _oracles import (
     approximation_error_by_product,
     max_realizable_by_enumeration,
     patterns_on,
+    restrict,
 )
 from _strategies import classes, classes_with_blank_columns, classes_with_samples
 
@@ -115,21 +114,23 @@ class TestRealizability:
 
 
 class TestEmpiricalError:
+    """The error of a single concept, as the best error of its one-concept class."""
+
     def test_zero_on_agreeing_concept(self):
         s = labeled_sample([(0, 0), (1, 0), (2, 0)])
-        assert empirical_error(concept("000"), s) == 0
+        assert best_empirical_error(concept_class(3, ["000"]), s) == 0
 
     def test_all_star_always_errs(self):
         s = labeled_sample([(0, 0), (1, 1), (2, 0), (1, 0)])
-        assert empirical_error(concept("***"), s) == 1
+        assert best_empirical_error(concept_class(3, ["***"]), s) == 1
 
     def test_mixed_counts_star_as_mistake(self):
         s = labeled_sample([(0, 0), (1, 0), (2, 1)])
-        assert empirical_error(concept("01*"), s) == Fraction(2, 3)
+        assert best_empirical_error(concept_class(3, ["01*"]), s) == Fraction(2, 3)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ContractViolation):
-            empirical_error(concept("0"), labeled_sample([]))
+            best_empirical_error(concept_class(1, ["0"]), labeled_sample([]))
 
     @settings(max_examples=60)
     @given(classes_with_samples())
@@ -140,7 +141,7 @@ class TestEmpiricalError:
         sample = labeled_sample(pairs)
         for h in cls.concepts:
             singleton = PartialConceptClass(cls.domain_size, (h,))
-            assert (empirical_error(h, sample) == 0) == is_realizable(
+            assert (best_empirical_error(singleton, sample) == 0) == is_realizable(
                 singleton, sample
             )
 
@@ -190,24 +191,26 @@ class TestPackedClass:
 
 
 class TestRestrict:
+    """The restriction oracle the halving tests build on."""
+
     def test_total_restriction(self):
         cls = concept_class(3, ["000", "111"])
-        assert cls.restrict(0, 1) == concept_class(3, ["111"])
+        assert restrict(cls, 0, 1) == concept_class(3, ["111"])
 
     def test_empty_restriction_is_none(self):
         cls = concept_class(2, ["0*", "*0"])
-        assert cls.restrict(0, 1) is None
+        assert restrict(cls, 0, 1) is None
 
     def test_star_is_excluded_from_both_sides(self):
         cls = concept_class(3, ["01*", "0*1", "*11"])
-        assert cls.restrict(1, 1) == concept_class(3, ["01*", "*11"])
+        assert restrict(cls, 1, 1) == concept_class(3, ["01*", "*11"])
 
     @settings(max_examples=60)
     @given(classes(), st.integers(0, 4))
     def test_restrictions_partition_the_class(self, cls, x):
         x = x % cls.domain_size
-        r0 = cls.restrict(x, 0)
-        r1 = cls.restrict(x, 1)
+        r0 = restrict(cls, x, 0)
+        r1 = restrict(cls, x, 1)
         side0 = set(r0.concepts) if r0 else set()
         side1 = set(r1.concepts) if r1 else set()
         stars = {h for h in cls.concepts if h[x] == STAR}
@@ -216,20 +219,26 @@ class TestRestrict:
         assert not (side0 | side1) & stars
 
 
+def support_realizable(cls, dist) -> bool:
+    return is_realizable(cls, labeled_sample(dist.support_pairs()))
+
+
 class TestDistributions:
+    """A finite-support distribution is realizable when its support is."""
+
     def test_realizable_support(self):
         cls = concept_class(2, ["00"])
-        assert distribution_realizable(cls, uniform_on([(0, 0), (1, 0)]))
+        assert support_realizable(cls, uniform_on([(0, 0), (1, 0)]))
 
     def test_contradictory_labels_never_realizable(self):
         cls = concept_class(2, ["00", "11", "**"])
-        assert not distribution_realizable(cls, uniform_on([(0, 0), (0, 1)]))
+        assert not support_realizable(cls, uniform_on([(0, 0), (0, 1)]))
 
     def test_erm_failure_style_support(self):
         # Concepts defined (as 0) on exactly half the domain; the uniform
         # distribution over one support is realizable by that concept.
         cls = concept_class(4, ["00**", "0*0*", "**00"])
-        assert distribution_realizable(cls, uniform_on([(0, 0), (1, 0)]))
+        assert support_realizable(cls, uniform_on([(0, 0), (1, 0)]))
 
 
 class TestSampleStream:
@@ -321,13 +330,13 @@ class TestApproximationError:
         cls = concept_class(2, ["00"])
         dist = uniform_on([(0, 0), (1, 0)])
         for n in (1, 2, 3):
-            assert approximation_error(cls, dist, n, exact=True) == 0
+            assert approximation_error(cls, dist, n) == 0
 
     def test_exact_value_single_point_noise(self):
         cls = concept_class(1, ["0"])
         dist = uniform_on([(0, 0), (0, 1)])
-        assert approximation_error(cls, dist, 1, exact=True) == Fraction(1, 2)
-        assert approximation_error(cls, dist, 2, exact=True) == Fraction(1, 2)
+        assert approximation_error(cls, dist, 1) == Fraction(1, 2)
+        assert approximation_error(cls, dist, 2) == Fraction(1, 2)
 
     def test_exact_matches_product_oracle(self):
         cls = concept_class(2, ["0*", "*1", "11"])
@@ -335,19 +344,12 @@ class TestApproximationError:
             {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 3), (0, 1): Fraction(1, 6)}
         )
         for n in (1, 2, 3):
-            assert approximation_error(cls, dist, n, exact=True) == (
+            assert approximation_error(cls, dist, n) == (
                 approximation_error_by_product(cls, dist, n)
             )
 
     def test_monotone_in_n(self):
         cls = concept_class(2, ["0*", "*0"])
         dist = uniform_on([(0, 0), (0, 1), (1, 0)])
-        values = [approximation_error(cls, dist, n, exact=True) for n in (1, 2, 3)]
+        values = [approximation_error(cls, dist, n) for n in (1, 2, 3)]
         assert values[0] <= values[1] <= values[2]
-
-    def test_monte_carlo_is_deterministic_per_seed(self):
-        cls = concept_class(2, ["0*", "*0"])
-        dist = uniform_on([(0, 0), (0, 1), (1, 0)])
-        a = approximation_error(cls, dist, 3, trials=200, seed=11)
-        b = approximation_error(cls, dist, 3, trials=200, seed=11)
-        assert a == b

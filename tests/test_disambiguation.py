@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from pcl import disambiguation
-from pcl.core import ContractViolation, concept, concept_class, total_class
+from pcl.core import STAR, ContractViolation, concept, concept_class, total_class
 from pcl.dimensions import (
     littlestone_dimension,
     sauer_bound,
@@ -17,9 +17,6 @@ from pcl.disambiguation import (
     biclique_class,
     certify_coloring_lower_bound,
     compression_to_disambiguation,
-    identity_table,
-    indicator_table,
-    is_disambiguation,
     majority_compose,
     majority_table,
     star_partition_instance,
@@ -52,7 +49,7 @@ class TestMajorityDisambiguation:
     def test_strong_and_update_bound(self):
         cls = concept_class(3, ["0**", "10*", "110", "111"])
         res = vc_majority_disambiguate(cls)
-        assert is_disambiguation(cls, res.totals, "strong")
+        assert strong_violation(cls, res.totals) is None
         bound = math.log2(shattering_strength(cls))
         assert all(res.update_count(h) <= bound for h in cls)
 
@@ -189,18 +186,19 @@ class TestBiclique:
     def test_weak_check_on_k4_forced_totals(self):
         cls = biclique_class(star_partition_instance(4))
         totals = total_class(3, ["000", "100", "110", "111"])
-        assert is_disambiguation(cls, totals, "weak", max_len=3)
+        assert weak_violation(cls, totals, 3) is None
 
 
 class TestIsDisambiguation:
+    """Totals disambiguate a class when the strong or weak checker finds no violation."""
+
     def test_strong_self(self):
         cls = concept_class(3, ["000", "111"])
-        assert is_disambiguation(cls, total_class(3, ["000", "111"]), "strong")
+        assert strong_violation(cls, total_class(3, ["000", "111"])) is None
 
     def test_missing_extension_detected(self):
         cls = concept_class(2, ["0*", "*1"])
         totals = total_class(2, ["00"])
-        assert not is_disambiguation(cls, totals, "strong")
         assert strong_violation(cls, totals) == concept("*1")
 
     def test_weak_violation_reports_pattern(self):
@@ -210,10 +208,14 @@ class TestIsDisambiguation:
         bad = weak_violation(cls, totals, 2)
         assert bad == ((0,), (1,))
 
-    def test_randomized_path_for_long_checks(self):
+    def test_long_checks_are_exhaustive(self):
         cls = concept_class(8, ["0" * 8, "1" * 8])
-        totals = total_class(8, ["0" * 8, "1" * 8])
-        assert is_disambiguation(cls, totals, "weak", max_len=8)
+        assert weak_violation(cls, total_class(8, ["0" * 8, "1" * 8]), 8) is None
+        # one-hot totals are all-zero on every set of at most 7 points, not on all 8
+        one_hot = total_class(8, ["0" * i + "1" + "0" * (7 - i) for i in range(8)])
+        zeros = concept_class(8, ["0" * 8])
+        assert weak_violation(zeros, one_hot, 7) is None
+        assert weak_violation(zeros, one_hot, 8) == (tuple(range(8)), (0,) * 8)
 
 
 class TestCompressionDisambiguation:
@@ -237,7 +239,7 @@ class TestCompressionDisambiguation:
         assert concept("111") in res.totals.concepts
         # enumerated candidate count: sum over lengths of (2n)^j * 2^j
         assert len(res.totals) <= 1 + 2 * 3 * 2
-        assert is_disambiguation(cls, res.totals, "weak", max_len=3)
+        assert weak_violation(cls, res.totals, 3) is None
 
     @settings(max_examples=20, deadline=None)
     @given(classes(max_n=4, max_size=8))
@@ -248,8 +250,8 @@ class TestCompressionDisambiguation:
         if littlestone_dimension(cls) > 2:
             return  # keep the enumeration tiny
         scheme = ld_compression_scheme(cls)
-        res = compression_to_disambiguation(cls, scheme, verify_len=cls.domain_size)
-        assert is_disambiguation(cls, res.totals, "weak", max_len=cls.domain_size)
+        res = compression_to_disambiguation(cls, scheme)
+        assert weak_violation(cls, res.totals, cls.domain_size) is None
 
     def test_invalid_scheme_is_reported(self):
         cls = concept_class(2, ["01", "10"])
@@ -295,14 +297,17 @@ class TestSupportIndicator:
         assert res.info["vc"] <= res.info["graph_dimension"]
 
 
+IDENTITY = {(v,): v for v in (0, 1, STAR)}
+
+
 class TestMajorityCompose:
     def test_identity(self):
         cls = concept_class(2, ["01", "1*"])
-        assert majority_compose([cls], identity_table()) == cls
+        assert majority_compose([cls], IDENTITY) == cls
 
     def test_indicator_matches_support_disambiguation(self):
         cls = concept_class(2, ["1*", "*1"])
-        composed = majority_compose([cls], indicator_table())
+        composed = majority_compose([cls], {(0,): 0, (1,): 1, (STAR,): 0})
         totals = support_indicator_disambiguation(cls).totals
         assert composed.concepts == totals.concepts
 
@@ -324,4 +329,4 @@ class TestMajorityCompose:
     def test_arity_mismatch_rejected(self):
         cls = concept_class(2, ["01"])
         with pytest.raises(ValueError):
-            majority_compose([cls, cls], identity_table())
+            majority_compose([cls, cls], IDENTITY)

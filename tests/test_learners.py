@@ -14,7 +14,6 @@ from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
     Hypothesis,
-    NoConsistentClass,
     OneInclusionCache,
     agnostic_learn,
     alpha_boost_compress,
@@ -27,7 +26,6 @@ from pcl.learners import (
     pac_learn_realizable,
     pac_schedule,
     reconstruct,
-    srm_select,
 )
 
 from _oracles import one_inclusion_by_definition
@@ -142,7 +140,7 @@ class TestOneInclusion:
             if not cls.binary_patterns(pts):
                 continue
             graph = cache.graph(cls, pts)
-            assert graph.max_out_degree() <= graph.vc
+            assert max(map(len, graph.out)) <= graph.vc
             assert graph.vc <= vc_dimension(cls)
 
 
@@ -173,8 +171,7 @@ class TestPacWrapper:
         for _ in range(trials):
             sample = dist.sample(rng, schedule.total)
             hyp = pac_learn_realizable(cls, sample, eps, delta, cache=cache)
-            err = sum(dist.weight((x, y)) for x in range(3) for y in (0, 1)
-                      if hyp.labels[x] != y and dist.weight((x, y)) > 0)
+            err = sum(w for (x, y), w in dist.atoms if hyp.labels[x] != y)
             failures += err > eps
         assert failures / trials <= delta + 3 * math.sqrt(delta / trials)
 
@@ -328,39 +325,3 @@ class TestAgnosticLearn:
         mean_fit = fit_sum / trials
         sigma = math.sqrt(0.25 / trials)
         assert float(mean_err) <= float(mean_fit) + bound_gap + 3 * sigma
-
-
-class TestSrm:
-    def _hierarchy(self, classes_):
-        return [
-            (c, lambda s, c=c: agnostic_learn(c, s)[0]) for c in classes_
-        ]
-
-    def test_selects_smallest_consistent_class(self):
-        small = concept_class(2, ["01"])
-        big = concept_class(2, ["00", "01", "10", "11"])
-        sample = labeled_sample([(0, 0), (1, 1)])
-        sel = srm_select(self._hierarchy([small, big]), sample, mode="realizable")
-        assert sel.index == 0
-        assert sel.hypothesis.sample_error(sample) == 0
-
-    def test_no_consistent_class_is_reported(self):
-        h = concept_class(1, ["0"])
-        sample = labeled_sample([(0, 1)])
-        with pytest.raises(NoConsistentClass):
-            srm_select(self._hierarchy([h]), sample, mode="realizable")
-
-    def test_agnostic_mode_minimizes_penalized_error(self):
-        noisy = concept_class(1, ["0"])
-        clean = concept_class(1, ["1"])
-        sample = labeled_sample([(0, 1), (0, 1), (0, 1)])
-        sel = srm_select(
-            self._hierarchy([noisy, clean]), sample, mode="agnostic"
-        )
-        assert sel.index == 1
-        # selected score is minimal by construction
-        from pcl.core import best_empirical_error
-
-        for i, (cls, _) in enumerate(self._hierarchy([noisy, clean])):
-            err = float(best_empirical_error(cls, sample))
-            assert sel.bound <= err + sel.per_class_bounds[i] + 1e-12

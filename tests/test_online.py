@@ -6,23 +6,26 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcl import dimensions
 from pcl.core import ContractViolation, concept_class, min_mistakes
-from pcl.dimensions import littlestone_dimension
+from pcl.dimensions import littlestone_dimension, measure_report
+from pcl.experiments import _ftl_mistakes
 from pcl.online import (
+    MAX_EXPERTS,
     AgnosticOnlineLearner,
     Soa,
     constant_learner,
     experts_aggregate,
-    follow_the_leader,
     littlestone_tree,
     mistake_adversary,
     play_sequence,
     regret_adversary,
-    soa_predict,
     verify_tree,
 )
 
+from _oracles import follow_the_leader
 from _strategies import classes
 
 
@@ -33,16 +36,11 @@ def full_cube(n):
 class TestSoa:
     def test_tie_breaks_to_zero(self):
         cls = concept_class(3, ["000", "111"])
-        assert soa_predict(cls, [], 0) == 0
+        assert Soa(cls).predict([], 0) == 0
 
     def test_follows_the_surviving_concept(self):
         cls = concept_class(3, ["000", "111"])
-        assert soa_predict(cls, [(0, 1)], 1) == 1
-
-    def test_unrealizable_history_rejected(self):
-        cls = concept_class(2, ["00"])
-        with pytest.raises(ContractViolation):
-            soa_predict(cls, [(0, 1)], 1)
+        assert Soa(cls).predict([(0, 1)], 1) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(classes(max_n=5, max_size=12))
@@ -71,12 +69,11 @@ class TestSoa:
 class TestLittlestoneTree:
     def test_full_cube_tree(self):
         tree = littlestone_tree(full_cube(3), 3)
-        assert tree.depth() == 3
+        assert {len(path) for path in tree.paths()} == {3}
         assert verify_tree(full_cube(3), tree)
 
     def test_two_constants_single_node(self):
         tree = littlestone_tree(concept_class(3, ["000", "111"]), 1)
-        assert tree.depth() == 1
         assert tree.zero is None and tree.one is None
 
     def test_depth_zero_is_empty(self):
@@ -91,6 +88,22 @@ class TestLittlestoneTree:
     def test_extracted_trees_verify(self, cls):
         d = littlestone_dimension(cls)
         assert verify_tree(cls, littlestone_tree(cls, d))
+
+    def test_ld_readers_share_one_memo(self, monkeypatch):
+        built = []
+
+        class CountingSolver(dimensions.LdSolver):
+            def __init__(self, cls):
+                built.append(cls)
+                super().__init__(cls)
+
+        monkeypatch.setattr(dimensions, "LdSolver", CountingSolver)
+        cls = full_cube(3)
+        report = measure_report(cls, "ld", witness=True)
+        assert littlestone_tree(cls, report.value) == report.witness
+        play_sequence(cls, Soa(cls), [(0, 1), (1, 0)])
+        AgnosticOnlineLearner(cls, T=2).run([(0, 1), (2, 0)])
+        assert len(built) == 1
 
 
 class TestMistakeAdversary:
@@ -156,9 +169,10 @@ class TestAgnosticOnline:
         assert learner.regret_bound() == pytest.approx(math.sqrt(0.5 * math.log(2)))
 
     def test_budget_error(self):
-        cls = full_cube(3)
+        cls = full_cube(3)  # LD 3: sum of C(100, i) for i <= 3 experts
+        assert sum(math.comb(100, i) for i in range(4)) > MAX_EXPERTS
         with pytest.raises(ValueError, match="budget"):
-            AgnosticOnlineLearner(cls, T=20, max_experts=10)
+            AgnosticOnlineLearner(cls, T=100)
 
     def test_regret_bound_on_fixed_sequences(self):
         cls = concept_class(3, ["000", "111", "01*"])
@@ -228,3 +242,23 @@ class TestRegretAdversary:
             total += min_mistakes(cls, seq)
         mean = total / trials
         assert mean <= k / 2 - math.sqrt(k / 8) + 3 * math.sqrt(k / trials)
+
+
+class TestFollowTheLeaderCount:
+    """The agnostic-online suite counts FTL mistakes on a whole label matrix at once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda T: st.lists(
+                st.lists(st.integers(0, 1), min_size=T, max_size=T), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_rows_match_play_sequence(self, rows):
+        cls = concept_class(1, ["0", "1"])
+        want = [
+            play_sequence(cls, follow_the_leader(), [(0, y) for y in row]).mistakes
+            for row in rows
+        ]
+        assert _ftl_mistakes(np.array(rows, dtype=np.int64)).tolist() == want
