@@ -156,7 +156,7 @@ def cmd_online(args) -> int:
             ],
         }
     elif args.mode == "agnostic":
-        learner = online.AgnosticOnlineLearner(cls, args.T, seed=seed)
+        learner = online.AgnosticOnlineLearner(cls, args.T)
         stats = []
         for t in range(args.trials):
             trial_rng = experiments.split_rng(seed, "cli-online", t)

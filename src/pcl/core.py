@@ -124,6 +124,13 @@ class PartialConceptClass:
         return vc_dimension(self)
 
     @cached_property
+    def graph(self) -> int:
+        """The graph dimension of the three-label view, computed on first use."""
+        from .dimensions import graph_dimension  # dimensions builds on this module
+
+        return graph_dimension(self)
+
+    @cached_property
     def ld_solver(self) -> "LdSolver":
         """The Littlestone-dimension solver, whose memo every LD reader shares."""
         from .dimensions import LdSolver  # dimensions builds on this module
@@ -352,18 +359,10 @@ def best_empirical_error(cls: PartialConceptClass, sample: LabeledSample) -> Fra
     return Fraction(min_mistakes(cls, sample.pairs), len(sample))
 
 
-@dataclass(frozen=True)
-class SubsequenceResult:
-    """Indices of a maximum realizable subsequence plus the solve mode used."""
-
-    indices: tuple[int, ...]
-    mode: str
-
-
 def max_realizable_subsequence(
     cls: PartialConceptClass, sample: LabeledSample
-) -> SubsequenceResult:
-    """Largest index set whose induced subsample is realizable.
+) -> tuple[int, ...]:
+    """Indices of a largest subsequence whose induced subsample is realizable.
 
     A subsequence is realizable iff a single concept agrees with all of its
     entries, so the maximum is attained by some concept's full agreement set.
@@ -376,7 +375,7 @@ def max_realizable_subsequence(
         agree = tuple(i for i, (x, y) in enumerate(sample) if h[x] == y)
         if len(agree) > len(best) or (len(agree) == len(best) and agree < best):
             best = agree
-    return SubsequenceResult(best, "exact")
+    return best
 
 
 def approximation_error(

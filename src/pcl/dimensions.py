@@ -204,7 +204,7 @@ def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:
     """Natarajan and graph dimensions of the three-label view, plus support VC."""
     return MulticlassDimensions(
         natarajan=natarajan_dimension(cls),
-        graph=graph_dimension(cls),
+        graph=cls.graph,
         support_vc=vc_dimension(support_class(cls)),
     )
 
@@ -297,7 +297,7 @@ def measure_report(
     if measure == "natarajan":
         return DimensionReport("natarajan", natarajan_dimension(cls))
     if measure == "graph":
-        return DimensionReport("graph", graph_dimension(cls))
+        return DimensionReport("graph", cls.graph)
     if measure == "support-vc":
         return DimensionReport("support-vc", vc_dimension(support_class(cls)))
     return DimensionReport("dual", dual_vc_dimension(cls))

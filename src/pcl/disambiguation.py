@@ -34,7 +34,7 @@ from .core import (
     TotalConceptClass,
     labeled_sample,
 )
-from .dimensions import graph_dimension, shattered_levels, vc_dimension
+from .dimensions import shattered_levels, vc_dimension
 
 
 @dataclass
@@ -349,7 +349,6 @@ def biclique_class(instance: BicliqueInstance) -> PartialConceptClass:
 class ColoringCertificate:
     is_proper: bool
     colors_used: int
-    violating_edge: Optional[tuple[int, int]] = None
 
 
 def certify_coloring_lower_bound(
@@ -373,14 +372,8 @@ def certify_coloring_lower_bound(
             raise ContractViolation(
                 f"disambiguation does not cover the concept of vertex {v}"
             ) from None
-    for u, v in instance.edges:
-        if colors[u] == colors[v]:
-            return ColoringCertificate(
-                is_proper=False,
-                colors_used=len(set(colors.values())),
-                violating_edge=(u, v),
-            )
-    return ColoringCertificate(True, len(set(colors.values())))
+    proper = all(colors[u] != colors[v] for u, v in instance.edges)
+    return ColoringCertificate(proper, len(set(colors.values())))
 
 
 def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation:
@@ -391,7 +384,7 @@ def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation
     }
     totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
     bar_vc = vc_dimension(totals)
-    graph_dim = graph_dimension(cls)
+    graph_dim = cls.graph
     if bar_vc > graph_dim:
         raise AssertionError(
             f"indicator disambiguation VC {bar_vc} exceeds graph dimension {graph_dim}"

@@ -3,8 +3,15 @@
 Each suite produces a ``Report``: a list of per-check records (statement,
 measured value, bound value, pass flag) plus summary counts.  Reports are pure
 functions of (inputs, seed); all randomness flows through generators split
-deterministically per (suite, trial).  Statistical checks on Monte-Carlo means
-use a three-sigma slack and record the z-score.
+deterministically per (suite, trial).
+
+A record's verdict is derived from the values it shows.  ``_check`` compares
+the measured value with the bound by a relation (``<=``, ``>=`` or ``==``),
+widened by an absolute tolerance: 1e-9 for floating-point sums, and three
+sample sigmas for Monte-Carlo means, whose z-score the record keeps.
+``_tally`` records how many of its cases failed; it passes when none did, and
+an aggregate over zero cases fails.  The records whose verdict is a
+conjunction of conditions state it themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import io
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Optional
@@ -55,6 +62,32 @@ class CheckRecord:
     bound: object
     passed: bool
     extra: dict = field(default_factory=dict)
+
+
+def _check(
+    name: str, statement: str, measured, rel: str, bound, tol=0, extra=None
+) -> CheckRecord:
+    """A record that passes when ``measured rel bound`` holds, ``tol`` allowed."""
+    if rel == "<=":
+        passed = measured <= bound + tol
+    elif rel == ">=":
+        passed = measured >= bound - tol
+    elif rel == "==":
+        passed = measured == bound
+    else:
+        raise ValueError(f"unknown relation {rel!r}")
+    return CheckRecord(name, statement, measured, bound, bool(passed), extra or {})
+
+
+def _tally(
+    name: str, statement: str, cases: tuple[str, int], bad: tuple[str, int], extra=None
+) -> CheckRecord:
+    """An aggregate record that passes when some cases ran and none was bad."""
+    (cases_key, n), (bad_key, k) = cases, bad
+    measured = {cases_key: n, bad_key: k}
+    return CheckRecord(
+        name, statement, measured, {bad_key: 0}, n > 0 and k == 0, extra or {}
+    )
 
 
 @dataclass
@@ -189,8 +222,7 @@ def _random_realizable_sequence(
 
 
 def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params.get("classes", 200)
-    seqs_per_class = cfg.params.get("sequences", 20)
+    n_classes = cfg.params["classes"]
     checks = []
     for i in range(n_classes):
         rng = split_rng(cfg.seed, "soa", i)
@@ -204,7 +236,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
         ld = soa.solver.ld(packed.full)
         tree = online.littlestone_tree(cls, ld)
         worst = 0
-        for j in range(seqs_per_class):
+        for j in range(cfg.params["sequences"]):
             if j % 2 == 0 or ld == 0:
                 seq = _random_realizable_sequence(cls, rng, 2 * cls.domain_size)
             else:
@@ -229,22 +261,17 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                 continue
             worst = max(worst, online.play_sequence(cls, soa, seq).mistakes)
         checks.append(
-            CheckRecord(
-                name=f"class-{i}",
-                statement="online mistakes <= LD(H) on realizable sequences",
-                measured=worst,
-                bound=ld,
-                passed=worst <= ld,
+            _check(
+                f"class-{i}", "online mistakes <= LD(H) on realizable sequences",
+                worst, "<=", ld,
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
 
 
 def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params.get("classes", 100)
-    max_len = cfg.params.get("max_len", 5)
-    cross_checks = cfg.params.get("cross_checks", 40)
-    multiset_classes = cfg.params.get("multiset_classes", 10)
+    n_classes = cfg.params["classes"]
+    cross_checks = cfg.params["cross_checks"]
     checks = []
     literal_checked = 0
     multiset_samples = 0
@@ -259,8 +286,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
         cache = learners.OneInclusionCache()
         d = dimensions.vc_dimension(cls)
         worst_excess = Fraction(-1)
-        violations = 0
-        for k in range(1, min(max_len, cls.domain_size) + 1):
+        for k in range(1, min(cfg.params["max_len"], cls.domain_size) + 1):
             for pts in combinations(range(cls.domain_size), k):
                 if not cls.binary_patterns(pts):
                     continue
@@ -273,8 +299,6 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                     loo = Fraction(out_deg, k)
                     bound = Fraction(d, k)
                     worst_excess = max(worst_excess, loo - bound)
-                    if loo > bound:
-                        violations += 1
                     if literal_checked < cross_checks and k <= 4:
                         sample = labeled_sample(list(zip(pts, v)))
                         if learners.loo_error(cls, sample, cache) != loo:
@@ -284,16 +308,12 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                             )
                         literal_checked += 1
         checks.append(
-            CheckRecord(
-                name=f"class-{i}",
-                statement="permutation-averaged LOO error <= VC(H)/n, exact",
-                measured=str(worst_excess),
-                bound="0",
-                passed=violations == 0,
-                extra={"vc": d},
+            _check(
+                f"class-{i}", "permutation-averaged LOO error <= VC(H)/n, exact",
+                worst_excess, "<=", Fraction(0), extra={"vc": d},
             )
         )
-        if i < multiset_classes:
+        if i < cfg.params["multiset_classes"]:
             # sequences with repeated points: sweep all <=4-point multisets
             # and every realizable labeling of their supports
             for size in range(2, min(4, cls.domain_size + 1) + 1):
@@ -309,28 +329,24 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                         if loo > Fraction(d, size):
                             multiset_violations += 1
     checks.append(
-        CheckRecord(
-            name="literal-cross-check",
-            statement="orientation shortcut equals factorial-average on samples",
-            measured=literal_checked,
-            bound=cross_checks,
-            passed=literal_checked > 0,
+        _check(
+            "literal-cross-check",
+            "orientation shortcut equals factorial-average on samples",
+            literal_checked, ">=", cross_checks,
         )
     )
     checks.append(
-        CheckRecord(
-            name="multiset-sequences",
-            statement="LOO bound also holds on every short sequence with repeats",
-            measured={"samples": multiset_samples, "violations": multiset_violations},
-            bound={"violations": 0},
-            passed=multiset_samples > 0 and multiset_violations == 0,
+        _tally(
+            "multiset-sequences",
+            "LOO bound also holds on every short sequence with repeats",
+            ("samples", multiset_samples), ("violations", multiset_violations),
         )
     )
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
 
 
 def suite_experts_regret(cfg: ExperimentConfig) -> Report:
-    n_matrices = cfg.params.get("matrices", 100)
+    n_matrices = cfg.params["matrices"]
     checks = []
     for i in range(n_matrices):
         rng = split_np(cfg.seed, "experts", i)
@@ -340,13 +356,9 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
         ys = rng.random(T)
         res = online.experts_aggregate(preds, ys)
         checks.append(
-            CheckRecord(
-                name=f"matrix-{i}",
-                statement="mixture loss - best expert loss <= sqrt((T/2) ln N)",
-                measured=res.regret,
-                bound=res.regret_bound,
-                passed=res.regret <= res.regret_bound,
-                extra={"T": T, "N": N},
+            _check(
+                f"matrix-{i}", "mixture loss - best expert loss <= sqrt((T/2) ln N)",
+                res.regret, "<=", res.regret_bound, extra={"T": T, "N": N},
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"matrices": n_matrices})
@@ -361,17 +373,16 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         core.concept_class(2, ["00", "01", "10", "11"]),
         core.concept_class(4, ["00**", "01**", "10**", "11**"]),
     ]
-    T = cfg.params.get("T", 12)
-    seq_per_class = cfg.params.get("sequences", 20)
+    T = cfg.params["T"]
     for ci, cls in enumerate(class_specs):
-        learner = online.AgnosticOnlineLearner(cls, T=T, seed=_digest(cfg.seed, "ao", ci))
+        learner = online.AgnosticOnlineLearner(cls, T=T)
         ld = learner.ld
         if ld > 2:
             raise AssertionError("upper-side classes are meant to stay at LD <= 2")
         rng = split_rng(cfg.seed, "ao-seq", ci)
         worst = -math.inf
         bound = learner.regret_bound() + ld
-        for j in range(seq_per_class):
+        for j in range(cfg.params["sequences"]):
             if j % 2 == 0:
                 seq = [
                     (rng.randrange(cls.domain_size), rng.randint(0, 1))
@@ -383,18 +394,16 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             res = learner.run(seq)
             worst = max(worst, res.expected_regret)
         checks.append(
-            CheckRecord(
-                name=f"upper-class-{ci}",
-                statement="expected regret <= sqrt((T/2) ln N) + LD (mixture accounting)",
-                measured=worst,
-                bound=bound,
-                passed=worst <= bound + 1e-9,
+            _check(
+                f"upper-class-{ci}",
+                "expected regret <= sqrt((T/2) ln N) + LD (mixture accounting)",
+                worst, "<=", bound, tol=1e-9,
                 extra={"T": T, "experts": learner.n_experts, "ld": ld},
             )
         )
     # (b) lower side: the block adversary forces (1/4) sqrt(dT) regret
-    trials = cfg.trials or cfg.params.get("adversary_trials", 10_000)
-    T_adv = cfg.params.get("adversary_T", 100)
+    trials = cfg.trials or cfg.params["adversary_trials"]
+    T_adv = cfg.params["adversary_T"]
     rng_np = split_np(cfg.seed, "ao-adversary")
     ys = (rng_np.random((trials, T_adv)) < 0.5).astype(np.int64)
     ones = ys.sum(axis=1)
@@ -411,12 +420,10 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         mean = float(regrets.mean())
         sigma = float(regrets.std(ddof=1) / math.sqrt(trials))
         checks.append(
-            CheckRecord(
-                name=f"adversary-vs-{name}",
-                statement="mean regret of the block adversary >= (1/4) sqrt(dT) - 3 sigma",
-                measured=mean,
-                bound=target,
-                passed=mean >= target - 3 * sigma,
+            _check(
+                f"adversary-vs-{name}",
+                "mean regret of the block adversary >= (1/4) sqrt(dT) - 3 sigma",
+                mean, ">=", target, tol=3 * sigma,
                 extra={"sigma": sigma, "z": (mean - target) / sigma if sigma else 0.0},
             )
         )
@@ -425,18 +432,19 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     adv = online.regret_adversary(cls1, 1, T_adv)
     rng = split_rng(cfg.seed, "ao-spot")
     spot = min(200, trials)
-    total = 0.0
-    for _ in range(spot):
-        seq = adv.generate(rng)
-        total += online.play_sequence(cls1, online.constant_learner(0), seq).regret
-    spot_mean = total / spot
+    zero = online.constant_learner(0)
+    regrets = np.array(
+        [
+            online.play_sequence(cls1, zero, adv.generate(rng)).regret
+            for _ in range(spot)
+        ]
+    )
+    sigma = float(regrets.std(ddof=1) / math.sqrt(spot))
     checks.append(
-        CheckRecord(
-            name="adversary-object-path",
-            statement="object-level adversary attains the same regret scale",
-            measured=spot_mean,
-            bound=target,
-            passed=spot_mean >= target - 3 * math.sqrt(25.0 / spot),
+        _check(
+            "adversary-object-path",
+            "object-level adversary attains the same regret scale",
+            float(regrets.mean()), ">=", target, tol=3 * sigma,
             extra={"trials": spot},
         )
     )
@@ -453,7 +461,7 @@ def _ftl_mistakes(ys: np.ndarray) -> np.ndarray:
 
 
 def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params.get("classes", 100)
+    n_classes = cfg.params["classes"]
     checks = []
     for i in range(n_classes):
         rng = split_rng(cfg.seed, "disamb", i)
@@ -467,21 +475,13 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
         size_cap = dimensions.sauer_bound(
             n, int(1 + d * math.log2(n)) if n > 1 else 1
         )
-        ok = (
-            strong_ok
-            and max_updates <= math.log2(s)
-            and len(res.totals) <= size_cap
-        )
         wres = disambiguation.weighted_disambiguate(cls)
-        weighted_ok = disambiguation.strong_violation(cls, wres.totals) is None
-        worst_slack = math.inf
-        for h in cls:
-            for m in range(1, n + 1):
-                bound = (d + 1) * math.log2(m) + 2
-                slack = bound - wres.prefix_update_count(h, m)
-                worst_slack = min(worst_slack, slack)
-                if slack < 0:
-                    weighted_ok = False
+        weighted_strong = disambiguation.strong_violation(cls, wres.totals) is None
+        worst_slack = min(
+            (d + 1) * math.log2(m) + 2 - wres.prefix_update_count(h, m)
+            for h in cls
+            for m in range(1, n + 1)
+        )
         checks.append(
             CheckRecord(
                 name=f"class-{i}",
@@ -495,7 +495,12 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
                     "min_weighted_slack": worst_slack,
                 },
                 bound={"log2_strength": math.log2(s), "size_cap": size_cap},
-                passed=ok and weighted_ok,
+                # the two strong-disambiguation flags show in no report byte
+                passed=strong_ok
+                and weighted_strong
+                and max_updates <= math.log2(s)
+                and len(res.totals) <= size_cap
+                and worst_slack >= 0,
                 extra={"n": n, "vc": d},
             )
         )
@@ -503,7 +508,7 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
 
 
 def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
-    sizes = cfg.params.get("sizes", (4, 6, 8))
+    sizes = cfg.params["sizes"]
     checks = []
     for m in sizes:
         inst = disambiguation.star_partition_instance(m)
@@ -544,7 +549,7 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
 
 
 def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
-    n_samples = cfg.trials or cfg.params.get("samples", 500)
+    n_samples = cfg.trials or cfg.params["samples"]
     caches: dict = {}
     failures = []
     max_size = 0
@@ -555,7 +560,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
         cls = _random_class_with_vc_cap(rng, max_n=8, max_size=16, vc_cap=3)
         key = cls.concepts
         cache = caches.setdefault(key, learners.OneInclusionCache())
-        m = rng.randint(1, cfg.params.get("max_m", 64))
+        m = rng.randint(1, cfg.params["max_m"])
         seq = _random_realizable_sequence(cls, rng, m)
         if not seq:
             continue
@@ -579,15 +584,11 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
             failures.append(i)
     # aggregate record (per-sample records would flood the report)
     checks = [
-        CheckRecord(
-            name="all-samples",
-            statement=(
-                "every boosted compression is consistent, round-trips, and is "
-                "size-bounded; every kept set fits under LD"
-            ),
-            measured={"samples": n_samples, "failures": len(failures)},
-            bound={"failures": 0},
-            passed=not failures,
+        _tally(
+            "all-samples",
+            "every boosted compression is consistent, round-trips, and is "
+            "size-bounded; every kept set fits under LD",
+            ("samples", n_samples), ("failures", len(failures)),
             extra={
                 "failing_indices": failures[:10],
                 "max_size": max_size,
@@ -600,12 +601,11 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
 
 
 def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
-    eps = cfg.params.get("eps", 0.2)
-    delta = cfg.params.get("delta", 0.1)
-    trials = cfg.trials or cfg.params.get("trials", 2000)
-    n_dists = cfg.params.get("distributions", 10)
+    eps = cfg.params["eps"]
+    delta = cfg.params["delta"]
+    trials = cfg.trials or cfg.params["trials"]
     checks = []
-    for i in range(n_dists):
+    for i in range(cfg.params["distributions"]):
         rng = split_rng(cfg.seed, "pac", i)
         while True:
             cls = _random_class_with_vc_cap(rng, max_n=6, max_size=12, vc_cap=2)
@@ -634,12 +634,10 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         rate = failures / trials
         sigma = math.sqrt(max(rate * (1 - rate), delta * (1 - delta)) / trials)
         checks.append(
-            CheckRecord(
-                name=f"distribution-{i}",
-                statement="failure rate at the prescribed sample size <= delta + 3 sigma",
-                measured=rate,
-                bound=delta,
-                passed=rate <= delta + 3 * sigma,
+            _check(
+                f"distribution-{i}",
+                "failure rate at the prescribed sample size <= delta + 3 sigma",
+                rate, "<=", delta, tol=3 * sigma,
                 extra={
                     "m": schedule.total,
                     "sigma": sigma,
@@ -652,24 +650,18 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
 
 
 def suite_erm_failure(cfg: ExperimentConfig) -> Report:
-    n = cfg.params.get("n", 20)
-    m = cfg.params.get("m", 5)
-    trials = cfg.trials or cfg.params.get("trials", 1000)
+    n = cfg.params["n"]
+    m = cfg.params["m"]
+    trials = cfg.trials or cfg.params["trials"]
     res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(cfg.seed, "erm"))
     checks = [
-        CheckRecord(
-            name="proper-learner",
-            statement="mean error of consistent half-support guesses >= 0.2",
-            measured=str(res.proper_mean_error),
-            bound="1/5",
-            passed=res.proper_mean_error >= Fraction(1, 5),
+        _check(
+            "proper-learner", "mean error of consistent half-support guesses >= 0.2",
+            res.proper_mean_error, ">=", Fraction(1, 5),
         ),
-        CheckRecord(
-            name="improper-learner",
-            statement="the all-zeros predictor never errs",
-            measured=str(res.improper_mean_error),
-            bound="0",
-            passed=res.improper_mean_error == 0,
+        _check(
+            "improper-learner", "the all-zeros predictor never errs",
+            res.improper_mean_error, "==", Fraction(0),
         ),
     ]
     return Report(cfg.experiment, cfg.seed, checks, {"n": n, "m": m, "trials": trials})
@@ -681,12 +673,10 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
         certs = geometry.certify_orthonormal_labelings(radius, gamma)
         bad = [c for c in certs if not (c.witness_ok and c.generic_ok)]
         checks.append(
-            CheckRecord(
-                name=f"orthonormal-R{radius:g}",
-                statement="every bipartition certified separable by witness and checker",
-                measured={"labelings": len(certs), "failures": len(bad)},
-                bound={"failures": 0},
-                passed=not bad,
+            _tally(
+                f"orthonormal-R{radius:g}",
+                "every bipartition certified separable by witness and checker",
+                ("labelings", len(certs)), ("failures", len(bad)),
             )
         )
     # Voronoi rule on the 5x5 grid, gamma = 0.6
@@ -723,16 +713,14 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
         if geometry.is_gamma_separated(grid, labeled, gamma):
             check_labeling(labeled)
     checks.append(
-        CheckRecord(
-            name="voronoi-grid",
-            statement="separated labelings are matched on support by the cell rule",
-            measured={"labelings": tested, "mismatches": mismatches},
-            bound={"mismatches": 0},
-            passed=mismatches == 0,
+        _tally(
+            "voronoi-grid",
+            "separated labelings are matched on support by the cell rule",
+            ("labelings", tested), ("mismatches", mismatches),
         )
     )
     # perceptron streams
-    streams = cfg.params.get("streams", 100)
+    streams = cfg.params["streams"]
     pts = geometry.orthonormal_points(2.0, 1.0)
     rng_np = split_np(cfg.seed, "geometry-perceptron")
     over_bound = 0
@@ -741,15 +729,13 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
         order = rng_np.permutation(len(pts))
         stream = np.vstack([pts[order]] * 25)
         ys = np.tile(labels[order], 25)
-        report = geometry.perceptron_run(stream, ys, max_passes=4)
+        report = geometry.perceptron_run(stream, ys)
         over_bound += report.mistakes > report.bound_used
     checks.append(
-        CheckRecord(
-            name="perceptron-streams",
-            statement="mistakes <= the self-measured lifted bound on shuffled streams",
-            measured={"streams": streams, "violations": over_bound},
-            bound={"violations": 0},
-            passed=over_bound == 0,
+        _tally(
+            "perceptron-streams",
+            "mistakes <= the self-measured lifted bound on shuffled streams",
+            ("streams", streams), ("violations", over_bound),
         )
     )
     return Report(cfg.experiment, cfg.seed, checks, {"streams": streams})
@@ -801,7 +787,7 @@ def suite_approximation_monotonicity(cfg: ExperimentConfig) -> Report:
 
 
 def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params.get("classes", 100)
+    n_classes = cfg.params["classes"]
     checks = []
     violations = 0
     for i in range(n_classes):
@@ -817,15 +803,11 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
         ok = mc.natarajan <= vc + mc.support_vc and res.info["vc"] <= mc.graph
         violations += not ok
     checks.append(
-        CheckRecord(
-            name="random-classes",
-            statement=(
-                "Natarajan <= VC + support-VC and indicator-disambiguation VC <= "
-                "graph dimension"
-            ),
-            measured={"classes": n_classes, "violations": violations},
-            bound={"violations": 0},
-            passed=violations == 0,
+        _tally(
+            "random-classes",
+            "Natarajan <= VC + support-VC and indicator-disambiguation VC <= "
+            "graph dimension",
+            ("classes", n_classes), ("violations", violations),
         )
     )
     for n in (2, 3, 4):
@@ -840,41 +822,80 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
         )
         vc = dimensions.vc_dimension(composed)
         checks.append(
-            CheckRecord(
-                name=f"closure-failure-{n}",
-                statement="two VC-0 factors compose to a fully shattering class",
-                measured=vc,
-                bound=n,
-                passed=vc == n,
+            _check(
+                f"closure-failure-{n}",
+                "two VC-0 factors compose to a fully shattering class",
+                vc, "==", n,
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
 
 
-SUITES: dict[str, Callable[[ExperimentConfig], Report]] = {
-    "soa-mistake-bound": suite_soa_mistake_bound,
-    "one-inclusion-loo": suite_one_inclusion_loo,
-    "experts-regret": suite_experts_regret,
-    "agnostic-online-regret": suite_agnostic_online_regret,
-    "disambiguation-bounds": suite_disambiguation_bounds,
-    "biclique-lower-bound": suite_biclique_lower_bound,
-    "compression-bounds": suite_compression_bounds,
-    "pac-realizable": suite_pac_realizable,
-    "erm-failure": suite_erm_failure,
-    "geometry": suite_geometry,
-    "approximation-monotonicity": suite_approximation_monotonicity,
-    "multiclass-inequalities": suite_multiclass_inequalities,
+# Each suite with the default of every parameter it reads.
+SUITES: dict[str, tuple[Callable[[ExperimentConfig], Report], dict]] = {
+    "soa-mistake-bound": (suite_soa_mistake_bound, {"classes": 200, "sequences": 20}),
+    "one-inclusion-loo": (
+        suite_one_inclusion_loo,
+        {"classes": 100, "max_len": 5, "cross_checks": 40, "multiset_classes": 10},
+    ),
+    "experts-regret": (suite_experts_regret, {"matrices": 100}),
+    "agnostic-online-regret": (
+        suite_agnostic_online_regret,
+        {"T": 12, "sequences": 20, "adversary_trials": 10_000, "adversary_T": 100},
+    ),
+    "disambiguation-bounds": (suite_disambiguation_bounds, {"classes": 100}),
+    "biclique-lower-bound": (suite_biclique_lower_bound, {"sizes": (4, 6, 8)}),
+    "compression-bounds": (suite_compression_bounds, {"samples": 500, "max_m": 64}),
+    "pac-realizable": (
+        suite_pac_realizable,
+        {"eps": 0.2, "delta": 0.1, "trials": 2000, "distributions": 10},
+    ),
+    "erm-failure": (suite_erm_failure, {"n": 20, "m": 5, "trials": 1000}),
+    "geometry": (suite_geometry, {"streams": 100}),
+    "approximation-monotonicity": (suite_approximation_monotonicity, {}),
+    "multiclass-inequalities": (suite_multiclass_inequalities, {"classes": 100}),
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` may stand for ``default``: the same type, except that an
+    int may stand for a float and a list for a tuple of values that fit."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, default[0]) for v in value
+        )
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
+    """Run one suite with ``cfg.params`` over its defaults.
+
+    An unknown parameter, or a value whose type does not fit the default,
+    raises ``ValueError`` naming the key before any work starts.
+    """
     if cfg.experiment not in SUITES:
         raise ValueError(
             f"unknown experiment {cfg.experiment!r}; "
             f"known: {', '.join(sorted(SUITES))}"
         )
-    report = SUITES[cfg.experiment](cfg)
-    return report
+    suite, defaults = SUITES[cfg.experiment]
+    for key, value in cfg.params.items():
+        if key not in defaults:
+            known = ", ".join(sorted(defaults)) or "none"
+            raise ValueError(
+                f"{cfg.experiment}: unknown parameter {key!r}; known: {known}"
+            )
+        default = defaults[key]
+        if not _fits(value, default):
+            raise ValueError(
+                f"{cfg.experiment}: parameter {key!r} must be "
+                f"{type(default).__name__} like its default {default!r}, got {value!r}"
+            )
+    return suite(replace(cfg, params={**defaults, **cfg.params}))
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +903,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 
 def emit_scaling_table(
-    experiment: str, grid: list[int], seed: int = 0
+    experiment: str, grid: list[int], seed: int
 ) -> tuple[list[str], list[list]]:
     """Rows of (grid point, measured metric, theoretical envelope).
 

@@ -25,6 +25,7 @@ DECISION_TOL = 1e-6
 CONVERGE_TOL = 1e-12
 WOLFE_MAX_ITER = 10_000  # Wolfe's method is finite; this only guards a stall
 PERCEPTRON_UPDATE_CAP = 10**6
+PERCEPTRON_PASSES = 4  # passes over a stream before the run stops unconverged
 MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
 
 
@@ -182,7 +183,6 @@ def hull_distance(
 
 @dataclass
 class SeparabilityReport:
-    ball_radius: float
     hull_gap: float
     separable: bool
     marginal: bool
@@ -198,7 +198,7 @@ def _separability(data: EuclideanDataset, r: float) -> SeparabilityReport:
     marginal = abs(r - data.radius) <= DECISION_TOL or (
         math.isfinite(gap) and abs(gap - 2 * data.gamma) <= DECISION_TOL
     )
-    return SeparabilityReport(r, gap, ball_ok and gap_ok, marginal)
+    return SeparabilityReport(gap, ball_ok and gap_ok, marginal)
 
 
 def separability_report(data: EuclideanDataset) -> SeparabilityReport:
@@ -213,12 +213,8 @@ def separability_report(data: EuclideanDataset) -> SeparabilityReport:
 @dataclass
 class PerceptronReport:
     mistakes: int
-    passes: int
     converged: bool
     bound_used: float
-    lifted_radius: float
-    margin: float
-    separator: Optional[np.ndarray]
 
 
 def _lifted_separator(points: np.ndarray, labels: np.ndarray) -> Optional[np.ndarray]:
@@ -238,16 +234,12 @@ def _lifted_separator(points: np.ndarray, labels: np.ndarray) -> Optional[np.nda
     return np.concatenate([z, [b]])
 
 
-def perceptron_run(
-    points: np.ndarray,
-    labels: np.ndarray,
-    max_passes: int = 1,
-) -> PerceptronReport:
+def perceptron_run(points: np.ndarray, labels: np.ndarray) -> PerceptronReport:
     """Classic perceptron on the lifted representation (unit bias coordinate).
 
-    Labels map 0 -> -1.  Runs up to ``max_passes`` over the sequence, early
-    stopping after a clean pass.  The reported bound is the classical mistake
-    bound evaluated with an explicitly constructed separator, so the
+    Labels map 0 -> -1.  Runs up to ``PERCEPTRON_PASSES`` over the sequence,
+    early stopping after a clean pass.  The reported bound is the classical
+    mistake bound evaluated with an explicitly constructed separator, so the
     inequality mistakes <= bound is checkable from the report alone.
     """
     pts = np.asarray(points, dtype=float)
@@ -256,9 +248,7 @@ def perceptron_run(
     w = np.zeros(lifted.shape[1])
     mistakes = 0
     converged = False
-    passes_done = 0
-    for _ in range(max_passes):
-        passes_done += 1
+    for _ in range(PERCEPTRON_PASSES):
         clean = True
         for x, y in zip(lifted, ys):
             if y * (w @ x) <= 0:
@@ -274,25 +264,12 @@ def perceptron_run(
             break
     lifted_radius = float(np.sqrt((lifted * lifted).sum(axis=1).max()))
     u = _lifted_separator(pts, np.asarray(labels, dtype=int))
-    if u is None:
+    margin = 0.0 if u is None else float((ys * (lifted @ u)).min())
+    if margin <= 0:
         bound = math.inf
-        margin = 0.0
     else:
-        margins = ys * (lifted @ u)
-        margin = float(margins.min())
-        if margin <= 0:
-            bound = math.inf
-        else:
-            bound = (lifted_radius * float(np.linalg.norm(u)) / margin) ** 2
-    return PerceptronReport(
-        mistakes=mistakes,
-        passes=passes_done,
-        converged=converged,
-        bound_used=bound,
-        lifted_radius=lifted_radius,
-        margin=margin,
-        separator=u,
-    )
+        bound = (lifted_radius * float(np.linalg.norm(u)) / margin) ** 2
+    return PerceptronReport(mistakes, converged, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +311,8 @@ def orthonormal_shattering_instance(
 
 @dataclass
 class LabelingCertificate:
-    labels: tuple[int, ...]
     witness_ok: bool
     generic_ok: bool
-    witness_norm: float
 
 
 def certify_orthonormal_labelings(
@@ -347,7 +322,8 @@ def certify_orthonormal_labelings(
 
     Each labeling is checked twice: by the explicit unit-ball witness vector
     (gamma/R times the signed sum of basis vectors) and by the generic
-    ball-plus-hull-gap checker.  Both verdicts are recorded per labeling.
+    ball-plus-hull-gap checker.  Both verdicts are recorded per labeling, in
+    the order of ``orthonormal_shattering_instance``.
     """
     family = orthonormal_shattering_instance(radius, gamma)
     _, r = min_enclosing_ball(family[0].points)  # every labeling has these points
@@ -362,12 +338,7 @@ def certify_orthonormal_labelings(
         )
         report = _separability(data, r)
         out.append(
-            LabelingCertificate(
-                labels=tuple(int(v) for v in data.labels),
-                witness_ok=witness_ok,
-                generic_ok=report.separable,
-                witness_norm=float(np.linalg.norm(w)),
-            )
+            LabelingCertificate(witness_ok=witness_ok, generic_ok=report.separable)
         )
     return out
 
@@ -429,7 +400,6 @@ class WeakGameValue:
     value: Fraction
     mixture: tuple[Fraction, ...]
     columns: tuple[tuple[int, ...], ...]
-    exact: bool = True
 
 
 def weak_learning_game(
@@ -472,7 +442,6 @@ class MajorityFitReport:
     rounds: int
     cap: int
     dual_dimension: int
-    reference_rounds: int
 
 
 def boosting_disambiguate_sample(
@@ -521,14 +490,7 @@ def boosting_disambiguate_sample(
             "the declared gamma is likely overstated"
         )
     hyp, rounds = fit
-    d_star = dual_vc_dimension(base)
-    report = MajorityFitReport(
-        rounds=rounds,
-        cap=cap,
-        dual_dimension=d_star,
-        reference_rounds=math.ceil(d_star / g**2),
-    )
-    return hyp, report
+    return hyp, MajorityFitReport(rounds, cap, dual_vc_dimension(base))
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +587,9 @@ def voronoi_disambiguate(
 class ProperFailureResult:
     proper_mean_error: Fraction
     improper_mean_error: Fraction
-    trials: int
 
 
-def erm_failure_simulate(
-    n: int, m: int, trials: int, seed: int = 0
-) -> ProperFailureResult:
+def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailureResult:
     """Half-support concepts: proper learners must guess the hidden support.
 
     The hidden concept labels a random size-n/2 subset with zeros and is
@@ -658,5 +617,4 @@ def erm_failure_simulate(
     return ProperFailureResult(
         proper_mean_error=total / trials,
         improper_mean_error=Fraction(0),
-        trials=trials,
     )

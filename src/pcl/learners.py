@@ -550,9 +550,7 @@ class AgnosticReport:
     hypothesis_error: Fraction
     class_error: Fraction
     kept: int
-    total: int
     bound: float
-    delta: float
 
 
 def agnostic_bound(vc: int, m: int, delta: float, empirical: float) -> float:
@@ -571,7 +569,7 @@ def agnostic_learn(
     """Fit the largest realizable subsequence, then boost it to consistency."""
     from .core import max_realizable_subsequence
 
-    kept = max_realizable_subsequence(cls, sample).indices
+    kept = max_realizable_subsequence(cls, sample)
     if not kept:
         hyp = Hypothesis(tuple([0] * cls.domain_size))
     else:
@@ -584,8 +582,6 @@ def agnostic_learn(
         hypothesis_error=err,
         class_error=class_err,
         kept=len(kept),
-        total=len(sample),
         bound=agnostic_bound(cls.vc, len(sample), delta, float(class_err)),
-        delta=delta,
     )
     return hyp, report

@@ -34,7 +34,6 @@ class Round:
     prediction: int
     y: int
     mistake: bool
-    probability: Optional[float] = None
 
 
 @dataclass
@@ -162,21 +161,12 @@ class MistakeAdversary:
         return self.play_bits(learner, bits)
 
     def play_bits(self, learner: Learner, bits: Sequence[int]) -> OnlineTranscript:
-        history: list[tuple[int, int]] = []
-        rounds = []
-        mistakes = 0
+        sequence = []
         node = self.tree
         for y in bits:
-            x = node.point
-            p = learner(history, x)
-            bad = p != y
-            mistakes += bad
-            rounds.append(Round(x, p, y, bad))
-            history.append((x, y))
+            sequence.append((node.point, y))
             node = node.zero if y == 0 else node.one
-        return OnlineTranscript(
-            tuple(rounds), mistakes, min_mistakes(self.cls, history)
-        )
+        return play_sequence(self.cls, learner, sequence)
 
     def exact_expected_mistakes(self, learner: Learner) -> Fraction:
         """Average mistakes of a deterministic learner over all 2^d branch strings."""
@@ -237,8 +227,6 @@ def experts_aggregate(
 
 @dataclass
 class AgnosticRunResult:
-    transcript: OnlineTranscript
-    mixtures: np.ndarray
     expected_mistakes: float
     best_in_class: int
     regret_bound: float
@@ -260,10 +248,9 @@ class AgnosticOnlineLearner:
     concept in the class, so the experts bound turns into a regret bound.
     """
 
-    def __init__(self, cls: PartialConceptClass, T: int, seed: int = 0):
+    def __init__(self, cls: PartialConceptClass, T: int):
         self.cls = cls
         self.T = T
-        self.seed = seed
         self.ld = littlestone_dimension(cls)
         self.n_experts = sum(comb(T, i) for i in range(self.ld + 1))
         if self.n_experts > MAX_EXPERTS:
@@ -285,16 +272,12 @@ class AgnosticOnlineLearner:
         if len(sequence) != self.T:
             raise ValueError(f"sequence length {len(sequence)} != T = {self.T}")
         soa = Soa(self.cls)
-        rng = random.Random(self.seed)
         N = self.n_experts
         eta = math.sqrt((8.0 / self.T) * math.log(N)) if N > 1 else 0.0
         packed = self.cls.packed
         masks = [packed.full] * N
         cum_losses = np.zeros(N)
-        mixtures = np.zeros(self.T)
         expected = 0.0
-        rounds = []
-        sampled_mistakes = 0
         for t, (x, y) in enumerate(sequence):
             preds = np.empty(N)
             for i, J in enumerate(self.flip_sets):
@@ -302,21 +285,14 @@ class AgnosticOnlineLearner:
                 preds[i] = 1 - s if t in J else s
             weights = np.exp(-eta * (cum_losses - cum_losses.min()))
             p_one = float(weights @ preds / weights.sum())
-            mixtures[t] = p_one
             expected += abs(p_one - y)
-            bit = 1 if rng.random() < p_one else 0
-            bad = bit != y
-            sampled_mistakes += bad
-            rounds.append(Round(x, bit, y, bad, probability=p_one))
             cum_losses += np.abs(preds - y)
             for i, J in enumerate(self.flip_sets):
                 if t in J:
                     flipped = int(preds[i])
                     masks[i] &= packed.label_masks[x][flipped]
-        best = min_mistakes(self.cls, sequence)
-        transcript = OnlineTranscript(tuple(rounds), sampled_mistakes, best)
         return AgnosticRunResult(
-            transcript, mixtures, expected, best, self.regret_bound()
+            expected, min_mistakes(self.cls, sequence), self.regret_bound()
         )
 
 

@@ -56,14 +56,11 @@ def _int_pair(entry, where: str) -> tuple[int, ...]:
     return tuple(entry)
 
 
-def class_to_dict(cls: PartialConceptClass, names: Optional[list[str]] = None) -> dict:
-    out = {
+def class_to_dict(cls: PartialConceptClass) -> dict:
+    return {
         "domain_size": cls.domain_size,
         "concepts": [str(h) for h in cls.concepts],
     }
-    if names is not None:
-        out["names"] = list(names)
-    return out
 
 
 def class_from_dict(obj: dict) -> tuple[PartialConceptClass, Optional[list[str]]]:

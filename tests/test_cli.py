@@ -39,7 +39,7 @@ def sample_file(tmp_path):
 class TestSerialize:
     def test_class_round_trip(self):
         cls = concept_class(3, ["01*", "1*0"])
-        rebuilt, names = class_from_dict(class_to_dict(cls, names=["a", "b", "c"]))
+        rebuilt, names = class_from_dict({**class_to_dict(cls), "names": ["a", "b", "c"]})
         assert rebuilt == cls
         assert names == ["a", "b", "c"]
 
@@ -217,6 +217,14 @@ class TestCliExperiment:
         assert main(["experiment", "erm-failure", "--trials", "10", "--out", prefix]) == 2
         assert prefix in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["clases=3", "classes=abc", "classes=2.5"])
+    def test_bad_param_exits_2(self, param, capsys):
+        argv = ["experiment", "soa-mistake-bound", "--param", param]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert repr(param.partition("=")[0]) in err
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "nonsense"])
@@ -373,7 +381,7 @@ class TestScalingTables:
     def test_empty_grid_yields_header_only(self):
         from pcl.experiments import emit_scaling_table
 
-        header, rows = emit_scaling_table("compression-size", [])
+        header, rows = emit_scaling_table("compression-size", [], seed=0)
         assert header == ["m", "measured_size", "envelope"]
         assert rows == []
 
@@ -391,7 +399,7 @@ class TestScalingTables:
         from pcl.experiments import emit_scaling_table
 
         with pytest.raises(ValueError):
-            emit_scaling_table("nonsense", [1])
+            emit_scaling_table("nonsense", [1], seed=0)
 
 
 class TestRandomClassGeneration:

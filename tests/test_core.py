@@ -290,26 +290,24 @@ class TestMaxRealizableSubsequence:
     def test_realizable_sample_keeps_everything(self):
         cls = concept_class(2, ["01"])
         s = labeled_sample([(0, 0), (1, 1), (0, 0)])
-        assert max_realizable_subsequence(cls, s).indices == (0, 1, 2)
+        assert max_realizable_subsequence(cls, s) == (0, 1, 2)
 
     def test_frozen_example(self):
         cls = concept_class(2, ["00"])
         s = labeled_sample([(0, 0), (1, 1), (1, 0)])
-        res = max_realizable_subsequence(cls, s)
-        assert res.indices == (0, 2)
-        assert res.mode == "exact"
+        assert max_realizable_subsequence(cls, s) == (0, 2)
 
     def test_all_star_class_keeps_nothing(self):
         cls = concept_class(2, ["**"])
         s = labeled_sample([(0, 0), (1, 1)])
-        assert max_realizable_subsequence(cls, s).indices == ()
+        assert max_realizable_subsequence(cls, s) == ()
 
     @settings(max_examples=60)
     @given(classes_with_samples(max_n=4, max_size=6, max_len=5))
     def test_matches_enumeration_oracle(self, cls_pairs):
         cls, pairs = cls_pairs
         sample = labeled_sample(pairs)
-        got = max_realizable_subsequence(cls, sample).indices
+        got = max_realizable_subsequence(cls, sample)
         assert got == max_realizable_by_enumeration(cls, sample)
 
     @settings(max_examples=40)
@@ -319,7 +317,7 @@ class TestMaxRealizableSubsequence:
         if not pairs:
             return
         sample = labeled_sample(pairs)
-        kept = len(max_realizable_subsequence(cls, sample).indices)
+        kept = len(max_realizable_subsequence(cls, sample))
         assert best_empirical_error(cls, sample) == Fraction(
             len(sample) - kept, len(sample)
         )

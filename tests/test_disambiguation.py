@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from pcl import disambiguation
+from pcl import dimensions
 from pcl.core import STAR, ContractViolation, concept, concept_class, total_class
 from pcl.dimensions import (
     littlestone_dimension,
@@ -286,7 +286,7 @@ class TestSupportIndicator:
 
     def test_graph_bound_check_raises(self, monkeypatch):
         # Indicator VC 1 against a graph dimension forced to 0 breaks VC <= graph.
-        monkeypatch.setattr(disambiguation, "graph_dimension", lambda cls: 0)
+        monkeypatch.setattr(dimensions, "graph_dimension", lambda cls: 0)
         with pytest.raises(AssertionError, match="exceeds graph dimension"):
             support_indicator_disambiguation(concept_class(2, ["1*", "*1"]))
 

@@ -1,0 +1,101 @@
+from fractions import Fraction
+
+import pytest
+
+from pcl import experiments
+from pcl.experiments import ExperimentConfig, _check, _tally, run_experiment
+
+
+class TestCheck:
+    @pytest.mark.parametrize(
+        "rel,at_edge,beyond",
+        [("<=", 5, 6), (">=", 1, 0)],
+    )
+    def test_tolerance_edge(self, rel, at_edge, beyond):
+        # bound 3 with tol 2: the edge is 3 + 2 for <= and 3 - 2 for >=
+        assert _check("c", "s", at_edge, rel, 3, tol=2).passed
+        assert not _check("c", "s", beyond, rel, 3, tol=2).passed
+
+    @pytest.mark.parametrize("rel", ["<=", ">=", "=="])
+    def test_exact_bound_passes(self, rel):
+        assert _check("c", "s", Fraction(1, 5), rel, Fraction(1, 5)).passed
+
+    def test_zero_tolerance_is_strict(self):
+        assert not _check("c", "s", Fraction(1, 5), "<=", Fraction(1, 6)).passed
+        assert not _check("c", "s", Fraction(1, 6), ">=", Fraction(1, 5)).passed
+        assert not _check("c", "s", 4, "==", 3).passed
+
+    def test_record_shows_what_it_judged(self):
+        record = _check("c", "s", 2.5, ">=", 2.0, tol=0.1, extra={"z": 1.0})
+        assert (record.measured, record.bound, record.extra) == (2.5, 2.0, {"z": 1.0})
+        assert record.passed is True
+        assert _check("c", "s", 1, "<=", 1).extra == {}
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation"):
+            _check("c", "s", 1, "<", 2)
+
+
+class TestTally:
+    def test_no_bad_case_passes(self):
+        record = _tally("t", "s", ("samples", 3), ("violations", 0))
+        assert record.passed
+        assert record.measured == {"samples": 3, "violations": 0}
+        assert record.bound == {"violations": 0}
+
+    def test_one_bad_case_fails(self):
+        assert not _tally("t", "s", ("samples", 3), ("violations", 1)).passed
+
+    def test_zero_cases_fail(self):
+        assert not _tally("t", "s", ("samples", 0), ("violations", 0)).passed
+
+
+class TestLiteralCrossCheck:
+    def test_fails_when_fewer_cross_checks_run_than_recorded(self):
+        # one class at this seed offers only 17 samples of <= 4 points
+        report = run_experiment(
+            ExperimentConfig("one-inclusion-loo", seed=4242, params={"classes": 1})
+        )
+        record = next(c for c in report.checks if c.name == "literal-cross-check")
+        assert (record.measured, record.bound, record.passed) == (17, 40, False)
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "params,named",
+        [
+            ({"clases": 3}, "'clases'"),
+            ({"classes": "abc"}, "'classes'"),
+            ({"classes": 2.5}, "'classes'"),
+            ({"classes": True}, "'classes'"),
+        ],
+    )
+    def test_bad_param_rejected_before_any_work(self, monkeypatch, params, named):
+        def never(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(
+            experiments.SUITES, "soa-mistake-bound", (never, {"classes": 200})
+        )
+        with pytest.raises(ValueError, match=named):
+            run_experiment(ExperimentConfig("soa-mistake-bound", params=params))
+
+    def test_merged_over_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            experiments.SUITES,
+            "pac-realizable",
+            (lambda cfg: seen.append(cfg.params), {"eps": 0.2, "trials": 2000}),
+        )
+        run_experiment(ExperimentConfig("pac-realizable", params={"eps": 1}))
+        assert seen == [{"eps": 1, "trials": 2000}]
+
+    def test_list_stands_for_tuple(self):
+        report = run_experiment(
+            ExperimentConfig("biclique-lower-bound", params={"sizes": [4]})
+        )
+        assert report.params == {"sizes": [4]} and report.n_failed == 0
+        with pytest.raises(ValueError, match="'sizes'"):
+            run_experiment(
+                ExperimentConfig("biclique-lower-bound", params={"sizes": [4, 5.5]})
+            )

@@ -177,7 +177,7 @@ class TestAgnosticOnline:
     def test_regret_bound_on_fixed_sequences(self):
         cls = concept_class(3, ["000", "111", "01*"])
         T = 8
-        learner = AgnosticOnlineLearner(cls, T=T, seed=4)
+        learner = AgnosticOnlineLearner(cls, T=T)
         rng = random.Random(9)
         for _ in range(12):
             seq = [(rng.randrange(3), rng.randint(0, 1)) for _ in range(T)]
@@ -187,7 +187,7 @@ class TestAgnosticOnline:
     def test_realizable_sequence_mistakes_small(self):
         cls = concept_class(3, ["000", "111"])
         T = 8
-        learner = AgnosticOnlineLearner(cls, T=T, seed=1)
+        learner = AgnosticOnlineLearner(cls, T=T)
         seq = [(x % 3, 1) for x in range(T)]
         res = learner.run(seq)
         ld = littlestone_dimension(cls)
