@@ -242,7 +242,7 @@ def cmd_construct(args) -> int:
         out = {
             "instance": serialize.biclique_to_dict(inst),
             "class": serialize.class_to_dict(cls),
-            "vc": dimensions.vc_dimension(cls),
+            "vc": cls.vc,
             "td": dimensions.threshold_dimension(cls),
         }
     elif args.kind == "margin":
@@ -368,11 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="compute a complexity measure of a class")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--measure",
-        required=True,
-        choices=["vc", "ld", "td", "strength", "natarajan", "graph", "support-vc", "dual"],
-    )
+    p.add_argument("--measure", required=True, choices=dimensions.MEASURES)
     p.add_argument("--witness", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dim)

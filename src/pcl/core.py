@@ -138,15 +138,36 @@ class PartialConceptClass:
         return LdSolver(self)
 
 
+def splits(sides: Sequence[tuple[int, int]], mask: int, points: Iterable[int]) -> bool:
+    """Whether splitting ``mask`` by ``sides[x] = (A, B)`` at each of ``points``
+    leaves all 2^|points| cells nonempty: shattering when the sides are the
+    0 and 1 label masks, a three-label notion of ``dimensions`` otherwise."""
+    if not mask:
+        return False
+    parts = [mask]
+    for x in points:
+        a_side, b_side = sides[x]
+        split = []
+        for m in parts:
+            a, b = m & a_side, m & b_side
+            if not a or not b:
+                return False
+            split.append(a)
+            split.append(b)
+        parts = split
+    return True
+
+
 class PackedClass:
     """A class encoded as concept bitmasks: bit i stands for ``concepts[i]``.
 
     ``label_masks[x][y]`` is the set of concepts with label y at point x, so
     restricting a subclass ``mask`` to ``h(x) = y`` is a single AND, and
-    ``full`` is the whole class.  A concept with STAR at x is in neither mask.
+    ``full`` is the whole class.  A concept with STAR at x is in neither mask
+    but in ``star_masks[x]``.
     """
 
-    __slots__ = ("full", "label_masks")
+    __slots__ = ("full", "label_masks", "star_masks")
 
     def __init__(self, cls: PartialConceptClass):
         self.full = (1 << len(cls.concepts)) - 1
@@ -155,6 +176,7 @@ class PackedClass:
             for x, v in enumerate(h.labels):
                 if v != STAR:
                     self.label_masks[x][v] |= 1 << i
+        self.star_masks = [self.full & ~(m0 | m1) for m0, m1 in self.label_masks]
 
     def mask_of(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Concepts labeling every (point, bit) pair as observed."""
@@ -165,20 +187,7 @@ class PackedClass:
 
     def shattered(self, mask: int, points: Sequence[int]) -> bool:
         """Whether the subclass ``mask`` realizes every 0/1 pattern on ``points``."""
-        if not mask:
-            return False
-        parts = [mask]
-        for x in points:
-            m0, m1 = self.label_masks[x]
-            split = []
-            for m in parts:
-                a, b = m & m0, m & m1
-                if not a or not b:
-                    return False
-                split.append(a)
-                split.append(b)
-            parts = split
-        return True
+        return splits(self.label_masks, mask, points)
 
     def patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
         """The 0/1 patterns on ``points`` some concept of the class realizes."""

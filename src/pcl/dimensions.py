@@ -2,6 +2,11 @@
 
 Everything here is enumeration-based and exact; the intended scale is desk
 size (domains up to ~14 points, classes up to a few dozen concepts).
+
+One kernel, ``core.splits``, decides every shattering notion: VC and strength
+split the class by the 0 and 1 label masks at each point, support VC by STAR
+against defined, graph by agreement with a realized pattern, and Natarajan by
+each choice of two labels per point.
 """
 
 from __future__ import annotations
@@ -14,19 +19,18 @@ from typing import Optional, Sequence
 
 from .core import (
     ONE,
-    STAR,
     ZERO,
     ContractViolation,
     PartialConcept,
     PartialConceptClass,
     TotalConceptClass,
+    splits,
 )
 
 
 def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     """A point set is shattered when every binary pattern on it is realized."""
-    packed = cls.packed
-    return packed.shattered(packed.full, points)
+    return cls.packed.shattered(cls.packed.full, points)
 
 
 def shattered_levels(n: int, holds, first: int = 0) -> list[list[tuple[int, ...]]]:
@@ -51,13 +55,18 @@ def shattered_levels(n: int, holds, first: int = 0) -> list[list[tuple[int, ...]
         levels.append(level)
 
 
+def _split_levels(cls: PartialConceptClass, sides) -> list[list[tuple[int, ...]]]:
+    """The point sets at which ``sides`` split the whole class into nonempty cells."""
+    return shattered_levels(cls.domain_size, partial(splits, sides, cls.packed.full))
+
+
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     """Largest shattered subset size.
 
     With ``witness=True`` returns ``(value, points)``, where ``points`` is the
     lexicographically first shattered set of that size.
     """
-    levels = shattered_levels(cls.domain_size, partial(is_shattered, cls))
+    levels = _split_levels(cls, cls.packed.label_masks)
     if witness:
         return len(levels), levels[-1][0] if levels else ()
     return len(levels)
@@ -65,8 +74,7 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
 
 def shattering_strength(cls: PartialConceptClass) -> int:
     """Number of shattered subsets of the domain, counting the empty set."""
-    levels = shattered_levels(cls.domain_size, partial(is_shattered, cls))
-    return 1 + sum(map(len, levels))
+    return 1 + sum(map(len, _split_levels(cls, cls.packed.label_masks)))
 
 
 class LdSolver:
@@ -135,45 +143,30 @@ def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
     return best
 
 
-def _ternary_patterns(cls: PartialConceptClass, pts: Sequence[int]) -> set[tuple[int, ...]]:
-    return {tuple(h[x] for x in pts) for h in cls.concepts}
-
-
 def _natarajan_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
-    # Per-coordinate label pairs may involve STAR; a set is N-shattered when
-    # some choice of unordered pairs realizes all 2^d selections.
-    pats = _ternary_patterns(cls, pts)
-    d = len(pts)
-    per_coord_values = [set(p[i] for p in pats) for i in range(d)]
-    pair_options = []
-    for vals in per_coord_values:
-        opts = [p for p in ((ZERO, ONE), (ZERO, STAR), (ONE, STAR)) if set(p) <= vals]
-        if not opts:
-            return False
-        pair_options.append(opts)
-    for assignment in product(*pair_options):
-        if all(
-            tuple(assignment[i][b] for i, b in enumerate(bits)) in pats
-            for bits in product((0, 1), repeat=d)
-        ):
-            return True
-    return False
+    # N-shattering picks two labels at each point (STAR counts as a label)
+    # and needs every selection between them realized: one split per choice.
+    packed = cls.packed
+    options = []
+    for x in pts:
+        (m0, m1), star = packed.label_masks[x], packed.star_masks[x]
+        options.append([(a, b) for a, b in ((m0, m1), (m0, star), (m1, star)) if a and b])
+    return any(splits(sides, packed.full, range(len(pts))) for sides in product(*options))
 
 
 def _graph_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
-    # Shattering by agreement indicators against some ternary reference
-    # pattern.  The all-agree indicator needs a concept equal to the
-    # reference on pts, so only patterns the class realizes there can serve.
-    pats = _ternary_patterns(cls, pts)
-    d = len(pts)
-    target = 1 << d
-    for ref in pats:
-        masks = set()
-        for p in pats:
-            masks.add(sum(1 << i for i in range(d) if p[i] == ref[i]))
-            if len(masks) == target:
-                return True
-    return False
+    # G-shattering splits by agreement with a ternary reference pattern.  The
+    # all-agree cell needs a concept equal to the reference on pts, so only
+    # patterns the class realizes there can serve.
+    packed = cls.packed
+    agree = [  # agree[i][v]: (label v at pts[i], any other label), STAR last
+        [(m, packed.full & ~m) for m in (*packed.label_masks[x], packed.star_masks[x])]
+        for x in pts
+    ]
+    return any(
+        splits([agree[i][v] for i, v in enumerate(ref)], packed.full, range(len(pts)))
+        for ref in {tuple(h[x] for x in pts) for h in cls.concepts}
+    )
 
 
 @dataclass(frozen=True)
@@ -181,15 +174,6 @@ class MulticlassDimensions:
     natarajan: int
     graph: int
     support_vc: int
-
-
-def support_class(cls: PartialConceptClass) -> TotalConceptClass:
-    """Indicator class of the supports: x maps to 1 iff h is defined at x."""
-    rows = tuple(
-        PartialConcept(tuple(ONE if v != STAR else ZERO for v in h.labels))
-        for h in cls.concepts
-    )
-    return TotalConceptClass(cls.domain_size, rows)
 
 
 def natarajan_dimension(cls: PartialConceptClass) -> int:
@@ -200,12 +184,18 @@ def graph_dimension(cls: PartialConceptClass) -> int:
     return len(shattered_levels(cls.domain_size, partial(_graph_shatters, cls)))
 
 
+def support_vc_dimension(cls: PartialConceptClass) -> int:
+    """VC dimension of the supports' indicator class: x maps to 1 iff h is defined."""
+    full = cls.packed.full
+    return len(_split_levels(cls, [(star, full & ~star) for star in cls.packed.star_masks]))
+
+
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:
     """Natarajan and graph dimensions of the three-label view, plus support VC."""
     return MulticlassDimensions(
         natarajan=natarajan_dimension(cls),
         graph=cls.graph,
-        support_vc=vc_dimension(support_class(cls)),
+        support_vc=support_vc_dimension(cls),
     )
 
 
@@ -218,22 +208,25 @@ def dual_vc_dimension(cls: PartialConceptClass) -> int:
     transposed = {tuple(h[x] for h in cls.concepts) for x in range(n)}
     dual = TotalConceptClass(len(cls.concepts), tuple(PartialConcept(r) for r in transposed))
     d_star = vc_dimension(dual)
-    d = vc_dimension(cls)
+    d = cls.vc
     if d_star > 2 ** (d + 1):
         raise AssertionError(f"dual dimension {d_star} exceeds 2^(d+1) for d={d}")
     return d_star
 
 
-_MEASURES = (
-    "vc",
-    "ld",
-    "td",
-    "strength",
-    "natarajan",
-    "graph",
-    "support-vc",
-    "dual",
-)
+# Each measure's value; vc, td and ld can also carry a witness.  The lambdas
+# look each function up when called, so a wrapper set on the module sees it.
+_VALUES = {
+    "vc": lambda cls: cls.vc,
+    "ld": lambda cls: littlestone_dimension(cls),
+    "td": lambda cls: threshold_dimension(cls),
+    "strength": lambda cls: shattering_strength(cls),
+    "natarajan": lambda cls: natarajan_dimension(cls),
+    "graph": lambda cls: cls.graph,
+    "support-vc": lambda cls: support_vc_dimension(cls),
+    "dual": lambda cls: dual_vc_dimension(cls),
+}
+MEASURES = tuple(_VALUES)
 
 
 @dataclass
@@ -251,7 +244,7 @@ class DimensionReport:
         """
         if self.measure == "vc" and self.witness is not None:
             pts = tuple(self.witness)
-            return len(pts) == self.value and (self.value == 0 or is_shattered(cls, pts))
+            return len(pts) == self.value and is_shattered(cls, pts)
         if self.measure == "td" and self.witness is not None:
             pts, hs = self.witness
             if len(pts) != self.value or len(hs) != self.value:
@@ -273,34 +266,18 @@ class DimensionReport:
 def measure_report(
     cls: PartialConceptClass, measure: str, witness: bool = False
 ) -> DimensionReport:
-    if measure not in _MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {_MEASURES}")
-    if measure == "vc":
-        if witness:
-            value, pts = vc_dimension(cls, witness=True)
-            return DimensionReport("vc", value, pts)
-        return DimensionReport("vc", vc_dimension(cls))
-    if measure == "ld":
-        value = littlestone_dimension(cls)
-        if witness:
-            from .online import littlestone_tree
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    if witness and measure == "vc":
+        return DimensionReport("vc", *vc_dimension(cls, witness=True))
+    if witness and measure == "td":
+        return DimensionReport("td", *threshold_dimension(cls, witness=True))
+    value = _VALUES[measure](cls)
+    if witness and measure == "ld":
+        from .online import littlestone_tree  # online builds on this module
 
-            return DimensionReport("ld", value, littlestone_tree(cls, value))
-        return DimensionReport("ld", value)
-    if measure == "td":
-        if witness:
-            value, chain = threshold_dimension(cls, witness=True)
-            return DimensionReport("td", value, chain)
-        return DimensionReport("td", threshold_dimension(cls))
-    if measure == "strength":
-        return DimensionReport("strength", shattering_strength(cls))
-    if measure == "natarajan":
-        return DimensionReport("natarajan", natarajan_dimension(cls))
-    if measure == "graph":
-        return DimensionReport("graph", cls.graph)
-    if measure == "support-vc":
-        return DimensionReport("support-vc", vc_dimension(support_class(cls)))
-    return DimensionReport("dual", dual_vc_dimension(cls))
+        return DimensionReport("ld", value, littlestone_tree(cls, value))
+    return DimensionReport(measure, value)
 
 
 def sauer_bound(n: int, d: int) -> int:

@@ -33,8 +33,9 @@ from .core import (
     PartialConceptClass,
     TotalConceptClass,
     labeled_sample,
+    splits,
 )
-from .dimensions import shattered_levels, vc_dimension
+from .dimensions import shattered_levels
 
 
 @dataclass
@@ -71,12 +72,13 @@ class _ShatterOracle:
     def __init__(self, cls: PartialConceptClass):
         self.packed = cls.packed
         self.n = cls.domain_size
-        self.d = vc_dimension(cls)
+        self.d = cls.vc
         self._strength: dict[int, int] = {0: 0}
         self._weight: dict[tuple[int, int], Fraction] = {}
 
     def _levels(self, mask: int, first: int = 0) -> list[list[tuple[int, ...]]]:
-        return shattered_levels(self.n, partial(self.packed.shattered, mask), first)
+        holds = partial(splits, self.packed.label_masks, mask)
+        return shattered_levels(self.n, holds, first)
 
     def strength(self, mask: int) -> int:
         cached = self._strength.get(mask)
@@ -383,7 +385,7 @@ def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation
         for h in cls.concepts
     }
     totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
-    bar_vc = vc_dimension(totals)
+    bar_vc = totals.vc
     graph_dim = cls.graph
     if bar_vc > graph_dim:
         raise AssertionError(

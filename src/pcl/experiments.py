@@ -193,15 +193,22 @@ def generate_random_class(
     return PartialConceptClass(n, tuple(concepts))
 
 
+def _draw_class(
+    rng: random.Random, max_n: int, max_size: int, stars: tuple[float, ...]
+) -> PartialConceptClass:
+    """A class on 2..max_n points of 2..max_size concepts, with a star
+    probability from ``stars``; n, size, star and seed are drawn in that order."""
+    n = rng.randint(2, max_n)
+    size = rng.randint(2, min(max_size, 2**n))
+    return generate_random_class(n, size, rng.choice(stars), rng.randrange(2**31))
+
+
 def _random_class_with_vc_cap(
     rng: random.Random, max_n: int, max_size: int, vc_cap: int
 ) -> PartialConceptClass:
     for _ in range(1000):
-        n = rng.randint(2, max_n)
-        size = rng.randint(2, min(max_size, 2**n))
-        star = rng.choice([0.2, 0.35, 0.5, 0.65])
-        cls = generate_random_class(n, size, star, rng.randrange(2**31))
-        if dimensions.vc_dimension(cls) <= vc_cap:
+        cls = _draw_class(rng, max_n, max_size, (0.2, 0.35, 0.5, 0.65))
+        if cls.vc <= vc_cap:
             return cls
     raise RuntimeError(f"no class with VC <= {vc_cap} found in 1000 draws")
 
@@ -226,11 +233,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
     checks = []
     for i in range(n_classes):
         rng = split_rng(cfg.seed, "soa", i)
-        n = rng.randint(2, 8)
-        cls = generate_random_class(
-            n, rng.randint(2, min(32, 2**n)), rng.choice([0.0, 0.25, 0.5]),
-            rng.randrange(2**31),
-        )
+        cls = _draw_class(rng, 8, 32, (0.0, 0.25, 0.5))
         soa = online.Soa(cls)
         packed = cls.packed
         ld = soa.solver.ld(packed.full)
@@ -277,14 +280,9 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
     multiset_samples = 0
     multiset_violations = 0
     for i in range(n_classes):
-        rng = split_rng(cfg.seed, "loo", i)
-        n = rng.randint(2, 6)
-        cls = generate_random_class(
-            n, rng.randint(2, min(32, 2**n)), rng.choice([0.0, 0.3, 0.5]),
-            rng.randrange(2**31),
-        )
+        cls = _draw_class(split_rng(cfg.seed, "loo", i), 6, 32, (0.0, 0.3, 0.5))
         cache = learners.OneInclusionCache()
-        d = dimensions.vc_dimension(cls)
+        d = cls.vc
         worst_excess = Fraction(-1)
         for k in range(1, min(cfg.params["max_len"], cls.domain_size) + 1):
             for pts in combinations(range(cls.domain_size), k):
@@ -402,7 +400,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             )
         )
     # (b) lower side: the block adversary forces (1/4) sqrt(dT) regret
-    trials = cfg.trials or cfg.params["adversary_trials"]
+    trials = cfg.params["adversary_trials"]
     T_adv = cfg.params["adversary_T"]
     rng_np = split_np(cfg.seed, "ao-adversary")
     ys = (rng_np.random((trials, T_adv)) < 0.5).astype(np.int64)
@@ -467,7 +465,7 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
         rng = split_rng(cfg.seed, "disamb", i)
         cls = _random_class_with_vc_cap(rng, max_n=12, max_size=16, vc_cap=3)
         n = cls.domain_size
-        d = dimensions.vc_dimension(cls)
+        d = cls.vc
         s = dimensions.shattering_strength(cls)
         res = disambiguation.vc_majority_disambiguate(cls)
         max_updates = max(res.update_count(h) for h in cls)
@@ -513,7 +511,7 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
     for m in sizes:
         inst = disambiguation.star_partition_instance(m)
         cls = disambiguation.biclique_class(inst)
-        vc = dimensions.vc_dimension(cls)
+        vc = cls.vc
         pair_ok = all(
             len(cls.binary_patterns((a, b))) <= 2
             for a in range(cls.domain_size)
@@ -549,7 +547,7 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
 
 
 def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
-    n_samples = cfg.trials or cfg.params["samples"]
+    n_samples = cfg.params["samples"]
     caches: dict = {}
     failures = []
     max_size = 0
@@ -565,8 +563,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
         if not seq:
             continue
         sample = labeled_sample(seq)
-        vc = dimensions.vc_dimension(cls)
-        k = learners.boosting_round_size(vc)
+        k = learners.boosting_round_size(cls.vc)
         hyp, comp = learners.alpha_boost_compress(
             cls, sample, seed=rng.randrange(2**31), cache=cache
         )
@@ -603,7 +600,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
 def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
     eps = cfg.params["eps"]
     delta = cfg.params["delta"]
-    trials = cfg.trials or cfg.params["trials"]
+    trials = cfg.params["trials"]
     checks = []
     for i in range(cfg.params["distributions"]):
         rng = split_rng(cfg.seed, "pac", i)
@@ -652,7 +649,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
 def suite_erm_failure(cfg: ExperimentConfig) -> Report:
     n = cfg.params["n"]
     m = cfg.params["m"]
-    trials = cfg.trials or cfg.params["trials"]
+    trials = cfg.params["trials"]
     res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(cfg.seed, "erm"))
     checks = [
         _check(
@@ -791,16 +788,10 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
     checks = []
     violations = 0
     for i in range(n_classes):
-        rng = split_rng(cfg.seed, "multiclass", i)
-        n = rng.randint(2, 8)
-        cls = generate_random_class(
-            n, rng.randint(2, min(20, 2**n)), rng.choice([0.2, 0.4, 0.6]),
-            rng.randrange(2**31),
-        )
+        cls = _draw_class(split_rng(cfg.seed, "multiclass", i), 8, 20, (0.2, 0.4, 0.6))
         mc = dimensions.multiclass_dimensions(cls)
-        vc = dimensions.vc_dimension(cls)
         res = disambiguation.support_indicator_disambiguation(cls)
-        ok = mc.natarajan <= vc + mc.support_vc and res.info["vc"] <= mc.graph
+        ok = mc.natarajan <= cls.vc + mc.support_vc and res.info["vc"] <= mc.graph
         violations += not ok
     checks.append(
         _tally(
@@ -820,12 +811,11 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
         composed = disambiguation.majority_compose(
             [h1, h2], disambiguation.majority_table(2)
         )
-        vc = dimensions.vc_dimension(composed)
         checks.append(
             _check(
                 f"closure-failure-{n}",
                 "two VC-0 factors compose to a fully shattering class",
-                vc, "==", n,
+                composed.vc, "==", n,
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
@@ -856,6 +846,14 @@ SUITES: dict[str, tuple[Callable[[ExperimentConfig], Report], dict]] = {
     "multiclass-inequalities": (suite_multiclass_inequalities, {"classes": 100}),
 }
 
+# The parameter ``--trials`` sets, and its least value (a sigma takes two trials).
+TRIAL_KEYS: dict[str, tuple[str, int]] = {
+    "agnostic-online-regret": ("adversary_trials", 2),
+    "compression-bounds": ("samples", 1),
+    "pac-realizable": ("trials", 1),
+    "erm-failure": ("trials", 1),
+}
+
 
 def _fits(value, default) -> bool:
     """Whether ``value`` may stand for ``default``: the same type, except that an
@@ -872,10 +870,12 @@ def _fits(value, default) -> bool:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run one suite with ``cfg.params`` over its defaults.
+    """Run one suite with ``cfg.params`` over its defaults and ``cfg.trials``
+    over its ``TRIAL_KEYS`` parameter.
 
-    An unknown parameter, or a value whose type does not fit the default,
-    raises ``ValueError`` naming the key before any work starts.
+    An unknown parameter (``--trials`` for a suite without trials), a value
+    whose type does not fit the default, or a trial count below its least
+    value raises ``ValueError`` naming the key before any work starts.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -883,7 +883,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             f"known: {', '.join(sorted(SUITES))}"
         )
     suite, defaults = SUITES[cfg.experiment]
-    for key, value in cfg.params.items():
+    params = dict(cfg.params)
+    # a suite without trials knows no parameter "--trials"
+    trial_key, least = TRIAL_KEYS.get(cfg.experiment, ("--trials", 0))
+    if cfg.trials is not None:
+        params[trial_key] = cfg.trials
+    for key, value in params.items():
         if key not in defaults:
             known = ", ".join(sorted(defaults)) or "none"
             raise ValueError(
@@ -895,7 +900,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 f"{cfg.experiment}: parameter {key!r} must be "
                 f"{type(default).__name__} like its default {default!r}, got {value!r}"
             )
-    return suite(replace(cfg, params={**defaults, **cfg.params}))
+    params = {**defaults, **params}
+    if params.get(trial_key, least) < least:
+        raise ValueError(
+            f"{cfg.experiment}: parameter {trial_key!r}, which --trials sets, must be "
+            f"at least {least}, got {params[trial_key]}"
+        )
+    return suite(replace(cfg, params=params))
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +927,7 @@ def emit_scaling_table(
         for m in grid:
             rng = split_rng(seed, "scale-compress", m)
             cls = _random_class_with_vc_cap(rng, max_n=6, max_size=20, vc_cap=3)
-            k = learners.boosting_round_size(dimensions.vc_dimension(cls))
+            k = learners.boosting_round_size(cls.vc)
             seq = _random_realizable_sequence(cls, rng, m)
             sample = labeled_sample(seq)
             _, comp = learners.alpha_boost_compress(
@@ -936,7 +947,7 @@ def emit_scaling_table(
                     n, min(2 * n, 2**n), rng.choice([0.5, 0.65, 0.8]),
                     rng.randrange(2**31),
                 )
-                if dimensions.vc_dimension(candidate) == 1:
+                if candidate.vc == 1:
                     cls = candidate
                     break
             if cls is None:

@@ -13,18 +13,20 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 from .core import (
     ContractViolation,
     LabeledSample,
-    PartialConcept,
     PartialConceptClass,
     best_empirical_error,
     is_realizable,
     labeled_sample,
+    splits,
 )
+from .dimensions import littlestone_dimension, shattered_levels
 from .online import Soa
 
 
@@ -90,10 +92,11 @@ class OneInclusionGraph:
     """Realizable total patterns on a point set, with a low-out-degree orientation.
 
     Vertices are the 0/1 patterns the class realizes on ``points``; edges join
-    patterns differing in one coordinate.  The orientation is repaired by
-    reversing a directed path from any vertex above the out-degree target to
-    one below it; such a path always exists because every induced subgraph of
-    a one-inclusion graph of a VC-d class has edge density at most d.
+    patterns differing in one coordinate; ``vc`` is the VC dimension of the
+    patterns.  The orientation is repaired by reversing a directed path from
+    any vertex above the out-degree target to one below it; such a path
+    always exists because every induced subgraph of a one-inclusion graph of
+    a VC-d class has edge density at most d.
     """
 
     def __init__(self, cls: PartialConceptClass, points: tuple[int, ...]):
@@ -105,10 +108,12 @@ class OneInclusionGraph:
             )
         self.patterns = pats
         self.index = {p: i for i, p in enumerate(pats)}
-        pattern_cls = PartialConceptClass(
-            len(points), tuple(PartialConcept(p) for p in pats)
-        )
-        self.vc = pattern_cls.vc
+        # the patterns' VC: concepts defined on all of points, over subsets of them
+        sides = [cls.packed.label_masks[x] for x in points]
+        defined = cls.packed.full
+        for m0, m1 in sides:
+            defined &= m0 | m1
+        self.vc = len(shattered_levels(len(points), partial(splits, sides, defined)))
         self.head: dict[tuple[int, int], int] = {}
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
@@ -519,8 +524,6 @@ class CompressionScheme:
 
 
 def ld_compression_scheme(cls: PartialConceptClass) -> CompressionScheme:
-    from .dimensions import littlestone_dimension
-
     soa = Soa(cls)
 
     def rebuild(sample: LabeledSample, bits: tuple[int, ...]) -> Hypothesis:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pcl.core import STAR, LabeledSample, PartialConceptClass
+from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
 from pcl.learners import OneInclusionGraph
 from pcl.online import Learner
 
@@ -58,6 +58,13 @@ def vc_by_definition(cls: PartialConceptClass) -> int:
 
 def strength_by_definition(cls: PartialConceptClass) -> int:
     return len(shattered_sets_by_definition(cls))
+
+
+def support_vc_by_definition(cls: PartialConceptClass) -> int:
+    """VC of the indicator class of the supports: x maps to 1 iff h is defined at x."""
+    rows = {tuple(int(v != STAR) for v in h.labels) for h in cls.concepts}
+    indicators = tuple(PartialConcept(r) for r in rows)
+    return vc_by_definition(PartialConceptClass(cls.domain_size, indicators))
 
 
 def one_inclusion_by_definition(cls: PartialConceptClass, train, test: int) -> int:

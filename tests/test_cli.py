@@ -292,6 +292,19 @@ class TestCliContract:
         argv = ["online", "--input", class_file, "--mode", "adversary-regret", "--d", "0"]
         self._fails_naming(argv, "depth d", capsys)
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["erm-failure", "--trials", "0"], "'trials'"),
+            (["pac-realizable", "--trials", "-2"], "'trials'"),
+            (["pac-realizable", "--param", "trials=0"], "'trials'"),
+            (["geometry", "--trials", "3"], "--trials"),
+            (["agnostic-online-regret", "--trials", "1"], "'adversary_trials'"),
+        ],
+    )
+    def test_bad_trial_count(self, args, named, capsys):
+        self._fails_naming(["experiment", *args], named, capsys)
+
     def test_report_without_checks_does_not_pass(self, capsys):
         argv = ["experiment", "soa-mistake-bound", "--param", "classes=-1"]
         self._fails_naming(argv, "'classes': -1", capsys)

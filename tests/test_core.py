@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from pcl.core import (
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
+    splits,
     uniform_on,
 )
 from pcl.dimensions import is_shattered
@@ -161,8 +163,46 @@ def packed_cases(draw):
     return cls, points, pairs
 
 
+@st.composite
+def split_cases(draw):
+    """A class (some columns possibly all STAR), a subclass mask, a point tuple
+    and two distinct labels per point."""
+    cls = draw(classes_with_blank_columns())
+    n = cls.domain_size
+    mask = draw(st.integers(0, cls.packed.full))
+    points = tuple(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    labels = st.sampled_from([(a, b) for a in (0, 1, STAR) for b in (0, 1, STAR) if a != b])
+    return cls, mask, points, [draw(labels) for _ in range(n)]
+
+
 class TestPackedClass:
     """The bitmask kernel against the literal pattern enumeration."""
+
+    @settings(max_examples=150)
+    @given(split_cases())
+    @example((concept_class(2, ["0*", "*1"]), 0b11, (0, 1), [(0, STAR), (STAR, 1)]))
+    @example((concept_class(2, ["0*", "*1"]), 0, (), [(0, 1), (0, 1)]))
+    def test_split_kernel_matches_brute_force(self, case):
+        cls, mask, points, labels = case
+        packed = cls.packed
+        kept = [h for i, h in enumerate(cls.concepts) if mask >> i & 1]
+
+        def every_cell(on_side):
+            # some kept concept h with on_side(h, x, bit) at every point, per bits
+            return bool(kept) and all(
+                any(all(on_side(h, x, b) for x, b in zip(points, bits)) for h in kept)
+                for bits in product((0, 1), repeat=len(points))
+            )
+
+        by_label = [(*m, star) for m, star in zip(packed.label_masks, packed.star_masks)]
+        label_sides = [(by_label[x][a], by_label[x][b]) for x, (a, b) in enumerate(labels)]
+        assert splits(label_sides, mask, points) == every_cell(
+            lambda h, x, b: h[x] == labels[x][b]
+        )
+        support_sides = [(star, packed.full & ~star) for star in packed.star_masks]
+        assert splits(support_sides, mask, points) == every_cell(
+            lambda h, x, b: (h[x] != STAR) == b
+        )
 
     @settings(max_examples=150)
     @given(packed_cases())

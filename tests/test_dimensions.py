@@ -19,7 +19,6 @@ from pcl.dimensions import (
     natarajan_dimension,
     sauer_bound,
     shattering_strength,
-    support_class,
     threshold_dimension,
     vc_dimension,
 )
@@ -32,6 +31,7 @@ from _oracles import (
     restrict,
     shattered_sets_by_definition,
     strength_by_definition,
+    support_vc_by_definition,
     td_by_definition,
     vc_by_definition,
 )
@@ -97,6 +97,7 @@ class TestShatteredLevels:
         cls, mask, x = case
         assert natarajan_dimension(cls) == natarajan_by_definition(cls)
         assert graph_dimension(cls) == graph_by_definition(cls)
+        assert measure_report(cls, "support-vc").value == support_vc_by_definition(cls)
         sets = shattered_sets_by_definition(cls)
         d = len(sets[-1])
         first_largest = next(pts for pts in sets if len(pts) == d)
@@ -221,10 +222,6 @@ class TestMulticlassDimensions:
         mc = multiclass_dimensions(cls)
         assert vc_dimension(cls) <= mc.natarajan <= mc.graph
         assert mc.natarajan <= vc_dimension(cls) + mc.support_vc
-
-    def test_support_class_indicator(self):
-        cls = concept_class(2, ["1*", "*1"])
-        assert support_class(cls) == total_class(2, ["10", "01"])
 
 
 class TestDualVcDimension:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcl import learners
-from pcl.core import STAR, ContractViolation, concept_class, labeled_sample, uniform_on
+from pcl.core import (
+    STAR,
+    ContractViolation,
+    PartialConcept,
+    PartialConceptClass,
+    concept_class,
+    labeled_sample,
+    uniform_on,
+)
 from pcl.dimensions import littlestone_dimension, vc_dimension
 from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import (
@@ -15,6 +23,7 @@ from pcl.learners import (
     CompressionOutput,
     Hypothesis,
     OneInclusionCache,
+    OneInclusionGraph,
     agnostic_learn,
     alpha_boost_compress,
     boosting_round_cap,
@@ -28,7 +37,7 @@ from pcl.learners import (
     reconstruct,
 )
 
-from _oracles import one_inclusion_by_definition
+from _oracles import one_inclusion_by_definition, vc_by_definition
 from _strategies import classes, classes_with_blank_columns
 import random
 
@@ -142,6 +151,23 @@ class TestOneInclusion:
             graph = cache.graph(cls, pts)
             assert max(map(len, graph.out)) <= graph.vc
             assert graph.vc <= vc_dimension(cls)
+
+    def test_vc_counts_only_concepts_defined_on_the_points(self):
+        # "0*1" and "1*1" shatter {0}, but only "110" is defined on both points
+        cls = concept_class(3, ["0*1", "110", "1*1", "1**", "*10", "*11", "***"])
+        assert cls.vc == 1
+        assert OneInclusionGraph(cls, (0, 1)).vc == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(classes_with_blank_columns())
+    def test_vc_is_that_of_the_patterns(self, cls):
+        n = cls.domain_size
+        for k in range(1, n + 1):
+            for pts in combinations(range(n), k):
+                pats = cls.binary_patterns(pts)
+                if pats:
+                    patterns = PartialConceptClass(k, tuple(map(PartialConcept, pats)))
+                    assert OneInclusionGraph(cls, pts).vc == vc_by_definition(patterns)
 
 
 class TestPacWrapper:
