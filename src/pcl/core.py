@@ -137,6 +137,13 @@ class PartialConceptClass:
 
         return LdSolver(self)
 
+    @cached_property
+    def one_inclusion(self) -> "OneInclusionCache":
+        """The store of this class's one-inclusion graphs, one per point set."""
+        from .learners import OneInclusionCache  # learners builds on this module
+
+        return OneInclusionCache()
+
 
 def splits(sides: Sequence[tuple[int, int]], mask: int, points: Iterable[int]) -> bool:
     """Whether splitting ``mask`` by ``sides[x] = (A, B)`` at each of ``points``

@@ -281,14 +281,13 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
     multiset_violations = 0
     for i in range(n_classes):
         cls = _draw_class(split_rng(cfg.seed, "loo", i), 6, 32, (0.0, 0.3, 0.5))
-        cache = learners.OneInclusionCache()
         d = cls.vc
         worst_excess = Fraction(-1)
         for k in range(1, min(cfg.params["max_len"], cls.domain_size) + 1):
             for pts in combinations(range(cls.domain_size), k):
                 if not cls.binary_patterns(pts):
                     continue
-                graph = cache.graph(cls, pts)
+                graph = cls.one_inclusion.graph(cls, pts)
                 for v in graph.patterns:
                     out_deg = graph.out_degree(v)
                     # the permutation-averaged leave-one-out error of the
@@ -299,7 +298,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                     worst_excess = max(worst_excess, loo - bound)
                     if literal_checked < cross_checks and k <= 4:
                         sample = labeled_sample(list(zip(pts, v)))
-                        if learners.loo_error(cls, sample, cache) != loo:
+                        if learners.loo_error(cls, sample) != loo:
                             raise AssertionError(
                                 "orientation-based average disagrees with the "
                                 "literal leave-one-out computation"
@@ -322,7 +321,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                     for pattern in sorted(cls.binary_patterns(support)):
                         lookup = dict(zip(support, pattern))
                         sample = labeled_sample((x, lookup[x]) for x in pts)
-                        loo = learners.loo_error(cls, sample, cache)
+                        loo = learners.loo_error(cls, sample)
                         multiset_samples += 1
                         if loo > Fraction(d, size):
                             multiset_violations += 1
@@ -548,7 +547,6 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
 
 def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
     n_samples = cfg.params["samples"]
-    caches: dict = {}
     failures = []
     max_size = 0
     max_rounds = 0
@@ -556,20 +554,17 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
     for i in range(n_samples):
         rng = split_rng(cfg.seed, "compress", i)
         cls = _random_class_with_vc_cap(rng, max_n=8, max_size=16, vc_cap=3)
-        key = cls.concepts
-        cache = caches.setdefault(key, learners.OneInclusionCache())
         m = rng.randint(1, cfg.params["max_m"])
         seq = _random_realizable_sequence(cls, rng, m)
         if not seq:
             continue
         sample = labeled_sample(seq)
         k = learners.boosting_round_size(cls.vc)
-        hyp, comp = learners.alpha_boost_compress(
-            cls, sample, seed=rng.randrange(2**31), cache=cache
-        )
+        seed = rng.randrange(2**31)
+        hyp, comp = learners.alpha_boost_compress(cls, sample, seed=seed)
         consistent = hyp.sample_error(sample) == 0
         size_bound = k * learners.boosting_round_cap(len(sample)) + len(comp.bits)
-        rebuilt = learners.reconstruct(cls, comp, cache=cache)
+        rebuilt = learners.reconstruct(cls, comp)
         round_trip = rebuilt == hyp
         ld = dimensions.littlestone_dimension(cls)
         ld_comp = learners.ld_compress(cls, sample)
@@ -617,13 +612,10 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
             {(x, target[x]): Fraction(w, total) for x, w in zip(supp, weights)}
         )
         schedule = learners.pac_schedule(cls.vc, eps, delta)
-        cache = learners.OneInclusionCache()
         failures = 0
         for t in range(trials):
             sample = dist.sample(split_rng(cfg.seed, "pac-draw", i, t), schedule.total)
-            hyp = learners.pac_learn_realizable(
-                cls, sample, eps, delta, cache=cache
-            )
+            hyp = learners.pac_learn_realizable(cls, sample, eps, delta)
             err = sum(
                 w for (x, y), w in dist.atoms if hyp.labels[x] != y
             )
@@ -846,12 +838,21 @@ SUITES: dict[str, tuple[Callable[[ExperimentConfig], Report], dict]] = {
     "multiclass-inequalities": (suite_multiclass_inequalities, {"classes": 100}),
 }
 
-# The parameter ``--trials`` sets, and its least value (a sigma takes two trials).
-TRIAL_KEYS: dict[str, tuple[str, int]] = {
-    "agnostic-online-regret": ("adversary_trials", 2),
-    "compression-bounds": ("samples", 1),
-    "pac-realizable": ("trials", 1),
-    "erm-failure": ("trials", 1),
+# The parameter ``--trials`` sets.
+TRIAL_KEYS: dict[str, str] = {
+    "agnostic-online-regret": "adversary_trials",
+    "compression-bounds": "samples",
+    "pac-realizable": "trials",
+    "erm-failure": "trials",
+}
+
+# The least value of each parameter that has one (a sigma takes two trials).
+LEAST: dict[str, dict[str, int]] = {
+    "one-inclusion-loo": {"max_len": 1},
+    "agnostic-online-regret": {"adversary_trials": 2},
+    "compression-bounds": {"samples": 1, "max_m": 1},
+    "pac-realizable": {"trials": 1},
+    "erm-failure": {"trials": 1},
 }
 
 
@@ -874,8 +875,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     over its ``TRIAL_KEYS`` parameter.
 
     An unknown parameter (``--trials`` for a suite without trials), a value
-    whose type does not fit the default, or a trial count below its least
-    value raises ``ValueError`` naming the key before any work starts.
+    whose type does not fit the default, or a value below its ``LEAST``
+    raises ``ValueError`` naming the key before any work starts.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -885,7 +886,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     suite, defaults = SUITES[cfg.experiment]
     params = dict(cfg.params)
     # a suite without trials knows no parameter "--trials"
-    trial_key, least = TRIAL_KEYS.get(cfg.experiment, ("--trials", 0))
+    trial_key = TRIAL_KEYS.get(cfg.experiment, "--trials")
     if cfg.trials is not None:
         params[trial_key] = cfg.trials
     for key, value in params.items():
@@ -901,11 +902,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 f"{type(default).__name__} like its default {default!r}, got {value!r}"
             )
     params = {**defaults, **params}
-    if params.get(trial_key, least) < least:
-        raise ValueError(
-            f"{cfg.experiment}: parameter {trial_key!r}, which --trials sets, must be "
-            f"at least {least}, got {params[trial_key]}"
-        )
+    for key, least in LEAST.get(cfg.experiment, {}).items():
+        if params[key] < least:
+            via = ", which --trials sets," if key == trial_key else ""
+            raise ValueError(
+                f"{cfg.experiment}: parameter {key!r}{via} must be "
+                f"at least {least}, got {params[key]}"
+            )
     return suite(replace(cfg, params=params))
 
 

@@ -114,14 +114,12 @@ class OneInclusionGraph:
         for m0, m1 in sides:
             defined &= m0 | m1
         self.vc = len(shattered_levels(len(points), partial(splits, sides, defined)))
-        self.head: dict[tuple[int, int], int] = {}
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
             for c in range(len(points)):
                 q = p[:c] + (1 - p[c],) + p[c + 1 :]
                 j = self.index.get(q)
-                if j is not None and j > i:
-                    self.head[(i, j)] = j  # initial orientation: toward the larger id
+                if j is not None and j > i:  # initial orientation: toward the larger id
                     self.out[i].append(j)
         self._repair_orientation()
 
@@ -159,8 +157,6 @@ class OneInclusionGraph:
                 prev = parent[node]
                 self.out[prev].remove(node)
                 self.out[node].append(prev)
-                key = (min(prev, node), max(prev, node))
-                self.head[key] = prev
                 node = prev
 
     def out_degree(self, pattern: tuple[int, ...]) -> int:
@@ -168,12 +164,14 @@ class OneInclusionGraph:
 
     def oriented_toward(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Head pattern of the edge {a, b}."""
-        i, j = self.index[a], self.index[b]
-        return self.patterns[self.head[(min(i, j), max(i, j))]]
+        return b if self.index[b] in self.out[self.index[a]] else a
 
 
 class OneInclusionCache:
-    """Memoizes one-inclusion graphs keyed by (class, point set)."""
+    """Memoizes one-inclusion graphs keyed by (class, point set).
+
+    Each class keeps one as ``PartialConceptClass.one_inclusion``.
+    """
 
     def __init__(self) -> None:
         self._graphs: dict[tuple, OneInclusionGraph] = {}
@@ -188,7 +186,7 @@ class OneInclusionCache:
 
 
 def _predictor(
-    cls: PartialConceptClass, train: LabeledSample, cache: OneInclusionCache
+    cls: PartialConceptClass, train: LabeledSample, graphs: OneInclusionCache
 ) -> Callable[[int], int]:
     """The one-inclusion predictor trained on ``train``, as a function of the test point.
 
@@ -220,47 +218,37 @@ def _predictor(
         points = tuple(sorted({*constraints, test}))
         a = tuple(constraints.get(x, 0) for x in points)
         b = tuple(constraints.get(x, 1) for x in points)
-        return cache.graph(cls, points).oriented_toward(a, b)[points.index(test)]
+        return graphs.graph(cls, points).oriented_toward(a, b)[points.index(test)]
 
     return predict
 
 
 def one_inclusion_predict(
-    cls: PartialConceptClass,
-    train: LabeledSample,
-    test: int,
-    cache: Optional[OneInclusionCache] = None,
+    cls: PartialConceptClass, train: LabeledSample, test: int
 ) -> int:
     """Predict the test label from the oriented one-inclusion graph."""
-    return _predictor(cls, train, cache or OneInclusionCache())(test)
+    return _predictor(cls, train, cls.one_inclusion)(test)
 
 
 def materialize_transductive(
-    cls: PartialConceptClass,
-    train: LabeledSample,
-    cache: Optional[OneInclusionCache] = None,
+    cls: PartialConceptClass, train: LabeledSample
 ) -> Hypothesis:
     """Evaluate the one-inclusion predictor at every domain point."""
-    predict = _predictor(cls, train, cache or OneInclusionCache())
+    predict = _predictor(cls, train, cls.one_inclusion)
     return Hypothesis(tuple(map(predict, range(cls.domain_size))))
 
 
-def loo_error(
-    cls: PartialConceptClass,
-    sample: LabeledSample,
-    cache: Optional[OneInclusionCache] = None,
-) -> Fraction:
+def loo_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
     """Exact permutation-averaged leave-one-out error of the predictor.
 
     The predictor ignores the order of its training sequence, so averaging
     over all |S|! permutations reduces to leaving each entry out once.
     """
-    cache = cache or OneInclusionCache()
     n = len(sample)
     mistakes = 0
     for i, (x, y) in enumerate(sample):
         rest = labeled_sample(p for j, p in enumerate(sample) if j != i)
-        if one_inclusion_predict(cls, rest, x, cache) != y:
+        if one_inclusion_predict(cls, rest, x) != y:
             mistakes += 1
     return Fraction(mistakes, n)
 
@@ -298,7 +286,10 @@ def pac_learn_realizable(
     delta: float,
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
-    """Train one-inclusion on disjoint batches and keep the validation winner."""
+    """Train one-inclusion on disjoint batches and keep the validation winner.
+
+    The graphs come from ``cache`` when one is given, else from the class's own.
+    """
     schedule = pac_schedule(cls.vc, eps, delta)
     if len(sample) < schedule.total:
         raise ContractViolation(
@@ -307,12 +298,13 @@ def pac_learn_realizable(
             f"({schedule.batches} batches of {schedule.batch_size} "
             f"plus {schedule.validation_size} validation points)"
         )
-    cache = cache or OneInclusionCache()
+    graphs = cache or cls.one_inclusion
     hyps = []
     for i in range(schedule.batches):
         lo = i * schedule.batch_size
         batch = LabeledSample(sample.pairs[lo : lo + schedule.batch_size])
-        hyps.append(materialize_transductive(cls, batch, cache))
+        predict = _predictor(cls, batch, graphs)
+        hyps.append(Hypothesis(tuple(map(predict, range(cls.domain_size)))))
     lo = schedule.batches * schedule.batch_size
     validation = Counter(sample.pairs[lo : lo + schedule.validation_size])
     scores = [
@@ -375,7 +367,6 @@ def _weak_hypothesis(
     weights: Sequence[float],
     k: int,
     rng: random.Random,
-    cache: OneInclusionCache,
 ) -> tuple[Hypothesis, LabeledSample]:
     """A k-point-trained hypothesis with weighted error at most 1/3.
 
@@ -393,7 +384,7 @@ def _weak_hypothesis(
     for _ in range(WEAK_DRAWS):
         drawn = rng.choices(pairs, weights=weights, k=k)
         train = labeled_sample(drawn)
-        h = materialize_transductive(cls, train, cache)
+        h = materialize_transductive(cls, train)
         if weighted_error(h) <= 1.0 / 3.0:
             return h, train
     distinct = sorted(set(pairs))
@@ -404,7 +395,7 @@ def _weak_hypothesis(
         )
     for combo in combinations_with_replacement(distinct, k):
         train = labeled_sample(combo)
-        h = materialize_transductive(cls, train, cache)
+        h = materialize_transductive(cls, train)
         if weighted_error(h) <= 1.0 / 3.0:
             return h, train
     raise WeakLearnerNotFound(
@@ -417,7 +408,6 @@ def alpha_boost_compress(
     cls: PartialConceptClass,
     sample: LabeledSample,
     seed: int = 0,
-    cache: Optional[OneInclusionCache] = None,
 ) -> tuple[Hypothesis, CompressionOutput]:
     """Boost the one-inclusion weak learner until the majority fits the sample.
 
@@ -428,14 +418,13 @@ def alpha_boost_compress(
     """
     if not is_realizable(cls, sample):
         raise ContractViolation("boosting requires a realizable sample")
-    cache = cache or OneInclusionCache()
     rng = random.Random(seed)
     pairs = sample.pairs
     k = boosting_round_size(cls.vc)
     trains: list[LabeledSample] = []
 
     def weak(weights: list[float], t: int) -> tuple[int, ...]:
-        h, train = _weak_hypothesis(cls, pairs, weights, k, rng, cache)
+        h, train = _weak_hypothesis(cls, pairs, weights, k, rng)
         trains.append(train)
         return h.labels
 
@@ -482,11 +471,7 @@ def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothe
     )
 
 
-def reconstruct(
-    cls: PartialConceptClass,
-    comp: CompressionOutput,
-    cache: Optional[OneInclusionCache] = None,
-) -> Hypothesis:
+def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
     """Rebuild the hypothesis from a compression payload.
 
     Empty bits mean a kept-set payload (SOA reconstruction); otherwise the
@@ -505,13 +490,12 @@ def reconstruct(
             f"subsample length {len(comp.subsample)} does not split into "
             f"{T} rounds of {k} points"
         )
-    cache = cache or OneInclusionCache()
     hyps = []
     for t in range(T):
         train = labeled_sample(comp.subsample[t * k : (t + 1) * k])
         if not is_realizable(cls, train):
             raise CompressionFormatError(f"round {t} subsample is not realizable")
-        hyps.append(materialize_transductive(cls, train, cache))
+        hyps.append(materialize_transductive(cls, train))
     return Hypothesis.majority(hyps)
 
 
@@ -524,14 +508,8 @@ class CompressionScheme:
 
 
 def ld_compression_scheme(cls: PartialConceptClass) -> CompressionScheme:
-    soa = Soa(cls)
-
     def rebuild(sample: LabeledSample, bits: tuple[int, ...]) -> Hypothesis:
-        if bits:
-            raise CompressionFormatError("kept-set payloads carry no side bits")
-        return Hypothesis(
-            tuple(soa.predict(sample.pairs, x) for x in range(cls.domain_size))
-        )
+        return ld_reconstruct(cls, CompressionOutput(sample.pairs, bits))
 
     return CompressionScheme(size=littlestone_dimension(cls), reconstruct=rebuild)
 

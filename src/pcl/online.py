@@ -249,6 +249,8 @@ class AgnosticOnlineLearner:
     """
 
     def __init__(self, cls: PartialConceptClass, T: int):
+        if T < 1:
+            raise ContractViolation(f"the horizon T must be at least 1, got {T}")
         self.cls = cls
         self.T = T
         self.ld = littlestone_dimension(cls)
@@ -272,27 +274,19 @@ class AgnosticOnlineLearner:
         if len(sequence) != self.T:
             raise ValueError(f"sequence length {len(sequence)} != T = {self.T}")
         soa = Soa(self.cls)
-        N = self.n_experts
-        eta = math.sqrt((8.0 / self.T) * math.log(N)) if N > 1 else 0.0
         packed = self.cls.packed
-        masks = [packed.full] * N
-        cum_losses = np.zeros(N)
-        expected = 0.0
-        for t, (x, y) in enumerate(sequence):
-            preds = np.empty(N)
+        masks = [packed.full] * self.n_experts
+        preds = np.empty((self.T, self.n_experts))
+        for t, (x, _) in enumerate(sequence):
             for i, J in enumerate(self.flip_sets):
-                s = soa.predict_mask(masks[i], x)
-                preds[i] = 1 - s if t in J else s
-            weights = np.exp(-eta * (cum_losses - cum_losses.min()))
-            p_one = float(weights @ preds / weights.sum())
-            expected += abs(p_one - y)
-            cum_losses += np.abs(preds - y)
-            for i, J in enumerate(self.flip_sets):
-                if t in J:
-                    flipped = int(preds[i])
-                    masks[i] &= packed.label_masks[x][flipped]
+                p = soa.predict_mask(masks[i], x)
+                if t in J:  # expert i takes round t as a mistake and learns from it
+                    p = 1 - p
+                    masks[i] &= packed.label_masks[x][p]
+                preds[t, i] = p
+        res = experts_aggregate(preds, [y for _, y in sequence])
         return AgnosticRunResult(
-            expected, min_mistakes(self.cls, sequence), self.regret_bound()
+            res.total_loss, min_mistakes(self.cls, sequence), res.regret_bound
         )
 
 

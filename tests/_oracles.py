@@ -94,6 +94,10 @@ def _ternary_patterns(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
     return {tuple(h[x] for x in pts) for h in cls.concepts}
 
 
+# the (f0(x), f1(x)) choices at one point when f0 and f1 differ there
+_DIFFERING = [(a, b) for a in (0, 1, STAR) for b in (0, 1, STAR) if a != b]
+
+
 def natarajan_by_definition(cls: PartialConceptClass) -> int:
     """Largest S with f0, f1: S -> {0, 1, *} differing everywhere such that every
     selection between them, point by point, is the restriction of some concept."""
@@ -102,15 +106,13 @@ def natarajan_by_definition(cls: PartialConceptClass) -> int:
     for k in range(1, n + 1):
         for pts in combinations(range(n), k):
             pats = _ternary_patterns(cls, pts)
-            for f0 in product((0, 1, STAR), repeat=k):
-                for f1 in product((0, 1, STAR), repeat=k):
-                    if any(a == b for a, b in zip(f0, f1)):
-                        continue
-                    if all(
-                        tuple(f1[i] if bits[i] else f0[i] for i in range(k)) in pats
-                        for bits in product((0, 1), repeat=k)
-                    ):
-                        best = max(best, k)
+            for f in product(_DIFFERING, repeat=k):
+                if all(
+                    tuple(f[i][bits[i]] for i in range(k)) in pats
+                    for bits in product((0, 1), repeat=k)
+                ):
+                    best = k
+                    break
     return best
 
 

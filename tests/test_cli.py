@@ -288,6 +288,10 @@ class TestCliContract:
         argv = ["online", "--input", class_file, "--mode", "agnostic", "--trials", "0"]
         self._fails_naming(argv, "--trials", capsys)
 
+    def test_online_agnostic_zero_horizon(self, class_file, capsys):
+        argv = ["online", "--input", class_file, "--mode", "agnostic", "--T", "0"]
+        self._fails_naming(argv, "horizon T", capsys)
+
     def test_adversary_regret_zero_depth(self, class_file, capsys):
         argv = ["online", "--input", class_file, "--mode", "adversary-regret", "--d", "0"]
         self._fails_naming(argv, "depth d", capsys)
@@ -300,6 +304,9 @@ class TestCliContract:
             (["pac-realizable", "--param", "trials=0"], "'trials'"),
             (["geometry", "--trials", "3"], "--trials"),
             (["agnostic-online-regret", "--trials", "1"], "'adversary_trials'"),
+            (["one-inclusion-loo", "--param", "max_len=0", "--param", "classes=1"],
+             "'max_len'"),
+            (["compression-bounds", "--param", "max_m=0", "--trials", "2"], "'max_m'"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

@@ -22,7 +22,6 @@ from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
     Hypothesis,
-    OneInclusionCache,
     OneInclusionGraph,
     agnostic_learn,
     alpha_boost_compress,
@@ -80,15 +79,14 @@ class TestOneInclusion:
         h = data.draw(st.sampled_from(cls.concepts))
         xs = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
         train = labeled_sample((x, h[x]) for x in xs if h[x] != STAR)
-        cache = OneInclusionCache()
-        preds = tuple(one_inclusion_predict(cls, train, x, cache) for x in range(n))
+        preds = tuple(one_inclusion_predict(cls, train, x) for x in range(n))
         assert preds == tuple(
             one_inclusion_by_definition(cls, train.pairs, x) for x in range(n)
         )
-        assert materialize_transductive(cls, train, cache).labels == preds
+        assert materialize_transductive(cls, train).labels == preds
         for outside in (-1, n):
             with pytest.raises(ValueError, match=f"test point {outside} "):
-                one_inclusion_predict(cls, train, outside, cache)
+                one_inclusion_predict(cls, train, outside)
 
     def test_loo_cross_check_raises(self, monkeypatch):
         monkeypatch.setattr(learners, "loo_error", lambda *args: Fraction(-1))
@@ -109,46 +107,42 @@ class TestOneInclusion:
         # the n!-term average groups into n leave-one-out terms because the
         # predictor is order-independent
         cls = concept_class(4, ["0110", "1011", "1100", "0001", "01*1"])
-        cache = OneInclusionCache()
         for sample in realizable_samples(cls, 4):
             n = len(sample)
             total = 0
             for perm in permutations(range(n)):
                 train = labeled_sample(sample.pairs[i] for i in perm[:-1])
                 x, y = sample.pairs[perm[-1]]
-                total += one_inclusion_predict(cls, train, x, cache) != y
-            assert Fraction(total, math.factorial(n)) == loo_error(cls, sample, cache)
+                total += one_inclusion_predict(cls, train, x) != y
+            assert Fraction(total, math.factorial(n)) == loo_error(cls, sample)
 
     def test_permutation_average_with_repeated_points(self):
         cls = concept_class(3, ["011", "101", "110", "000"])
-        cache = OneInclusionCache()
         sample = labeled_sample([(0, 0), (1, 1), (0, 0), (2, 1)])
         n = len(sample)
         total = 0
         for perm in permutations(range(n)):
             train = labeled_sample(sample.pairs[i] for i in perm[:-1])
             x, y = sample.pairs[perm[-1]]
-            total += one_inclusion_predict(cls, train, x, cache) != y
+            total += one_inclusion_predict(cls, train, x) != y
         avg = Fraction(total, math.factorial(n))
-        assert avg == loo_error(cls, sample, cache)
+        assert avg == loo_error(cls, sample)
         assert avg <= Fraction(vc_dimension(cls), n)
 
     @settings(max_examples=25, deadline=None)
     @given(classes(min_n=2, max_n=4, max_size=10))
     def test_loo_bound_on_random_classes(self, cls):
-        cache = OneInclusionCache()
         d = vc_dimension(cls)
         for sample in realizable_samples(cls, 4):
-            assert loo_error(cls, sample, cache) <= Fraction(d, len(sample))
+            assert loo_error(cls, sample) <= Fraction(d, len(sample))
 
     @settings(max_examples=30, deadline=None)
     @given(classes(min_n=2, max_n=5, max_size=12))
     def test_orientation_out_degree_within_vc(self, cls):
-        cache = OneInclusionCache()
         for pts in combinations(range(cls.domain_size), min(3, cls.domain_size)):
             if not cls.binary_patterns(pts):
                 continue
-            graph = cache.graph(cls, pts)
+            graph = cls.one_inclusion.graph(cls, pts)
             assert max(map(len, graph.out)) <= graph.vc
             assert graph.vc <= vc_dimension(cls)
 
@@ -191,12 +185,11 @@ class TestPacWrapper:
         eps, delta = 0.5, 0.25
         schedule = pac_schedule(vc_dimension(cls), eps, delta)
         rng = random.Random(7)
-        cache = OneInclusionCache()
         failures = 0
         trials = 300
         for _ in range(trials):
             sample = dist.sample(rng, schedule.total)
-            hyp = pac_learn_realizable(cls, sample, eps, delta, cache=cache)
+            hyp = pac_learn_realizable(cls, sample, eps, delta)
             err = sum(w for (x, y), w in dist.atoms if hyp.labels[x] != y)
             failures += err > eps
         assert failures / trials <= delta + 3 * math.sqrt(delta / trials)
@@ -228,20 +221,36 @@ class TestAlphaBoost:
     @settings(max_examples=15, deadline=None)
     @given(classes(min_n=2, max_n=4, max_size=8))
     def test_round_trip_on_all_short_samples(self, cls):
-        cache = OneInclusionCache()
         for sample in realizable_samples(cls, 3):
-            hyp, comp = alpha_boost_compress(cls, sample, cache=cache)
-            rebuilt = reconstruct(cls, comp, cache=cache)
+            hyp, comp = alpha_boost_compress(cls, sample)
+            rebuilt = reconstruct(cls, comp)
             assert rebuilt == hyp
             assert rebuilt.sample_error(sample) == 0
 
+    def test_reconstruct_reuses_the_boosting_graphs(self, monkeypatch):
+        built = []
+
+        class CountingGraph(OneInclusionGraph):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(learners, "OneInclusionGraph", CountingGraph)
+        # training on x0 = x1 = 0 leaves x2 open, so prediction there reads a graph
+        cls = concept_class(3, ["000", "001", "010", "100"])
+        sample = labeled_sample([(0, 0), (1, 0)])
+        _, comp = alpha_boost_compress(cls, sample)
+        assert built
+        built.clear()
+        reconstruct(cls, comp)
+        assert built == []
+
     def test_round_trip_every_realizable_five_point_sample(self):
         cls = concept_class(5, ["00000", "11111", "01*10", "1*0*1", "00110"])
-        cache = OneInclusionCache()
         count = 0
         for sample in realizable_samples(cls, 5):
-            _, comp = alpha_boost_compress(cls, sample, cache=cache)
-            assert reconstruct(cls, comp, cache=cache).sample_error(sample) == 0
+            _, comp = alpha_boost_compress(cls, sample)
+            assert reconstruct(cls, comp).sample_error(sample) == 0
             count += 1
         assert count >= 90  # the sweep must actually cover the sample space
 
