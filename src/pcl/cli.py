@@ -216,8 +216,7 @@ def cmd_disambiguate(args) -> int:
     elif args.algo == "support":
         res = disambiguation.support_indicator_disambiguation(cls)
     else:  # compression
-        scheme = learners.ld_compression_scheme(cls)
-        res = disambiguation.compression_to_disambiguation(cls, scheme)
+        res = disambiguation.compression_to_disambiguation(cls)
     out = serialize.disambiguation_to_dict(res)
     out["strong_verified"] = (
         disambiguation.strong_violation(cls, res.totals) is None

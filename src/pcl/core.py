@@ -15,6 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -262,8 +263,17 @@ class LabeledSample:
         return LabeledSample(tuple(self.pairs[i] for i in indices))
 
 
+def _index_pair(x: object, y: object) -> tuple[int, int]:
+    """A (point, label) entry as Python ints.  Numpy integers pass; a float or
+    any other non-integer is rejected by name rather than truncated."""
+    try:
+        return index(x), index(y)
+    except TypeError:
+        raise ValueError(f"entry {(x, y)!r} must be a pair of integers") from None
+
+
 def labeled_sample(pairs: Iterable[Sequence[int]]) -> LabeledSample:
-    return LabeledSample(tuple((int(x), int(y)) for x, y in pairs))
+    return LabeledSample(tuple(_index_pair(x, y) for x, y in pairs))
 
 
 @dataclass(frozen=True)
@@ -326,14 +336,14 @@ def finite_distribution(
 ) -> FiniteDistribution:
     """Build a distribution from ``{(x, y): weight}`` or ``[(x, y, weight), ...]``."""
     if isinstance(atoms, Mapping):
-        items = [((int(x), int(y)), Fraction(w)) for (x, y), w in atoms.items()]
+        items = [(_index_pair(x, y), Fraction(w)) for (x, y), w in atoms.items()]
     else:
-        items = [((int(x), int(y)), Fraction(w)) for x, y, w in atoms]
+        items = [(_index_pair(x, y), Fraction(w)) for x, y, w in atoms]
     return FiniteDistribution(tuple(items))
 
 
 def uniform_on(pairs: Iterable[Sequence[int]]) -> FiniteDistribution:
-    pairs = [tuple(map(int, p)) for p in pairs]
+    pairs = [_index_pair(x, y) for x, y in pairs]
     w = Fraction(1, len(pairs))
     return FiniteDistribution(tuple(((x, y), w) for x, y in pairs))
 

@@ -24,6 +24,8 @@ from .core import (
     PartialConcept,
     PartialConceptClass,
     TotalConceptClass,
+    is_realizable,
+    labeled_sample,
     splits,
 )
 
@@ -108,6 +110,58 @@ class LdSolver:
 
 def littlestone_dimension(cls: PartialConceptClass) -> int:
     return cls.ld_solver.ld(cls.packed.full)
+
+
+@dataclass(frozen=True)
+class LittlestoneTree:
+    """A complete binary mistake tree; children are None exactly at the leaves."""
+
+    point: int
+    zero: Optional["LittlestoneTree"]
+    one: Optional["LittlestoneTree"]
+
+    def paths(self):
+        """Yield every root-to-leaf path as a tuple of (point, branch-bit) pairs."""
+        if self.zero is None:
+            yield ((self.point, 0),)
+            yield ((self.point, 1),)
+            return
+        for tail in self.zero.paths():
+            yield ((self.point, 0),) + tail
+        for tail in self.one.paths():
+            yield ((self.point, 1),) + tail
+
+
+def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTree]:
+    """Extract a depth-d witness tree from the LD recursion (None when d = 0)."""
+    packed = cls.packed
+    solver = cls.ld_solver
+    full = packed.full
+    if d > solver.ld(full):
+        raise ContractViolation(
+            f"requested depth {d} exceeds the Littlestone dimension {solver.ld(full)}"
+        )
+    if d == 0:
+        return None
+
+    def build(mask: int, depth: int) -> Optional[LittlestoneTree]:
+        if depth == 0:
+            return None
+        for x in range(cls.domain_size):
+            m0, m1 = packed.label_masks[x]
+            m0 &= mask
+            m1 &= mask
+            if m0 and m1 and solver.ld(m0) >= depth - 1 and solver.ld(m1) >= depth - 1:
+                return LittlestoneTree(x, build(m0, depth - 1), build(m1, depth - 1))
+        raise AssertionError("recursion promised a deeper tree than it can build")
+
+    return build(full, d)
+
+
+def verify_tree(cls: PartialConceptClass, tree: Optional[LittlestoneTree]) -> bool:
+    if tree is None:
+        return True
+    return all(is_realizable(cls, labeled_sample(path)) for path in tree.paths())
 
 
 def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -255,8 +309,6 @@ class DimensionReport:
                 for j in range(self.value)
             )
         if self.measure == "ld" and (self.witness is not None or self.value == 0):
-            from .online import verify_tree  # online builds on this module
-
             tree = self.witness
             depths = {len(path) for path in tree.paths()} if tree else {0}
             return depths == {self.value} and verify_tree(cls, tree)
@@ -274,8 +326,6 @@ def measure_report(
         return DimensionReport("td", *threshold_dimension(cls, witness=True))
     value = _VALUES[measure](cls)
     if witness and measure == "ld":
-        from .online import littlestone_tree  # online builds on this module
-
         return DimensionReport("ld", value, littlestone_tree(cls, value))
     return DimensionReport(measure, value)
 

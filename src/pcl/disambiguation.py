@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
@@ -32,10 +33,10 @@ from .core import (
     PartialConcept,
     PartialConceptClass,
     TotalConceptClass,
-    labeled_sample,
     splits,
 )
-from .dimensions import shattered_levels
+from .dimensions import littlestone_dimension, shattered_levels
+from .learners import CompressionOutput, ld_reconstruct
 
 
 @dataclass
@@ -205,43 +206,34 @@ def weak_violation(cls: PartialConceptClass, totals: TotalConceptClass, max_len:
     return None
 
 
-ENUMERATION_BUDGET = 200_000  # most (sample, bits) candidates a scheme is rebuilt from
+ENUMERATION_BUDGET = 200_000  # most kept sets the compression is rebuilt from
 VERIFY_LEN = 3  # longest point sets on which the rebuilt totals are checked
 
 
-def compression_to_disambiguation(cls: PartialConceptClass, scheme) -> Disambiguation:
-    """Totals obtained by reconstructing from every short realizable subsample.
+def compression_to_disambiguation(cls: PartialConceptClass) -> Disambiguation:
+    """Totals rebuilt by SOA from every realizable kept set of at most LD pairs.
 
-    ``scheme`` must expose ``size`` and ``reconstruct(sample, bits)`` returning
-    a total predictor with ``.labels``.  With k the scheme's size, all
-    realizable subsamples of length at most k and all bit strings of length at
-    most k are enumerated; the result is then verified to weakly disambiguate
-    the class on every set of at most ``VERIFY_LEN`` points, and a violation is
-    reported as evidence that the scheme was not valid for the class.
+    The kept-set compression (``learners.ld_compress``) keeps at most
+    k = LD(H) pairs, and its reconstruction reads only the mask of the kept
+    pairs, which order and repeats do not change; so sets of at most k
+    distinct pairs give every total it can rebuild.  The result is then
+    verified to weakly disambiguate the class on every set of at most
+    ``VERIFY_LEN`` points, and a violation is reported as evidence that the
+    compression was not valid for the class.
     """
-    k = scheme.size
+    k = littlestone_dimension(cls)
     n = cls.domain_size
     pair_pool = [(x, y) for x in range(n) for y in (ZERO, ONE)]
-    total_candidates = sum((2 * n) ** j * 2 ** j for j in range(k + 1))
+    total_candidates = sum(comb(2 * n, j) for j in range(k + 1))
     if total_candidates > ENUMERATION_BUDGET:
         raise ValueError(
             f"enumeration of {total_candidates} candidates exceeds the budget"
         )
     seen: set[tuple[int, ...]] = set()
-    from .core import is_realizable  # local import keeps module load light
-
     for j in range(k + 1):
-        for pairs in product(pair_pool, repeat=j):
-            sample = labeled_sample(pairs)
-            if not is_realizable(cls, sample):
-                continue
-            for blen in range(k + 1):
-                for bits in product((0, 1), repeat=blen):
-                    try:
-                        hyp = scheme.reconstruct(sample, bits)
-                    except ValueError:
-                        continue
-                    seen.add(tuple(hyp.labels))
+        for pairs in combinations(pair_pool, j):
+            if cls.packed.mask_of(pairs):
+                seen.add(ld_reconstruct(cls, CompressionOutput(pairs, ())).labels)
     totals = TotalConceptClass(
         cls.domain_size, tuple(PartialConcept(t) for t in seen)
     )
@@ -250,7 +242,7 @@ def compression_to_disambiguation(cls: PartialConceptClass, scheme) -> Disambigu
         pts, pattern = bad
         raise ContractViolation(
             "reconstruction enumeration misses the realizable sample "
-            f"{list(zip(pts, pattern))}; the compression scheme is not valid "
+            f"{list(zip(pts, pattern))}; the compression is not valid "
             "for this class"
         )
     return Disambiguation(

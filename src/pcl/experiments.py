@@ -599,11 +599,16 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
     checks = []
     for i in range(cfg.params["distributions"]):
         rng = split_rng(cfg.seed, "pac", i)
-        while True:
+        for _ in range(1000):
             cls = _random_class_with_vc_cap(rng, max_n=6, max_size=12, vc_cap=2)
             carriers = [h for h in cls.concepts if len(h.support()) >= 2]
             if carriers and cls.vc >= 1:
                 break
+        else:
+            raise RuntimeError(
+                "no class with VC 1 or 2 and a concept defined on two points "
+                "found in 1000 draws"
+            )
         target = rng.choice(carriers)
         supp = target.support()
         weights = [rng.randint(1, 4) for _ in supp]

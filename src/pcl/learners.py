@@ -24,6 +24,7 @@ from .core import (
     best_empirical_error,
     is_realizable,
     labeled_sample,
+    max_realizable_subsequence,
     splits,
 )
 from .dimensions import littlestone_dimension, shattered_levels
@@ -444,31 +445,34 @@ def ld_compress(cls: PartialConceptClass, sample: LabeledSample) -> CompressionO
     """Keep exactly the sample points on which SOA trained on the kept set errs.
 
     Every kept point is an SOA mistake on a realizable sequence, so the kept
-    set never exceeds the Littlestone dimension.
+    set never exceeds the Littlestone dimension; a round past it means SOA
+    is wrong.
     """
     if not is_realizable(cls, sample):
         raise ContractViolation("compression requires a realizable sample")
     soa = Soa(cls)
+    label_masks = cls.packed.label_masks
+    mask = cls.packed.full  # the concepts consistent with the kept set
     kept: list[tuple[int, int]] = []
-    while True:
+    for _ in range(littlestone_dimension(cls) + 1):
         bad = next(
-            ((x, y) for x, y in sample if soa.predict(kept, x) != y), None
+            ((x, y) for x, y in sample if soa.predict_mask(mask, x) != y), None
         )
         if bad is None:
-            break
+            return CompressionOutput(tuple(kept), ())
         kept.append(bad)
-    return CompressionOutput(tuple(kept), ())
+        mask &= label_masks[bad[0]][bad[1]]
+    raise AssertionError("SOA made more mistakes than the Littlestone dimension")
 
 
 def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
     if comp.bits:
         raise CompressionFormatError("kept-set payloads carry no side bits")
     soa = Soa(cls)
-    if cls.packed.mask_of(comp.subsample) == 0:
+    mask = cls.packed.mask_of(comp.subsample)
+    if mask == 0:
         raise CompressionFormatError("kept set is not realizable by the class")
-    return Hypothesis(
-        tuple(soa.predict(comp.subsample, x) for x in range(cls.domain_size))
-    )
+    return Hypothesis(tuple(soa.predict_mask(mask, x) for x in range(cls.domain_size)))
 
 
 def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
@@ -497,21 +501,6 @@ def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis
             raise CompressionFormatError(f"round {t} subsample is not realizable")
         hyps.append(materialize_transductive(cls, train))
     return Hypothesis.majority(hyps)
-
-
-@dataclass(frozen=True)
-class CompressionScheme:
-    """Reconstruction interface used by the disambiguation enumerator."""
-
-    size: int
-    reconstruct: Callable[[LabeledSample, tuple[int, ...]], Hypothesis]
-
-
-def ld_compression_scheme(cls: PartialConceptClass) -> CompressionScheme:
-    def rebuild(sample: LabeledSample, bits: tuple[int, ...]) -> Hypothesis:
-        return ld_reconstruct(cls, CompressionOutput(sample.pairs, bits))
-
-    return CompressionScheme(size=littlestone_dimension(cls), reconstruct=rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +537,6 @@ def agnostic_learn(
     seed: int = 0,
 ) -> tuple[Hypothesis, AgnosticReport]:
     """Fit the largest realizable subsequence, then boost it to consistency."""
-    from .core import max_realizable_subsequence
-
     kept = max_realizable_subsequence(cls, sample)
     if not kept:
         hyp = Hypothesis(tuple([0] * cls.domain_size))

@@ -17,13 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ContractViolation,
-    PartialConceptClass,
-    labeled_sample,
-    min_mistakes,
-)
-from .dimensions import littlestone_dimension
+from .core import ContractViolation, PartialConceptClass, min_mistakes
+from .dimensions import LittlestoneTree, littlestone_dimension, littlestone_tree
 
 Learner = Callable[[Sequence[tuple[int, int]], int], int]
 
@@ -92,60 +87,6 @@ class Soa:
 
     def __call__(self, history: Sequence[tuple[int, int]], x: int) -> int:
         return self.predict(history, x)
-
-
-@dataclass(frozen=True)
-class LittlestoneTree:
-    """A complete binary mistake tree; children are None exactly at the leaves."""
-
-    point: int
-    zero: Optional["LittlestoneTree"]
-    one: Optional["LittlestoneTree"]
-
-    def paths(self):
-        """Yield every root-to-leaf path as a tuple of (point, branch-bit) pairs."""
-        if self.zero is None:
-            yield ((self.point, 0),)
-            yield ((self.point, 1),)
-            return
-        for tail in self.zero.paths():
-            yield ((self.point, 0),) + tail
-        for tail in self.one.paths():
-            yield ((self.point, 1),) + tail
-
-
-def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTree]:
-    """Extract a depth-d witness tree from the LD recursion (None when d = 0)."""
-    packed = cls.packed
-    solver = cls.ld_solver
-    full = packed.full
-    if d > solver.ld(full):
-        raise ContractViolation(
-            f"requested depth {d} exceeds the Littlestone dimension {solver.ld(full)}"
-        )
-    if d == 0:
-        return None
-
-    def build(mask: int, depth: int) -> Optional[LittlestoneTree]:
-        if depth == 0:
-            return None
-        for x in range(cls.domain_size):
-            m0, m1 = packed.label_masks[x]
-            m0 &= mask
-            m1 &= mask
-            if m0 and m1 and solver.ld(m0) >= depth - 1 and solver.ld(m1) >= depth - 1:
-                return LittlestoneTree(x, build(m0, depth - 1), build(m1, depth - 1))
-        raise AssertionError("recursion promised a deeper tree than it can build")
-
-    return build(full, d)
-
-
-def verify_tree(cls: PartialConceptClass, tree: Optional[LittlestoneTree]) -> bool:
-    from .core import is_realizable
-
-    if tree is None:
-        return True
-    return all(is_realizable(cls, labeled_sample(path)) for path in tree.paths())
 
 
 @dataclass

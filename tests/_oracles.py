@@ -152,6 +152,35 @@ def ld_by_definition(cls: PartialConceptClass) -> int:
     return d
 
 
+def _soa_label_by_definition(cls: PartialConceptClass, x: int) -> int:
+    """The label whose restriction at x has the larger LD (an empty one counts
+    -1), ties to 0."""
+    ld0, ld1 = (
+        ld_by_definition(sub) if (sub := restrict(cls, x, y)) else -1 for y in (0, 1)
+    )
+    return 0 if ld0 >= ld1 else 1
+
+
+def compression_totals_by_definition(cls: PartialConceptClass) -> set[tuple[int, ...]]:
+    """SOA's rebuild from every realizable *sequence* of at most LD pairs.
+
+    The class is restricted to each sequence pair by pair, and SOA then
+    labels every point of the domain by definition.
+    """
+    n = cls.domain_size
+    pool = [(x, y) for x in range(n) for y in (0, 1)]
+    totals = set()
+    for j in range(ld_by_definition(cls) + 1):
+        for seq in product(pool, repeat=j):
+            if not realizable_by_definition(cls, seq):
+                continue
+            sub = cls
+            for x, y in seq:
+                sub = restrict(sub, x, y)
+            totals.add(tuple(_soa_label_by_definition(sub, x) for x in range(n)))
+    return totals
+
+
 def td_by_definition(cls: PartialConceptClass) -> int:
     """Try every ordered point tuple and concept tuple against the staircase."""
     n = cls.domain_size

@@ -145,6 +145,20 @@ class TestCliOther:
         assert sorted(out["totals"]) == ["000", "111"]
         assert out["strong_verified"] is True
 
+    def test_disambiguate_compression(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(
+            json.dumps({"domain_size": 3, "concepts": ["01*", "*10", "110", "000"]})
+        )
+        assert main(["dim", "--input", str(path), "--measure", "ld"]) == 0
+        ld = json.loads(capsys.readouterr().out)["value"]
+        assert main(["disambiguate", "--input", str(path), "--algo", "compression"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["info"]["scheme_size"] == ld == 1
+        assert out["info"]["candidates"] == 7  # the empty kept set and the 2n pairs
+        assert out["weak_verified_len3"] is True
+        assert out["strong_verified"] is None
+
     def test_construct_biclique_complete(self, capsys):
         rc = main(["construct", "biclique", "--complete", "4"])
         assert rc == 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,28 @@ class TestConstruction:
     def test_negative_atom_point_rejected(self):
         with pytest.raises(ValueError, match="nonnegative index, got -1"):
             finite_distribution({(-1, 0): 1})
+
+    @pytest.mark.parametrize(
+        "build, entries, named",
+        [
+            (labeled_sample, [(0, 1), (0.5, 1), (1, 1.9)], r"\(0\.5, 1\)"),
+            (labeled_sample, [(0, 1), (1, 1.9)], r"\(1, 1\.9\)"),
+            (finite_distribution, {(0.7, 1): 1}, r"\(0\.7, 1\)"),
+            (finite_distribution, [(0, 1.0, 1)], r"\(0, 1\.0\)"),
+            (uniform_on, [(2.9, 0)], r"\(2\.9, 0\)"),
+            (uniform_on, [("1", 0)], r"\('1', 0\)"),
+        ],
+    )
+    def test_non_integer_entry_rejected_by_name(self, build, entries, named):
+        with pytest.raises(ValueError, match=named):
+            build(entries)
+
+    def test_numpy_integer_entries_accepted(self):
+        x, y = np.int64(1), np.uint8(0)
+        assert labeled_sample([(x, y)]).pairs == ((1, 0),)
+        assert type(labeled_sample([(x, y)]).pairs[0][0]) is int
+        assert uniform_on([(x, y)]).support_pairs() == ((1, 0),)
+        assert finite_distribution({(x, y): 1}).support_pairs() == ((1, 0),)
 
     @pytest.mark.parametrize(
         "tail, message",

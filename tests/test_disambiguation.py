@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from pcl import dimensions
+from pcl import dimensions, disambiguation
 from pcl.core import STAR, ContractViolation, concept, concept_class, total_class
 from pcl.dimensions import (
     littlestone_dimension,
@@ -26,7 +26,9 @@ from pcl.disambiguation import (
     weak_violation,
     weighted_disambiguate,
 )
+from pcl.learners import Hypothesis
 
+from _oracles import compression_totals_by_definition
 from _strategies import classes
 
 
@@ -220,52 +222,39 @@ class TestIsDisambiguation:
 
 class TestCompressionDisambiguation:
     def test_singleton_trivial_scheme(self):
-        from pcl.learners import ld_compression_scheme
-
         cls = concept_class(2, ["01"])
-        scheme = ld_compression_scheme(cls)
-        assert scheme.size == 0
-        res = compression_to_disambiguation(cls, scheme)
+        res = compression_to_disambiguation(cls)
+        assert res.info["scheme_size"] == 0
         assert res.totals == total_class(2, ["01"])
 
     def test_two_constants_size_one_scheme(self):
-        from pcl.learners import ld_compression_scheme
-
         cls = concept_class(3, ["000", "111"])
-        scheme = ld_compression_scheme(cls)
-        assert scheme.size == littlestone_dimension(cls) == 1
-        res = compression_to_disambiguation(cls, scheme)
+        res = compression_to_disambiguation(cls)
+        assert res.info["scheme_size"] == littlestone_dimension(cls) == 1
         assert concept("000") in res.totals.concepts
         assert concept("111") in res.totals.concepts
-        # enumerated candidate count: sum over lengths of (2n)^j * 2^j
-        assert len(res.totals) <= 1 + 2 * 3 * 2
+        # enumerated kept sets: the empty set and the 2n single pairs
+        assert res.info["candidates"] == 1 + 2 * 3
+        assert len(res.totals) <= res.info["candidates"]
         assert weak_violation(cls, res.totals, 3) is None
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(classes(max_n=4, max_size=8))
     def test_kept_set_scheme_always_weakly_disambiguates(self, cls):
-        from pcl.dimensions import littlestone_dimension
-        from pcl.learners import ld_compression_scheme
-
         if littlestone_dimension(cls) > 2:
             return  # keep the enumeration tiny
-        scheme = ld_compression_scheme(cls)
-        res = compression_to_disambiguation(cls, scheme)
+        res = compression_to_disambiguation(cls)
         assert weak_violation(cls, res.totals, cls.domain_size) is None
+        # kept sets rebuild exactly what every kept sequence does
+        assert {h.labels for h in res.totals} == compression_totals_by_definition(cls)
 
-    def test_invalid_scheme_is_reported(self):
+    def test_invalid_scheme_is_reported(self, monkeypatch):
         cls = concept_class(2, ["01", "10"])
-
-        class _Bogus:
-            size = 1
-
-            def reconstruct(self, sample, bits):
-                from pcl.learners import Hypothesis
-
-                return Hypothesis((0, 1))
-
+        monkeypatch.setattr(
+            disambiguation, "ld_reconstruct", lambda cls, comp: Hypothesis((0, 1))
+        )
         with pytest.raises(ContractViolation, match="not valid"):
-            compression_to_disambiguation(cls, _Bogus())
+            compression_to_disambiguation(cls)
 
 
 class TestSupportIndicator:

@@ -35,6 +35,7 @@ from pcl.learners import (
     pac_schedule,
     reconstruct,
 )
+from pcl.online import Soa
 
 from _oracles import one_inclusion_by_definition, vc_by_definition
 from _strategies import classes, classes_with_blank_columns
@@ -297,6 +298,19 @@ class TestLdCompress:
             comp = ld_compress(cls, sample)
             assert comp.size <= ld
             assert reconstruct(cls, comp).sample_error(sample) == 0
+
+    def test_wrong_soa_fails_instead_of_looping(self, monkeypatch):
+        def smaller_ld(soa, mask, x):  # the label whose subclass has the smaller LD
+            m0, m1 = (m & mask for m in soa.packed.label_masks[x])
+            ld0 = soa.solver.ld(m0) if m0 else -1
+            ld1 = soa.solver.ld(m1) if m1 else -1
+            return 0 if ld0 < ld1 else 1
+
+        monkeypatch.setattr(Soa, "predict_mask", smaller_ld)
+        cls = concept_class(3, ["000", "111"])
+        sample = labeled_sample([(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(AssertionError, match="Littlestone dimension"):
+            ld_compress(cls, sample)
 
 
 class TestAgnosticLearn:

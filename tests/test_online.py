@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pcl import dimensions
 from pcl.core import ContractViolation, concept_class, min_mistakes
-from pcl.dimensions import littlestone_dimension, measure_report
+from pcl.dimensions import littlestone_dimension, measure_report, verify_tree
 from pcl.experiments import _ftl_mistakes
 from pcl.online import (
     MAX_EXPERTS,
@@ -22,7 +22,6 @@ from pcl.online import (
     mistake_adversary,
     play_sequence,
     regret_adversary,
-    verify_tree,
 )
 
 from _oracles import follow_the_leader
