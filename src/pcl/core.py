@@ -304,31 +304,35 @@ class FiniteDistribution:
         return tuple(pair for pair, _ in self.atoms)
 
     @cached_property
-    def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atom pairs as an object array, and the running totals of their
-        float weights summed in the order ``rng.choices`` sums them."""
-        pairs = np.fromiter(self.support_pairs(), dtype=object, count=len(self.atoms))
-        return pairs, np.array(list(accumulate(float(w) for _, w in self.atoms)))
+    def _cum_weights(self) -> np.ndarray:
+        """The running totals of the float weights, summed in the order
+        ``rng.choices`` sums them."""
+        return np.array(list(accumulate(float(w) for _, w in self.atoms)))
 
-    def sample(self, rng: random.Random, n: int) -> LabeledSample:
-        """n independent draws of atom pairs, taken from ``rng`` in one bulk call.
+    def draw(self, rng: random.Random, n: int) -> np.ndarray:
+        """The atom indices of n independent draws, taken from ``rng`` in one
+        bulk call.
 
-        For a ``random.Random``, the sample and the state ``rng`` is left in
-        are exactly those of ``rng.choices(pairs, weights=[float(w), ...],
-        k=n)``.  Each ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
-        over the generator's next two 32-bit words a and b, and
-        ``getrandbits(64 * n)`` returns the next 2n words in order, least
-        significant first.  A draw is then the first atom whose running
-        weight exceeds ``random() * total``, the last atom at most, as
-        ``choices`` bisects it.
+        For a ``random.Random``, the draws and the state ``rng`` is left in
+        are exactly those of ``rng.choices(range(len(atoms)),
+        weights=[float(w), ...], k=n)``.  Each ``random()`` is
+        ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over the generator's next
+        two 32-bit words a and b, and ``getrandbits(64 * n)`` returns the
+        next 2n words in order, least significant first.  A draw is then the
+        first atom whose running weight exceeds ``random() * total``, the
+        last atom at most, as ``choices`` bisects it.
         """
         if n < 0:
             raise ContractViolation(f"sample size must be nonnegative, got {n}")
-        pairs, cum = self._draw_table
+        cum = self._cum_weights
         words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
         u = ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) * 2.0**-53
-        picks = np.searchsorted(cum, u * cum[-1], side="right").clip(max=len(cum) - 1)
-        return LabeledSample(tuple(pairs[picks].tolist()))
+        return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+    def sample(self, rng: random.Random, n: int) -> LabeledSample:
+        """The pairs of ``draw(rng, n)``: ``rng.choices`` over the atom pairs."""
+        pairs = self.support_pairs()
+        return LabeledSample(tuple(pairs[i] for i in self.draw(rng, n).tolist()))
 
 
 def finite_distribution(
@@ -344,27 +348,24 @@ def finite_distribution(
 
 def uniform_on(pairs: Iterable[Sequence[int]]) -> FiniteDistribution:
     pairs = [_index_pair(x, y) for x, y in pairs]
+    if not pairs:
+        raise ValueError("a uniform distribution needs a nonempty support, got []")
     w = Fraction(1, len(pairs))
     return FiniteDistribution(tuple(((x, y), w) for x, y in pairs))
 
 
-def _check_point(cls: PartialConceptClass, x: int) -> None:
-    if not 0 <= x < cls.domain_size:
-        raise ValueError(
-            f"point index {x} out of range for domain of size {cls.domain_size}"
-        )
-
-
-def _check_sample(cls: PartialConceptClass, sample: LabeledSample) -> None:
-    n = cls.domain_size
-    for x, _ in sample:
-        if not 0 <= x < n:
-            _check_point(cls, x)
+def check_points(cls: PartialConceptClass, pairs: Iterable[tuple[int, int]]) -> None:
+    """Raise ``ValueError`` naming the first pair's point outside the domain."""
+    for x, _ in pairs:
+        if not 0 <= x < cls.domain_size:
+            raise ValueError(
+                f"point index {x} out of range for domain of size {cls.domain_size}"
+            )
 
 
 def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
     """True iff some concept is defined on all sample points with the observed bits."""
-    _check_sample(cls, sample)
+    check_points(cls, sample)
     return cls.packed.mask_of(sample) != 0
 
 
@@ -381,7 +382,7 @@ def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> 
 def best_empirical_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
     if len(sample) == 0:
         raise ContractViolation("empirical error of an empty sample is undefined")
-    _check_sample(cls, sample)
+    check_points(cls, sample)
     return Fraction(min_mistakes(cls, sample.pairs), len(sample))
 
 
@@ -395,7 +396,7 @@ def max_realizable_subsequence(
     Scanning those sets is exact in O(|H| * |S|); ties between equally large
     sets are broken toward the lexicographically smallest index tuple.
     """
-    _check_sample(cls, sample)
+    check_points(cls, sample)
     best: tuple[int, ...] = ()
     for h in cls.concepts:
         agree = tuple(i for i, (x, y) in enumerate(sample) if h[x] == y)

@@ -617,14 +617,17 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
             {(x, target[x]): Fraction(w, total) for x, w in zip(supp, weights)}
         )
         schedule = learners.pac_schedule(cls.vc, eps, delta)
+        atoms = dist.support_pairs()
+        errors: dict[learners.Hypothesis, Fraction] = {}  # exact error of each winner
         failures = 0
         for t in range(trials):
-            sample = dist.sample(split_rng(cfg.seed, "pac-draw", i, t), schedule.total)
-            hyp = learners.pac_learn_realizable(cls, sample, eps, delta)
-            err = sum(
-                w for (x, y), w in dist.atoms if hyp.labels[x] != y
+            picks = dist.draw(split_rng(cfg.seed, "pac-draw", i, t), schedule.total)
+            hyp = learners.batch_and_validate(
+                cls, atoms, picks, eps, delta, cls.one_inclusion
             )
-            failures += err > eps
+            if hyp not in errors:
+                errors[hyp] = sum(w for (x, y), w in dist.atoms if hyp.labels[x] != y)
+            failures += errors[hyp] > eps
         rate = failures / trials
         sigma = math.sqrt(max(rate * (1 - rate), delta * (1 - delta)) / trials)
         checks.append(

@@ -3,25 +3,30 @@ compression, and the agnostic reduction.
 
 The one-inclusion predictor is transductive: it never materializes a global
 hypothesis by itself.  Where a total hypothesis is needed it is evaluated
-pointwise over the finite domain.
+pointwise over the finite domain, once per set of distinct training pairs:
+the hypothesis table sits beside the graphs in the class's
+``one_inclusion`` store.  The PAC wrapper works on atom indices, so a
+batch costs a count of the atoms it saw and one table lookup.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     ContractViolation,
     LabeledSample,
     PartialConceptClass,
     best_empirical_error,
+    check_points,
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
@@ -169,13 +174,15 @@ class OneInclusionGraph:
 
 
 class OneInclusionCache:
-    """Memoizes one-inclusion graphs keyed by (class, point set).
+    """Memoizes one-inclusion graphs keyed by (class, point set), and the
+    hypotheses they give keyed by (class, set of distinct training pairs).
 
     Each class keeps one as ``PartialConceptClass.one_inclusion``.
     """
 
     def __init__(self) -> None:
         self._graphs: dict[tuple, OneInclusionGraph] = {}
+        self._hypotheses: dict[tuple, Hypothesis] = {}
 
     def graph(self, cls: PartialConceptClass, points: tuple[int, ...]) -> OneInclusionGraph:
         key = (cls.concepts, points)
@@ -184,6 +191,22 @@ class OneInclusionCache:
             g = OneInclusionGraph(cls, points)
             self._graphs[key] = g
         return g
+
+    def hypothesis(
+        self, cls: PartialConceptClass, pairs: frozenset[tuple[int, int]]
+    ) -> Hypothesis:
+        """The one-inclusion predictor trained on ``pairs``, at every domain point.
+
+        The predictor reads only the distinct training pairs, so each set is
+        fitted once; a set that fails its checks raises and is not stored.
+        """
+        key = (cls.concepts, pairs)
+        h = self._hypotheses.get(key)
+        if h is None:
+            predict = _predictor(cls, LabeledSample(tuple(pairs)), self)
+            h = Hypothesis(tuple(map(predict, range(cls.domain_size))))
+            self._hypotheses[key] = h
+        return h
 
 
 def _predictor(
@@ -235,8 +258,7 @@ def materialize_transductive(
     cls: PartialConceptClass, train: LabeledSample
 ) -> Hypothesis:
     """Evaluate the one-inclusion predictor at every domain point."""
-    predict = _predictor(cls, train, cls.one_inclusion)
-    return Hypothesis(tuple(map(predict, range(cls.domain_size))))
+    return cls.one_inclusion.hypothesis(cls, frozenset(train.pairs))
 
 
 def loo_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
@@ -280,6 +302,41 @@ def pac_schedule(vc: int, eps: float, delta: float) -> PacSchedule:
     return PacSchedule(batches=k, batch_size=n, validation_size=t)
 
 
+def batch_and_validate(
+    cls: PartialConceptClass,
+    atoms: Sequence[tuple[int, int]],
+    picks: np.ndarray,
+    eps: float,
+    delta: float,
+    graphs: OneInclusionCache,
+) -> Hypothesis:
+    """Train one-inclusion on disjoint batches of the sample ``atoms[picks]``
+    and keep the validation winner, the first batch on ties.
+
+    A batch's hypothesis depends only on the atoms it saw, so it comes from
+    the hypothesis table of ``graphs``.
+    """
+    schedule = pac_schedule(cls.vc, eps, delta)
+    if len(picks) < schedule.total:
+        raise ContractViolation(
+            f"sample of size {len(picks)} is too short; "
+            f"the wrapper needs m = {schedule.total} "
+            f"({schedule.batches} batches of {schedule.batch_size} "
+            f"plus {schedule.validation_size} validation points)"
+        )
+    check_points(cls, atoms)
+    k, a = schedule.batches, len(atoms)
+    rows = np.repeat(np.arange(k + 1), [schedule.batch_size] * k + [schedule.validation_size])
+    counts = np.bincount(rows * a + picks[: schedule.total], minlength=(k + 1) * a)
+    counts = counts.reshape(k + 1, a)
+    # a batch's score is its seen-set's, so the first minimum over the
+    # distinct sets in batch order is the first batch's
+    seen = dict.fromkeys(frozenset(compress(atoms, row)) for row in counts[:k].tolist())
+    hyps = [graphs.hypothesis(cls, pairs) for pairs in seen]
+    wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps])
+    return hyps[int((wrong @ counts[k]).argmin())]
+
+
 def pac_learn_realizable(
     cls: PartialConceptClass,
     sample: LabeledSample,
@@ -287,31 +344,13 @@ def pac_learn_realizable(
     delta: float,
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
-    """Train one-inclusion on disjoint batches and keep the validation winner.
-
-    The graphs come from ``cache`` when one is given, else from the class's own.
-    """
-    schedule = pac_schedule(cls.vc, eps, delta)
-    if len(sample) < schedule.total:
-        raise ContractViolation(
-            f"sample of size {len(sample)} is too short; "
-            f"the wrapper needs m = {schedule.total} "
-            f"({schedule.batches} batches of {schedule.batch_size} "
-            f"plus {schedule.validation_size} validation points)"
-        )
-    graphs = cache or cls.one_inclusion
-    hyps = []
-    for i in range(schedule.batches):
-        lo = i * schedule.batch_size
-        batch = LabeledSample(sample.pairs[lo : lo + schedule.batch_size])
-        predict = _predictor(cls, batch, graphs)
-        hyps.append(Hypothesis(tuple(map(predict, range(cls.domain_size)))))
-    lo = schedule.batches * schedule.batch_size
-    validation = Counter(sample.pairs[lo : lo + schedule.validation_size])
-    scores = [
-        sum(c for (x, y), c in validation.items() if h.labels[x] != y) for h in hyps
-    ]
-    return hyps[scores.index(min(scores))]
+    """``batch_and_validate`` on the sample's distinct pairs, numbered by
+    first appearance, with ``cache`` in place of the class's own store."""
+    index = {pair: i for i, pair in enumerate(dict.fromkeys(sample.pairs))}
+    picks = np.fromiter(map(index.__getitem__, sample.pairs), np.intp, len(sample))
+    return batch_and_validate(
+        cls, tuple(index), picks, eps, delta, cache or cls.one_inclusion
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +504,20 @@ def ld_compress(cls: PartialConceptClass, sample: LabeledSample) -> CompressionO
     raise AssertionError("SOA made more mistakes than the Littlestone dimension")
 
 
+def _check_payload(cls: PartialConceptClass, comp: CompressionOutput) -> None:
+    for entry in comp.subsample:
+        x, y = entry
+        if not 0 <= x < cls.domain_size or y not in (0, 1):
+            raise CompressionFormatError(
+                f"payload entry {entry} is not a (point, bit) pair "
+                f"of the domain of size {cls.domain_size}"
+            )
+
+
 def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
     if comp.bits:
         raise CompressionFormatError("kept-set payloads carry no side bits")
+    _check_payload(cls, comp)
     soa = Soa(cls)
     mask = cls.packed.mask_of(comp.subsample)
     if mask == 0:
@@ -485,6 +535,7 @@ def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis
         return ld_reconstruct(cls, comp)
     if any(b not in (0, 1) for b in comp.bits):
         raise CompressionFormatError(f"bits must be binary, got {comp.bits}")
+    _check_payload(cls, comp)
     T = int("".join(str(b) for b in comp.bits), 2)
     if T <= 0:
         raise CompressionFormatError("round count must be positive")

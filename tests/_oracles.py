@@ -7,13 +7,14 @@ against an independent path.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
-from pcl.learners import OneInclusionGraph
+from pcl.learners import OneInclusionGraph, pac_schedule
 from pcl.online import Learner
 
 
@@ -208,6 +209,26 @@ def td_by_definition(cls: PartialConceptClass) -> int:
         else:
             break
     return best
+
+
+def pac_by_definition(cls: PartialConceptClass, pairs, eps: float, delta: float):
+    """The batch-and-validate wrapper batch by batch, on the pair sequence.
+
+    Each batch's predictor is evaluated by definition at every domain point,
+    scored by its mistakes over the validation pairs, and the first batch
+    with the fewest mistakes wins.  Returns the winner's labels.
+    """
+    s = pac_schedule(vc_by_definition(cls), eps, delta)
+    hyps = []
+    for b in range(s.batches):
+        batch = pairs[b * s.batch_size : (b + 1) * s.batch_size]
+        hyps.append(
+            tuple(one_inclusion_by_definition(cls, batch, x) for x in range(cls.domain_size))
+        )
+    lo = s.batches * s.batch_size
+    validation = Counter(pairs[lo : lo + s.validation_size])
+    scores = [sum(c for (x, y), c in validation.items() if h[x] != y) for h in hyps]
+    return hyps[scores.index(min(scores))]
 
 
 def max_realizable_by_enumeration(cls, sample: LabeledSample) -> tuple[int, ...]:

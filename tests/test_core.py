@@ -73,6 +73,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nonnegative index, got -1"):
             finite_distribution({(-1, 0): 1})
 
+    def test_uniform_on_nothing_rejected(self):
+        with pytest.raises(ValueError, match=r"nonempty support, got \[\]"):
+            uniform_on([])
+
     @pytest.mark.parametrize(
         "build, entries, named",
         [
@@ -305,7 +309,7 @@ class TestDistributions:
 
 
 class TestSampleStream:
-    """``FiniteDistribution.sample`` is ``rng.choices``, draw for draw."""
+    """``FiniteDistribution.draw`` and ``sample`` are ``rng.choices``, draw for draw."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -325,12 +329,13 @@ class TestSampleStream:
         # raw weights up to 10**15 apart, so some atoms are tiny
         total = sum(r for _, _, r in atoms)
         dist = finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
-        ours, theirs = Random(seed), Random(seed)
+        ours, indexed, theirs = Random(seed), Random(seed), Random(seed)
         drawn = dist.sample(ours, n).pairs
-        support = [p for p, _ in dist.atoms]
+        support = dist.support_pairs()
         weights = [float(w) for _, w in dist.atoms]
         assert drawn == tuple(theirs.choices(support, weights=weights, k=n))
-        assert ours.random() == theirs.random()
+        assert drawn == tuple(support[i] for i in dist.draw(indexed, n))
+        assert ours.random() == indexed.random() == theirs.random()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("above", [0, 1])

@@ -22,6 +22,7 @@ from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
     Hypothesis,
+    OneInclusionCache,
     OneInclusionGraph,
     agnostic_learn,
     alpha_boost_compress,
@@ -37,7 +38,7 @@ from pcl.learners import (
 )
 from pcl.online import Soa
 
-from _oracles import one_inclusion_by_definition, vc_by_definition
+from _oracles import one_inclusion_by_definition, pac_by_definition, vc_by_definition
 from _strategies import classes, classes_with_blank_columns
 import random
 
@@ -195,6 +196,89 @@ class TestPacWrapper:
             failures += err > eps
         assert failures / trials <= delta + 3 * math.sqrt(delta / trials)
 
+    @settings(max_examples=60, deadline=None)
+    @given(classes(min_n=2, max_n=4, max_size=8), st.data())
+    def test_matches_the_batch_by_batch_wrapper(self, cls, data):
+        # batches repeat points of one concept's support; validation pairs
+        # and the ignored tail may carry any label, so scores vary and tie
+        n = cls.domain_size
+        h = data.draw(st.sampled_from([h for h in cls.concepts if h.support()] or [None]))
+        if h is None:
+            return
+        eps = data.draw(st.sampled_from((0.6, 0.9)))
+        delta = data.draw(st.sampled_from((0.5, 1.0)))
+        s = pac_schedule(cls.vc, eps, delta)
+        seen = st.sampled_from([(x, h[x]) for x in h.support()])
+        anything = st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)))
+        pairs = []
+        for _ in range(s.batches):
+            pairs += data.draw(st.lists(seen, min_size=s.batch_size, max_size=s.batch_size))
+        size = s.validation_size
+        pairs += data.draw(st.lists(anything, min_size=size, max_size=size + 3))
+        hyp = pac_learn_realizable(cls, labeled_sample(pairs), eps, delta)
+        assert hyp.labels == pac_by_definition(cls, pairs, eps, delta)
+
+    def test_validation_keeps_the_first_best_batch(self):
+        cls = concept_class(3, ["000", "001", "010", "100"])
+        s = pac_schedule(cls.vc, 0.9, 0.5)
+        a, b = [(0, 0)] * s.batch_size, [(1, 0)] * s.batch_size  # fit 011 and 001
+        tie = [(0, 0)] * s.validation_size  # both fits agree with it
+        only_b = [(1, 0)] * s.validation_size
+
+        def fit(pairs):
+            return pac_learn_realizable(cls, labeled_sample(pairs), 0.9, 0.5).labels
+
+        assert fit(a + b + tie) == (0, 1, 1)
+        assert fit(b + a + tie) == (0, 0, 1)
+        assert fit(a + b + only_b) == (0, 0, 1)
+
+    def test_validation_point_outside_the_domain(self):
+        cls = concept_class(3, ["001", "110"])
+        sample = labeled_sample([(0, 0)] * 16 + [(7, 1)] * 134)
+        with pytest.raises(ValueError, match="point index 7 out of range"):
+            pac_learn_realizable(cls, sample, 0.5, 0.5)
+
+    def test_second_fit_on_the_same_atoms_builds_nothing(self, monkeypatch):
+        built = []
+
+        class CountingGraph(OneInclusionGraph):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        class CountingHypothesis(Hypothesis):
+            def __post_init__(self):
+                built.append(self.labels)
+                super().__post_init__()
+
+        monkeypatch.setattr(learners, "OneInclusionGraph", CountingGraph)
+        monkeypatch.setattr(learners, "Hypothesis", CountingHypothesis)
+        # training on x0 = x1 = 0 leaves x2 open, so the fit reads a graph
+        cls = concept_class(3, ["000", "001", "010", "100"])
+        s = pac_schedule(cls.vc, 0.5, 0.5)
+        m = s.total
+        first = pac_learn_realizable(cls, labeled_sample([(0, 0), (1, 0)] * (m // 2)), 0.5, 0.5)
+        assert built
+        built.clear()
+        again = labeled_sample([(1, 0)] * 3 + [(0, 0), (1, 0)] * (m // 2))
+        assert pac_learn_realizable(cls, again, 0.5, 0.5) is first
+        assert built == []
+
+    def test_shared_cache_keeps_classes_apart(self):
+        cache = OneInclusionCache()
+        train = frozenset({(0, 0)})
+        assert cache.hypothesis(concept_class(3, ["000", "111"]), train).labels == (0, 0, 0)
+        assert cache.hypothesis(concept_class(3, ["001", "110"]), train).labels == (0, 0, 1)
+
+    def test_unrealizable_batch_is_not_stored(self):
+        cls = concept_class(2, ["00", "11"])
+        sample = labeled_sample([(0, 0), (1, 1)] * 75)
+        cache = OneInclusionCache()
+        for _ in range(2):
+            with pytest.raises(ContractViolation, match="not realizable"):
+                pac_learn_realizable(cls, sample, 0.5, 0.5, cache=cache)
+            assert cache._hypotheses == {}
+
 
 class TestAlphaBoost:
     def test_consistent_on_simple_sample(self):
@@ -275,6 +359,13 @@ class TestReconstruct:
         cls = concept_class(2, ["01"])
         with pytest.raises(CompressionFormatError):
             reconstruct(cls, CompressionOutput(((0, 0),), (2,)))
+
+    @pytest.mark.parametrize("bits", [(), (1,)], ids=["kept-set", "boosting"])
+    @pytest.mark.parametrize("x, y", [(-1, 1), (3, 0)], ids=["negative", "past-domain"])
+    def test_payload_point_outside_the_domain_rejected(self, bits, x, y):
+        cls = concept_class(3, ["001", "110"])
+        with pytest.raises(CompressionFormatError, match=rf"entry \({x}, {y}\)"):
+            reconstruct(cls, CompressionOutput(((x, y),), bits))
 
 
 class TestLdCompress:
