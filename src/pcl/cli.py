@@ -1,7 +1,12 @@
 """Command-line harness.
 
 Exit codes: 0 on success, 1 when an experiment suite records a failing check,
-2 on usage or input errors.  ``PCL_SEED`` supplies the default seed.
+2 on usage or input errors.  ``PCL_SEED`` supplies the default seed of the
+commands that take ``--seed``.
+
+``main`` resolves that seed and loads the ``--input`` class before it calls a
+command's handler.  A handler returns the JSON object to print, or to write
+to ``--out``; one that writes its own output returns its exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,26 +27,8 @@ from . import serialize
 from .serialize import FormatError
 
 
-def _default_seed() -> int:
-    env = os.environ.get("PCL_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise FormatError(f"PCL_SEED must be an integer, got {env!r}") from None
-
-
-def _emit(obj, out_path):
-    text = serialize.dump_json(obj, out_path)
-    if out_path is None:
-        print(text)
-    else:
-        print(f"wrote {out_path}", file=sys.stderr)
-
-
-def cmd_dim(args) -> int:
-    cls, names = serialize.class_from_dict(serialize.load_json(args.input))
+def cmd_dim(args) -> dict:
+    cls = args.cls
     report = dimensions.measure_report(cls, args.measure, witness=args.witness)
     out = {
         "measure": report.measure,
@@ -55,22 +43,11 @@ def cmd_dim(args) -> int:
             pts, hs = report.witness
             out["witness"] = {"points": list(pts), "concepts": [str(h) for h in hs]}
         elif report.measure == "ld":
-            out["witness"] = _tree_dict(report.witness)
+            out["witness"] = asdict(report.witness) if report.witness else None
         out["witness_verified"] = report.verify(cls)
-    if names:
-        out["names"] = names
-    _emit(out, args.out)
-    return 0
-
-
-def _tree_dict(tree):
-    if tree is None:
-        return None
-    return {
-        "point": tree.point,
-        "zero": _tree_dict(tree.zero),
-        "one": _tree_dict(tree.one),
-    }
+    if args.names:
+        out["names"] = args.names
+    return out
 
 
 def _load_sample(path, cls):
@@ -83,17 +60,14 @@ def _load_sample(path, cls):
     return sample
 
 
-def cmd_learn(args) -> int:
-    cls, _ = serialize.class_from_dict(serialize.load_json(args.input))
+def cmd_learn(args) -> dict:
+    cls, seed = args.cls, args.seed
     sample = _load_sample(args.sample, cls)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.mode == "realizable":
         # pac_learn_realizable rejects a sample shorter than the schedule's m
         hyp = learners.pac_learn_realizable(cls, sample, args.eps, args.delta)
         schedule = learners.pac_schedule(cls.vc, args.eps, args.delta)
         out = {
-            "mode": "realizable",
-            "hypothesis": serialize.hypothesis_to_dict(hyp),
             "schedule": {
                 "batches": schedule.batches,
                 "batch_size": schedule.batch_size,
@@ -105,8 +79,6 @@ def cmd_learn(args) -> int:
     elif args.mode == "agnostic":
         hyp, rep = learners.agnostic_learn(cls, sample, args.delta, seed)
         out = {
-            "mode": "agnostic",
-            "hypothesis": serialize.hypothesis_to_dict(hyp),
             "empirical_error": str(rep.hypothesis_error),
             "class_error": str(rep.class_error),
             "kept": rep.kept,
@@ -114,29 +86,20 @@ def cmd_learn(args) -> int:
         }
     elif args.mode == "compress":
         hyp, comp = learners.alpha_boost_compress(cls, sample, seed)
-        out = {
-            "mode": "compress",
-            "hypothesis": serialize.hypothesis_to_dict(hyp),
-            "compression": serialize.compression_to_dict(comp),
-            "size": comp.size,
-        }
+        out = {"compression": serialize.compression_to_dict(comp), "size": comp.size}
     else:  # ld-compress
         comp = learners.ld_compress(cls, sample)
         hyp = learners.reconstruct(cls, comp)
         out = {
-            "mode": "ld-compress",
-            "hypothesis": serialize.hypothesis_to_dict(hyp),
             "compression": serialize.compression_to_dict(comp),
             "size": comp.size,
             "ld": dimensions.littlestone_dimension(cls),
         }
-    _emit(out, args.out)
-    return 0
+    return {"mode": args.mode, "hypothesis": serialize.hypothesis_to_dict(hyp), **out}
 
 
-def cmd_online(args) -> int:
-    cls, _ = serialize.class_from_dict(serialize.load_json(args.input))
-    seed = args.seed if args.seed is not None else _default_seed()
+def cmd_online(args) -> dict:
+    cls, seed = args.cls, args.seed
     rng = random.Random(seed)
     if args.mode != "soa" and args.trials < 1:
         raise FormatError(f"--trials must be at least 1, got {args.trials}")
@@ -146,7 +109,6 @@ def cmd_online(args) -> int:
         seq = _load_sample(args.sample, cls)
         transcript = online.play_sequence(cls, online.Soa(cls), seq.pairs)
         out = {
-            "mode": "soa",
             "mistakes": transcript.mistakes,
             "regret": transcript.regret,
             "ld": dimensions.littlestone_dimension(cls),
@@ -164,10 +126,8 @@ def cmd_online(args) -> int:
                 (trial_rng.randrange(cls.domain_size), trial_rng.randint(0, 1))
                 for _ in range(args.T)
             ]
-            res = learner.run(seq)
-            stats.append(res.expected_regret)
+            stats.append(learner.run(seq).expected_regret)
         out = {
-            "mode": "agnostic",
             "T": args.T,
             "experts": learner.n_experts,
             "regret_bound": learner.regret_bound(),
@@ -176,13 +136,10 @@ def cmd_online(args) -> int:
         }
     elif args.mode == "adversary-mistake":
         adv = online.mistake_adversary(cls, args.d)
-        exact = adv.exact_expected_mistakes(online.Soa(cls)) if args.d <= 10 else None
-        means = []
         soa = online.Soa(cls)
-        for _ in range(args.trials):
-            means.append(adv.play(soa, rng).mistakes)
+        exact = adv.exact_expected_mistakes(soa) if args.d <= 10 else None
+        means = [adv.play(soa, rng).mistakes for _ in range(args.trials)]
         out = {
-            "mode": "adversary-mistake",
             "d": args.d,
             "mc_mean_mistakes": sum(means) / len(means),
             "exact_expected_vs_soa": str(exact) if exact is not None else None,
@@ -190,118 +147,118 @@ def cmd_online(args) -> int:
         }
     else:  # adversary-regret
         adv = online.regret_adversary(cls, args.d, args.T)
-        total = 0.0
-        for _ in range(args.trials):
-            seq = adv.generate(rng)
-            total += online.play_sequence(
-                cls, online.constant_learner(0), seq
-            ).regret
+        zero = online.constant_learner(0)
+        regrets = [
+            online.play_sequence(cls, zero, adv.generate(rng)).regret
+            for _ in range(args.trials)
+        ]
         out = {
-            "mode": "adversary-regret",
             "d": args.d,
             "T": args.T,
-            "mc_mean_regret_constant0": total / args.trials,
+            "mc_mean_regret_constant0": sum(regrets) / args.trials,
             "lower_bound": 0.25 * (args.d * args.T) ** 0.5,
         }
-    _emit(out, args.out)
-    return 0
+    return {"mode": args.mode, **out}
 
 
-def cmd_disambiguate(args) -> int:
-    cls, _ = serialize.class_from_dict(serialize.load_json(args.input))
-    if args.algo == "majority":
-        res = disambiguation.vc_majority_disambiguate(cls)
-    elif args.algo == "weighted":
-        res = disambiguation.weighted_disambiguate(cls)
-    elif args.algo == "support":
-        res = disambiguation.support_indicator_disambiguation(cls)
-    else:  # compression
-        res = disambiguation.compression_to_disambiguation(cls)
+DISAMBIGUATIONS = {
+    "majority": disambiguation.vc_majority_disambiguate,
+    "weighted": disambiguation.weighted_disambiguate,
+    "compression": disambiguation.compression_to_disambiguation,
+    "support": disambiguation.support_indicator_disambiguation,
+}
+
+
+def cmd_disambiguate(args) -> dict:
+    cls = args.cls
+    res = DISAMBIGUATIONS[args.algo](cls)
     out = serialize.disambiguation_to_dict(res)
     out["strong_verified"] = (
         disambiguation.strong_violation(cls, res.totals) is None
         if res.extension_of is not None
         else None
     )
-    out["weak_verified_len3"] = disambiguation.weak_violation(cls, res.totals, 3) is None
-    _emit(out, args.out)
-    return 0
+    out["weak_verified_len3"] = (
+        disambiguation.weak_violation(cls, res.totals, disambiguation.VERIFY_LEN) is None
+    )
+    return out
 
 
-def cmd_construct(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.kind == "biclique":
-        if args.complete is not None:
-            inst = disambiguation.star_partition_instance(args.complete)
-        elif args.graph is not None:
-            inst = serialize.biclique_from_dict(serialize.load_json(args.graph))
-        else:
-            raise FormatError("construct biclique needs --graph or --complete")
-        cls = disambiguation.biclique_class(inst)
-        out = {
-            "instance": serialize.biclique_to_dict(inst),
-            "class": serialize.class_to_dict(cls),
-            "vc": cls.vc,
-            "td": dimensions.threshold_dimension(cls),
-        }
-    elif args.kind == "margin":
-        pts = geometry.orthonormal_points(args.radius, args.gamma)
-        certs = geometry.certify_orthonormal_labelings(args.radius, args.gamma)
-        out = {
-            "points": [[float(v) for v in p] for p in pts],
-            "radius": args.radius,
-            "gamma": args.gamma,
-            "labelings": len(certs),
-            "all_separable": all(c.witness_ok and c.generic_ok for c in certs),
-        }
-    elif args.kind == "general-margin":
-        if args.grid < 1:
-            raise FormatError(f"--grid must be positive, got {args.grid}")
-        side = np.linspace(0.0, 1.0, args.grid)
-        grid = np.array([[x, y] for x in side for y in side])
-        packing = geometry.greedy_packing(grid, args.gamma)
-        out = {
-            "points": [[float(v) for v in p] for p in grid],
-            "gamma": args.gamma,
-            "packing": {
-                "chosen": list(packing.chosen),
-                "min_pairwise": packing.min_pairwise,
-                "cells": list(packing.cells),
-            },
-        }
-    elif args.kind == "gamma-boost":
-        for flag, value in (("--base", args.base), ("--sample", args.sample)):
-            if value is None:
-                raise FormatError(f"construct gamma-boost needs {flag}")
-        base, _ = serialize.class_from_dict(serialize.load_json(args.base))
-        base = core.total_class(base.domain_size, base.concepts)
-        sample = _load_sample(args.sample, base)
-        game = geometry.weak_learning_game(base, sample)
-        gamma = 1 - 2 * game.value
-        out = {
-            "game_value": str(game.value),
-            "max_gamma": str(gamma),
-        }
-        if gamma > 0:
-            hyp, rep = geometry.boosting_disambiguate_sample(base, sample, gamma)
-            out["hypothesis"] = serialize.hypothesis_to_dict(hyp)
-            out["rounds"] = rep.rounds
-            out["dual_dimension"] = rep.dual_dimension
-    else:  # erm-failure
-        res = geometry.erm_failure_simulate(args.n, args.m, args.trials, seed)
-        out = {
-            "n": args.n,
-            "m": args.m,
-            "trials": args.trials,
-            "proper_mean_error": str(res.proper_mean_error),
-            "improper_mean_error": str(res.improper_mean_error),
-        }
-    _emit(out, args.out)
-    return 0
+def construct_biclique(args) -> dict:
+    if args.complete is not None:
+        inst = disambiguation.star_partition_instance(args.complete)
+    elif args.graph is not None:
+        inst = serialize.biclique_from_dict(serialize.load_json(args.graph))
+    else:
+        raise FormatError("construct biclique needs --graph or --complete")
+    cls = disambiguation.biclique_class(inst)
+    return {
+        "instance": serialize.biclique_to_dict(inst),
+        "class": serialize.class_to_dict(cls),
+        "vc": cls.vc,
+        "td": dimensions.threshold_dimension(cls),
+    }
+
+
+def construct_margin(args) -> dict:
+    pts = geometry.orthonormal_points(args.radius, args.gamma)
+    certs = geometry.certify_orthonormal_labelings(args.radius, args.gamma)
+    return {
+        "points": [[float(v) for v in p] for p in pts],
+        "radius": args.radius,
+        "gamma": args.gamma,
+        "labelings": len(certs),
+        "all_separable": all(c.witness_ok and c.generic_ok for c in certs),
+    }
+
+
+def construct_general_margin(args) -> dict:
+    if args.grid < 1:
+        raise FormatError(f"--grid must be positive, got {args.grid}")
+    side = np.linspace(0.0, 1.0, args.grid)
+    grid = np.array([[x, y] for x in side for y in side])
+    packing = geometry.greedy_packing(grid, args.gamma)
+    return {
+        "points": [[float(v) for v in p] for p in grid],
+        "gamma": args.gamma,
+        "packing": {
+            "chosen": list(packing.chosen),
+            "min_pairwise": packing.min_pairwise,
+            "cells": list(packing.cells),
+        },
+    }
+
+
+def construct_gamma_boost(args) -> dict:
+    for flag, value in (("--base", args.base), ("--sample", args.sample)):
+        if value is None:
+            raise FormatError(f"construct gamma-boost needs {flag}")
+    base, _ = serialize.class_from_dict(serialize.load_json(args.base))
+    base = core.total_class(base.domain_size, base.concepts)
+    sample = _load_sample(args.sample, base)
+    game = geometry.weak_learning_game(base, sample)
+    gamma = 1 - 2 * game.value
+    out = {"game_value": str(game.value), "max_gamma": str(gamma)}
+    if gamma > 0:
+        hyp, rep = geometry.boosting_disambiguate_sample(base, sample, gamma)
+        out["hypothesis"] = serialize.hypothesis_to_dict(hyp)
+        out["rounds"] = rep.rounds
+        out["dual_dimension"] = rep.dual_dimension
+    return out
+
+
+def construct_erm_failure(args) -> dict:
+    res = geometry.erm_failure_simulate(args.n, args.m, args.trials, args.seed)
+    return {
+        "n": args.n,
+        "m": args.m,
+        "trials": args.trials,
+        "proper_mean_error": str(res.proper_mean_error),
+        "improper_mean_error": str(res.improper_mean_error),
+    }
 
 
 def cmd_experiment(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     params = {}
     for item in args.param or []:
         key, _, value = item.partition("=")
@@ -311,12 +268,7 @@ def cmd_experiment(args) -> int:
             params[key.replace("-", "_")] = json.loads(value)
         except json.JSONDecodeError:
             params[key.replace("-", "_")] = value
-    cfg = experiments.ExperimentConfig(
-        experiment=args.name,
-        seed=seed,
-        trials=args.trials,
-        params=params,
-    )
+    cfg = experiments.ExperimentConfig(args.name, args.seed, args.trials, params)
     report = experiments.run_experiment(cfg)
     if not report.checks:
         raise FormatError(
@@ -337,25 +289,31 @@ def cmd_experiment(args) -> int:
     return 0 if report.n_failed == 0 else 1
 
 
-# Default grids: sample sizes m for compression, domain sizes n for disambiguation.
-_SCALING_GRIDS = {
-    "compression-size": [8, 16, 32, 64],
-    "disambiguation-size": [4, 6, 8, 10],
-}
-
-
 def cmd_scaling(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    grid = _SCALING_GRIDS[args.name] if args.grid is None else args.grid
+    _, _, default = experiments.SCALING_TABLES[args.name]
+    grid = default if args.grid is None else args.grid
     for value in grid:
         if value < 1:
             raise FormatError(f"--grid values must be positive, got {value}")
-    header, rows = experiments.emit_scaling_table(args.name, grid, seed)
+    header, rows = experiments.emit_scaling_table(args.name, grid, args.seed)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     return 0
+
+
+def _command(sub, name: str, func, help: str, *, input=False, seed=False, out=None):
+    """A subcommand that runs ``func``, with ``--out`` (described by ``out``)
+    and, where asked, ``--input`` and ``--seed``."""
+    p = sub.add_parser(name, help=help)
+    if input:
+        p.add_argument("--input", required=True)
+    if seed:
+        p.add_argument("--seed", type=int)
+    p.add_argument("--out", help=out)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,15 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", help="compute a complexity measure of a class")
-    p.add_argument("--input", required=True)
+    p = _command(sub, "dim", cmd_dim, "compute a complexity measure of a class", input=True)
     p.add_argument("--measure", required=True, choices=dimensions.MEASURES)
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("learn", help="run a batch learner on a sample")
-    p.add_argument("--input", required=True)
+    p = _command(
+        sub, "learn", cmd_learn, "run a batch learner on a sample", input=True, seed=True
+    )
     p.add_argument("--sample", required=True)
     p.add_argument(
         "--mode",
@@ -382,12 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("online", help="online games, learners and adversaries")
-    p.add_argument("--input", required=True)
+    p = _command(
+        sub, "online", cmd_online, "online games, learners and adversaries",
+        input=True, seed=True,
+    )
     p.add_argument(
         "--mode",
         required=True,
@@ -397,62 +352,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=10)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("disambiguate", help="build a total class from a partial one")
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--algo", required=True, choices=["majority", "weighted", "compression", "support"]
+    p = _command(
+        sub, "disambiguate", cmd_disambiguate, "build a total class from a partial one",
+        input=True,
     )
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_disambiguate)
+    p.add_argument("--algo", required=True, choices=list(DISAMBIGUATIONS))
 
-    p = sub.add_parser("construct", help="build the example instances")
-    p.add_argument(
-        "kind", choices=["biclique", "margin", "gamma-boost", "general-margin", "erm-failure"]
-    )
+    construct = sub.add_parser("construct", help="build the example instances")
+    kinds = construct.add_subparsers(dest="kind", required=True)
+    p = _command(kinds, "biclique", construct_biclique, "the class of a biclique partition")
     p.add_argument("--graph")
     p.add_argument("--complete", type=int)
+    p = _command(kinds, "margin", construct_margin, "the orthonormal margin family")
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
+    p = _command(
+        kinds, "general-margin", construct_general_margin, "a grid packing in the plane"
+    )
     p.add_argument("--grid", type=int, default=5)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p = _command(
+        kinds, "gamma-boost", construct_gamma_boost, "boost a base class on a sample"
+    )
     p.add_argument("--base")
     p.add_argument("--sample")
+    p = _command(
+        kinds, "erm-failure", construct_erm_failure, "the proper-learner failure",
+        seed=True,
+    )
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("experiment", help="run a named bound-checking suite")
+    p = _command(
+        sub, "experiment", cmd_experiment, "run a named bound-checking suite", seed=True,
+        out="output path prefix for the .json/.csv report",
+    )
     p.add_argument("name", choices=sorted(experiments.SUITES))
-    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--out", help="output path prefix for the .json/.csv report")
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("scaling", help="emit a measured-vs-envelope CSV table")
-    p.add_argument("name", choices=sorted(_SCALING_GRIDS))
+    p = _command(
+        sub, "scaling", cmd_scaling, "emit a measured-vs-envelope CSV table", seed=True
+    )
+    p.add_argument("name", choices=sorted(experiments.SCALING_TABLES))
     p.add_argument("--grid", type=int, nargs="*")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_scaling)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Every command takes --out; a missing directory fails before any work.
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FormatError(f"--out {args.out}: directory does not exist")
-        return args.func(args)
+        if "seed" in args and args.seed is None:
+            env = os.environ.get("PCL_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise FormatError(f"PCL_SEED must be an integer, got {env!r}") from None
+        if "input" in args:
+            args.cls, args.names = serialize.class_from_dict(
+                serialize.load_json(args.input)
+            )
+        out = args.func(args)
+        if isinstance(out, int):
+            return out
+        text = serialize.dump_json(out, args.out)
+        if args.out is None:
+            print(text)
+        else:
+            print(f"wrote {args.out}", file=sys.stderr)
+        return 0
     except (FormatError, core.ContractViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -371,6 +371,7 @@ def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
 
 def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> int:
     """Fewest disagreements of any single concept with the pair sequence."""
+    check_points(cls, pairs)
     best = len(pairs)
     for h in cls.concepts:
         best = min(best, sum(1 for x, y in pairs if h[x] != y))
@@ -382,7 +383,6 @@ def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> 
 def best_empirical_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
     if len(sample) == 0:
         raise ContractViolation("empirical error of an empty sample is undefined")
-    check_points(cls, sample)
     return Fraction(min_mistakes(cls, sample.pairs), len(sample))
 
 

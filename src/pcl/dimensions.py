@@ -137,9 +137,10 @@ def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTr
     packed = cls.packed
     solver = cls.ld_solver
     full = packed.full
-    if d > solver.ld(full):
+    if not 0 <= d <= solver.ld(full):
         raise ContractViolation(
-            f"requested depth {d} exceeds the Littlestone dimension {solver.ld(full)}"
+            f"the tree depth d must be between 0 and the Littlestone dimension "
+            f"{solver.ld(full)}, got {d}"
         )
     if d == 0:
         return None

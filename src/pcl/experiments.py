@@ -203,25 +203,31 @@ def _draw_class(
     return generate_random_class(n, size, rng.choice(stars), rng.randrange(2**31))
 
 
-def _random_class_with_vc_cap(
-    rng: random.Random, max_n: int, max_size: int, vc_cap: int
+def _draw_class_until(
+    rng: random.Random, max_n: int, max_size: int,
+    accept: Callable[[PartialConceptClass], bool], what: str,
 ) -> PartialConceptClass:
+    """The first of at most 1000 ``_draw_class`` draws that ``accept`` takes."""
     for _ in range(1000):
         cls = _draw_class(rng, max_n, max_size, (0.2, 0.35, 0.5, 0.65))
-        if cls.vc <= vc_cap:
+        if accept(cls):
             return cls
-    raise RuntimeError(f"no class with VC <= {vc_cap} found in 1000 draws")
+    raise RuntimeError(f"no class with {what} found in 1000 draws")
+
+
+def _support_sequence(
+    h: PartialConcept, rng: random.Random, length: int
+) -> list[tuple[int, int]]:
+    """``length`` points drawn from the support of ``h``, with its labels."""
+    supp = h.support()
+    return [(x, h[x]) for x in rng.choices(supp, k=length)] if supp else []
 
 
 def _random_realizable_sequence(
     cls: PartialConceptClass, rng: random.Random, length: int
 ) -> list[tuple[int, int]]:
     candidates = [h for h in cls.concepts if h.support()]
-    if not candidates:
-        return []
-    h = rng.choice(candidates)
-    supp = h.support()
-    return [(x, h[x]) for x in rng.choices(supp, k=length)]
+    return _support_sequence(rng.choice(candidates), rng, length) if candidates else []
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +260,8 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                     seq.append((x, y))
                     mask &= packed.label_masks[x][y]
                     node = node.zero if y == 0 else node.one
-                survivor_bits = mask
-                idx = (survivor_bits & -survivor_bits).bit_length() - 1
-                h = cls.concepts[idx]
-                supp = h.support()
-                if supp:
-                    seq += [(x, h[x]) for x in rng.choices(supp, k=cls.domain_size)]
+                survivor = cls.concepts[(mask & -mask).bit_length() - 1]
+                seq += _support_sequence(survivor, rng, cls.domain_size)
             if not seq:
                 continue
             worst = max(worst, online.play_sequence(cls, soa, seq).mistakes)
@@ -462,7 +464,7 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
     checks = []
     for i in range(n_classes):
         rng = split_rng(cfg.seed, "disamb", i)
-        cls = _random_class_with_vc_cap(rng, max_n=12, max_size=16, vc_cap=3)
+        cls = _draw_class_until(rng, 12, 16, lambda c: c.vc <= 3, "VC <= 3")
         n = cls.domain_size
         d = cls.vc
         s = dimensions.shattering_strength(cls)
@@ -553,7 +555,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
     max_ld_size = 0
     for i in range(n_samples):
         rng = split_rng(cfg.seed, "compress", i)
-        cls = _random_class_with_vc_cap(rng, max_n=8, max_size=16, vc_cap=3)
+        cls = _draw_class_until(rng, 8, 16, lambda c: c.vc <= 3, "VC <= 3")
         m = rng.randint(1, cfg.params["max_m"])
         seq = _random_realizable_sequence(cls, rng, m)
         if not seq:
@@ -599,17 +601,12 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
     checks = []
     for i in range(cfg.params["distributions"]):
         rng = split_rng(cfg.seed, "pac", i)
-        for _ in range(1000):
-            cls = _random_class_with_vc_cap(rng, max_n=6, max_size=12, vc_cap=2)
-            carriers = [h for h in cls.concepts if len(h.support()) >= 2]
-            if carriers and cls.vc >= 1:
-                break
-        else:
-            raise RuntimeError(
-                "no class with VC 1 or 2 and a concept defined on two points "
-                "found in 1000 draws"
-            )
-        target = rng.choice(carriers)
+        cls = _draw_class_until(
+            rng, 6, 12,
+            lambda c: 1 <= c.vc <= 2 and any(len(h.support()) >= 2 for h in c),
+            "VC 1 or 2 and a concept defined on two points",
+        )
+        target = rng.choice([h for h in cls.concepts if len(h.support()) >= 2])
         supp = target.support()
         weights = [rng.randint(1, 4) for _ in supp]
         total = sum(weights)
@@ -821,46 +818,54 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
 
 
-# Each suite with the default of every parameter it reads.
-SUITES: dict[str, tuple[Callable[[ExperimentConfig], Report], dict]] = {
-    "soa-mistake-bound": (suite_soa_mistake_bound, {"classes": 200, "sequences": 20}),
-    "one-inclusion-loo": (
+@dataclass(frozen=True)
+class Suite:
+    """A suite's run function, the default of every parameter it reads, the
+    parameter ``--trials`` sets (if any) and each parameter's least value (if
+    it has one)."""
+
+    run: Callable[[ExperimentConfig], Report]
+    defaults: dict
+    trials: Optional[str] = None
+    least: dict = field(default_factory=dict)
+
+
+SUITES: dict[str, Suite] = {
+    "soa-mistake-bound": Suite(
+        suite_soa_mistake_bound, {"classes": 200, "sequences": 20},
+        least={"sequences": 1},
+    ),
+    "one-inclusion-loo": Suite(
         suite_one_inclusion_loo,
         {"classes": 100, "max_len": 5, "cross_checks": 40, "multiset_classes": 10},
+        least={"max_len": 1},
     ),
-    "experts-regret": (suite_experts_regret, {"matrices": 100}),
-    "agnostic-online-regret": (
+    "experts-regret": Suite(suite_experts_regret, {"matrices": 100}),
+    "agnostic-online-regret": Suite(
         suite_agnostic_online_regret,
         {"T": 12, "sequences": 20, "adversary_trials": 10_000, "adversary_T": 100},
+        trials="adversary_trials",
+        # a sample sigma takes two trials
+        least={"sequences": 1, "adversary_trials": 2},
     ),
-    "disambiguation-bounds": (suite_disambiguation_bounds, {"classes": 100}),
-    "biclique-lower-bound": (suite_biclique_lower_bound, {"sizes": (4, 6, 8)}),
-    "compression-bounds": (suite_compression_bounds, {"samples": 500, "max_m": 64}),
-    "pac-realizable": (
+    "disambiguation-bounds": Suite(suite_disambiguation_bounds, {"classes": 100}),
+    "biclique-lower-bound": Suite(suite_biclique_lower_bound, {"sizes": (4, 6, 8)}),
+    "compression-bounds": Suite(
+        suite_compression_bounds, {"samples": 500, "max_m": 64},
+        trials="samples", least={"samples": 1, "max_m": 1},
+    ),
+    "pac-realizable": Suite(
         suite_pac_realizable,
         {"eps": 0.2, "delta": 0.1, "trials": 2000, "distributions": 10},
+        trials="trials", least={"trials": 1},
     ),
-    "erm-failure": (suite_erm_failure, {"n": 20, "m": 5, "trials": 1000}),
-    "geometry": (suite_geometry, {"streams": 100}),
-    "approximation-monotonicity": (suite_approximation_monotonicity, {}),
-    "multiclass-inequalities": (suite_multiclass_inequalities, {"classes": 100}),
-}
-
-# The parameter ``--trials`` sets.
-TRIAL_KEYS: dict[str, str] = {
-    "agnostic-online-regret": "adversary_trials",
-    "compression-bounds": "samples",
-    "pac-realizable": "trials",
-    "erm-failure": "trials",
-}
-
-# The least value of each parameter that has one (a sigma takes two trials).
-LEAST: dict[str, dict[str, int]] = {
-    "one-inclusion-loo": {"max_len": 1},
-    "agnostic-online-regret": {"adversary_trials": 2},
-    "compression-bounds": {"samples": 1, "max_m": 1},
-    "pac-realizable": {"trials": 1},
-    "erm-failure": {"trials": 1},
+    "erm-failure": Suite(
+        suite_erm_failure, {"n": 20, "m": 5, "trials": 1000},
+        trials="trials", least={"trials": 1},
+    ),
+    "geometry": Suite(suite_geometry, {"streams": 100}),
+    "approximation-monotonicity": Suite(suite_approximation_monotonicity, {}),
+    "multiclass-inequalities": Suite(suite_multiclass_inequalities, {"classes": 100}),
 }
 
 
@@ -880,10 +885,10 @@ def _fits(value, default) -> bool:
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one suite with ``cfg.params`` over its defaults and ``cfg.trials``
-    over its ``TRIAL_KEYS`` parameter.
+    over the parameter ``--trials`` sets.
 
     An unknown parameter (``--trials`` for a suite without trials), a value
-    whose type does not fit the default, or a value below its ``LEAST``
+    whose type does not fit the default, or a value below its least value
     raises ``ValueError`` naming the key before any work starts.
     """
     if cfg.experiment not in SUITES:
@@ -891,10 +896,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             f"unknown experiment {cfg.experiment!r}; "
             f"known: {', '.join(sorted(SUITES))}"
         )
-    suite, defaults = SUITES[cfg.experiment]
+    suite = SUITES[cfg.experiment]
+    defaults = suite.defaults
     params = dict(cfg.params)
     # a suite without trials knows no parameter "--trials"
-    trial_key = TRIAL_KEYS.get(cfg.experiment, "--trials")
+    trial_key = suite.trials or "--trials"
     if cfg.trials is not None:
         params[trial_key] = cfg.trials
     for key, value in params.items():
@@ -910,18 +916,54 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 f"{type(default).__name__} like its default {default!r}, got {value!r}"
             )
     params = {**defaults, **params}
-    for key, least in LEAST.get(cfg.experiment, {}).items():
+    for key, least in suite.least.items():
         if params[key] < least:
             via = ", which --trials sets," if key == trial_key else ""
             raise ValueError(
                 f"{cfg.experiment}: parameter {key!r}{via} must be "
                 f"at least {least}, got {params[key]}"
             )
-    return suite(replace(cfg, params=params))
+    return suite.run(replace(cfg, params=params))
 
 
 # ---------------------------------------------------------------------------
 # scaling tables
+
+
+def _compression_row(m: int, seed: int) -> list:
+    rng = split_rng(seed, "scale-compress", m)
+    cls = _draw_class_until(rng, 6, 20, lambda c: c.vc <= 3, "VC <= 3")
+    k = learners.boosting_round_size(cls.vc)
+    sample = labeled_sample(_random_realizable_sequence(cls, rng, m))
+    _, comp = learners.alpha_boost_compress(cls, sample, seed=rng.randrange(2**31))
+    return [m, comp.size, k * learners.boosting_round_cap(m) + len(comp.bits)]
+
+
+def _disambiguation_row(n: int, seed: int) -> list:
+    rng = split_rng(seed, "scale-disamb", n)
+    for _ in range(200):  # random VC-1 classes are rare at larger n
+        cls = generate_random_class(
+            n, min(2 * n, 2**n), rng.choice([0.5, 0.65, 0.8]), rng.randrange(2**31)
+        )
+        if cls.vc == 1:
+            break
+    else:
+        # star-partition classes are VC-1 at every size
+        cls = disambiguation.biclique_class(disambiguation.star_partition_instance(n + 1))
+    res = disambiguation.vc_majority_disambiguate(cls)
+    return [n, len(res.totals), dimensions.sauer_bound(n, int(1 + math.log2(n)))]
+
+
+# Each scaling table: its header, the function giving the row of one grid
+# point, and the default grid.
+SCALING_TABLES: dict[str, tuple[list[str], Callable[[int, int], list], list[int]]] = {
+    "compression-size": (
+        ["m", "measured_size", "envelope"], _compression_row, [8, 16, 32, 64]
+    ),
+    "disambiguation-size": (
+        ["n", "measured_totals", "envelope"], _disambiguation_row, [4, 6, 8, 10]
+    ),
+}
 
 
 def emit_scaling_table(
@@ -932,42 +974,7 @@ def emit_scaling_table(
     ``compression-size`` sweeps the sample size m; ``disambiguation-size``
     sweeps the domain size n for VC-1 classes.
     """
-    if experiment == "compression-size":
-        header = ["m", "measured_size", "envelope"]
-        rows = []
-        for m in grid:
-            rng = split_rng(seed, "scale-compress", m)
-            cls = _random_class_with_vc_cap(rng, max_n=6, max_size=20, vc_cap=3)
-            k = learners.boosting_round_size(cls.vc)
-            seq = _random_realizable_sequence(cls, rng, m)
-            sample = labeled_sample(seq)
-            _, comp = learners.alpha_boost_compress(
-                cls, sample, seed=rng.randrange(2**31)
-            )
-            envelope = k * learners.boosting_round_cap(m) + len(comp.bits)
-            rows.append([m, comp.size, envelope])
-        return header, rows
-    if experiment == "disambiguation-size":
-        header = ["n", "measured_totals", "envelope"]
-        rows = []
-        for n in grid:
-            rng = split_rng(seed, "scale-disamb", n)
-            cls = None
-            for _ in range(200):  # random VC-1 classes are rare at larger n
-                candidate = generate_random_class(
-                    n, min(2 * n, 2**n), rng.choice([0.5, 0.65, 0.8]),
-                    rng.randrange(2**31),
-                )
-                if candidate.vc == 1:
-                    cls = candidate
-                    break
-            if cls is None:
-                # star-partition classes are VC-1 at every size
-                cls = disambiguation.biclique_class(
-                    disambiguation.star_partition_instance(n + 1)
-                )
-            res = disambiguation.vc_majority_disambiguate(cls)
-            envelope = dimensions.sauer_bound(n, int(1 + math.log2(n)))
-            rows.append([n, len(res.totals), envelope])
-        return header, rows
-    raise ValueError(f"unknown scaling experiment {experiment!r}")
+    if experiment not in SCALING_TABLES:
+        raise ValueError(f"unknown scaling experiment {experiment!r}")
+    header, row, _ = SCALING_TABLES[experiment]
+    return list(header), [row(value, seed) for value in grid]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, LabeledSample, TotalConceptClass
+from .core import ContractViolation, LabeledSample, TotalConceptClass, check_points
 from .dimensions import dual_vc_dimension
 from .learners import Hypothesis, boost_to_consistency
 
@@ -413,6 +413,7 @@ def weak_learning_game(
     """
     if len(sample) == 0:
         raise ContractViolation("the game needs a nonempty sample")
+    check_points(base, sample)
     pairs = sorted(set(sample.pairs))
     columns = sorted(
         {tuple(1 if h[x] != y else 0 for x, y in pairs) for h in base.concepts}

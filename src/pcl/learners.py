@@ -174,22 +174,32 @@ class OneInclusionGraph:
 
 
 class OneInclusionCache:
-    """Memoizes one-inclusion graphs keyed by (class, point set), and the
-    hypotheses they give keyed by (class, set of distinct training pairs).
+    """Memoizes the one-inclusion graphs of one class keyed by point set, and
+    the hypotheses they give keyed by set of distinct training pairs.
 
+    The store serves the first class it is asked about and refuses any other.
     Each class keeps one as ``PartialConceptClass.one_inclusion``.
     """
 
     def __init__(self) -> None:
-        self._graphs: dict[tuple, OneInclusionGraph] = {}
-        self._hypotheses: dict[tuple, Hypothesis] = {}
+        # the served class's concepts; holding the class would make a cycle,
+        # since each class owns its store
+        self._concepts: Optional[tuple] = None
+        self._graphs: dict[tuple[int, ...], OneInclusionGraph] = {}
+        self._hypotheses: dict[frozenset, Hypothesis] = {}
+
+    def _serve(self, cls: PartialConceptClass) -> None:
+        if self._concepts is None:
+            self._concepts = cls.concepts
+        elif cls.concepts != self._concepts:
+            raise ContractViolation("a one-inclusion store serves only its first class")
 
     def graph(self, cls: PartialConceptClass, points: tuple[int, ...]) -> OneInclusionGraph:
-        key = (cls.concepts, points)
-        g = self._graphs.get(key)
+        self._serve(cls)
+        g = self._graphs.get(points)
         if g is None:
             g = OneInclusionGraph(cls, points)
-            self._graphs[key] = g
+            self._graphs[points] = g
         return g
 
     def hypothesis(
@@ -200,12 +210,12 @@ class OneInclusionCache:
         The predictor reads only the distinct training pairs, so each set is
         fitted once; a set that fails its checks raises and is not stored.
         """
-        key = (cls.concepts, pairs)
-        h = self._hypotheses.get(key)
+        self._serve(cls)
+        h = self._hypotheses.get(pairs)
         if h is None:
             predict = _predictor(cls, LabeledSample(tuple(pairs)), self)
             h = Hypothesis(tuple(map(predict, range(cls.domain_size))))
-            self._hypotheses[key] = h
+            self._hypotheses[pairs] = h
         return h
 
 

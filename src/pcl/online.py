@@ -47,6 +47,7 @@ def play_sequence(
     learner: Learner,
     sequence: Sequence[tuple[int, int]],
 ) -> OnlineTranscript:
+    best = min_mistakes(cls, sequence)  # checks every point before any is played
     history: list[tuple[int, int]] = []
     rounds = []
     mistakes = 0
@@ -58,7 +59,7 @@ def play_sequence(
         mistakes += bad
         rounds.append(Round(x, p, y, bad))
         history.append((x, y))
-    return OnlineTranscript(tuple(rounds), mistakes, min_mistakes(cls, sequence))
+    return OnlineTranscript(tuple(rounds), mistakes, best)
 
 
 class Soa:
@@ -214,6 +215,7 @@ class AgnosticOnlineLearner:
     def run(self, sequence: Sequence[tuple[int, int]]) -> AgnosticRunResult:
         if len(sequence) != self.T:
             raise ValueError(f"sequence length {len(sequence)} != T = {self.T}")
+        best = min_mistakes(self.cls, sequence)  # checks every point first
         soa = Soa(self.cls)
         packed = self.cls.packed
         masks = [packed.full] * self.n_experts
@@ -226,9 +228,7 @@ class AgnosticOnlineLearner:
                     masks[i] &= packed.label_masks[x][p]
                 preds[t, i] = p
         res = experts_aggregate(preds, [y for _, y in sequence])
-        return AgnosticRunResult(
-            res.total_loss, min_mistakes(self.cls, sequence), res.regret_bound
-        )
+        return AgnosticRunResult(res.total_loss, best, res.regret_bound)
 
 
 @dataclass

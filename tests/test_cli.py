@@ -310,6 +310,25 @@ class TestCliContract:
         argv = ["online", "--input", class_file, "--mode", "adversary-regret", "--d", "0"]
         self._fails_naming(argv, "depth d", capsys)
 
+    def test_adversary_mistake_negative_depth(self, class_file, capsys):
+        argv = ["online", "--input", class_file, "--mode", "adversary-mistake",
+                "--d", "-1", "--trials", "2"]
+        self._fails_naming(argv, "depth d", capsys)
+
+    def test_construct_kind_refuses_another_kinds_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "margin", "--n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+    def test_bad_seed_variable_fails_only_commands_that_read_a_seed(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("PCL_SEED", "abc")
+        assert main(["construct", "margin"]) == 0
+        capsys.readouterr()
+        self._fails_naming(["construct", "erm-failure", "--trials", "10"], "PCL_SEED", capsys)
+
     @pytest.mark.parametrize(
         "args, named",
         [
@@ -321,6 +340,10 @@ class TestCliContract:
             (["one-inclusion-loo", "--param", "max_len=0", "--param", "classes=1"],
              "'max_len'"),
             (["compression-bounds", "--param", "max_m=0", "--trials", "2"], "'max_m'"),
+            (["soa-mistake-bound", "--param", "sequences=0", "--param", "classes=2"],
+             "'sequences'"),
+            (["agnostic-online-regret", "--param", "sequences=0", "--trials", "2"],
+             "'sequences'"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

@@ -20,10 +20,14 @@ from pcl.core import (
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
+    min_mistakes,
     splits,
+    total_class,
     uniform_on,
 )
 from pcl.dimensions import is_shattered
+from pcl.geometry import weak_learning_game
+from pcl.online import AgnosticOnlineLearner, Soa, play_sequence
 
 from _oracles import (
     approximation_error_by_product,
@@ -130,6 +134,29 @@ class TestRealizability:
         cls = concept_class(2, ["00"])
         with pytest.raises(ValueError):
             is_realizable(cls, labeled_sample([(2, 0)]))
+
+    @pytest.mark.parametrize(
+        "call, point",
+        [
+            (lambda c: play_sequence(c, Soa(c), [(-1, 1)]), -1),
+            (lambda c: play_sequence(c, Soa(c), [(5, 1)]), 5),
+            (lambda c: AgnosticOnlineLearner(c, 2).run([(-1, 1), (0, 0)]), -1),
+            (lambda c: min_mistakes(c, [(-1, 1)]), -1),
+            (lambda c: approximation_error(c, uniform_on([(7, 1)]), 1), 7),
+            (
+                lambda c: weak_learning_game(
+                    total_class(2, ["01", "10"]), labeled_sample([(5, 1)])
+                ),
+                5,
+            ),
+        ],
+        ids=["soa-negative", "soa-past-domain", "agnostic", "min-mistakes",
+             "approximation", "weak-game"],
+    )
+    def test_point_outside_domain_named(self, call, point):
+        cls = concept_class(3, ["001", "110", "01*"])
+        with pytest.raises(ValueError, match=f"point index {point} out of range"):
+            call(cls)
 
     @settings(max_examples=60)
     @given(classes_with_samples())

@@ -1,9 +1,13 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pcl import experiments
-from pcl.experiments import ExperimentConfig, _check, _tally, run_experiment
+from pcl.experiments import ExperimentConfig, Suite, _check, _tally, run_experiment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestCheck:
@@ -75,7 +79,7 @@ class TestParams:
             raise AssertionError("the suite ran")
 
         monkeypatch.setitem(
-            experiments.SUITES, "soa-mistake-bound", (never, {"classes": 200})
+            experiments.SUITES, "soa-mistake-bound", Suite(never, {"classes": 200})
         )
         with pytest.raises(ValueError, match=named):
             run_experiment(ExperimentConfig("soa-mistake-bound", params=params))
@@ -85,7 +89,7 @@ class TestParams:
         monkeypatch.setitem(
             experiments.SUITES,
             "pac-realizable",
-            (lambda cfg: seen.append(cfg.params), {"eps": 0.2, "trials": 2000}),
+            Suite(lambda cfg: seen.append(cfg.params), {"eps": 0.2, "trials": 2000}),
         )
         run_experiment(ExperimentConfig("pac-realizable", params={"eps": 1}))
         assert seen == [{"eps": 1, "trials": 2000}]
@@ -99,3 +103,33 @@ class TestParams:
             run_experiment(
                 ExperimentConfig("biclique-lower-bound", params={"sizes": [4, 5.5]})
             )
+
+
+class TestReadme:
+    """README's least-value table and ``--trials`` sentence follow the suite records."""
+
+    def test_least_value_table(self):
+        table = README.read_text().split("These parameters have a least value")[1]
+        rows = re.findall(r"^\| `([\w-]+)` \| (`.*`) \| (\d+)", table, re.M)
+        documented = {
+            (suite, key, int(least))
+            for suite, keys, least in rows
+            for key in re.findall(r"`(\w+)`", keys)
+        }
+        declared = {
+            (name, key, least)
+            for name, suite in experiments.SUITES.items()
+            for key, least in suite.least.items()
+        }
+        assert documented == declared
+
+    def test_trials_sentence(self):
+        text = " ".join(README.read_text().split())
+        sentence = re.search(r"`--trials K` sets one parameter: (.*?);", text).group(1)
+        documented = set(re.findall(r"`(\w+)` of `([\w-]+)`", sentence))
+        declared = {
+            (suite.trials, name)
+            for name, suite in experiments.SUITES.items()
+            if suite.trials
+        }
+        assert documented == declared

@@ -265,10 +265,21 @@ class TestPacWrapper:
         assert built == []
 
     def test_shared_cache_keeps_classes_apart(self):
+        # a store serves one class and refuses another; a fresh store per
+        # class, as the benchmark passes to every fit, still works
+        first, other = concept_class(3, ["000", "111"]), concept_class(3, ["001", "110"])
         cache = OneInclusionCache()
         train = frozenset({(0, 0)})
-        assert cache.hypothesis(concept_class(3, ["000", "111"]), train).labels == (0, 0, 0)
-        assert cache.hypothesis(concept_class(3, ["001", "110"]), train).labels == (0, 0, 1)
+        assert cache.hypothesis(first, train).labels == (0, 0, 0)
+        assert cache.hypothesis(concept_class(3, ["111", "000"]), train).labels == (0, 0, 0)
+        for call in (lambda: cache.hypothesis(other, train), lambda: cache.graph(other, (1,))):
+            with pytest.raises(ContractViolation, match="only its first class"):
+                call()
+        assert OneInclusionCache().hypothesis(other, train).labels == (0, 0, 1)
+        sample = labeled_sample([(0, 0)] * 150)
+        for cls in (first, other):
+            hyp = pac_learn_realizable(cls, sample, 0.5, 0.5, cache=OneInclusionCache())
+            assert hyp.labels[0] == 0
 
     def test_unrealizable_batch_is_not_stored(self):
         cls = concept_class(2, ["00", "11"])
