@@ -243,7 +243,7 @@ def construct_gamma_boost(args) -> dict:
         hyp, rep = geometry.boosting_disambiguate_sample(base, sample, gamma)
         out["hypothesis"] = serialize.hypothesis_to_dict(hyp)
         out["rounds"] = rep.rounds
-        out["dual_dimension"] = rep.dual_dimension
+        out["dual_dimension"] = dimensions.dual_vc_dimension(base)
     return out
 
 

@@ -110,7 +110,18 @@ class PartialConceptClass:
 
     def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
         """All-0/1 restrictions realized on ``points`` (concepts with a STAR there drop out)."""
-        return self.packed.patterns(points)
+        packed = self.packed
+        live = [(0, packed.full)]  # (pattern bits, concepts realizing them)
+        for i, x in enumerate(points):
+            m0, m1 = packed.label_masks[x]
+            live = [
+                (code | y << i, m & my)
+                for code, m in live
+                for y, my in ((ZERO, m0), (ONE, m1))
+                if m & my
+            ]
+        k = len(points)
+        return {tuple(code >> i & 1 for i in range(k)) for code, _ in live}
 
     @cached_property
     def packed(self) -> "PackedClass":
@@ -192,24 +203,6 @@ class PackedClass:
         for x, y in pairs:
             mask &= self.label_masks[x][y]
         return mask
-
-    def shattered(self, mask: int, points: Sequence[int]) -> bool:
-        """Whether the subclass ``mask`` realizes every 0/1 pattern on ``points``."""
-        return splits(self.label_masks, mask, points)
-
-    def patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
-        """The 0/1 patterns on ``points`` some concept of the class realizes."""
-        live = [(0, self.full)]  # (pattern bits, concepts realizing them)
-        for i, x in enumerate(points):
-            m0, m1 = self.label_masks[x]
-            live = [
-                (code | y << i, m & my)
-                for code, m in live
-                for y, my in ((ZERO, m0), (ONE, m1))
-                if m & my
-            ]
-        k = len(points)
-        return {tuple(code >> i & 1 for i in range(k)) for code, _ in live}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .core import (
 
 def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     """A point set is shattered when every binary pattern on it is realized."""
-    return cls.packed.shattered(cls.packed.full, points)
+    return splits(cls.packed.label_masks, cls.packed.full, points)
 
 
 def shattered_levels(n: int, holds, first: int = 0) -> list[list[tuple[int, ...]]]:

@@ -683,8 +683,7 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
 
     def check_labeling(labeled):
         nonlocal tested, mismatches
-        rule = geometry.voronoi_disambiguate(packing, labeled)
-        out = rule.labels_for_points()
+        out = geometry.voronoi_disambiguate(packing, labeled)
         tested += 1
         mismatches += any(out[i] != y for i, y in labeled)
 

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ContractViolation, LabeledSample, TotalConceptClass, check_points
-from .dimensions import dual_vc_dimension
 from .learners import Hypothesis, boost_to_consistency
 
 DECISION_TOL = 1e-6
@@ -29,28 +28,9 @@ PERCEPTRON_PASSES = 4  # passes over a stream before the run stops unconverged
 MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
 
 
-@dataclass(eq=False)
-class EuclideanDataset:
-    """Labeled points in R^D with margin parameters (ball radius, separation)."""
-
-    points: np.ndarray
-    labels: np.ndarray
-    radius: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.points.ndim != 2 or self.points.shape[1] < 1:
-            raise ValueError("points must form an (n, D) array with D >= 1")
-        if not np.isfinite(self.points).all():
-            raise ValueError("points must be finite")
-        if self.labels.shape != (self.points.shape[0],):
-            raise ValueError("labels must match the number of points")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be bits")
-        if self.radius <= 0 or self.gamma <= 0:
-            raise ValueError("radius and gamma must be positive")
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ContractViolation(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +168,38 @@ class SeparabilityReport:
     marginal: bool
 
 
-def _separability(data: EuclideanDataset, r: float) -> SeparabilityReport:
-    """The verdict for the points' enclosing-ball radius ``r``."""
-    gap, _ = hull_distance(
-        data.points[data.labels == 1], data.points[data.labels == 0]
-    )
-    ball_ok = r <= data.radius + DECISION_TOL
-    gap_ok = gap >= 2 * data.gamma - DECISION_TOL
-    marginal = abs(r - data.radius) <= DECISION_TOL or (
-        math.isfinite(gap) and abs(gap - 2 * data.gamma) <= DECISION_TOL
+def _separability(
+    points: np.ndarray, labels: np.ndarray, radius: float, gamma: float, r: float
+) -> SeparabilityReport:
+    """Whether labeled ``points`` with enclosing-ball radius ``r`` are
+    (radius, gamma)-separable: r <= R and a hull gap of at least 2 gamma."""
+    gap, _ = hull_distance(points[labels == 1], points[labels == 0])
+    ball_ok = r <= radius + DECISION_TOL
+    gap_ok = gap >= 2 * gamma - DECISION_TOL
+    marginal = abs(r - radius) <= DECISION_TOL or (
+        math.isfinite(gap) and abs(gap - 2 * gamma) <= DECISION_TOL
     )
     return SeparabilityReport(gap, ball_ok and gap_ok, marginal)
 
 
-def separability_report(data: EuclideanDataset) -> SeparabilityReport:
-    """Ball-radius and hull-gap checks against the dataset's (R, gamma)."""
-    return _separability(data, min_enclosing_ball(data.points)[1])
+def separability_report(
+    points: np.ndarray, labels: Sequence[int], radius: float, gamma: float
+) -> SeparabilityReport:
+    """Ball-radius and hull-gap checks of labeled points in R^D against (R, gamma)."""
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ContractViolation("points must form an (n, D) array with D >= 1")
+    if not np.isfinite(points).all():
+        raise ContractViolation("points must be finite")
+    if labels.shape != (points.shape[0],):
+        raise ContractViolation("labels must match the number of points")
+    if not np.isin(labels, (0, 1)).all():  # before the cast, which truncates 0.5 to 0
+        raise ContractViolation("labels must be bits")
+    labels = labels.astype(int)
+    _require_positive("radius", radius)
+    _require_positive("gamma", gamma)
+    return _separability(points, labels, radius, gamma, min_enclosing_ball(points)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +272,6 @@ def perceptron_run(points: np.ndarray, labels: np.ndarray) -> PerceptronReport:
 # orthonormal shattering instance
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ContractViolation(f"{name} must be positive and finite, got {value}")
-
-
 def orthonormal_points(radius: float, gamma: float) -> np.ndarray:
     """The scaled standard basis family: floor(R^2 / gamma^2) axis points."""
     _require_positive("radius", radius)
@@ -298,17 +289,6 @@ def orthonormal_points(radius: float, gamma: float) -> np.ndarray:
     return radius * np.eye(m)
 
 
-def orthonormal_shattering_instance(
-    radius: float, gamma: float
-) -> list[EuclideanDataset]:
-    """One dataset per bipartition of the axis family, all sharing the points."""
-    pts = orthonormal_points(radius, gamma)
-    return [
-        EuclideanDataset(pts, np.array(bits), radius=radius, gamma=gamma)
-        for bits in product((0, 1), repeat=len(pts))
-    ]
-
-
 @dataclass
 class LabelingCertificate:
     witness_ok: bool
@@ -323,20 +303,21 @@ def certify_orthonormal_labelings(
     Each labeling is checked twice: by the explicit unit-ball witness vector
     (gamma/R times the signed sum of basis vectors) and by the generic
     ball-plus-hull-gap checker.  Both verdicts are recorded per labeling, in
-    the order of ``orthonormal_shattering_instance``.
+    the order of ``product((0, 1), repeat=m)``.
     """
-    family = orthonormal_shattering_instance(radius, gamma)
-    _, r = min_enclosing_ball(family[0].points)  # every labeling has these points
+    pts = orthonormal_points(radius, gamma)
+    _, r = min_enclosing_ball(pts)  # every labeling has these points
     out = []
-    for data in family:
-        signs = np.where(data.labels == 1, 1.0, -1.0)
+    for bits in product((0, 1), repeat=len(pts)):
+        labels = np.array(bits)
+        signs = np.where(labels == 1, 1.0, -1.0)
         w = (gamma / radius) * signs  # witness in basis coordinates
-        dots = data.points @ w
+        dots = pts @ w
         witness_ok = bool(
             np.linalg.norm(w) <= 1 + 1e-9
             and np.allclose(dots * signs, gamma, atol=1e-9)
         )
-        report = _separability(data, r)
+        report = _separability(pts, labels, radius, gamma, r)
         out.append(
             LabelingCertificate(witness_ok=witness_ok, generic_ok=report.separable)
         )
@@ -442,7 +423,6 @@ class BoostingFailure(RuntimeError):
 class MajorityFitReport:
     rounds: int
     cap: int
-    dual_dimension: int
 
 
 def boosting_disambiguate_sample(
@@ -491,11 +471,11 @@ def boosting_disambiguate_sample(
             "the declared gamma is likely overstated"
         )
     hyp, rounds = fit
-    return hyp, MajorityFitReport(rounds, cap, dual_vc_dimension(base))
+    return hyp, MajorityFitReport(rounds, cap)
 
 
 # ---------------------------------------------------------------------------
-# greedy packing, Voronoi labeling rule
+# greedy packing, Voronoi labeling
 
 
 @dataclass
@@ -547,24 +527,14 @@ def is_gamma_separated(
     return True
 
 
-@dataclass
-class VoronoiRule:
-    """Total labeling rule: each point takes the label of its packing cell."""
-
-    cell_labels: tuple[int, ...]
-    packing: PackingResult
-
-    def labels_for_points(self) -> tuple[int, ...]:
-        return tuple(self.cell_labels[c] for c in self.packing.cells)
-
-
 def voronoi_disambiguate(
     packing: PackingResult, labeled: Sequence[tuple[int, int]]
-) -> VoronoiRule:
+) -> tuple[int, ...]:
     """Extend a gamma-separated partial labeling to all points via packing cells.
 
     Every cell has diameter below gamma, so the labeled data inside one cell
     must agree; the cell takes that label, or 0 when it holds no labeled data.
+    Returns each point's label, the label of its cell.
     """
     cell_labels = [0] * len(packing.chosen)
     cell_seen: dict[int, int] = {}
@@ -577,7 +547,7 @@ def voronoi_disambiguate(
             )
         cell_seen[c] = y
         cell_labels[c] = y
-    return VoronoiRule(tuple(cell_labels), packing)
+    return tuple(cell_labels[c] for c in packing.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +568,10 @@ def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailur
     learner answers with some consistent half-support concept (random
     completion); the trivial all-zeros predictor is improper and never errs.
     """
-    if n % 2 != 0:
-        raise ContractViolation("the domain size n must be even")
+    if n < 2 or n % 2 != 0:
+        raise ContractViolation(
+            f"the domain size n must be even and at least 2, got {n}"
+        )
     if m < 0 or trials < 1:
         raise ContractViolation("need m >= 0 and trials >= 1")
     half = n // 2

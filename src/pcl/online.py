@@ -83,11 +83,8 @@ class Soa:
         ld1 = self.solver.ld(m1) if m1 else -1
         return 0 if ld0 >= ld1 else 1
 
-    def predict(self, history: Sequence[tuple[int, int]], x: int) -> int:
-        return self.predict_mask(self.packed.mask_of(history), x)
-
     def __call__(self, history: Sequence[tuple[int, int]], x: int) -> int:
-        return self.predict(history, x)
+        return self.predict_mask(self.packed.mask_of(history), x)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -349,6 +350,17 @@ class TestCliContract:
     def test_bad_trial_count(self, args, named, capsys):
         self._fails_naming(["experiment", *args], named, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "erm-failure", "--n", "0", "--seed", "1"],
+            ["construct", "erm-failure", "--n", "-2", "--seed", "1"],
+            ["experiment", "erm-failure", "--param", "n=0", "--trials", "2", "--seed", "1"],
+        ],
+    )
+    def test_erm_failure_domain_too_small(self, argv, capsys):
+        self._fails_naming(argv, "domain size n", capsys)
+
     def test_report_without_checks_does_not_pass(self, capsys):
         argv = ["experiment", "soa-mistake-bound", "--param", "classes=-1"]
         self._fails_naming(argv, "'classes': -1", capsys)
@@ -486,3 +498,123 @@ class TestRandomClassGeneration:
 
         with pytest.raises(ValueError):
             generate_random_class(2, 5, 0.0, seed=1)
+
+
+# sha256 of what each command below prints to stdout on the fixed inputs of
+# ``golden_inputs``.  A change that alters any printed byte fails here, so
+# refactors show that the commands answer as they did.
+CLI_SHA256 = {
+    "construct-erm-failure": (
+        "375eb784027eeac857fa15e7c893a79f"
+        "95a526d34b5a1db8aad3aa8893a6fe6b"
+    ),
+    "construct-gamma-boost": (
+        "d57dcab8384ec6dabc102ea78315862f"
+        "f6ce6d72dc078868c69356812c67487d"
+    ),
+    "construct-general-margin": (
+        "920dff498294966173f9efd53a10d19c"
+        "974e6e607b824cd4fb5229951a309f4f"
+    ),
+    "construct-margin": (
+        "2096a97221fed71090cec8bd4618d826"
+        "f19a15e5ea599483b210f59a1c85ab46"
+    ),
+    "dim-names": (
+        "b0a684450612559d22f2da6dcf53d889"
+        "3e00a10862ab7359bf159e2d5adc381f"
+    ),
+    "dim-td-witness": (
+        "0bef9176f23c745995296cdb0a5be41b"
+        "e5f4b6a5940d5c29e2efa2006dbd5632"
+    ),
+    "experiment-stdout": (
+        "397343efad9754db42bfa38297d0cbc8"
+        "8500d4280f3453fd5a36f80b204d5e8e"
+    ),
+    "learn-agnostic": (
+        "bb575b4ea0b5ab54f75bb0ac77107b3e"
+        "cb9d694a04abbdee454a6a5b86181870"
+    ),
+    "learn-realizable": (
+        "c4ffc71c4c6f0d2e60d9e29463c7aaf1"
+        "0f9d5fa3406d3109ea9da5f347592c96"
+    ),
+    "online-adversary-mistake": (
+        "526bc1770d761d9a7eaf441e16e57b21"
+        "6519e5ecc9e41c3ba4630a890c97eb55"
+    ),
+    "online-adversary-regret": (
+        "f377fb0099e1f0ea2de2fa2cad32bfaf"
+        "b8c21109267a751e385dc325f4cb77bd"
+    ),
+    "online-agnostic": (
+        "a22b279b6c75d5091eeedaf223348209"
+        "f50d9d15a3a8dee1a2f8f27fa6ea2cad"
+    ),
+}
+
+GOLDEN_ARGV = {
+    "learn-realizable": [
+        "learn", "--input", "{cls}", "--sample", "{long}", "--mode", "realizable",
+        "--eps", "0.5", "--delta", "0.5", "--seed", "1",
+    ],
+    "learn-agnostic": [
+        "learn", "--input", "{cls}", "--sample", "{noisy}", "--mode", "agnostic",
+        "--delta", "0.1", "--seed", "7",
+    ],
+    "online-agnostic": [
+        "online", "--input", "{cls}", "--mode", "agnostic",
+        "--T", "6", "--trials", "3", "--seed", "5",
+    ],
+    "online-adversary-mistake": [
+        "online", "--input", "{cls}", "--mode", "adversary-mistake",
+        "--d", "2", "--trials", "8", "--seed", "5",
+    ],
+    "online-adversary-regret": [
+        "online", "--input", "{cls}", "--mode", "adversary-regret",
+        "--d", "2", "--T", "4", "--trials", "8", "--seed", "5",
+    ],
+    "construct-margin": ["construct", "margin", "--radius", "3"],
+    "construct-general-margin": [
+        "construct", "general-margin", "--grid", "4", "--gamma", "1.0",
+    ],
+    "construct-gamma-boost": [
+        "construct", "gamma-boost", "--base", "{base}", "--sample", "{base_sample}",
+    ],
+    "construct-erm-failure": [
+        "construct", "erm-failure", "--n", "6", "--m", "2", "--trials", "20",
+        "--seed", "3",
+    ],
+    "dim-td-witness": ["dim", "--input", "{cls}", "--measure", "td", "--witness"],
+    "dim-names": ["dim", "--input", "{named}", "--measure", "vc", "--witness"],
+    "experiment-stdout": ["experiment", "erm-failure", "--seed", "3", "--trials", "50"],
+}
+
+
+@pytest.fixture
+def golden_inputs(tmp_path):
+    concepts = ["0011", "0101", "1*10", "11*1", "0000", "1111"]
+    files = {
+        "cls": {"domain_size": 4, "concepts": concepts},
+        "named": {"domain_size": 4, "concepts": concepts, "names": ["a", "b", "c", "d"]},
+        "long": [[x % 4, 1] for x in range(170)],
+        "noisy": [[x % 4, (x // 4) % 2] for x in range(12)],
+        "base": {"domain_size": 3, "concepts": ["011", "101", "110"]},
+        "base_sample": [[0, 1], [1, 1], [2, 1]],
+    }
+    paths = {}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_stdout_bytes(self, name, golden_inputs, capsys):
+        argv = [arg.format(**golden_inputs) for arg in GOLDEN_ARGV[name]]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[name]

@@ -281,7 +281,7 @@ class TestPackedClass:
         shattered = bool(kept) and len(
             patterns_on(PartialConceptClass(cls.domain_size, tuple(kept)), points)
         ) == 2 ** len(points)
-        assert packed.shattered(mask, points) == shattered
+        assert splits(packed.label_masks, mask, points) == shattered
 
 
 class TestRestrict:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 
 from pcl.core import ContractViolation, labeled_sample, total_class
 from pcl.geometry import (
-    EuclideanDataset,
     boosting_disambiguate_sample,
     certify_orthonormal_labelings,
     erm_failure_simulate,
@@ -20,7 +20,6 @@ from pcl.geometry import (
     min_enclosing_ball,
     min_norm_point,
     orthonormal_points,
-    orthonormal_shattering_instance,
     perceptron_run,
     separability_report,
     voronoi_disambiguate,
@@ -127,40 +126,38 @@ class TestHullDistance:
 
 
 class TestSeparability:
+    PAIR = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
     def test_unit_margin_pair(self):
-        data = EuclideanDataset(
-            np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            np.array([1, 0]),
-            radius=1.0,
-            gamma=1.0,
-        )
-        assert separability_report(data).separable
+        assert separability_report(self.PAIR, [1, 0], 1.0, 1.0).separable
 
     def test_slightly_larger_gamma_fails(self):
-        data = EuclideanDataset(
-            np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            np.array([1, 0]),
-            radius=1.0,
-            gamma=1.01,
-        )
-        report = separability_report(data)
+        report = separability_report(self.PAIR, [1, 0], 1.0, 1.01)
         assert not report.separable
 
     def test_single_label_always_separable_within_ball(self):
-        data = EuclideanDataset(
-            np.array([[0.2, 0.1]]), np.array([1]), radius=1.0, gamma=0.5
-        )
-        report = separability_report(data)
+        report = separability_report(np.array([[0.2, 0.1]]), [1], 1.0, 0.5)
         assert report.separable and report.hull_gap == math.inf
 
     def test_ball_violation_detected(self):
-        data = EuclideanDataset(
-            np.array([[5.0, 0.0], [-5.0, 0.0]]),
-            np.array([1, 0]),
-            radius=1.0,
-            gamma=1.0,
-        )
-        assert not separability_report(data).separable
+        points = np.array([[5.0, 0.0], [-5.0, 0.0]])
+        assert not separability_report(points, [1, 0], 1.0, 1.0).separable
+
+    @pytest.mark.parametrize(
+        "points, labels, radius, gamma, named",
+        [
+            ([[math.nan, 0.0], [-1.0, 0.0]], [1, 0], 1.0, 1.0, "finite"),
+            ([[1.0, 0.0], [-1.0, 0.0]], [1, 2], 1.0, 1.0, "bits"),
+            ([[1.0, 0.0], [-1.0, 0.0]], [1, 0.5], 1.0, 1.0, "bits"),
+            ([[1.0, 0.0], [-1.0, 0.0]], [1], 1.0, 1.0, "number of points"),
+            ([[1.0, 0.0], [-1.0, 0.0]], [1, 0], 0.0, 1.0, "radius"),
+            ([[1.0, 0.0], [-1.0, 0.0]], [1, 0], 1.0, math.inf, "gamma"),
+            ([1.0, -1.0], [1, 0], 1.0, 1.0, "(n, D)"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, points, labels, radius, gamma, named):
+        with pytest.raises(ContractViolation, match=re.escape(named)):
+            separability_report(np.array(points), labels, radius, gamma)
 
 
 class TestPerceptron:
@@ -200,17 +197,20 @@ class TestOrthonormalInstance:
         assert len(orthonormal_points(2.0, 1.0)) == 4
 
     def test_family_members_are_separable_datasets(self):
-        family = orthonormal_shattering_instance(1.0, 1.0)
-        assert len(family) == 2
-        assert all(separability_report(d).separable for d in family)
+        pts = orthonormal_points(1.0, 1.0)
+        labelings = list(product((0, 1), repeat=len(pts)))
+        assert len(labelings) == 2
+        assert all(separability_report(pts, y, 1.0, 1.0).separable for y in labelings)
 
     @pytest.mark.parametrize("radius,gamma", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)])
     def test_shared_ball_verdict_matches_per_dataset_report(self, radius, gamma):
         certs = certify_orthonormal_labelings(radius, gamma)
-        family = orthonormal_shattering_instance(radius, gamma)
-        assert len(certs) == len(family)  # one certificate per labeling, in order
-        for cert, data in zip(certs, family):
-            assert cert.generic_ok == separability_report(data).separable
+        pts = orthonormal_points(radius, gamma)
+        labelings = list(product((0, 1), repeat=len(pts)))
+        assert len(certs) == len(labelings)  # one certificate per labeling, in order
+        for cert, labels in zip(certs, labelings):
+            report = separability_report(pts, labels, radius, gamma)
+            assert cert.generic_ok == report.separable
 
     @pytest.mark.parametrize("radius,gamma", [(1.0, 1.0), (2.0, 1.0)])
     def test_all_labelings_certified_both_ways(self, radius, gamma):
@@ -388,8 +388,7 @@ class TestPackingAndVoronoi:
             labeled = [(i, rng.randint(0, 1)) for i in idx]
             if not is_gamma_separated(grid, labeled, gamma):
                 continue
-            rule = voronoi_disambiguate(packing, labeled)
-            out = rule.labels_for_points()
+            out = voronoi_disambiguate(packing, labeled)
             assert all(out[i] == y for i, y in labeled)
             checked += 1
         assert checked > 50
@@ -424,3 +423,8 @@ class TestProperFailure:
     def test_odd_domain_rejected(self):
         with pytest.raises(ContractViolation):
             erm_failure_simulate(7, 2, trials=10, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_or_negative_domain_rejected(self, n):
+        with pytest.raises(ContractViolation, match=f"domain size n .* got {n}"):
+            erm_failure_simulate(n, 2, trials=10, seed=0)

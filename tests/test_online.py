@@ -35,11 +35,11 @@ def full_cube(n):
 class TestSoa:
     def test_tie_breaks_to_zero(self):
         cls = concept_class(3, ["000", "111"])
-        assert Soa(cls).predict([], 0) == 0
+        assert Soa(cls)([], 0) == 0
 
     def test_follows_the_surviving_concept(self):
         cls = concept_class(3, ["000", "111"])
-        assert Soa(cls).predict([(0, 1)], 1) == 1
+        assert Soa(cls)([(0, 1)], 1) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(classes(max_n=5, max_size=12))

@@ -43,8 +43,19 @@ def test_no_bare_assert(path):
     assert lines == [], f"bare assert statements in {path.name} at lines {lines}"
 
 
+def _layer_imports(imported: set[str], layer: str) -> set[str]:
+    return {m for m in imported if m == f"pcl.{layer}" or m.startswith(f"pcl.{layer}.")}
+
+
 def test_dimensions_imports_nothing_from_online():
     imported = _imported_modules(_tree(SRC / "dimensions.py"))
-    assert not {m for m in imported if m == "pcl.online" or m.startswith("pcl.online.")}
+    assert not _layer_imports(imported, "online")
     # the guard sees the module's real imports
     assert "pcl.core" in imported
+
+
+def test_geometry_imports_nothing_from_dimensions():
+    """The margin verdicts stand on core and learners alone."""
+    imported = _imported_modules(_tree(SRC / "geometry.py"))
+    assert not _layer_imports(imported, "dimensions")
+    assert "pcl.core" in imported and "pcl.learners" in imported
