@@ -74,9 +74,18 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     return len(levels)
 
 
+def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
+    """Number of subsets the subclass ``mask`` shatters, counting the empty
+    set; 0 for the empty subclass."""
+    if not mask:
+        return 0
+    holds = partial(splits, cls.packed.label_masks, mask)
+    return 1 + sum(map(len, shattered_levels(cls.domain_size, holds)))
+
+
 def shattering_strength(cls: PartialConceptClass) -> int:
     """Number of shattered subsets of the domain, counting the empty set."""
-    return 1 + sum(map(len, _split_levels(cls, cls.packed.label_masks)))
+    return subclass_strength(cls, cls.packed.full)
 
 
 class LdSolver:

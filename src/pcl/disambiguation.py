@@ -13,14 +13,16 @@ concept forces the minority label:
   ``(d+1) log2(m) + 2`` updates within every prefix of length m.
 
 Each update at least halves the relevant potential, which is what the update
-bounds certify.
+bounds certify.  The votes revisit the same subclass at many points, so each
+procedure memoizes its potential for the length of one call; the memo goes
+with the call and keeps no class alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Mapping, Optional, Sequence
@@ -35,7 +37,7 @@ from .core import (
     TotalConceptClass,
     splits,
 )
-from .dimensions import littlestone_dimension, shattered_levels
+from .dimensions import littlestone_dimension, shattered_levels, subclass_strength
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -63,57 +65,32 @@ class Disambiguation:
         return sum(1 for x in self.update_positions[h] if x < m)
 
 
-class _ShatterOracle:
-    """Shattered-subset bookkeeping over subclasses encoded as concept bitmasks.
+def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
+    """Sum of 1/max(S)^(d+1) over nonempty subsets S of {x+1, ..} that the
+    subclass ``mask`` shatters, with d = VC(H).
 
-    Strength per mask and suffix weight per (mask, point) are cached, because
-    the sequential procedures revisit the same subclass at many points.
+    Points are weighted by their 1-based position, matching the harmonic
+    convergence of the potential.
     """
-
-    def __init__(self, cls: PartialConceptClass):
-        self.packed = cls.packed
-        self.n = cls.domain_size
-        self.d = cls.vc
-        self._strength: dict[int, int] = {0: 0}
-        self._weight: dict[tuple[int, int], Fraction] = {}
-
-    def _levels(self, mask: int, first: int = 0) -> list[list[tuple[int, ...]]]:
-        holds = partial(splits, self.packed.label_masks, mask)
-        return shattered_levels(self.n, holds, first)
-
-    def strength(self, mask: int) -> int:
-        cached = self._strength.get(mask)
-        if cached is None:
-            cached = self._strength[mask] = 1 + sum(map(len, self._levels(mask)))
-        return cached
-
-    def suffix_weight(self, mask: int, x: int) -> Fraction:
-        """Sum of 1/max(S)^(d+1) over nonempty shattered subsets of {x+1, ..}.
-
-        Points are weighted by their 1-based position, matching the harmonic
-        convergence of the potential.
-        """
-        key = (mask, x)
-        cached = self._weight.get(key)
-        if cached is None:
-            cached = self._weight[key] = sum(
-                (
-                    Fraction(1, (pts[-1] + 1) ** (self.d + 1))
-                    for level in self._levels(mask, x + 1)
-                    for pts in level
-                ),
-                Fraction(0),
-            )
-        return cached
+    holds = partial(splits, cls.packed.label_masks, mask)
+    exponent = cls.vc + 1
+    return sum(
+        (
+            Fraction(1, (pts[-1] + 1) ** exponent)
+            for level in shattered_levels(cls.domain_size, holds, x + 1)
+            for pts in level
+        ),
+        Fraction(0),
+    )
 
 
 def _run_sequential(
-    cls: PartialConceptClass,
-    majority: Callable[["_ShatterOracle", int, int], int],
-    oracle: _ShatterOracle,
-    algorithm: str,
+    cls: PartialConceptClass, vote: Callable[[int, int], int], algorithm: str
 ) -> Disambiguation:
-    packed = oracle.packed
+    """Extend each concept point by point: take ``vote(mask, x)`` over the
+    consistent subclass ``mask``, and narrow it only where the concept forces
+    the other label."""
+    packed = cls.packed
     extension: dict[PartialConcept, PartialConcept] = {}
     updates: dict[PartialConcept, tuple[int, ...]] = {}
     for h in cls.concepts:
@@ -121,16 +98,14 @@ def _run_sequential(
         out: list[int] = []
         upd: list[int] = []
         for x in range(cls.domain_size):
-            m = majority(oracle, mask, x)
+            y = vote(mask, x)
             hx = h[x]
-            if hx != STAR and hx != m:
-                out.append(hx)
+            if hx != STAR and hx != y:
+                y = hx
                 mask &= packed.label_masks[x][hx]
                 upd.append(x)
-            else:
-                out.append(m)
-        bar = PartialConcept(tuple(out))
-        extension[h] = bar
+            out.append(y)
+        extension[h] = PartialConcept(tuple(out))
         updates[h] = tuple(upd)
     totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
     return Disambiguation(
@@ -138,47 +113,43 @@ def _run_sequential(
         algorithm=algorithm,
         extension_of=extension,
         update_positions=updates,
+        info={"vc": cls.vc},
     )
-
-
-def _strength_majority(oracle: _ShatterOracle, mask: int, x: int) -> int:
-    m0, m1 = oracle.packed.label_masks[x]
-    s0 = oracle.strength(mask & m0)
-    s1 = oracle.strength(mask & m1)
-    return ZERO if s0 >= s1 else ONE
-
-
-def _weighted_majority(oracle: _ShatterOracle, mask: int, x: int) -> int:
-    m0, m1 = oracle.packed.label_masks[x]
-    m0 &= mask
-    m1 &= mask
-    # A label nobody realizes must not win the vote: otherwise concepts with
-    # no shattered structure left would be forced into spurious updates and
-    # the prefix-update bound would fail.
-    if not m1:
-        return ZERO
-    if not m0:
-        return ONE
-    w0 = oracle.suffix_weight(m0, x)
-    w1 = oracle.suffix_weight(m1, x)
-    return ZERO if w0 >= w1 else ONE
 
 
 def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Strength-vote sequential disambiguation; u(h) <= log2 s(H) per concept."""
-    oracle = _ShatterOracle(cls)
-    res = _run_sequential(cls, _strength_majority, oracle, "majority")
-    res.info["vc"] = oracle.d
-    res.info["strength"] = oracle.strength(oracle.packed.full)
+    strength = cache(partial(subclass_strength, cls))
+    label_masks = cls.packed.label_masks
+
+    def vote(mask: int, x: int) -> int:
+        m0, m1 = label_masks[x]
+        return ZERO if strength(mask & m0) >= strength(mask & m1) else ONE
+
+    res = _run_sequential(cls, vote, "majority")
+    res.info["strength"] = strength(cls.packed.full)
     return res
 
 
 def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
-    oracle = _ShatterOracle(cls)
-    res = _run_sequential(cls, _weighted_majority, oracle, "weighted")
-    res.info["vc"] = oracle.d
-    return res
+    weight = cache(partial(_suffix_weight, cls))
+    label_masks = cls.packed.label_masks
+
+    def vote(mask: int, x: int) -> int:
+        m0, m1 = label_masks[x]
+        m0 &= mask
+        m1 &= mask
+        # A label nobody realizes must not win the vote: otherwise concepts with
+        # no shattered structure left would be forced into spurious updates and
+        # the prefix-update bound would fail.
+        if not m1:
+            return ZERO
+        if not m0:
+            return ONE
+        return ZERO if weight(m0, x) >= weight(m1, x) else ONE
+
+    return _run_sequential(cls, vote, "weighted")
 
 
 def strong_violation(
@@ -278,8 +249,6 @@ class BicliqueInstance:
                 for left, right in self.partition
             ),
         )
-
-    def validate(self) -> None:
         edge_set = set(self.edges)
         if len(edge_set) != len(self.edges):
             raise ValueError("duplicate edges in graph")
@@ -334,7 +303,6 @@ def vertex_concept(instance: BicliqueInstance, v: int) -> PartialConcept:
 
 def biclique_class(instance: BicliqueInstance) -> PartialConceptClass:
     """One concept per vertex over one coordinate per biclique."""
-    instance.validate()
     concepts = tuple(vertex_concept(instance, v) for v in range(instance.n_vertices))
     return PartialConceptClass(len(instance.partition), concepts)
 

@@ -837,7 +837,7 @@ SUITES: dict[str, Suite] = {
     "one-inclusion-loo": Suite(
         suite_one_inclusion_loo,
         {"classes": 100, "max_len": 5, "cross_checks": 40, "multiset_classes": 10},
-        least={"max_len": 1},
+        least={"classes": 1, "max_len": 1, "cross_checks": 1, "multiset_classes": 1},
     ),
     "experts-regret": Suite(suite_experts_regret, {"matrices": 100}),
     "agnostic-online-regret": Suite(
@@ -845,7 +845,7 @@ SUITES: dict[str, Suite] = {
         {"T": 12, "sequences": 20, "adversary_trials": 10_000, "adversary_T": 100},
         trials="adversary_trials",
         # a sample sigma takes two trials
-        least={"sequences": 1, "adversary_trials": 2},
+        least={"sequences": 1, "adversary_trials": 2, "adversary_T": 1},
     ),
     "disambiguation-bounds": Suite(suite_disambiguation_bounds, {"classes": 100}),
     "biclique-lower-bound": Suite(suite_biclique_lower_bound, {"sizes": (4, 6, 8)}),
@@ -862,9 +862,11 @@ SUITES: dict[str, Suite] = {
         suite_erm_failure, {"n": 20, "m": 5, "trials": 1000},
         trials="trials", least={"trials": 1},
     ),
-    "geometry": Suite(suite_geometry, {"streams": 100}),
+    "geometry": Suite(suite_geometry, {"streams": 100}, least={"streams": 1}),
     "approximation-monotonicity": Suite(suite_approximation_monotonicity, {}),
-    "multiclass-inequalities": Suite(suite_multiclass_inequalities, {"classes": 100}),
+    "multiclass-inequalities": Suite(
+        suite_multiclass_inequalities, {"classes": 100}, least={"classes": 1}
+    ),
 }
 
 

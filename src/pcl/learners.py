@@ -598,6 +598,8 @@ def agnostic_learn(
     seed: int = 0,
 ) -> tuple[Hypothesis, AgnosticReport]:
     """Fit the largest realizable subsequence, then boost it to consistency."""
+    if not 0 < delta <= 1:
+        raise ContractViolation(f"need 0 < delta <= 1, got delta = {delta}")
     kept = max_realizable_subsequence(cls, sample)
     if not kept:
         hyp = Hypothesis(tuple([0] * cls.domain_size))

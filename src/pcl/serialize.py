@@ -111,11 +111,9 @@ def biclique_from_dict(obj: dict) -> BicliqueInstance:
             raise FormatError(f"graph: biclique {i} must be a [left, right] pair")
         pieces.append(tuple(_int_list(side, f"graph: biclique {i} side") for side in piece))
     try:
-        inst = BicliqueInstance(n, edge_pairs, tuple(pieces))
-        inst.validate()
+        return BicliqueInstance(n, edge_pairs, tuple(pieces))
     except ValueError as exc:
         raise FormatError(f"graph: {exc}") from None
-    return inst
 
 
 def compression_to_dict(comp: CompressionOutput) -> dict:

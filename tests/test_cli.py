@@ -316,6 +316,14 @@ class TestCliContract:
                 "--d", "-1", "--trials", "2"]
         self._fails_naming(argv, "depth d", capsys)
 
+    @pytest.mark.parametrize("delta", ["0", "nan", "-1", "2"])
+    def test_agnostic_delta_outside_unit_interval(
+        self, delta, class_file, sample_file, capsys
+    ):
+        argv = ["learn", "--input", class_file, "--sample", sample_file,
+                "--mode", "agnostic", "--delta", delta]
+        self._fails_naming(argv, f"delta = {delta}", capsys)
+
     def test_construct_kind_refuses_another_kinds_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "margin", "--n", "3"])
@@ -345,6 +353,15 @@ class TestCliContract:
              "'sequences'"),
             (["agnostic-online-regret", "--param", "sequences=0", "--trials", "2"],
              "'sequences'"),
+            (["geometry", "--param", "streams=0"], "'streams'"),
+            (["one-inclusion-loo", "--param", "classes=0"], "'classes'"),
+            (["one-inclusion-loo", "--param", "multiset_classes=0"], "'multiset_classes'"),
+            (["one-inclusion-loo", "--param", "cross_checks=0"], "'cross_checks'"),
+            (["multiclass-inequalities", "--param", "classes=0"], "'classes'"),
+            (["agnostic-online-regret", "--param", "adversary_T=-3", "--trials", "2"],
+             "'adversary_T'"),
+            (["agnostic-online-regret", "--param", "adversary_T=0", "--trials", "2"],
+             "'adversary_T'"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

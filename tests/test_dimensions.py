@@ -19,10 +19,11 @@ from pcl.dimensions import (
     natarajan_dimension,
     sauer_bound,
     shattering_strength,
+    subclass_strength,
     threshold_dimension,
     vc_dimension,
 )
-from pcl.disambiguation import _ShatterOracle
+from pcl.disambiguation import _suffix_weight
 
 from _oracles import (
     graph_by_definition,
@@ -107,10 +108,9 @@ class TestShatteredLevels:
         sub = []
         if kept:
             sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
-        oracle = _ShatterOracle(cls)
-        assert oracle.d == d
-        assert oracle.strength(mask) == len(sub)
-        assert oracle.suffix_weight(mask, x) == sum(
+        assert cls.vc == d
+        assert subclass_strength(cls, mask) == len(sub)
+        assert _suffix_weight(cls, mask, x) == sum(
             (Fraction(1, (pts[-1] + 1) ** (d + 1)) for pts in sub if pts and pts[0] > x),
             Fraction(0),
         )

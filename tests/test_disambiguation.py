@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from pcl.dimensions import (
 )
 from pcl.disambiguation import (
     BicliqueInstance,
+    _suffix_weight,
     biclique_class,
     certify_coloring_lower_bound,
     compression_to_disambiguation,
@@ -106,19 +109,31 @@ class TestWeightedDisambiguation:
     @settings(max_examples=25, deadline=None)
     @given(classes(max_n=5, max_size=10))
     def test_weight_halves_at_every_update(self, cls):
-        from pcl.disambiguation import _ShatterOracle
-
-        oracle = _ShatterOracle(cls)
         res = weighted_disambiguate(cls)
         for h in cls:
             mask = cls.packed.full
             update_at = set(res.update_positions[h])
             for x in range(cls.domain_size):
                 if x in update_at:
-                    before = oracle.suffix_weight(mask, x - 1)
+                    before = _suffix_weight(cls, mask, x - 1)
                     mask &= cls.packed.label_masks[x][h[x]]
-                    after = oracle.suffix_weight(mask, x)
+                    after = _suffix_weight(cls, mask, x)
                     assert 2 * after <= before
+
+
+def test_potential_memos_die_with_the_call():
+    """Neither procedure keeps a memo past its call: with collection off, the
+    class is freed as soon as its last reference goes, results still held."""
+    cls = concept_class(5, ["01*10", "1*001", "00110", "*1*11", "10*0*", "0110*"])
+    alive = weakref.ref(cls)
+    gc.disable()
+    try:
+        results = [vc_majority_disambiguate(cls), weighted_disambiguate(cls)]
+        del cls
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert all(res.totals for res in results)
 
 
 class TestBiclique:
@@ -135,20 +150,16 @@ class TestBiclique:
                 assert len(cls.binary_patterns((i, j))) <= 2
 
     def test_partition_validation_catches_double_cover(self):
-        inst = BicliqueInstance(
-            3,
-            edges=((0, 1), (0, 2), (1, 2)),
-            partition=(((0,), (1, 2)), ((1,), (2, 0))),
-        )
         with pytest.raises(ValueError, match="more than one biclique"):
-            inst.validate()
+            BicliqueInstance(
+                3,
+                edges=((0, 1), (0, 2), (1, 2)),
+                partition=(((0,), (1, 2)), ((1,), (2, 0))),
+            )
 
     def test_partition_validation_catches_missing_edge(self):
-        inst = BicliqueInstance(
-            3, edges=((0, 1), (1, 2)), partition=(((0,), (1,)),)
-        )
         with pytest.raises(ValueError, match="not covered"):
-            inst.validate()
+            BicliqueInstance(3, edges=((0, 1), (1, 2)), partition=(((0,), (1,)),))
 
     def test_single_edge_coloring(self):
         inst = BicliqueInstance(2, edges=((0, 1),), partition=(((0,), (1,)),))

@@ -43,6 +43,40 @@ def test_no_bare_assert(path):
     assert lines == [], f"bare assert statements in {path.name} at lines {lines}"
 
 
+_MEMOS = {"cache", "lru_cache"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _memo_lines(node: ast.AST) -> list[int]:
+    """Lines naming ``functools.cache`` or ``lru_cache`` outside every function
+    body: a decorator, or a module or class statement."""
+    lines = []
+    if isinstance(node, ast.Name) and node.id in _MEMOS:
+        lines.append(node.lineno)
+    elif isinstance(node, ast.Attribute) and node.attr in _MEMOS:
+        if isinstance(node.value, ast.Name) and node.value.id == "functools":
+            lines.append(node.lineno)
+    for name, value in ast.iter_fields(node):
+        if name == "body" and isinstance(node, _FUNCTIONS):
+            continue  # a memo made per call dies with the call
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                lines.extend(_memo_lines(child))
+    return lines
+
+
+def test_no_module_level_memo():
+    """A process-wide memo keyed by a class would keep every class alive."""
+    for path in MODULES:
+        lines = _memo_lines(_tree(path))
+        assert lines == [], f"module-level memo in {path.name} at lines {lines}"
+    # the guard sees decorators and module statements, and passes per-call memos
+    assert _memo_lines(ast.parse("@functools.lru_cache\ndef f(cls): pass")) == [1]
+    assert _memo_lines(ast.parse("class A:\n    @cache\n    def f(self): pass")) == [2]
+    assert _memo_lines(ast.parse("g = cache(f)")) == [1]
+    assert _memo_lines(ast.parse("def f(cls):\n    return cache(partial(g, cls))")) == []
+
+
 def _layer_imports(imported: set[str], layer: str) -> set[str]:
     return {m for m in imported if m == f"pcl.{layer}" or m.startswith(f"pcl.{layer}.")}
 
