@@ -848,7 +848,9 @@ SUITES: dict[str, Suite] = {
         least={"sequences": 1, "adversary_trials": 2, "adversary_T": 1},
     ),
     "disambiguation-bounds": Suite(suite_disambiguation_bounds, {"classes": 100}),
-    "biclique-lower-bound": Suite(suite_biclique_lower_bound, {"sizes": (4, 6, 8)}),
+    "biclique-lower-bound": Suite(
+        suite_biclique_lower_bound, {"sizes": (4, 6, 8)}, least={"sizes": 2}
+    ),
     "compression-bounds": Suite(
         suite_compression_bounds, {"samples": 500, "max_m": 64},
         trials="samples", least={"samples": 1, "max_m": 1},
@@ -890,7 +892,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     An unknown parameter (``--trials`` for a suite without trials), a value
     whose type does not fit the default, or a value below its least value
-    raises ``ValueError`` naming the key before any work starts.
+    (any entry, for a tuple) raises ``ValueError`` naming the key before any
+    work starts.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -918,12 +921,16 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             )
     params = {**defaults, **params}
     for key, least in suite.least.items():
-        if params[key] < least:
-            via = ", which --trials sets," if key == trial_key else ""
-            raise ValueError(
-                f"{cfg.experiment}: parameter {key!r}{via} must be "
-                f"at least {least}, got {params[key]}"
-            )
+        value = params[key]
+        tupled = isinstance(defaults[key], tuple)
+        for entry in value if tupled else [value]:
+            if entry < least:
+                via = ", which --trials sets," if key == trial_key else ""
+                got = f"{entry} in {list(value)}" if tupled else entry
+                raise ValueError(
+                    f"{cfg.experiment}: parameter {key!r}{via} must be "
+                    f"at least {least}, got {got}"
+                )
     return suite.run(replace(cfg, params=params))
 
 

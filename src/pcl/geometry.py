@@ -1,9 +1,9 @@
 """Margin geometry, empirical weak-learnability games, and packing rules.
 
-Numeric conventions: hull-distance and enclosing-ball computations converge to
-roughly 1e-12; separability decisions are made at a 1e-6 tolerance and carry a
-``marginal`` flag when the measured quantity sits within that tolerance of the
-threshold.  The weak-learnability game is solved exactly over the rationals.
+Numeric conventions: hull-distance and enclosing-ball computations share one
+Wolfe corral kernel and converge to roughly 1e-12; separability decisions are
+made at a 1e-6 tolerance.  The weak-learnability game is solved exactly over
+the rationals.
 """
 
 from __future__ import annotations
@@ -34,94 +34,64 @@ def _require_positive(name: str, value: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# minimum enclosing ball (exact Welzl recursion, any dimension)
+# enclosing ball and hull gap: one QP over the simplex (Wolfe's corral method)
 
 
-def _circumball(boundary: list[np.ndarray]) -> tuple[Optional[np.ndarray], float]:
-    if not boundary:
-        return None, -1.0
-    p0 = boundary[0]
-    if len(boundary) == 1:
-        return p0, 0.0
-    A = np.array([p - p0 for p in boundary[1:]])
-    rhs = 0.5 * np.einsum("ij,ij->i", A, A)
-    # center lies in the affine hull of the boundary points
-    G = A @ A.T
-    try:
-        mu = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        mu = np.linalg.lstsq(G, rhs, rcond=None)[0]
-    center = p0 + A.T @ mu
-    return center, float(np.linalg.norm(center - p0))
+def _wolfe_corral(pts: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x = sum_i l_i p_i at the least |x|^2 - sum_i l_i d_i over the simplex.
 
-
-def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest ball containing the points (Welzl's randomized recursion)."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    order = list(range(len(pts)))
-    random.Random(0x5EED).shuffle(order)
-    dim = len(pts[0])
-
-    # Welzl's tail calls unrolled: recursing only to grow the boundary, depth <= D + 2
-    def ball(i: int, boundary: list[np.ndarray]) -> tuple[Optional[np.ndarray], float]:
-        c, r = _circumball(boundary)
-        if len(boundary) == dim + 1:
-            return c, r
-        for j in range(len(order) - 1, i - 1, -1):
-            p = pts[order[j]]
-            if c is None or not np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
-                c, r = ball(j + 1, boundary + [p])
-        return c, r
-
-    return ball(0, [])
-
-
-# ---------------------------------------------------------------------------
-# distance between convex hulls (Wolfe's min-norm-point algorithm)
-
-
-def _affine_minimizer(P: np.ndarray) -> np.ndarray:
-    """Coefficients of the min-norm point in the affine hull of the rows of P."""
-    k = P.shape[0]
-    M = np.zeros((k + 1, k + 1))
-    M[:k, :k] = P @ P.T
-    M[:k, k] = 1.0
-    M[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return sol[:k]
-
-
-def min_norm_point(points: np.ndarray) -> np.ndarray:
-    """Point of minimum norm in the convex hull of the rows (Wolfe, 1976).
-
-    Finite active-set method; terminates when no point improves the support
-    hyperplane by more than a relative tolerance.
+    Wolfe's (1976) corral method.  With d = 0, x is the min-norm point of the
+    hull of the rows; with d_i = |p_i|^2 the problem is the dual of the
+    smallest enclosing ball and x is its centre.  The row of least slope
+    p_j.x - d_j/2 enters until none beats the corral's slope by more than a
+    relative tolerance.  Each corral stays affinely independent, so its KKT
+    matrix [[P P^T, 1], [1^T, 0]] is solved without a fallback: a row entering
+    in the corral's affine hull is swapped in along e_j - alpha, which keeps x,
+    for the first corral row whose weight reaches 0.
     """
-    pts = np.asarray(points, dtype=float)
+    half = d / 2
+    tilted = d.any()
     norms = np.einsum("ij,ij->i", pts, pts)
-    start = int(np.argmin(norms))
+    start = int(np.argmin(norms - d))
     corral = [start]
     lam = np.array([1.0])
     x = pts[start].copy()
     scale = max(1.0, norms.max())
+
+    def kkt(top: np.ndarray) -> np.ndarray:
+        """Affine weights w (sum 1) solving P P^T w + nu 1 = top on the corral."""
+        P = pts[corral]
+        k = len(corral)
+        M = np.ones((k + 1, k + 1))
+        M[:k, :k] = P @ P.T
+        M[k, k] = 0.0
+        rhs = np.ones(k + 1)
+        rhs[:k] = top
+        return np.linalg.solve(M, rhs)[:k]
+
     for _ in range(WOLFE_MAX_ITER):
-        dots = pts @ x
-        j = int(np.argmin(dots))
-        if x @ x - dots[j] <= CONVERGE_TOL * scale:
+        slopes = pts @ x - half
+        j = int(np.argmin(slopes))
+        if x @ x - lam @ half[corral] - slopes[j] <= CONVERGE_TOL * scale:
             break
         if j in corral:
             break
-        corral.append(j)
-        lam = np.append(lam, 0.0)
+        # with d = 0 a row in the corral's affine hull has the corral's slope
+        # and never enters, so only a tilted problem (a ball) looks for one
+        if tilted:
+            alpha = kkt(pts[corral] @ pts[j])
+            off = alpha @ pts[corral] - pts[j]
+        if tilted and off @ off <= CONVERGE_TOL * scale:
+            ratios = np.divide(lam, alpha, out=np.full_like(lam, np.inf), where=alpha > 0)
+            i = int(np.argmin(ratios))
+            lam = lam - ratios[i] * alpha
+            lam[i] = ratios[i]
+            corral[i] = j
+        else:
+            corral.append(j)
+            lam = np.append(lam, 0.0)
         while True:
-            mu = _affine_minimizer(pts[corral])
+            mu = kkt(half[corral])
             if (mu > 1e-14).all():
                 lam = mu
                 break
@@ -140,6 +110,26 @@ def min_norm_point(points: np.ndarray) -> np.ndarray:
             lam = lam / lam.sum()
         x = lam @ pts[corral]
     return x
+
+
+def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Smallest ball containing the points.
+
+    The centre is the corral's x for d_i = |p_i|^2, on the points shifted so
+    that the first sits at 0; the radius is the farthest point's distance.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        raise ValueError("need at least one point")
+    q = pts - pts[0]
+    x = _wolfe_corral(q, np.einsum("ij,ij->i", q, q))
+    return pts[0] + x, float(np.linalg.norm(q - x, axis=1).max())
+
+
+def min_norm_point(points: np.ndarray) -> np.ndarray:
+    """Point of minimum norm in the convex hull of the rows (Wolfe, 1976)."""
+    pts = np.asarray(points, dtype=float)
+    return _wolfe_corral(pts, np.zeros(len(pts)))
 
 
 def hull_distance(
@@ -165,7 +155,6 @@ def hull_distance(
 class SeparabilityReport:
     hull_gap: float
     separable: bool
-    marginal: bool
 
 
 def _separability(
@@ -176,10 +165,7 @@ def _separability(
     gap, _ = hull_distance(points[labels == 1], points[labels == 0])
     ball_ok = r <= radius + DECISION_TOL
     gap_ok = gap >= 2 * gamma - DECISION_TOL
-    marginal = abs(r - radius) <= DECISION_TOL or (
-        math.isfinite(gap) and abs(gap - 2 * gamma) <= DECISION_TOL
-    )
-    return SeparabilityReport(gap, ball_ok and gap_ok, marginal)
+    return SeparabilityReport(gap, ball_ok and gap_ok)
 
 
 def separability_report(

@@ -288,6 +288,33 @@ def enclosing_ball_by_definition(points) -> tuple[np.ndarray, float]:
     return best
 
 
+def min_norm_point_by_definition(points) -> np.ndarray:
+    """The least-norm point, over subsets of at most D + 1 points, of the
+    subset's affine hull, kept when its affine weights are non-negative.
+
+    The affine hull's min-norm point is p0 + A^T mu with A the rows minus p0
+    and mu from the projection of -p0 onto their span (``lstsq``); by
+    Caratheodory one of the subsets holds the min-norm point of the hull.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    scale = 1.0 + float(np.abs(pts).max())
+    best = None
+    for k in range(1, min(n, dim + 1) + 1):
+        for subset in combinations(range(n), k):
+            p0 = pts[subset[0]]
+            A = pts[list(subset[1:])] - p0
+            mu = np.linalg.lstsq(A @ A.T, -A @ p0, rcond=None)[0]
+            if mu.min(initial=0.0) < -1e-9 or mu.sum() > 1 + 1e-9:
+                continue
+            z = p0 + A.T @ mu
+            if np.abs(A @ z).max(initial=0.0) > 1e-9 * scale**2:
+                continue  # not the projection: lstsq found no exact solution
+            if best is None or z @ z < best @ best:
+                best = z
+    return best
+
+
 def brute_force_max_packing(points, radius: float) -> int:
     """Largest subset with pairwise distances >= radius (exhaustive, small inputs)."""
     pts = np.asarray(points, dtype=float)

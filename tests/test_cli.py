@@ -362,6 +362,12 @@ class TestCliContract:
              "'adversary_T'"),
             (["agnostic-online-regret", "--param", "adversary_T=0", "--trials", "2"],
              "'adversary_T'"),
+            (["biclique-lower-bound", "--param", "sizes=[1]"],
+             "'sizes' must be at least 2, got 1 in [1]"),
+            (["biclique-lower-bound", "--param", "sizes=[0]"],
+             "'sizes' must be at least 2, got 0 in [0]"),
+            (["biclique-lower-bound", "--param", "sizes=[4, -3]"],
+             "'sizes' must be at least 2, got -3 in [4, -3]"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from pcl.core import ContractViolation, labeled_sample, total_class
 from pcl.geometry import (
@@ -26,7 +26,11 @@ from pcl.geometry import (
     weak_learning_game,
 )
 
-from _oracles import brute_force_max_packing, enclosing_ball_by_definition
+from _oracles import (
+    brute_force_max_packing,
+    enclosing_ball_by_definition,
+    min_norm_point_by_definition,
+)
 from _strategies import point_clouds
 
 
@@ -62,6 +66,8 @@ class TestMinEnclosingBall:
 
     @settings(max_examples=200, deadline=None)
     @given(point_clouds())
+    # the last point enters in the affine hull of a full corral: r is 1.25
+    @example(np.array([[0, 2], [0, 0], [1, 0], [2, 1]], dtype=float))
     def test_matches_definition(self, pts):
         c, r = min_enclosing_ball(pts)
         ref_c, ref_r = enclosing_ball_by_definition(pts)
@@ -98,6 +104,13 @@ class TestHullDistance:
         pts = np.array([[-1.0, 1.0], [1.0, 1.0]])
         z = min_norm_point(pts)
         assert np.allclose(z, [0.0, 1.0], atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_clouds())
+    def test_min_norm_point_matches_definition(self, pts):
+        z = min_norm_point(pts)
+        scale = 1.0 + float(np.abs(pts).max())
+        assert np.allclose(z, min_norm_point_by_definition(pts), atol=1e-7 * scale)
 
     def test_min_norm_point_optimality_certificate(self):
         # z is optimal iff no vertex improves the supporting hyperplane:
@@ -211,6 +224,14 @@ class TestOrthonormalInstance:
         for cert, labels in zip(certs, labelings):
             report = separability_report(pts, labels, radius, gamma)
             assert cert.generic_ok == report.separable
+
+    def test_balanced_axis_labelings_fail_a_larger_gamma(self):
+        # at R = 2 and gamma = 1 a balanced labeling has a hull gap of exactly 2
+        pts = orthonormal_points(2.0, 1.0)
+        labelings = list(product((0, 1), repeat=len(pts)))
+        verdicts = [separability_report(pts, y, 2.0, 1.001).separable for y in labelings]
+        assert verdicts.count(False) == 6 and verdicts.count(True) == 10
+        assert all(ok == (sum(y) != 2) for ok, y in zip(verdicts, labelings))
 
     @pytest.mark.parametrize("radius,gamma", [(1.0, 1.0), (2.0, 1.0)])
     def test_all_labelings_certified_both_ways(self, radius, gamma):

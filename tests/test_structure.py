@@ -77,6 +77,32 @@ def test_no_module_level_memo():
     assert _memo_lines(ast.parse("def f(cls):\n    return cache(partial(g, cls))")) == []
 
 
+def _lstsq_lines(tree: ast.AST) -> list[int]:
+    """Lines naming ``lstsq``: a call through ``np.linalg`` or an imported name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lstsq":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "lstsq":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            lines.extend(node.lineno for alias in node.names if alias.name == "lstsq")
+    return sorted(lines)
+
+
+def test_no_lstsq():
+    """The geometry kernel keeps its corrals affinely independent and solves
+    each KKT system exactly; ``lstsq`` would hide a degenerate corral, and its
+    first call maps about 1 MiB."""
+    for path in MODULES:
+        lines = _lstsq_lines(_tree(path))
+        assert lines == [], f"lstsq in {path.name} at lines {lines}"
+    # the guard sees attribute calls and imported names, and passes other solves
+    assert _lstsq_lines(ast.parse("x = np.linalg.lstsq(M, b, rcond=None)[0]")) == [1]
+    assert _lstsq_lines(ast.parse("from numpy.linalg import lstsq\nx = lstsq(M, b)")) == [1, 2]
+    assert _lstsq_lines(ast.parse("x = np.linalg.solve(M, b)")) == []
+
+
 def _layer_imports(imported: set[str], layer: str) -> set[str]:
     return {m for m in imported if m == f"pcl.{layer}" or m.startswith(f"pcl.{layer}.")}
 
