@@ -134,30 +134,29 @@ def cmd_online(args) -> dict:
             "mean_expected_regret": sum(stats) / len(stats),
             "max_expected_regret": max(stats),
         }
-    elif args.mode == "adversary-mistake":
-        adv = online.mistake_adversary(cls, args.d)
-        soa = online.Soa(cls)
-        exact = adv.exact_expected_mistakes(soa) if args.d <= 10 else None
-        means = [adv.play(soa, rng).mistakes for _ in range(args.trials)]
-        out = {
-            "d": args.d,
-            "mc_mean_mistakes": sum(means) / len(means),
-            "exact_expected_vs_soa": str(exact) if exact is not None else None,
-            "lower_bound": args.d / 2,
-        }
-    else:  # adversary-regret
-        adv = online.regret_adversary(cls, args.d, args.T)
-        zero = online.constant_learner(0)
-        regrets = [
-            online.play_sequence(cls, zero, adv.generate(rng)).regret
+    else:  # one tree adversary; the mistake game is its T = d case
+        mistake_game = args.mode == "adversary-mistake"
+        adv = online.tree_adversary(cls, args.d, args.d if mistake_game else args.T)
+        learner = online.Soa(cls) if mistake_game else online.constant_learner(0)
+        games = [
+            online.play_sequence(cls, learner, adv.generate(rng))
             for _ in range(args.trials)
         ]
-        out = {
-            "d": args.d,
-            "T": args.T,
-            "mc_mean_regret_constant0": sum(regrets) / args.trials,
-            "lower_bound": 0.25 * (args.d * args.T) ** 0.5,
-        }
+        if mistake_game:
+            exact = adv.exact_expected_mistakes(learner) if args.d <= 10 else None
+            out = {
+                "d": args.d,
+                "mc_mean_mistakes": sum(g.mistakes for g in games) / args.trials,
+                "exact_expected_vs_soa": str(exact) if exact is not None else None,
+                "lower_bound": args.d / 2,
+            }
+        else:
+            out = {
+                "d": args.d,
+                "T": args.T,
+                "mc_mean_regret_constant0": sum(g.regret for g in games) / args.trials,
+                "lower_bound": 0.25 * (args.d * args.T) ** 0.5,
+            }
     return {"mode": args.mode, **out}
 
 

@@ -256,7 +256,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                 mask = packed.full
                 for _ in range(ld):
                     x = node.point
-                    y = 1 - soa.predict_mask(mask, x)
+                    y = 1 - soa(mask, x)
                     seq.append((x, y))
                     mask &= packed.label_masks[x][y]
                     node = node.zero if y == 0 else node.one
@@ -274,9 +274,12 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
 
 
+LOO_CROSS_CHECKS = 40  # orientation LOO values re-checked by the literal average
+LOO_MULTISET_CLASSES = 10  # classes whose short sequences with repeats are all swept
+
+
 def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
     n_classes = cfg.params["classes"]
-    cross_checks = cfg.params["cross_checks"]
     checks = []
     literal_checked = 0
     multiset_samples = 0
@@ -298,7 +301,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                     loo = Fraction(out_deg, k)
                     bound = Fraction(d, k)
                     worst_excess = max(worst_excess, loo - bound)
-                    if literal_checked < cross_checks and k <= 4:
+                    if literal_checked < LOO_CROSS_CHECKS and k <= 4:
                         sample = labeled_sample(list(zip(pts, v)))
                         if learners.loo_error(cls, sample) != loo:
                             raise AssertionError(
@@ -312,7 +315,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                 worst_excess, "<=", Fraction(0), extra={"vc": d},
             )
         )
-        if i < cfg.params["multiset_classes"]:
+        if i < LOO_MULTISET_CLASSES:
             # sequences with repeated points: sweep all <=4-point multisets
             # and every realizable labeling of their supports
             for size in range(2, min(4, cls.domain_size + 1) + 1):
@@ -331,7 +334,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
         _check(
             "literal-cross-check",
             "orientation shortcut equals factorial-average on samples",
-            literal_checked, ">=", cross_checks,
+            literal_checked, ">=", LOO_CROSS_CHECKS,
         )
     )
     checks.append(
@@ -363,6 +366,9 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
     return Report(cfg.experiment, cfg.seed, checks, {"matrices": n_matrices})
 
 
+AGNOSTIC_SEQUENCES = 20  # per upper-side class; every second one is adversarial
+
+
 def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     checks = []
     # (a) upper side: the subset-expert construction on small classes
@@ -381,14 +387,14 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         rng = split_rng(cfg.seed, "ao-seq", ci)
         worst = -math.inf
         bound = learner.regret_bound() + ld
-        for j in range(cfg.params["sequences"]):
+        for j in range(AGNOSTIC_SEQUENCES):
             if j % 2 == 0:
                 seq = [
                     (rng.randrange(cls.domain_size), rng.randint(0, 1))
                     for _ in range(T)
                 ]
             else:
-                adv = online.regret_adversary(cls, max(ld, 1), T)
+                adv = online.tree_adversary(cls, max(ld, 1), T)
                 seq = adv.generate(rng)
             res = learner.run(seq)
             worst = max(worst, res.expected_regret)
@@ -428,7 +434,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         )
     # consistency spot check of the vectorized game against the object-level one
     cls1 = core.concept_class(1, ["0", "1"])
-    adv = online.regret_adversary(cls1, 1, T_adv)
+    adv = online.tree_adversary(cls1, 1, T_adv)
     rng = split_rng(cfg.seed, "ao-spot")
     spot = min(200, trials)
     zero = online.constant_learner(0)
@@ -835,17 +841,16 @@ SUITES: dict[str, Suite] = {
         least={"sequences": 1},
     ),
     "one-inclusion-loo": Suite(
-        suite_one_inclusion_loo,
-        {"classes": 100, "max_len": 5, "cross_checks": 40, "multiset_classes": 10},
-        least={"classes": 1, "max_len": 1, "cross_checks": 1, "multiset_classes": 1},
+        suite_one_inclusion_loo, {"classes": 100, "max_len": 5},
+        least={"classes": 1, "max_len": 1},
     ),
     "experts-regret": Suite(suite_experts_regret, {"matrices": 100}),
     "agnostic-online-regret": Suite(
         suite_agnostic_online_regret,
-        {"T": 12, "sequences": 20, "adversary_trials": 10_000, "adversary_T": 100},
+        {"T": 12, "adversary_trials": 10_000, "adversary_T": 100},
         trials="adversary_trials",
         # a sample sigma takes two trials
-        least={"sequences": 1, "adversary_trials": 2, "adversary_T": 1},
+        least={"adversary_trials": 2, "adversary_T": 1},
     ),
     "disambiguation-bounds": Suite(suite_disambiguation_bounds, {"classes": 100}),
     "biclique-lower-bound": Suite(

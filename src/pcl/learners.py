@@ -466,6 +466,8 @@ def alpha_boost_compress(
     compression payload is the concatenated round subsamples; the bits encode
     the round count so the grouping is recoverable.
     """
+    if not sample:
+        raise ContractViolation("boosting requires a non-empty sample")
     if not is_realizable(cls, sample):
         raise ContractViolation("boosting requires a realizable sample")
     rng = random.Random(seed)
@@ -504,9 +506,7 @@ def ld_compress(cls: PartialConceptClass, sample: LabeledSample) -> CompressionO
     mask = cls.packed.full  # the concepts consistent with the kept set
     kept: list[tuple[int, int]] = []
     for _ in range(littlestone_dimension(cls) + 1):
-        bad = next(
-            ((x, y) for x, y in sample if soa.predict_mask(mask, x) != y), None
-        )
+        bad = next(((x, y) for x, y in sample if soa(mask, x) != y), None)
         if bad is None:
             return CompressionOutput(tuple(kept), ())
         kept.append(bad)
@@ -532,7 +532,7 @@ def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothe
     mask = cls.packed.mask_of(comp.subsample)
     if mask == 0:
         raise CompressionFormatError("kept set is not realizable by the class")
-    return Hypothesis(tuple(soa.predict_mask(mask, x) for x in range(cls.domain_size)))
+    return Hypothesis(tuple(soa(mask, x) for x in range(cls.domain_size)))
 
 
 def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
@@ -600,6 +600,8 @@ def agnostic_learn(
     """Fit the largest realizable subsequence, then boost it to consistency."""
     if not 0 < delta <= 1:
         raise ContractViolation(f"need 0 < delta <= 1, got delta = {delta}")
+    if not sample:
+        raise ContractViolation("agnostic learning requires a non-empty sample")
     kept = max_realizable_subsequence(cls, sample)
     if not kept:
         hyp = Hypothesis(tuple([0] * cls.domain_size))

@@ -1,8 +1,9 @@
-"""Online learning: SOA, experts aggregation, and both lower-bound adversaries.
+"""Online learning: SOA, experts aggregation, one tree adversary for both lower bounds.
 
-Learners are callables ``(history, x) -> bit`` where ``history`` is the list
-of (point, label) pairs revealed so far.  Predictions are always bits; a
-learner is never allowed to output the undefined label.
+Learners are callables ``(mask, x) -> bit`` where ``mask`` is the concept
+bitmask of the version space: the members of the class that agree with every
+(point, label) pair revealed so far.  Predictions are always bits; a learner
+is never allowed to output the undefined label.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .core import ContractViolation, PartialConceptClass, min_mistakes
 from .dimensions import LittlestoneTree, littlestone_dimension, littlestone_tree
 
-Learner = Callable[[Sequence[tuple[int, int]], int], int]
+Learner = Callable[[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -48,77 +49,40 @@ def play_sequence(
     sequence: Sequence[tuple[int, int]],
 ) -> OnlineTranscript:
     best = min_mistakes(cls, sequence)  # checks every point before any is played
-    history: list[tuple[int, int]] = []
+    label_masks = cls.packed.label_masks
+    mask = cls.packed.full
     rounds = []
     mistakes = 0
     for x, y in sequence:
-        p = learner(history, x)
+        p = learner(mask, x)
         if p not in (0, 1):
             raise ValueError("online predictions must be bits")
         bad = p != y
         mistakes += bad
         rounds.append(Round(x, p, y, bad))
-        history.append((x, y))
+        mask &= label_masks[x][y]
     return OnlineTranscript(tuple(rounds), mistakes, best)
 
 
 class Soa:
     """Standard optimal algorithm: predict the label whose restriction keeps LD larger.
 
-    Ties break toward 0.  The consistent subclass is tracked as a concept
-    bitmask and the LD recursion cache is the class's own, shared with every
-    other LD reader of the class, so repeated play over the same class stays
-    cheap.
+    Ties break toward 0.  The LD recursion cache is the class's own, shared
+    with every other LD reader of the class, so repeated play over the same
+    class stays cheap.
     """
 
     def __init__(self, cls: PartialConceptClass):
         self.packed = cls.packed
         self.solver = cls.ld_solver
 
-    def predict_mask(self, mask: int, x: int) -> int:
+    def __call__(self, mask: int, x: int) -> int:
         m0, m1 = self.packed.label_masks[x]
         m0 &= mask
         m1 &= mask
         ld0 = self.solver.ld(m0) if m0 else -1
         ld1 = self.solver.ld(m1) if m1 else -1
         return 0 if ld0 >= ld1 else 1
-
-    def __call__(self, history: Sequence[tuple[int, int]], x: int) -> int:
-        return self.predict_mask(self.packed.mask_of(history), x)
-
-
-@dataclass
-class MistakeAdversary:
-    """Presents tree points along a uniformly random branch; labels are fair coins."""
-
-    cls: PartialConceptClass
-    d: int
-    tree: Optional[LittlestoneTree]
-
-    def play(self, learner: Learner, rng: random.Random) -> OnlineTranscript:
-        bits = tuple(rng.getrandbits(1) for _ in range(self.d))
-        return self.play_bits(learner, bits)
-
-    def play_bits(self, learner: Learner, bits: Sequence[int]) -> OnlineTranscript:
-        sequence = []
-        node = self.tree
-        for y in bits:
-            sequence.append((node.point, y))
-            node = node.zero if y == 0 else node.one
-        return play_sequence(self.cls, learner, sequence)
-
-    def exact_expected_mistakes(self, learner: Learner) -> Fraction:
-        """Average mistakes of a deterministic learner over all 2^d branch strings."""
-        if self.d == 0:
-            return Fraction(0)
-        total = 0
-        for bits in product((0, 1), repeat=self.d):
-            total += self.play_bits(learner, bits).mistakes
-        return Fraction(total, 2 ** self.d)
-
-
-def mistake_adversary(cls: PartialConceptClass, d: int) -> MistakeAdversary:
-    return MistakeAdversary(cls, d, littlestone_tree(cls, d))
 
 
 @dataclass
@@ -219,7 +183,7 @@ class AgnosticOnlineLearner:
         preds = np.empty((self.T, self.n_experts))
         for t, (x, _) in enumerate(sequence):
             for i, J in enumerate(self.flip_sets):
-                p = soa.predict_mask(masks[i], x)
+                p = soa(masks[i], x)
                 if t in J:  # expert i takes round t as a mistake and learns from it
                     p = 1 - p
                     masks[i] &= packed.label_masks[x][p]
@@ -229,8 +193,17 @@ class AgnosticOnlineLearner:
 
 
 @dataclass
-class RegretAdversary:
-    """Oblivious block sequence: fair-coin labels at tree points chosen by block majorities."""
+class TreeAdversary:
+    """Oblivious fair-coin labels at the points of a depth-d mistake tree.
+
+    The T rounds form d blocks; every round of block i asks the point of the
+    tree node reached by the majority labels of the blocks before it.  At
+    T = d each block is one round whose majority is its own coin, so the
+    sequence walks a uniformly random branch and any deterministic learner
+    errs d/2 times in expectation; at larger T the best concept follows the
+    block majorities and the learner's regret is Omega(sqrt(dT)).  d = T = 0
+    is the empty game.
+    """
 
     cls: PartialConceptClass
     d: int
@@ -238,17 +211,12 @@ class RegretAdversary:
     tree: Optional[LittlestoneTree]
 
     def block_bounds(self) -> list[tuple[int, int]]:
-        k = self.T // self.d
-        bounds = []
-        start = 0
-        for i in range(1, self.d + 1):
-            end = self.T if i == self.d else k * i
-            bounds.append((start, end))
-            start = end
-        return bounds
+        k = self.T // max(self.d, 1)
+        starts = [k * i for i in range(self.d)]
+        return list(zip(starts, starts[1:] + [self.T]))
 
-    def generate(self, rng: random.Random) -> list[tuple[int, int]]:
-        ys = [rng.getrandbits(1) for _ in range(self.T)]
+    def sequence(self, ys: Sequence[int]) -> list[tuple[int, int]]:
+        """The rounds that the label string ``ys`` of length T makes."""
         xs: list[int] = []
         node = self.tree
         for start, end in self.block_bounds():
@@ -258,18 +226,28 @@ class RegretAdversary:
             node = node.zero if majority == 0 else node.one
         return list(zip(xs, ys))
 
+    def generate(self, rng: random.Random) -> list[tuple[int, int]]:
+        return self.sequence([rng.getrandbits(1) for _ in range(self.T)])
 
-def regret_adversary(cls: PartialConceptClass, d: int, T: int) -> RegretAdversary:
-    if d < 1:
+    def exact_expected_mistakes(self, learner: Learner) -> Fraction:
+        """Average mistakes of a deterministic learner over all 2^T label strings."""
+        total = sum(
+            play_sequence(self.cls, learner, self.sequence(ys)).mistakes
+            for ys in product((0, 1), repeat=self.T)
+        )
+        return Fraction(total, 2**self.T)
+
+
+def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:
+    if d < 1 and T > 0:
         raise ContractViolation(f"the tree depth d must be at least 1, got {d}")
     if T < d:
         raise ContractViolation("horizon must be at least the tree depth")
-    tree = littlestone_tree(cls, d)
-    return RegretAdversary(cls, d, T, tree)
+    return TreeAdversary(cls, d, T, littlestone_tree(cls, d))
 
 
 def constant_learner(bit: int) -> Learner:
-    def predict(history, x):
+    def predict(mask, x):
         return bit
 
     return predict

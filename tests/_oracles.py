@@ -15,7 +15,6 @@ import numpy as np
 
 from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
 from pcl.learners import OneInclusionGraph, pac_schedule
-from pcl.online import Learner
 
 
 def patterns_on(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
@@ -333,12 +332,11 @@ def brute_force_max_packing(points, radius: float) -> int:
     return best
 
 
-def follow_the_leader() -> Learner:
-    """Predict the majority label seen so far at the queried point (ties -> 0)."""
-
-    def predict(history, x):
-        ones = sum(1 for p, y in history if p == x and y == 1)
-        zeros = sum(1 for p, y in history if p == x and y == 0)
-        return 1 if ones > zeros else 0
-
-    return predict
+def follow_the_leader_mistakes(sequence) -> int:
+    """Mistakes of predicting, each round, the majority label seen so far at
+    the queried point (ties -> 0)."""
+    mistakes = 0
+    for t, (x, y) in enumerate(sequence):
+        seen = [b for p, b in sequence[:t] if p == x]
+        mistakes += (1 if 2 * sum(seen) > len(seen) else 0) != y
+    return mistakes

@@ -324,6 +324,13 @@ class TestCliContract:
                 "--mode", "agnostic", "--delta", delta]
         self._fails_naming(argv, f"delta = {delta}", capsys)
 
+    @pytest.mark.parametrize("mode", ["agnostic", "compress"])
+    def test_learn_empty_sample(self, mode, class_file, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        argv = ["learn", "--input", class_file, "--sample", str(path), "--mode", mode]
+        self._fails_naming(argv, "non-empty sample", capsys)
+
     def test_construct_kind_refuses_another_kinds_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "margin", "--n", "3"])

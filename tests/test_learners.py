@@ -408,7 +408,7 @@ class TestLdCompress:
             ld1 = soa.solver.ld(m1) if m1 else -1
             return 0 if ld0 < ld1 else 1
 
-        monkeypatch.setattr(Soa, "predict_mask", smaller_ld)
+        monkeypatch.setattr(Soa, "__call__", smaller_ld)
         cls = concept_class(3, ["000", "111"])
         sample = labeled_sample([(0, 0), (1, 0), (2, 0)])
         with pytest.raises(AssertionError, match="Littlestone dimension"):

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcl import dimensions
@@ -19,12 +19,11 @@ from pcl.online import (
     constant_learner,
     experts_aggregate,
     littlestone_tree,
-    mistake_adversary,
     play_sequence,
-    regret_adversary,
+    tree_adversary,
 )
 
-from _oracles import follow_the_leader
+from _oracles import follow_the_leader_mistakes
 from _strategies import classes
 
 
@@ -35,11 +34,11 @@ def full_cube(n):
 class TestSoa:
     def test_tie_breaks_to_zero(self):
         cls = concept_class(3, ["000", "111"])
-        assert Soa(cls)([], 0) == 0
+        assert Soa(cls)(cls.packed.full, 0) == 0
 
     def test_follows_the_surviving_concept(self):
         cls = concept_class(3, ["000", "111"])
-        assert Soa(cls)([(0, 1)], 1) == 1
+        assert Soa(cls)(cls.packed.mask_of([(0, 1)]), 1) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(classes(max_n=5, max_size=12))
@@ -106,28 +105,58 @@ class TestLittlestoneTree:
 
 
 class TestMistakeAdversary:
+    """The tree adversary at T = d: one fair coin per tree level."""
+
     def test_exact_half_per_round_for_constant_learner(self):
         cls = concept_class(2, ["01", "10"])
-        adv = mistake_adversary(cls, 1)
+        adv = tree_adversary(cls, 1, 1)
         assert adv.exact_expected_mistakes(constant_learner(0)) == Fraction(1, 2)
 
     def test_depth_zero_empty_game(self):
         cls = concept_class(2, ["00"])
-        adv = mistake_adversary(cls, 0)
+        adv = tree_adversary(cls, 0, 0)
+        assert adv.generate(random.Random(0)) == []
         assert adv.exact_expected_mistakes(constant_learner(0)) == 0
 
     def test_exact_half_d_for_soa_on_cube(self):
         cls = full_cube(3)
-        adv = mistake_adversary(cls, 3)
+        adv = tree_adversary(cls, 3, 3)
         # fair-coin labels make every deterministic learner miss half the time
         assert adv.exact_expected_mistakes(Soa(cls)) == Fraction(3, 2)
 
     def test_monte_carlo_matches_exact(self):
         cls = full_cube(3)
-        adv = mistake_adversary(cls, 3)
+        adv = tree_adversary(cls, 3, 3)
         rng = random.Random(11)
-        mean = sum(adv.play(Soa(cls), rng).mistakes for _ in range(600)) / 600
+        soa = Soa(cls)
+        mean = sum(
+            play_sequence(cls, soa, adv.generate(rng)).mistakes for _ in range(600)
+        ) / 600
         assert abs(mean - 1.5) <= 3 * math.sqrt(0.75 / 600) + 0.05
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes(max_n=5, max_size=12),
+        st.integers(0, 4),
+        st.functions(like=lambda mask, x: 0, returns=st.integers(0, 1), pure=True),
+        st.integers(0, 2**32 - 1),
+    )
+    # the root's two children ask different points (1 and 2)
+    @example(concept_class(3, ["00*", "01*", "1*0", "1*1"]), 2, lambda mask, x: 0, 0)
+    @example(full_cube(4), 4, lambda mask, x: mask & 1, 1)
+    def test_any_learner_errs_half_the_depth_on_a_coin_branch(
+        self, cls, d, learner, seed
+    ):
+        d = min(d, littlestone_dimension(cls))
+        adv = tree_adversary(cls, d, d)
+        assert adv.exact_expected_mistakes(learner) == Fraction(d, 2)
+        coins = random.Random(seed)
+        branch, node = [], adv.tree
+        for _ in range(d):
+            y = coins.getrandbits(1)
+            branch.append((node.point, y))
+            node = node.one if y else node.zero
+        assert adv.generate(random.Random(seed)) == branch
 
 
 class TestExperts:
@@ -196,13 +225,13 @@ class TestAgnosticOnline:
 class TestRegretAdversary:
     def test_single_round(self):
         cls = concept_class(1, ["0", "1"])
-        adv = regret_adversary(cls, 1, 1)
+        adv = tree_adversary(cls, 1, 1)
         seq = adv.generate(random.Random(0))
         assert len(seq) == 1
 
     def test_block_structure(self):
         cls = full_cube(2)
-        adv = regret_adversary(cls, 2, 7)
+        adv = tree_adversary(cls, 2, 7)
         assert adv.block_bounds() == [(0, 3), (3, 7)]
         seq = adv.generate(random.Random(1))
         xs = [x for x, _ in seq]
@@ -210,19 +239,22 @@ class TestRegretAdversary:
 
     def test_horizon_shorter_than_depth_rejected(self):
         with pytest.raises(ContractViolation):
-            regret_adversary(full_cube(2), 2, 1)
+            tree_adversary(full_cube(2), 2, 1)
 
     def test_mean_regret_against_baselines(self):
         cls = concept_class(1, ["0", "1"])
-        adv = regret_adversary(cls, 1, 100)
+        adv = tree_adversary(cls, 1, 100)
         rng = random.Random(2)
-        for learner in (constant_learner(0), follow_the_leader()):
+        zero = constant_learner(0)
+        for mistakes in (
+            lambda seq: play_sequence(cls, zero, seq).mistakes,
+            follow_the_leader_mistakes,
+        ):
             total = 0.0
             trials = 400
             for _ in range(trials):
                 seq = adv.generate(rng)
-                t = play_sequence(cls, learner, seq)
-                total += t.regret
+                total += mistakes(seq) - min_mistakes(cls, seq)
             mean = total / trials
             sigma = math.sqrt(25.0 / trials)  # crude variance envelope
             assert mean >= 2.5 - 3 * sigma
@@ -232,7 +264,7 @@ class TestRegretAdversary:
         # expected mistakes <= k/2 - sqrt(k/8)
         cls = concept_class(1, ["0", "1"])
         k = 64
-        adv = regret_adversary(cls, 1, k)
+        adv = tree_adversary(cls, 1, k)
         rng = random.Random(3)
         trials = 800
         total = 0
@@ -254,10 +286,6 @@ class TestFollowTheLeaderCount:
             )
         )
     )
-    def test_rows_match_play_sequence(self, rows):
-        cls = concept_class(1, ["0", "1"])
-        want = [
-            play_sequence(cls, follow_the_leader(), [(0, y) for y in row]).mistakes
-            for row in rows
-        ]
+    def test_rows_match_definition(self, rows):
+        want = [follow_the_leader_mistakes([(0, y) for y in row]) for row in rows]
         assert _ftl_mistakes(np.array(rows, dtype=np.int64)).tolist() == want
