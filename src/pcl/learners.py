@@ -5,8 +5,9 @@ The one-inclusion predictor is transductive: it never materializes a global
 hypothesis by itself.  Where a total hypothesis is needed it is evaluated
 pointwise over the finite domain, once per set of distinct training pairs:
 the hypothesis table sits beside the graphs in the class's
-``one_inclusion`` store.  The PAC wrapper works on atom indices, so a
-batch costs a count of the atoms it saw and one table lookup.
+``one_inclusion`` store.  The PAC wrapper scores a block of trials in one
+pass over their rows of atom indices: one count of the atoms each batch saw,
+one table lookup per distinct seen set, and one validation score per batch.
 """
 
 from __future__ import annotations
@@ -319,32 +320,50 @@ def batch_and_validate(
     eps: float,
     delta: float,
     graphs: OneInclusionCache,
-) -> Hypothesis:
-    """Train one-inclusion on disjoint batches of the sample ``atoms[picks]``
-    and keep the validation winner, the first batch on ties.
+) -> list[Hypothesis]:
+    """For each row of ``picks``, a ``(trials, m)`` array of atom indices:
+    train one-inclusion on disjoint batches of the sample ``atoms[row]`` and
+    keep the validation winner, the first batch on ties.
 
-    A batch's hypothesis depends only on the atoms it saw, so it comes from
-    the hypothesis table of ``graphs``.
+    A batch's hypothesis depends only on the atoms it saw, so each distinct
+    seen set of the block is looked up once in the hypothesis table of
+    ``graphs``.
     """
     schedule = pac_schedule(cls.vc, eps, delta)
-    if len(picks) < schedule.total:
+    picks = np.asarray(picks)
+    if picks.ndim != 2:
+        raise ContractViolation(f"picks must be a (trials, m) array, got {picks.shape}")
+    trials, m = picks.shape
+    if m < schedule.total:
         raise ContractViolation(
-            f"sample of size {len(picks)} is too short; "
+            f"sample of size {m} is too short; "
             f"the wrapper needs m = {schedule.total} "
             f"({schedule.batches} batches of {schedule.batch_size} "
             f"plus {schedule.validation_size} validation points)"
         )
     check_points(cls, atoms)
     k, a = schedule.batches, len(atoms)
-    rows = np.repeat(np.arange(k + 1), [schedule.batch_size] * k + [schedule.validation_size])
-    counts = np.bincount(rows * a + picks[: schedule.total], minlength=(k + 1) * a)
-    counts = counts.reshape(k + 1, a)
-    # a batch's score is its seen-set's, so the first minimum over the
-    # distinct sets in batch order is the first batch's
-    seen = dict.fromkeys(frozenset(compress(atoms, row)) for row in counts[:k].tolist())
-    hyps = [graphs.hypothesis(cls, pairs) for pairs in seen]
-    wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps])
-    return hyps[int((wrong @ counts[k]).argmin())]
+    bad = (picks < 0) | (picks >= a)
+    if bad.any():
+        raise ContractViolation(
+            f"pick {picks[bad][0]} is not an atom index; there are {a} atoms"
+        )
+    # part j < k of a row is batch j, part k its validation points
+    part = np.repeat(np.arange(k + 1), [schedule.batch_size] * k + [schedule.validation_size])
+    cells = (np.arange(trials)[:, None] * (k + 1) + part) * a + picks[:, : schedule.total]
+    counts = np.bincount(cells.ravel(), minlength=trials * (k + 1) * a)
+    counts = counts.reshape(trials, k + 1, a)
+    # each batch's seen set as one byte string, numbered by first appearance
+    seen = (counts[:, :k] > 0).view(np.dtype((np.void, a))).ravel().tolist()
+    index: dict[bytes, int] = {}
+    batch_set = [index.setdefault(s, len(index)) for s in seen]
+    batch_set = np.array(batch_set, dtype=np.intp).reshape(trials, k)
+    hyps = [graphs.hypothesis(cls, frozenset(compress(atoms, s))) for s in index]
+    wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps]).reshape(-1, a)
+    # argmin keeps the first minimum: the first batch on ties
+    scores = np.take_along_axis(counts[:, k] @ wrong.T, batch_set, axis=1)
+    winners = np.take_along_axis(batch_set, scores.argmin(axis=1)[:, None], axis=1)
+    return [hyps[i] for i in winners.ravel().tolist()]
 
 
 def pac_learn_realizable(
@@ -354,13 +373,14 @@ def pac_learn_realizable(
     delta: float,
     cache: Optional[OneInclusionCache] = None,
 ) -> Hypothesis:
-    """``batch_and_validate`` on the sample's distinct pairs, numbered by
-    first appearance, with ``cache`` in place of the class's own store."""
+    """``batch_and_validate`` on one row: the sample's distinct pairs,
+    numbered by first appearance, with ``cache`` in place of the class's own
+    store."""
     index = {pair: i for i, pair in enumerate(dict.fromkeys(sample.pairs))}
     picks = np.fromiter(map(index.__getitem__, sample.pairs), np.intp, len(sample))
     return batch_and_validate(
-        cls, tuple(index), picks, eps, delta, cache or cls.one_inclusion
-    )
+        cls, tuple(index), picks[None], eps, delta, cache or cls.one_inclusion
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,14 @@ class TestCliContract:
              "'sizes' must be at least 2, got 0 in [0]"),
             (["biclique-lower-bound", "--param", "sizes=[4, -3]"],
              "'sizes' must be at least 2, got -3 in [4, -3]"),
+            (["pac-realizable", "--param", "distributions=0"],
+             "'distributions' must be at least 1, got 0"),
+            (["pac-realizable", "--param", "distributions=-3"],
+             "'distributions' must be at least 1, got -3"),
+            (["experts-regret", "--param", "matrices=0"],
+             "'matrices' must be at least 1, got 0"),
+            (["disambiguation-bounds", "--param", "classes=0"],
+             "'classes' must be at least 1, got 0"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

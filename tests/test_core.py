@@ -347,22 +347,28 @@ class TestSampleStream:
             unique_by=lambda atom: atom[:2],
         ),
         st.integers(0, 2000),
-        st.integers(0, 2**64),
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=3),
     )
-    @example([(0, 0, 1)], 0, 0)
-    @example([(0, 0, 1), (1, 1, 10**15)], 1, 5)
-    @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, 7)
-    def test_matches_choices(self, atoms, n, seed):
+    @example([(0, 0, 1)], 0, [0])
+    @example([(0, 0, 1), (1, 1, 10**15)], 1, [5])
+    @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, [7, 7, 8])
+    def test_matches_choices(self, atoms, n, seeds):
         # raw weights up to 10**15 apart, so some atoms are tiny
         total = sum(r for _, _, r in atoms)
         dist = finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
-        ours, indexed, theirs = Random(seed), Random(seed), Random(seed)
-        drawn = dist.sample(ours, n).pairs
+        ours = [Random(s) for s in seeds]
+        indexed = [Random(s) for s in seeds]
+        theirs = [Random(s) for s in seeds]
+        rows = dist.draw(indexed, n)
+        assert rows.shape == (len(seeds), n)
         support = dist.support_pairs()
         weights = [float(w) for _, w in dist.atoms]
-        assert drawn == tuple(theirs.choices(support, weights=weights, k=n))
-        assert drawn == tuple(support[i] for i in dist.draw(indexed, n))
-        assert ours.random() == indexed.random() == theirs.random()
+        for row, mine, their in zip(rows, ours, theirs):
+            drawn = dist.sample(mine, n).pairs
+            assert drawn == tuple(their.choices(support, weights=weights, k=n))
+            assert drawn == tuple(support[i] for i in row)
+        for mine, drawn_from, their in zip(ours, indexed, theirs):
+            assert mine.random() == drawn_from.random() == their.random()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("above", [0, 1])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,24 @@ class TestParams:
             run_experiment(
                 ExperimentConfig("biclique-lower-bound", params={"sizes": [4, 5.5]})
             )
+
+
+class TestPacBlocks:
+    def test_peak_memory_stays_small(self):
+        # The trials are drawn and fitted in blocks.  Blocks of 64 trials peak
+        # at about 2.8 MiB; one block of all 2000 trials at about 77 MiB.
+        tracemalloc.start()
+        try:
+            report = run_experiment(
+                ExperimentConfig(
+                    "pac-realizable", seed=7, params={"trials": 2000, "distributions": 2}
+                )
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.checks) == 2
+        assert peak < 8 * 2**20
 
 
 class TestReadme:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,24 +200,34 @@ class TestPacWrapper:
     @settings(max_examples=60, deadline=None)
     @given(classes(min_n=2, max_n=4, max_size=8), st.data())
     def test_matches_the_batch_by_batch_wrapper(self, cls, data):
-        # batches repeat points of one concept's support; validation pairs
-        # and the ignored tail may carry any label, so scores vary and tie
+        # each row's batches repeat points of one concept's support;
+        # validation pairs and the ignored tail may carry any label, so
+        # scores vary and tie; the rows are stacked into one block
         n = cls.domain_size
-        h = data.draw(st.sampled_from([h for h in cls.concepts if h.support()] or [None]))
-        if h is None:
+        fitted = [h for h in cls.concepts if h.support()]
+        if not fitted:
             return
         eps = data.draw(st.sampled_from((0.6, 0.9)))
         delta = data.draw(st.sampled_from((0.5, 1.0)))
         s = pac_schedule(cls.vc, eps, delta)
-        seen = st.sampled_from([(x, h[x]) for x in h.support()])
         anything = st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)))
-        pairs = []
-        for _ in range(s.batches):
-            pairs += data.draw(st.lists(seen, min_size=s.batch_size, max_size=s.batch_size))
-        size = s.validation_size
-        pairs += data.draw(st.lists(anything, min_size=size, max_size=size + 3))
-        hyp = pac_learn_realizable(cls, labeled_sample(pairs), eps, delta)
-        assert hyp.labels == pac_by_definition(cls, pairs, eps, delta)
+        size = s.validation_size + data.draw(st.integers(0, 3))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            h = data.draw(st.sampled_from(fitted))
+            seen = st.sampled_from([(x, h[x]) for x in h.support()])
+            pairs = []
+            for _ in range(s.batches):
+                pairs += data.draw(st.lists(seen, min_size=s.batch_size, max_size=s.batch_size))
+            pairs += data.draw(st.lists(anything, min_size=size, max_size=size))
+            rows.append(pairs)
+        atoms = [(x, y) for x in range(n) for y in (0, 1)]
+        picks = np.array([[atoms.index(p) for p in pairs] for pairs in rows])
+        block = learners.batch_and_validate(cls, atoms, picks, eps, delta, cls.one_inclusion)
+        expected = [pac_by_definition(cls, pairs, eps, delta) for pairs in rows]
+        assert [hyp.labels for hyp in block] == expected
+        for pairs, labels in zip(rows, expected):
+            assert pac_learn_realizable(cls, labeled_sample(pairs), eps, delta).labels == labels
 
     def test_validation_keeps_the_first_best_batch(self):
         cls = concept_class(3, ["000", "001", "010", "100"])
@@ -231,6 +242,44 @@ class TestPacWrapper:
         assert fit(a + b + tie) == (0, 1, 1)
         assert fit(b + a + tie) == (0, 0, 1)
         assert fit(a + b + only_b) == (0, 0, 1)
+
+    def test_stacked_ties_go_to_each_rows_first_best_batch(self):
+        cls = concept_class(3, ["000", "001", "010", "100"])
+        s = pac_schedule(cls.vc, 0.9, 0.25)
+        assert s.batches == 3
+        atoms = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+        # the batch seeing only atom i fits 011, 001, 010, 000 and 001
+        rows = [
+            ((0, 1, 2), 0, (0, 1, 1)),  # all agree at x0: batch 0
+            ((1, 0, 2), 2, (0, 1, 1)),  # 011 and 010 tie: batch 1
+            ((1, 2, 0), 2, (0, 1, 0)),  # 010 and 011 tie: batch 1
+            ((3, 1, 0), 4, (0, 0, 1)),  # 001 and 011 tie: batch 1
+            ((1, 3, 0), 2, (0, 1, 1)),  # only 011 is right: batch 2
+        ]
+        picks = np.array(
+            [np.repeat([*fits, valid], [s.batch_size] * 3 + [s.validation_size])
+             for fits, valid, _ in rows]
+        )
+        block = learners.batch_and_validate(cls, atoms, picks, 0.9, 0.25, cls.one_inclusion)
+        for row, hyp, (_, _, labels) in zip(picks, block, rows):
+            pairs = [atoms[i] for i in row]
+            assert hyp.labels == labels == pac_by_definition(cls, pairs, 0.9, 0.25)
+
+    @pytest.mark.parametrize(
+        "at, pick",
+        [(3, 2), (20, 7), (149, -1)],
+        ids=["batch-pick-past-the-atoms", "validation-pick-past-the-atoms", "negative-pick"],
+    )
+    def test_pick_outside_the_atoms(self, at, pick):
+        # 2 batches of 8 and 134 validation points; a pick of 2 would count
+        # as atom 0 of the next batch
+        cls = concept_class(3, ["000", "001", "010", "100"])
+        picks = np.zeros((1, pac_schedule(cls.vc, 0.5, 0.5).total), dtype=np.intp)
+        picks[0, at] = pick
+        with pytest.raises(ContractViolation, match=rf"pick {pick} .*there are 2 atoms"):
+            learners.batch_and_validate(
+                cls, [(0, 0), (1, 0)], picks, 0.5, 0.5, OneInclusionCache()
+            )
 
     def test_validation_point_outside_the_domain(self):
         cls = concept_class(3, ["001", "110"])
