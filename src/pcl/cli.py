@@ -20,8 +20,6 @@ import random
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import core, dimensions, disambiguation, experiments, geometry, learners, online
 from . import serialize
 from .serialize import FormatError
@@ -212,10 +210,7 @@ def construct_margin(args) -> dict:
 
 
 def construct_general_margin(args) -> dict:
-    if args.grid < 1:
-        raise FormatError(f"--grid must be positive, got {args.grid}")
-    side = np.linspace(0.0, 1.0, args.grid)
-    grid = np.array([[x, y] for x in side for y in side])
+    grid = geometry.unit_grid(args.grid, "--grid")
     packing = geometry.greedy_packing(grid, args.gamma)
     return {
         "points": [[float(v) for v in p] for p in grid],

@@ -302,33 +302,30 @@ class FiniteDistribution:
         ``rng.choices`` sums them."""
         return np.array(list(accumulate(float(w) for _, w in self.atoms)))
 
-    def draw(self, rngs: Sequence[random.Random], n: int) -> np.ndarray:
-        """The atom indices of n independent draws from each generator, as a
-        ``(len(rngs), n)`` array: one bulk call per generator, then one array
-        pass over them all.
+    def draw(self, rng: random.Random, n: int) -> np.ndarray:
+        """The atom indices of n independent draws from ``rng``, as a 1-D array
+        made from one ``getrandbits`` call.
 
-        Row i, and the state ``rngs[i]`` is left in, are exactly those of
-        ``rngs[i].choices(range(len(atoms)), weights=[float(w), ...], k=n)``.
-        Each ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over
-        the generator's next two 32-bit words a and b, and
-        ``getrandbits(64 * n)`` returns the next 2n words in order, least
-        significant first.  A draw is then the first atom whose running
-        weight exceeds ``random() * total``, the last atom at most, as
-        ``choices`` bisects it.
+        The indices, and the state ``rng`` is left in, are exactly those of
+        ``rng.choices(range(len(atoms)), weights=[float(w), ...], k=n)``, so a
+        draw of a and then of b indices is one draw of a + b.  Each ``random()``
+        is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over the generator's next
+        two 32-bit words a and b, and ``getrandbits(64 * n)`` returns the next
+        2n words in order, least significant first.  A draw is the first atom
+        whose running weight exceeds ``random() * total``, the last at most.
         """
         if n < 0:
             raise ContractViolation(f"sample size must be nonnegative, got {n}")
         cum = self._cum_weights
-        raw = b"".join(rng.getrandbits(64 * n).to_bytes(8 * n, "little") for rng in rngs)
-        words = np.frombuffer(raw, "<u4").reshape(len(rngs), 2 * n)
-        u = ((words[:, 0::2] >> 5) * 2.0**26 + (words[:, 1::2] >> 6)) * 2.0**-53
+        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+        u = ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) * 2.0**-53
         # the count of running weights at most u * total, short of the last
         return np.searchsorted(cum[:-1], u * cum[-1], side="right")
 
     def sample(self, rng: random.Random, n: int) -> LabeledSample:
-        """The pairs of ``draw([rng], n)``: ``rng.choices`` over the atom pairs."""
+        """The pairs of ``draw(rng, n)``: ``rng.choices`` over the atom pairs."""
         pairs = self.support_pairs()
-        return LabeledSample(tuple(pairs[i] for i in self.draw([rng], n)[0].tolist()))
+        return LabeledSample(tuple(pairs[i] for i in self.draw(rng, n).tolist()))
 
 
 def finite_distribution(

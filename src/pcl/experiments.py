@@ -2,8 +2,8 @@
 
 Each suite produces a ``Report``: a list of per-check records (statement,
 measured value, bound value, pass flag) plus summary counts.  Reports are pure
-functions of (inputs, seed); all randomness flows through generators split
-deterministically per (suite, trial).
+functions of (inputs, seed); all randomness flows through ``random.Random``
+generators split deterministically per suite unit (class, matrix or distribution).
 
 A record's verdict is derived from the values it shows.  ``_check`` compares
 the measured value with the bound by a relation (``<=``, ``>=`` or ``==``),
@@ -48,10 +48,6 @@ def _digest(seed: int, *path) -> int:
 
 def split_rng(seed: int, *path) -> random.Random:
     return random.Random(_digest(seed, *path))
-
-
-def split_np(seed: int, *path) -> np.random.Generator:
-    return np.random.default_rng(_digest(seed, *path))
 
 
 @dataclass
@@ -351,11 +347,11 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
     n_matrices = cfg.params["matrices"]
     checks = []
     for i in range(n_matrices):
-        rng = split_np(cfg.seed, "experts", i)
-        T = int(rng.integers(1, 65))
-        N = int(rng.integers(1, 17))
-        preds = rng.random((T, N))
-        ys = rng.random(T)
+        rng = split_rng(cfg.seed, "experts", i)
+        T = rng.randint(1, 64)
+        N = rng.randint(1, 16)
+        preds = np.array([[rng.random() for _ in range(N)] for _ in range(T)])
+        ys = np.array([rng.random() for _ in range(T)])
         res = online.experts_aggregate(preds, ys)
         checks.append(
             _check(
@@ -409,8 +405,11 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     # (b) lower side: the block adversary forces (1/4) sqrt(dT) regret
     trials = cfg.params["adversary_trials"]
     T_adv = cfg.params["adversary_T"]
-    rng_np = split_np(cfg.seed, "ao-adversary")
-    ys = (rng_np.random((trials, T_adv)) < 0.5).astype(np.int64)
+    # one fair coin per label: the bits of one getrandbits call, lowest first
+    coins = split_rng(cfg.seed, "ao-adversary").getrandbits(trials * T_adv)
+    raw = np.frombuffer(coins.to_bytes(trials * T_adv // 8 + 1, "little"), np.uint8)
+    ys = np.unpackbits(raw, count=trials * T_adv, bitorder="little")
+    ys = ys.reshape(trials, T_adv).astype(np.int64)
     ones = ys.sum(axis=1)
     best = np.minimum(ones, T_adv - ones)
     target = 0.25 * math.sqrt(T_adv)
@@ -629,12 +628,10 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         atoms = dist.support_pairs()
         errors: dict[learners.Hypothesis, Fraction] = {}  # exact error of each winner
         failures = 0
+        draws = split_rng(cfg.seed, "pac-draw", i)
         for lo in range(0, trials, _PAC_BLOCK):
-            rngs = [
-                split_rng(cfg.seed, "pac-draw", i, t)
-                for t in range(lo, min(lo + _PAC_BLOCK, trials))
-            ]
-            picks = dist.draw(rngs, schedule.total)
+            block = min(_PAC_BLOCK, trials - lo)
+            picks = dist.draw(draws, block * schedule.total).reshape(block, schedule.total)
             for hyp in learners.batch_and_validate(
                 cls, atoms, picks, eps, delta, cls.one_inclusion
             ):
@@ -690,8 +687,7 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
             )
         )
     # Voronoi rule on the 5x5 grid, gamma = 0.6
-    side = np.linspace(0.0, 1.0, 5)
-    grid = np.array([[x, y] for x in side for y in side])
+    grid = geometry.unit_grid(5)
     gamma = 0.6
     packing = geometry.greedy_packing(grid, gamma)
     tested = 0
@@ -731,11 +727,11 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
     # perceptron streams
     streams = cfg.params["streams"]
     pts = geometry.orthonormal_points(2.0, 1.0)
-    rng_np = split_np(cfg.seed, "geometry-perceptron")
+    rng = split_rng(cfg.seed, "geometry-perceptron")
     over_bound = 0
     for _ in range(streams):
-        labels = rng_np.integers(0, 2, size=len(pts))
-        order = rng_np.permutation(len(pts))
+        labels = np.array([rng.getrandbits(1) for _ in pts])
+        order = rng.sample(range(len(pts)), len(pts))
         stream = np.vstack([pts[order]] * 25)
         ys = np.tile(labels[order], 25)
         report = geometry.perceptron_run(stream, ys)
@@ -848,7 +844,7 @@ class Suite:
 SUITES: dict[str, Suite] = {
     "soa-mistake-bound": Suite(
         suite_soa_mistake_bound, {"classes": 200, "sequences": 20},
-        least={"sequences": 1},
+        least={"classes": 1, "sequences": 1},
     ),
     "one-inclusion-loo": Suite(
         suite_one_inclusion_loo, {"classes": 100, "max_len": 5},
@@ -910,9 +906,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     over the parameter ``--trials`` sets.
 
     An unknown parameter (``--trials`` for a suite without trials), a value
-    whose type does not fit the default, or a value below its least value
-    (any entry, for a tuple) raises ``ValueError`` naming the key before any
-    work starts.
+    whose type does not fit the default, an empty tuple, or a value below its
+    least value (any entry, for a tuple) raises ``ValueError`` naming the key
+    before any work starts.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -938,6 +934,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 f"{cfg.experiment}: parameter {key!r} must be "
                 f"{type(default).__name__} like its default {default!r}, got {value!r}"
             )
+        if isinstance(default, tuple) and not value:
+            raise ValueError(f"{cfg.experiment}: parameter {key!r} must not be empty")
     params = {**defaults, **params}
     for key, least in suite.least.items():
         value = params[key]

@@ -26,6 +26,7 @@ WOLFE_MAX_ITER = 10_000  # Wolfe's method is finite; this only guards a stall
 PERCEPTRON_UPDATE_CAP = 10**6
 PERCEPTRON_PASSES = 4  # passes over a stream before the run stops unconverged
 MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
+MAX_GRID_SIDE = 30  # 900 points; greedy_packing is quadratic in its centres
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -472,6 +473,14 @@ class PackingResult:
     radius: float
 
 
+def unit_grid(side: int, name: str = "the grid side") -> np.ndarray:
+    """The side x side grid on [0, 1]^2 as a (side^2, 2) array, row by row."""
+    if not 1 <= side <= MAX_GRID_SIDE:
+        raise ContractViolation(f"{name} must lie in 1..{MAX_GRID_SIDE}, got {side}")
+    axis = np.linspace(0.0, 1.0, side)
+    return np.array([[x, y] for x in axis for y in axis])
+
+
 def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
     """First-fit maximal (gamma/2)-packing plus nearest-center cell assignment.
 
@@ -565,9 +574,7 @@ def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailur
     total = Fraction(0)
     for _ in range(trials):
         support = set(rng.sample(range(n), half))
-        observed = (
-            set(rng.choices(sorted(support), k=m)) if m > 0 else set()
-        )
+        observed = set(rng.choices(sorted(support), k=m))
         free = sorted(set(range(n)) - observed)
         completion = set(rng.sample(free, half - len(observed)))
         guess = observed | completion

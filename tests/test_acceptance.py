@@ -29,12 +29,12 @@ REPORT_SHA256 = {
         "d542ec4296c1bce1256ad783030940ca"
     ),
     "experts-regret": (
-        "38014e973db15fb6b5fc8b7474184fc2"
-        "f97a479a5fd6920f5ac0a22ff3575b4c"
+        "8c1c2a2289d79857f7c8f23d1dd5981b"
+        "a2dcca006fabe567a4d043fb93459190"
     ),
     "agnostic-online-regret": (
-        "e1f552caed0f9a1f4522278d4efd05f1"
-        "7a64cdcad88d396f095042496c672314"
+        "d4d9206acf5529dbba67ed4cc157a34d"
+        "28b9572c2d6167bda901084575d77296"
     ),
     "disambiguation-bounds": (
         "9a22e5917565dd63ae3c30eeb0c4ba54"

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from pcl import experiments
 from pcl.cli import main
 from pcl.core import concept_class
 from pcl.learners import CompressionOutput
@@ -383,6 +385,9 @@ class TestCliContract:
              "'matrices' must be at least 1, got 0"),
             (["disambiguation-bounds", "--param", "classes=0"],
              "'classes' must be at least 1, got 0"),
+            (["soa-mistake-bound", "--param", "classes=0"],
+             "'classes' must be at least 1, got 0"),
+            (["biclique-lower-bound", "--param", "sizes=[]"], "'sizes' must not be empty"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):
@@ -399,9 +404,14 @@ class TestCliContract:
     def test_erm_failure_domain_too_small(self, argv, capsys):
         self._fails_naming(argv, "domain size n", capsys)
 
-    def test_report_without_checks_does_not_pass(self, capsys):
-        argv = ["experiment", "soa-mistake-bound", "--param", "classes=-1"]
-        self._fails_naming(argv, "'classes': -1", capsys)
+    def test_report_without_checks_does_not_pass(self, monkeypatch, capsys):
+        # every count parameter has a least value, so only a suite that
+        # returns no records reaches the guard
+        suite = experiments.SUITES["soa-mistake-bound"]
+        empty = replace(suite, run=lambda cfg: experiments.Report(cfg.experiment, cfg.seed, []))
+        monkeypatch.setitem(experiments.SUITES, "soa-mistake-bound", empty)
+        argv = ["experiment", "soa-mistake-bound", "--param", "classes=3"]
+        self._fails_naming(argv, "ran no checks (params {'classes': 3}", capsys)
 
     def test_margin_zero_gamma(self, capsys):
         self._fails_naming(["construct", "margin", "--gamma", "0"], "gamma", capsys)
@@ -425,6 +435,10 @@ class TestCliContract:
 
     def test_general_margin_empty_grid(self, capsys):
         self._fails_naming(["construct", "general-margin", "--grid", "0"], "--grid", capsys)
+
+    def test_general_margin_grid_over_cap(self, capsys):
+        argv = ["construct", "general-margin", "--grid", "31"]
+        self._fails_naming(argv, "--grid must lie in 1..30, got 31", capsys)
 
     @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
     def test_general_margin_bad_gamma(self, gamma, capsys):

@@ -335,40 +335,54 @@ class TestDistributions:
         assert support_realizable(cls, uniform_on([(0, 0), (1, 0)]))
 
 
+# atoms with raw weights up to 10**15 apart, so that some atoms are tiny
+_weighted_atoms = st.lists(
+    st.tuples(st.integers(0, 9), st.sampled_from((0, 1)), st.integers(1, 10**15)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda atom: atom[:2],
+)
+
+
+def _from_raw_weights(atoms):
+    total = sum(r for _, _, r in atoms)
+    return finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
+
+
 class TestSampleStream:
     """``FiniteDistribution.draw`` and ``sample`` are ``rng.choices``, draw for draw."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.sampled_from((0, 1)), st.integers(1, 10**15)),
-            min_size=1,
-            max_size=6,
-            unique_by=lambda atom: atom[:2],
-        ),
-        st.integers(0, 2000),
-        st.lists(st.integers(0, 2**64), min_size=1, max_size=3),
-    )
-    @example([(0, 0, 1)], 0, [0])
-    @example([(0, 0, 1), (1, 1, 10**15)], 1, [5])
-    @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, [7, 7, 8])
-    def test_matches_choices(self, atoms, n, seeds):
-        # raw weights up to 10**15 apart, so some atoms are tiny
-        total = sum(r for _, _, r in atoms)
-        dist = finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
-        ours = [Random(s) for s in seeds]
-        indexed = [Random(s) for s in seeds]
-        theirs = [Random(s) for s in seeds]
-        rows = dist.draw(indexed, n)
-        assert rows.shape == (len(seeds), n)
+    @given(_weighted_atoms, st.integers(0, 2000), st.integers(0, 2**64))
+    @example([(0, 0, 1)], 0, 0)
+    @example([(0, 0, 1), (1, 1, 10**15)], 1, 5)
+    @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, 7)
+    def test_matches_choices(self, atoms, n, seed):
+        dist = _from_raw_weights(atoms)
+        mine, indexed, theirs = Random(seed), Random(seed), Random(seed)
+        picks = dist.draw(indexed, n)
+        assert picks.shape == (n,)
         support = dist.support_pairs()
         weights = [float(w) for _, w in dist.atoms]
-        for row, mine, their in zip(rows, ours, theirs):
-            drawn = dist.sample(mine, n).pairs
-            assert drawn == tuple(their.choices(support, weights=weights, k=n))
-            assert drawn == tuple(support[i] for i in row)
-        for mine, drawn_from, their in zip(ours, indexed, theirs):
-            assert mine.random() == drawn_from.random() == their.random()
+        drawn = dist.sample(mine, n).pairs
+        assert drawn == tuple(theirs.choices(support, weights=weights, k=n))
+        assert drawn == tuple(support[i] for i in picks)
+        assert mine.random() == indexed.random() == theirs.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _weighted_atoms, st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**64)
+    )
+    @example([(0, 0, 1), (1, 1, 3)], 0, 5, 3)
+    def test_consecutive_draws_continue_one_stream(self, atoms, a, b, seed):
+        # pac-realizable draws its blocks of trials one after another from
+        # one generator per distribution
+        dist = _from_raw_weights(atoms)
+        mine, theirs = Random(seed), Random(seed)
+        picks = np.concatenate([dist.draw(mine, a), dist.draw(mine, b)])
+        weights = [float(w) for _, w in dist.atoms]
+        assert picks.tolist() == theirs.choices(range(len(atoms)), weights=weights, k=a + b)
+        assert mine.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("above", [0, 1])

@@ -103,6 +103,49 @@ def test_no_lstsq():
     assert _lstsq_lines(ast.parse("x = np.linalg.solve(M, b)")) == []
 
 
+_NUMPY_STREAMS = {"default_rng", "Generator"}
+
+
+def _numpy_stream_lines(tree: ast.AST) -> list[int]:
+    """Lines naming a numpy random stream: ``np.random``, ``default_rng`` or
+    ``Generator``, as an attribute, a name or an import."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            via_numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            if node.attr in _NUMPY_STREAMS or (via_numpy and node.attr == "random"):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in _NUMPY_STREAMS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.random") or any(
+                alias.name in _NUMPY_STREAMS for alias in node.names
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_numpy_random_streams():
+    """Every suite draws from ``random.Random``, whose streams Python keeps
+    across versions; numpy promises no stream of its ``Generator``s across
+    versions, so a report drawn from one could change with numpy."""
+    for path in MODULES:
+        lines = _numpy_stream_lines(_tree(path))
+        assert lines == [], f"numpy random stream in {path.name} at lines {lines}"
+    # the guard sees attributes, names and imports, and passes random.Random
+    assert _numpy_stream_lines(ast.parse("g = np.random.default_rng(0)")) == [1]
+    assert _numpy_stream_lines(ast.parse("x = numpy.random.rand(3)")) == [1]
+    assert _numpy_stream_lines(
+        ast.parse("from numpy.random import default_rng\ng = default_rng(0)")
+    ) == [1, 2]
+    assert _numpy_stream_lines(ast.parse("import numpy.random")) == [1]
+    assert _numpy_stream_lines(ast.parse("def f(g: Generator): pass")) == [1]
+    assert _numpy_stream_lines(ast.parse("u = random.Random(0).random() + rng.random()")) == []
+
+
 def _layer_imports(imported: set[str], layer: str) -> set[str]:
     return {m for m in imported if m == f"pcl.{layer}" or m.startswith(f"pcl.{layer}.")}
 
