@@ -2,8 +2,8 @@
 
 Numeric conventions: hull-distance and enclosing-ball computations share one
 Wolfe corral kernel and converge to roughly 1e-12; separability decisions are
-made at a 1e-6 tolerance.  The weak-learnability game is solved exactly over
-the rationals.
+made at a 1e-6 tolerance.  The weak-learnability game is solved exactly by
+integer (fraction-free) pivoting; only the answer is rational.
 """
 
 from __future__ import annotations
@@ -315,50 +315,64 @@ def certify_orthonormal_labelings(
 # empirical weak learnability (the zero-sum game) and boosting to consistency
 
 
-def _exact_simplex_max(
-    c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]
-) -> tuple[Fraction, list[Fraction]]:
-    """max c.y subject to A y <= b, y >= 0, with b >= 0 (Bland's rule, exact)."""
-    m, n = len(A), len(c)
-    tab = [row[:] + [Fraction(0)] * m + [b[i]] for i, row in enumerate(A)]
+def _exact_simplex_max(A: list[list[int]]) -> tuple[Fraction, list[Fraction]]:
+    """max sum(y) subject to A y <= 1, y >= 0, for a positive integer matrix A.
+
+    Bland's rule, solved exactly by integer (fraction-free) pivoting; only the
+    answer is rational.  Row m of the tableau is the cost row, and every row
+    holds d times its rational value, d being the previous pivot (1 at the
+    start).  A pivot p keeps its row and maps each other row t to
+    (p t - t_e t_pivot) // d, exact by Sylvester's identity (Edmonds 1967;
+    Bareiss 1968).  The final cost row holds d times the dual u; a feasible y
+    and u of equal sum prove each other optimal, which is checked in integers.
+    """
+    m, n = len(A), len(A[0])
+    tab = [row + [0] * m + [1] for row in A]
     for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    cost = [-ci for ci in c] + [Fraction(0)] * (m + 1)
+        tab[i][n + i] = 1
+    tab.append([-1] * n + [0] * (m + 1))
     basis = list(range(n, n + m))
+    d = 1
     while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
-        best_ratio = None
+        if enter in basis:  # its cost is 0 in a consistent tableau
+            raise ArithmeticError("a basic column entered; the cost row is stale")
         leave = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / t_ie against rhs_leave / t_leave,e, cross-multiplied
+                ratio = tab[i][-1] * tab[leave][enter]
+                best = tab[leave][-1] * tab[i][enter]
+                if ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("unbounded game LP; the payoff shift is broken")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for i in range(m + 1):
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [vi - f * vl for vi, vl in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [ci - f * vl for ci, vl in zip(cost, tab[leave])]
+                tab[i] = [(p * v - f * w) // d for v, w in zip(tab[i], pivot_row)]
+        d = p
         basis[leave] = enter
-    y = [Fraction(0)] * n
+    y = [0] * n
     for i, bvar in enumerate(basis):
         if bvar < n:
             y[bvar] = tab[i][-1]
-    value = sum(ci * yi for ci, yi in zip(c, y))
-    return value, y
+    u = tab[m][n : n + m]
+    if (
+        min(y + u) < 0
+        or any(sum(a * v for a, v in zip(row, y)) > d for row in A)
+        or any(sum(a * v for a, v in zip(col, u)) < d for col in zip(*A))
+        or sum(y) != sum(u)
+    ):
+        raise ArithmeticError("the game LP's optimum fails its dual certificate")
+    return Fraction(sum(y), d), [Fraction(v, d) for v in y]
 
 
 @dataclass
@@ -386,17 +400,10 @@ def weak_learning_game(
     columns = sorted(
         {tuple(1 if h[x] != y else 0 for x, y in pairs) for h in base.concepts}
     )
-    one = Fraction(1)
-    # shift errors by +1 to make every payoff positive, solve the column LP
-    A = [
-        [Fraction(columns[j][i] + 1) for j in range(len(columns))]
-        for i in range(len(pairs))
-    ]
-    c = [one] * len(columns)
-    b = [one] * len(pairs)
-    total, y = _exact_simplex_max(c, A, b)
-    if total <= 0:
-        raise ArithmeticError("degenerate game LP")
+    # shift errors by +1 to make every payoff positive, solve the column LP;
+    # its certified optimum is positive, as A^T u >= 1 needs u != 0
+    A = [[col[i] + 1 for col in columns] for i in range(len(pairs))]
+    total, y = _exact_simplex_max(A)
     value = 1 / total - 1
     mixture = tuple(yi / total for yi in y)
     return WeakGameValue(value, mixture, tuple(columns))

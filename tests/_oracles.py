@@ -314,6 +314,57 @@ def min_norm_point_by_definition(points) -> np.ndarray:
     return best
 
 
+def game_by_fraction_tableau(base, sample: LabeledSample):
+    """Value, mixture and columns of the weak-learning game, from Bland's rule
+    on a ``Fraction`` tableau of max sum(y) s.t. (errors + 1) y <= 1, y >= 0.
+
+    Every pivot divides the pivot row by its pivot and eliminates the entering
+    column from the other rows and the cost row.  Bland's rule: the first
+    column of negative cost enters; the least ratio leaves, ties to the
+    smaller basis index.
+    """
+    pairs = sorted(set(sample.pairs))
+    columns = sorted({tuple(int(h[x] != y) for x, y in pairs) for h in base.concepts})
+    m, n = len(pairs), len(columns)
+    tab = [
+        [Fraction(col[i] + 1) for col in columns]
+        + [Fraction(int(i == k)) for k in range(m)]
+        + [Fraction(1)]
+        for i in range(m)
+    ]
+    cost = [Fraction(-1)] * n + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if (
+                    leave is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [v - f * w for v, w in zip(cost, tab[leave])]
+        basis[leave] = enter
+    y = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = tab[i][-1]
+    total = sum(y)
+    return 1 / total - 1, tuple(v / total for v in y), tuple(columns)
+
+
 def brute_force_max_packing(points, radius: float) -> int:
     """Largest subset with pairwise distances >= radius (exhaustive, small inputs)."""
     pts = np.asarray(points, dtype=float)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from pcl.core import STAR, PartialConcept, PartialConceptClass
+from pcl.core import STAR, PartialConcept, PartialConceptClass, labeled_sample, total_class
 
 
 @st.composite
@@ -42,6 +42,20 @@ def classes_with_samples(draw, max_n=5, max_size=10, max_len=6):
         for _ in range(m)
     )
     return cls, pairs
+
+
+@st.composite
+def games(draw):
+    """A total base of 1 to 16 concepts on 2 to 8 points and a sample of 1 to
+    10 pairs, for the weak-learning game."""
+    n = draw(st.integers(2, 8))
+    bit = st.sampled_from((0, 1))
+    # sizes drawn first, so that large games, where Bland's ties decide
+    # which optimal mixture comes out, are as common as small ones
+    h, m = draw(st.integers(1, 16)), draw(st.integers(1, 10))
+    rows = draw(st.lists(st.tuples(*([bit] * n)), min_size=h, max_size=h))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), bit), min_size=m, max_size=m))
+    return total_class(n, rows), labeled_sample(pairs)
 
 
 @st.composite

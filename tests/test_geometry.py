@@ -28,9 +28,10 @@ from pcl.geometry import (
 from _oracles import (
     brute_force_max_packing,
     enclosing_ball_by_definition,
+    game_by_fraction_tableau,
     min_norm_point_by_definition,
 )
-from _strategies import point_clouds
+from _strategies import games, point_clouds
 
 
 class TestMinEnclosingBall:
@@ -309,6 +310,26 @@ class TestWeakLearningGame:
             for i in range(2)
         )
         assert worst == game.value
+
+    @settings(max_examples=200, deadline=None)
+    @given(games())
+    @example((total_class(2, ["01", "10"]), labeled_sample([(0, 0), (1, 0)])))
+    @example((total_class(2, ["01", "10"]), labeled_sample([(0, 0), (1, 1)])))
+    @example((total_class(3, ["000", "011", "101"]), labeled_sample([(2, 1)])))
+    @example((total_class(4, ["0100", "0101", "0110", "0111"]), labeled_sample([(0, 0), (1, 0)])))
+    @example(
+        (
+            total_class(3, ["000", "011", "101", "110"]),
+            labeled_sample([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]),
+        )
+    )
+    def test_matches_the_fraction_tableau(self, game):
+        # matched pennies, an error-free column, a single pair, a base whose
+        # concepts all make one column, and the even-parity base, whose
+        # optimal mixtures are many, so Bland's ties pick the one returned
+        base, sample = game
+        got = weak_learning_game(base, sample)
+        assert (got.value, got.mixture, got.columns) == game_by_fraction_tableau(base, sample)
 
     def test_matches_float_lp_solver(self):
         # independent route: solve max_p min_b error with a float LP
