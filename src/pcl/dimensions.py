@@ -3,10 +3,10 @@
 Everything here is enumeration-based and exact; the intended scale is desk
 size (domains up to ~14 points, classes up to a few dozen concepts).
 
-One kernel, ``core.splits``, decides every shattering notion: VC and strength
-split the class by the 0 and 1 label masks at each point, support VC by STAR
-against defined, graph by agreement with a realized pattern, and Natarajan by
-each choice of two labels per point.
+Every shattering notion splits the class into nonempty cells of concepts.  VC,
+strength and support VC split by label masks in one level walk whose sets
+carry their cells (``split_levels``); graph and Natarajan test each set from
+scratch with ``core.splits``, by agreement with a pattern or two labels a point.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     TotalConceptClass,
     is_realizable,
     labeled_sample,
+    split_cells,
     splits,
 )
 
@@ -35,31 +36,37 @@ def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     return splits(cls.packed.label_masks, cls.packed.full, points)
 
 
-def shattered_levels(n: int, holds, first: int = 0) -> list[list[tuple[int, ...]]]:
-    """Nonempty subsets of {first, .., n-1} satisfying ``holds``, grouped by size.
+def shattered_levels(n: int, step, root, first: int = 0) -> list[list[tuple[int, ...]]]:
+    """Nonempty subsets of {first, .., n-1} that ``step`` accepts, grouped by size.
 
-    ``holds`` must be downward closed, as every shattering notion is.  Level
-    k+1 extends each set of level k by a larger point and keeps the candidates
-    that hold (the level-wise Apriori search), so each level is in
-    lexicographic order and the search stops at the first empty level.
+    Each set carries a state, ``root`` for the empty set; ``step(state, x)`` is
+    the state of the set extended by a larger point x, or None where the
+    downward-closed notion fails.  Level k+1 extends the sets of level k
+    (Apriori), so each level is in lexicographic order.
     """
     levels = []
-    level = [()]
+    level = [((), root)]
     while True:
         level = [
-            ext
-            for pts in level
+            (pts + (x,), nxt)
+            for pts, state in level
             for x in range(pts[-1] + 1 if pts else first, n)
-            if holds(ext := pts + (x,))
+            if (nxt := step(state, x)) is not None
         ]
         if not level:
             return levels
-        levels.append(level)
+        levels.append([pts for pts, _ in level])
 
 
-def _split_levels(cls: PartialConceptClass, sides) -> list[list[tuple[int, ...]]]:
-    """The point sets at which ``sides`` split the whole class into nonempty cells."""
-    return shattered_levels(cls.domain_size, partial(splits, sides, cls.packed.full))
+def split_levels(sides, mask: int, n: int, first: int = 0) -> list[list[tuple[int, ...]]]:
+    """The point sets of {first, .., n-1} at which ``sides`` split the subclass
+    ``mask`` into nonempty cells, grouped by size."""
+    return shattered_levels(n, partial(split_cells, sides), [mask], first)
+
+
+def _predicate_levels(n: int, holds) -> list[list[tuple[int, ...]]]:
+    """The point sets satisfying ``holds``, each tested from scratch."""
+    return shattered_levels(n, lambda pts, x: ext if holds(ext := pts + (x,)) else None, ())
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -68,7 +75,7 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     With ``witness=True`` returns ``(value, points)``, where ``points`` is the
     lexicographically first shattered set of that size.
     """
-    levels = _split_levels(cls, cls.packed.label_masks)
+    levels = split_levels(cls.packed.label_masks, cls.packed.full, cls.domain_size)
     if witness:
         return len(levels), levels[-1][0] if levels else ()
     return len(levels)
@@ -79,8 +86,8 @@ def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
     set; 0 for the empty subclass."""
     if not mask:
         return 0
-    holds = partial(splits, cls.packed.label_masks, mask)
-    return 1 + sum(map(len, shattered_levels(cls.domain_size, holds)))
+    levels = split_levels(cls.packed.label_masks, mask, cls.domain_size)
+    return 1 + sum(map(len, levels))
 
 
 def shattering_strength(cls: PartialConceptClass) -> int:
@@ -174,33 +181,45 @@ def verify_tree(cls: PartialConceptClass, tree: Optional[LittlestoneTree]) -> bo
     return all(is_realizable(cls, labeled_sample(path)) for path in tree.paths())
 
 
+def _bits(m: int):
+    """The set bits of ``m``, in ascending order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
     """Longest staircase: points x_1..x_d and concepts h_1..h_d with h_i(x_j)=1[i<=j].
 
-    Depth-first search.  Choosing the next (x, h) with h(x)=1 restricts future
-    concepts to those labeling all chosen points 0, and future points to those
-    labeled 1 by all chosen concepts.
+    Depth-first search on masks of live points and concepts.  Choosing the next
+    (x, h) with h(x)=1 restricts future concepts to those labeling all chosen
+    points 0, and future points to those labeled 1 by all chosen concepts.
     """
-    rows = [h.labels for h in cls.concepts]
+    label_masks = cls.packed.label_masks
+    ones_at = [0] * len(cls.concepts)  # ones_at[r]: the points where concept r is 1
+    for x, (_, m1) in enumerate(label_masks):
+        for r in _bits(m1):
+            ones_at[r] |= 1 << x
     best = 0
     best_chain: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
     def extend(points_avail, rows_avail, chain_pts, chain_rows):
         nonlocal best, best_chain
         depth = len(chain_pts)
-        if depth + min(len(points_avail), len(rows_avail)) <= best:
+        if depth + min(points_avail.bit_count(), rows_avail.bit_count()) <= best:
             return
-        for x in points_avail:
-            for r in rows_avail:
-                if rows[r][x] == ONE:
-                    if depth + 1 > best:
-                        best = depth + 1
-                        best_chain = (chain_pts + (x,), chain_rows + (r,))
-                    nxt_rows = [r2 for r2 in rows_avail if rows[r2][x] == ZERO]
-                    nxt_pts = [p for p in points_avail if p != x and rows[r][p] == ONE]
-                    extend(nxt_pts, nxt_rows, chain_pts + (x,), chain_rows + (r,))
+        for x in _bits(points_avail):
+            m0, m1 = label_masks[x]
+            nxt_rows = rows_avail & m0
+            others = points_avail & ~(1 << x)
+            for r in _bits(rows_avail & m1):
+                if depth + 1 > best:
+                    best = depth + 1
+                    best_chain = (chain_pts + (x,), chain_rows + (r,))
+                extend(others & ones_at[r], nxt_rows, chain_pts + (x,), chain_rows + (r,))
 
-    extend(list(range(cls.domain_size)), list(range(len(rows))), (), ())
+    extend((1 << cls.domain_size) - 1, cls.packed.full, (), ())
     if witness:
         pts, row_ids = best_chain
         return best, (pts, tuple(cls.concepts[i] for i in row_ids))
@@ -241,17 +260,18 @@ class MulticlassDimensions:
 
 
 def natarajan_dimension(cls: PartialConceptClass) -> int:
-    return len(shattered_levels(cls.domain_size, partial(_natarajan_shatters, cls)))
+    return len(_predicate_levels(cls.domain_size, partial(_natarajan_shatters, cls)))
 
 
 def graph_dimension(cls: PartialConceptClass) -> int:
-    return len(shattered_levels(cls.domain_size, partial(_graph_shatters, cls)))
+    return len(_predicate_levels(cls.domain_size, partial(_graph_shatters, cls)))
 
 
 def support_vc_dimension(cls: PartialConceptClass) -> int:
     """VC dimension of the supports' indicator class: x maps to 1 iff h is defined."""
     full = cls.packed.full
-    return len(_split_levels(cls, [(star, full & ~star) for star in cls.packed.star_masks]))
+    sides = [(star, full & ~star) for star in cls.packed.star_masks]
+    return len(split_levels(sides, full, cls.domain_size))
 
 
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:

@@ -9,7 +9,8 @@ concept forces the minority label:
   whole domain (the "strength" potential), giving at most ``log2 s(H)``
   updates per concept;
 * the weighted vote ranks labels by a sum of ``1 / max(S)^(d+1)`` over
-  shattered subsets of the remaining suffix, giving at most
+  shattered subsets of the remaining suffix, summed as one integer over the
+  common denominator ``lcm(1..n)^(d+1)``, giving at most
   ``(d+1) log2(m) + 2`` updates within every prefix of length m.
 
 Each update at least halves the relevant potential, which is what the update
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
@@ -35,9 +36,8 @@ from .core import (
     PartialConcept,
     PartialConceptClass,
     TotalConceptClass,
-    splits,
 )
-from .dimensions import littlestone_dimension, shattered_levels, subclass_strength
+from .dimensions import littlestone_dimension, split_levels, subclass_strength
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -70,18 +70,15 @@ def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
     subclass ``mask`` shatters, with d = VC(H).
 
     Points are weighted by their 1-based position, matching the harmonic
-    convergence of the potential.
+    convergence of the potential.  The sum is taken in integers over the
+    common denominator lcm(1..n)^(d+1).
     """
-    holds = partial(splits, cls.packed.label_masks, mask)
-    exponent = cls.vc + 1
-    return sum(
-        (
-            Fraction(1, (pts[-1] + 1) ** exponent)
-            for level in shattered_levels(cls.domain_size, holds, x + 1)
-            for pts in level
-        ),
-        Fraction(0),
-    )
+    n, exponent = cls.domain_size, cls.vc + 1
+    lcm_n = lcm(*range(1, n + 1))
+    scaled = [(lcm_n // (p + 1)) ** exponent for p in range(n)]
+    levels = split_levels(cls.packed.label_masks, mask, n, x + 1)
+    total = sum(scaled[pts[-1]] for level in levels for pts in level)
+    return Fraction(total, lcm_n**exponent)
 
 
 def _run_sequential(

@@ -26,7 +26,7 @@ WOLFE_MAX_ITER = 10_000  # Wolfe's method is finite; this only guards a stall
 PERCEPTRON_UPDATE_CAP = 10**6
 PERCEPTRON_PASSES = 4  # passes over a stream before the run stops unconverged
 MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
-MAX_GRID_SIDE = 30  # 900 points; greedy_packing is quadratic in its centres
+MAX_GRID_SIDE = 30  # 900 points; greedy_packing makes one array pass per centre
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -499,23 +499,18 @@ def greedy_packing(points: np.ndarray, gamma: float) -> PackingResult:
     pts = np.asarray(points, dtype=float)
     radius = gamma / 2.0
     chosen: list[int] = []
+    near = np.full(len(pts), math.inf)  # each point's distance to its nearest centre
+    min_pair = math.inf  # the least distance from a centre to an earlier one
     for i in range(len(pts)):
-        if all(np.linalg.norm(pts[i] - pts[j]) >= radius for j in chosen):
+        if near[i] >= radius:
             chosen.append(i)
-    centers = pts[chosen]
-    cells = []
-    for p in pts:
-        dists = np.linalg.norm(centers - p, axis=1)
-        cells.append(int(np.argmin(dists)))  # argmin takes the first minimum
-    if len(chosen) > 1:
-        min_pair = min(
-            float(np.linalg.norm(pts[a] - pts[b]))
-            for k, a in enumerate(chosen)
-            for b in chosen[k + 1 :]
-        )
-    else:
-        min_pair = math.inf
-    return PackingResult(tuple(chosen), min_pair, tuple(cells), radius)
+            min_pair = min(min_pair, float(near[i]))
+            diff = pts - pts[i]
+            # one dot product per row: the very sums np.linalg.norm takes of a vector
+            near = np.minimum(near, np.sqrt((diff[:, None] @ diff[:, :, None]).ravel()))
+    # argmin takes the first minimum: cell ties go to the earlier centre
+    cells = tuple(int(np.linalg.norm(pts[chosen] - p, axis=1).argmin()) for p in pts)
+    return PackingResult(tuple(chosen), min_pair, cells, radius)
 
 
 def is_gamma_separated(

@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement, compress
 from typing import Callable, Optional, Sequence
 
@@ -31,9 +30,8 @@ from .core import (
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
-    splits,
 )
-from .dimensions import littlestone_dimension, shattered_levels
+from .dimensions import littlestone_dimension, split_levels
 from .online import Soa
 
 
@@ -120,7 +118,7 @@ class OneInclusionGraph:
         defined = cls.packed.full
         for m0, m1 in sides:
             defined &= m0 | m1
-        self.vc = len(shattered_levels(len(points), partial(splits, sides, defined)))
+        self.vc = len(split_levels(sides, defined, len(points)))
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
             for c in range(len(points)):

@@ -7,6 +7,7 @@ against an independent path.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
+from pcl.geometry import PackingResult
 from pcl.learners import OneInclusionGraph, pac_schedule
 
 
@@ -210,6 +212,37 @@ def td_by_definition(cls: PartialConceptClass) -> int:
     return best
 
 
+def td_search_by_labels(cls: PartialConceptClass):
+    """The staircase depth-first search on label lists: ``(value, witness)``.
+
+    Points and concepts are tried in ascending order, and the global best
+    prunes a branch that cannot beat it, so the first longest staircase found
+    is the one ``threshold_dimension`` must return.
+    """
+    rows = [h.labels for h in cls.concepts]
+    best = 0
+    best_chain = ((), ())
+
+    def extend(points_avail, rows_avail, chain_pts, chain_rows):
+        nonlocal best, best_chain
+        depth = len(chain_pts)
+        if depth + min(len(points_avail), len(rows_avail)) <= best:
+            return
+        for x in points_avail:
+            for r in rows_avail:
+                if rows[r][x] == 1:
+                    if depth + 1 > best:
+                        best = depth + 1
+                        best_chain = (chain_pts + (x,), chain_rows + (r,))
+                    nxt_rows = [r2 for r2 in rows_avail if rows[r2][x] == 0]
+                    nxt_pts = [p for p in points_avail if p != x and rows[r][p] == 1]
+                    extend(nxt_pts, nxt_rows, chain_pts + (x,), chain_rows + (r,))
+
+    extend(list(range(cls.domain_size)), list(range(len(rows))), (), ())
+    pts, row_ids = best_chain
+    return best, (pts, tuple(cls.concepts[i] for i in row_ids))
+
+
 def pac_by_definition(cls: PartialConceptClass, pairs, eps: float, delta: float):
     """The batch-and-validate wrapper batch by batch, on the pair sequence.
 
@@ -381,6 +414,29 @@ def brute_force_max_packing(points, radius: float) -> int:
 
     grow(0, [])
     return best
+
+
+def greedy_packing_by_loops(points, gamma: float) -> PackingResult:
+    """First-fit packing pair by pair: a point becomes a centre when it is at
+    least gamma/2 from every earlier centre; cells go to the first nearest
+    centre, and the least pairwise centre distance is taken over all pairs."""
+    pts = np.asarray(points, dtype=float)
+    radius = gamma / 2.0
+    chosen: list[int] = []
+    for i in range(len(pts)):
+        if all(np.linalg.norm(pts[i] - pts[j]) >= radius for j in chosen):
+            chosen.append(i)
+    centers = pts[chosen]
+    cells = tuple(int(np.argmin(np.linalg.norm(centers - p, axis=1))) for p in pts)
+    min_pair = min(
+        (
+            float(np.linalg.norm(pts[a] - pts[b]))
+            for k, a in enumerate(chosen)
+            for b in chosen[k + 1 :]
+        ),
+        default=math.inf,
+    )
+    return PackingResult(tuple(chosen), min_pair, cells, radius)
 
 
 def follow_the_leader_mistakes(sequence) -> int:

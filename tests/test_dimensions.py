@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcl import dimensions
-from pcl.core import ContractViolation, PartialConceptClass, concept_class, total_class
+from pcl.core import (
+    STAR,
+    ContractViolation,
+    PartialConcept,
+    PartialConceptClass,
+    concept_class,
+    total_class,
+)
 from pcl.dimensions import (
     DimensionReport,
     dual_vc_dimension,
@@ -24,6 +31,7 @@ from pcl.dimensions import (
     vc_dimension,
 )
 from pcl.disambiguation import _suffix_weight
+from pcl.learners import OneInclusionGraph
 
 from _oracles import (
     graph_by_definition,
@@ -34,6 +42,7 @@ from _oracles import (
     strength_by_definition,
     support_vc_by_definition,
     td_by_definition,
+    td_search_by_labels,
     vc_by_definition,
 )
 from _strategies import classes, classes_with_blank_columns
@@ -94,6 +103,9 @@ class TestShatteredLevels:
     @given(level_cases())
     @example((concept_class(3, ["0*1"]), 1, -1))
     @example((concept_class(4, ["0*11", "1*00", "1*10", "0*01"]), 0b1011, 0))
+    @example((concept_class(3, ["01*", "110", "101"]), 0, -1))  # the empty subclass
+    @example((concept_class(3, ["010", "101", "111", "000"]), 0b1111, 2))  # empty suffix
+    @example((concept_class(3, ["***"]), 1, -1))  # one all-STAR concept
     def test_matches_definition(self, case):
         cls, mask, x = case
         assert natarajan_dimension(cls) == natarajan_by_definition(cls)
@@ -114,6 +126,18 @@ class TestShatteredLevels:
             (Fraction(1, (pts[-1] + 1) ** (d + 1)) for pts in sub if pts and pts[0] > x),
             Fraction(0),
         )
+
+        # the one-inclusion graph's VC on the suffix: concepts defined there
+        n = cls.domain_size
+        pts = tuple(range(x + 1, n))
+        defined = tuple(
+            PartialConcept(tuple(h[p] if p in pts else STAR for p in range(n)))
+            for h in cls
+            if all(h[p] != STAR for p in pts)
+        )
+        if defined:
+            graph = OneInclusionGraph(cls, pts)
+            assert graph.vc == vc_by_definition(PartialConceptClass(n, defined))
 
 
 class TestLittlestoneDimension:
@@ -159,6 +183,15 @@ class TestThresholdDimension:
     @given(classes(max_n=4, max_size=8))
     def test_matches_definition_oracle(self, cls):
         assert threshold_dimension(cls) == td_by_definition(cls)
+
+    @settings(max_examples=80)
+    @given(classes(max_n=7, max_size=14))
+    @example(total_thresholds(5))
+    def test_witness_matches_the_label_search(self, cls):
+        # the mask search visits points and concepts in the same ascending
+        # order, so it must find the very same first staircase
+        assert threshold_dimension(cls, witness=True) == td_search_by_labels(cls)
+        assert measure_report(cls, "td", witness=True).verify(cls)
 
     @settings(max_examples=50)
     @given(classes(max_n=4, max_size=10))

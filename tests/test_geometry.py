@@ -21,6 +21,7 @@ from pcl.geometry import (
     orthonormal_points,
     perceptron_run,
     separability_report,
+    unit_grid,
     voronoi_disambiguate,
     weak_learning_game,
 )
@@ -29,6 +30,7 @@ from _oracles import (
     brute_force_max_packing,
     enclosing_ball_by_definition,
     game_by_fraction_tableau,
+    greedy_packing_by_loops,
     min_norm_point_by_definition,
 )
 from _strategies import games, point_clouds
@@ -441,6 +443,14 @@ class TestPackingAndVoronoi:
             greedy = len(greedy_packing(grid, gamma).chosen)
             brute = brute_force_max_packing(grid, gamma / 2)
             assert greedy == brute
+
+
+    @pytest.mark.parametrize("side", [5, 10, 20, 30])
+    def test_matches_the_pairwise_loops(self, side):
+        # same centres, cells and least distance, to the last bit
+        grid = unit_grid(side)
+        for gamma in (0.25, 0.3, 0.5, 0.6, 1.0, 1.5):
+            assert greedy_packing(grid, gamma) == greedy_packing_by_loops(grid, gamma)
 
 
 class TestProperFailure:

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcl import learners
@@ -167,6 +167,50 @@ class TestOneInclusion:
                     assert OneInclusionGraph(cls, pts).vc == vc_by_definition(patterns)
 
 
+@st.composite
+def pac_rows(draw):
+    """A class of 2 to 8 concepts, each defined somewhere, eps, delta < 1 (two
+    or three batches) and 1 to 3 sample rows for the PAC wrapper.
+
+    The first two batches of a row repeat points of two different concepts'
+    supports and any later batch those of any concept, so batches fit
+    different hypotheses; validation pairs and the ignored tail come from a
+    few atoms or from all of them, so scores often tie.
+    """
+    n = draw(st.integers(2, 4))
+    label = st.sampled_from((0, 1, STAR))
+    defined = st.tuples(*[label] * n).filter(lambda r: set(r) != {STAR})
+    labels = draw(st.lists(defined, min_size=2, max_size=8, unique=True))
+    cls = PartialConceptClass(n, tuple(map(PartialConcept, labels)))
+    hs = cls.concepts
+    eps = draw(st.sampled_from((0.6, 0.9)))
+    delta = draw(st.sampled_from((0.25, 0.5)))
+    s = pac_schedule(cls.vc, eps, delta)
+    anything = st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)))
+    size = s.validation_size + draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(0, len(hs) - 1))
+        second = (first + draw(st.integers(1, len(hs) - 1))) % len(hs)
+        k = s.batches - 2
+        later = draw(st.lists(st.sampled_from(hs), min_size=k, max_size=k))
+        pairs = []
+        for h in [hs[first], hs[second], *later]:
+            seen = st.sampled_from([(x, h[x]) for x in h.support()])
+            pairs += draw(st.lists(seen, min_size=s.batch_size, max_size=s.batch_size))
+        few = draw(st.lists(anything, min_size=1, max_size=2 * n, unique=True))
+        pairs += draw(st.lists(st.sampled_from(few), min_size=size, max_size=size))
+        rows.append(pairs)
+    return cls, eps, delta, rows
+
+
+def one_batch_rows():
+    """Delta 1.0: one batch, which wins whatever the validation says."""
+    cls = concept_class(3, ["01*", "110", "0*1"])
+    s = pac_schedule(cls.vc, 0.9, 1.0)
+    return cls, 0.9, 1.0, [[(0, 0)] * s.batch_size + [(2, 1)] * s.validation_size]
+
+
 class TestPacWrapper:
     def test_schedule_example(self):
         s = pac_schedule(1, 0.5, 0.25)
@@ -197,32 +241,12 @@ class TestPacWrapper:
             failures += err > eps
         assert failures / trials <= delta + 3 * math.sqrt(delta / trials)
 
-    @settings(max_examples=150, deadline=None)
-    @given(classes(min_n=2, max_n=4, max_size=8), st.data())
-    def test_matches_the_batch_by_batch_wrapper(self, cls, data):
-        # each batch repeats points of one concept's support, the same
-        # concept or another per batch, so batches fit different hypotheses;
-        # validation pairs and the ignored tail come from a few atoms or from
-        # all of them, so scores often tie; the rows are stacked into one block
+    @settings(max_examples=40, deadline=None)
+    @given(pac_rows())
+    @example(one_batch_rows())
+    def test_matches_the_batch_by_batch_wrapper(self, case):
+        cls, eps, delta, rows = case
         n = cls.domain_size
-        fitted = [h for h in cls.concepts if h.support()]
-        if not fitted:
-            return
-        eps = data.draw(st.sampled_from((0.6, 0.9)))
-        delta = data.draw(st.sampled_from((0.25, 0.5, 1.0)))
-        s = pac_schedule(cls.vc, eps, delta)
-        anything = st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)))
-        size = s.validation_size + data.draw(st.integers(0, 3))
-        rows = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            pairs = []
-            for _ in range(s.batches):
-                h = data.draw(st.sampled_from(fitted))
-                seen = st.sampled_from([(x, h[x]) for x in h.support()])
-                pairs += data.draw(st.lists(seen, min_size=s.batch_size, max_size=s.batch_size))
-            few = data.draw(st.lists(anything, min_size=1, max_size=2 * n, unique=True))
-            pairs += data.draw(st.lists(st.sampled_from(few), min_size=size, max_size=size))
-            rows.append(pairs)
         atoms = [(x, y) for x in range(n) for y in (0, 1)]
         picks = np.array([[atoms.index(p) for p in pairs] for pairs in rows])
         block = learners.batch_and_validate(cls, atoms, picks, eps, delta, cls.one_inclusion)
