@@ -3,17 +3,17 @@
 Everything here is enumeration-based and exact; the intended scale is desk
 size (domains up to ~14 points, classes up to a few dozen concepts).
 
-Every shattering notion splits the class into nonempty cells of concepts.  VC,
-strength and support VC split by label masks in one level walk whose sets
-carry their cells (``split_levels``); graph and Natarajan test each set from
-scratch with ``core.splits``, by agreement with a pattern or two labels a point.
+Every shattering notion splits the class into nonempty cells of concepts, one
+pair of sides (A, B) per point, in one level walk whose sets carry their cells
+(``shattered_levels``).  VC, strength and support VC have one pair per point
+(``split_levels``); Natarajan and graph choose among three, and a set carries
+one cell list per choice that still leaves every cell nonempty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -62,11 +62,6 @@ def split_levels(sides, mask: int, n: int, first: int = 0) -> list[list[tuple[in
     """The point sets of {first, .., n-1} at which ``sides`` split the subclass
     ``mask`` into nonempty cells, grouped by size."""
     return shattered_levels(n, partial(split_cells, sides), [mask], first)
-
-
-def _predicate_levels(n: int, holds) -> list[list[tuple[int, ...]]]:
-    """The point sets satisfying ``holds``, each tested from scratch."""
-    return shattered_levels(n, lambda pts, x: ext if holds(ext := pts + (x,)) else None, ())
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -226,32 +221,6 @@ def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
     return best
 
 
-def _natarajan_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
-    # N-shattering picks two labels at each point (STAR counts as a label)
-    # and needs every selection between them realized: one split per choice.
-    packed = cls.packed
-    options = []
-    for x in pts:
-        (m0, m1), star = packed.label_masks[x], packed.star_masks[x]
-        options.append([(a, b) for a, b in ((m0, m1), (m0, star), (m1, star)) if a and b])
-    return any(splits(sides, packed.full, range(len(pts))) for sides in product(*options))
-
-
-def _graph_shatters(cls: PartialConceptClass, pts: Sequence[int]) -> bool:
-    # G-shattering splits by agreement with a ternary reference pattern.  The
-    # all-agree cell needs a concept equal to the reference on pts, so only
-    # patterns the class realizes there can serve.
-    packed = cls.packed
-    agree = [  # agree[i][v]: (label v at pts[i], any other label), STAR last
-        [(m, packed.full & ~m) for m in (*packed.label_masks[x], packed.star_masks[x])]
-        for x in pts
-    ]
-    return any(
-        splits([agree[i][v] for i, v in enumerate(ref)], packed.full, range(len(pts)))
-        for ref in {tuple(h[x] for x in pts) for h in cls.concepts}
-    )
-
-
 @dataclass(frozen=True)
 class MulticlassDimensions:
     natarajan: int
@@ -259,12 +228,37 @@ class MulticlassDimensions:
     support_vc: int
 
 
+def _choice_dimension(cls: PartialConceptClass, choices) -> int:
+    """Largest point set split into nonempty cells by a choice, point by point,
+    among ``choices`` (sides sequences over the domain).  A set carries one
+    cell list per choice of its points that still leaves no cell empty."""
+
+    def step(carried: list[list[int]], x: int) -> Optional[list[list[int]]]:
+        out = [
+            cells
+            for sides in choices
+            for before in carried
+            if (cells := split_cells(sides, before, x)) is not None
+        ]
+        return out or None
+
+    return len(shattered_levels(cls.domain_size, step, [[cls.packed.full]]))
+
+
 def natarajan_dimension(cls: PartialConceptClass) -> int:
-    return len(_predicate_levels(cls.domain_size, partial(_natarajan_shatters, cls)))
+    """N-shattering picks two labels at each point (STAR counts as a label) and
+    needs every selection between them realized: one side per label."""
+    m0, m1 = zip(*cls.packed.label_masks)
+    star = cls.packed.star_masks
+    return _choice_dimension(cls, [list(zip(a, b)) for a, b in ((m0, m1), (m0, star), (m1, star))])
 
 
 def graph_dimension(cls: PartialConceptClass) -> int:
-    return len(_predicate_levels(cls.domain_size, partial(_graph_shatters, cls)))
+    """G-shattering splits by agreement with a ternary reference pattern: the
+    concepts with the reference label at a point against all the others."""
+    full = cls.packed.full
+    masks = (*zip(*cls.packed.label_masks), cls.packed.star_masks)
+    return _choice_dimension(cls, [[(m, full & ~m) for m in ms] for ms in masks])
 
 
 def support_vc_dimension(cls: PartialConceptClass) -> int:

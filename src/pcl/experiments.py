@@ -648,7 +648,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
                 extra={
                     "m": schedule.total,
                     "sigma": sigma,
-                    "z": (rate - delta) / sigma,
+                    "z": (rate - delta) / sigma if sigma else 0.0,
                     "vc": cls.vc,
                 },
             )
@@ -857,8 +857,9 @@ SUITES: dict[str, Suite] = {
         suite_agnostic_online_regret,
         {"T": 12, "adversary_trials": 10_000, "adversary_T": 100},
         trials="adversary_trials",
-        # a sample sigma takes two trials
-        least={"adversary_trials": 2, "adversary_T": 1},
+        # a sample sigma takes two trials; the tree adversary needs T at
+        # least the upper classes' LD, which reaches 2
+        least={"T": 2, "adversary_trials": 2, "adversary_T": 1},
     ),
     "disambiguation-bounds": Suite(
         suite_disambiguation_bounds, {"classes": 100}, least={"classes": 1}

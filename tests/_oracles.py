@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
+from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass, splits
 from pcl.geometry import PackingResult
 from pcl.learners import OneInclusionGraph, pac_schedule
 
@@ -131,6 +131,54 @@ def graph_by_definition(cls: PartialConceptClass) -> int:
                 if len(agreements) == 2 ** k:
                     best = max(best, k)
     return best
+
+
+def _largest_by_levels(n: int, holds) -> int:
+    """Size of the largest point set satisfying the downward-closed ``holds``,
+    growing level k+1 from level k and testing each set from scratch."""
+    level, d = [()], 0
+    while level := [
+        pts + (x,) for pts in level for x in range(pts[-1] + 1 if pts else 0, n)
+        if holds(pts + (x,))
+    ]:
+        d += 1
+    return d
+
+
+def _natarajan_shatters(cls: PartialConceptClass, pts) -> bool:
+    # one split of the whole class per choice of two labels at each point
+    packed = cls.packed
+    options = []
+    for x in pts:
+        (m0, m1), star = packed.label_masks[x], packed.star_masks[x]
+        options.append([(a, b) for a, b in ((m0, m1), (m0, star), (m1, star)) if a and b])
+    return any(splits(sides, packed.full, range(len(pts))) for sides in product(*options))
+
+
+def _graph_shatters(cls: PartialConceptClass, pts) -> bool:
+    # one split of the whole class per reference pattern the class realizes
+    # on pts: the all-agree cell needs a concept equal to the reference
+    packed = cls.packed
+    agree = [  # agree[i][v]: (label v at pts[i], any other label), STAR last
+        [(m, packed.full & ~m) for m in (*packed.label_masks[x], packed.star_masks[x])]
+        for x in pts
+    ]
+    return any(
+        splits([agree[i][v] for i, v in enumerate(ref)], packed.full, range(len(pts)))
+        for ref in _ternary_patterns(cls, pts)
+    )
+
+
+def natarajan_by_splits(cls: PartialConceptClass) -> int:
+    """The Natarajan dimension, re-splitting the class for every point set and
+    every choice of label pairs."""
+    return _largest_by_levels(cls.domain_size, lambda pts: _natarajan_shatters(cls, pts))
+
+
+def graph_by_splits(cls: PartialConceptClass) -> int:
+    """The graph dimension, re-splitting the class for every point set and
+    every realized reference pattern."""
+    return _largest_by_levels(cls.domain_size, lambda pts: _graph_shatters(cls, pts))
 
 
 def _tree_exists(rows: list[tuple[int, ...]], n: int, d: int) -> bool:

@@ -242,6 +242,13 @@ class TestCliExperiment:
         assert err.startswith("error:") and "Traceback" not in err
         assert repr(param.partition("=")[0]) in err
 
+    def test_pac_realizable_delta_one(self, capsys):
+        # sigma is 0 when delta = 1 and every trial fails or none does
+        argv = ["experiment", "pac-realizable", "--param", "delta=1",
+                "--param", "distributions=1", "--trials", "1"]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "nonsense"])
@@ -388,6 +395,7 @@ class TestCliContract:
             (["soa-mistake-bound", "--param", "classes=0"],
              "'classes' must be at least 1, got 0"),
             (["biclique-lower-bound", "--param", "sizes=[]"], "'sizes' must not be empty"),
+            (["agnostic-online-regret", "--param", "T=1"], "'T' must be at least 2, got 1"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

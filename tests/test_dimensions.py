@@ -35,8 +35,10 @@ from pcl.learners import OneInclusionGraph
 
 from _oracles import (
     graph_by_definition,
+    graph_by_splits,
     ld_by_definition,
     natarajan_by_definition,
+    natarajan_by_splits,
     restrict,
     shattered_sets_by_definition,
     strength_by_definition,
@@ -106,6 +108,8 @@ class TestShatteredLevels:
     @example((concept_class(3, ["01*", "110", "101"]), 0, -1))  # the empty subclass
     @example((concept_class(3, ["010", "101", "111", "000"]), 0b1111, 2))  # empty suffix
     @example((concept_class(3, ["***"]), 1, -1))  # one all-STAR concept
+    @example((concept_class(2, ["10", "1*", "*1", "**"]), 0b1111, -1))  # graph 2 via STAR
+    @example((concept_class(2, ["0*", "10", "1*", "*0"]), 0b1111, -1))  # graph 2, N 1, VC 1
     def test_matches_definition(self, case):
         cls, mask, x = case
         assert natarajan_dimension(cls) == natarajan_by_definition(cls)
@@ -138,6 +142,13 @@ class TestShatteredLevels:
         if defined:
             graph = OneInclusionGraph(cls, pts)
             assert graph.vc == vc_by_definition(PartialConceptClass(n, defined))
+
+    @settings(max_examples=40, deadline=None)
+    @given(classes(min_n=6, max_n=8, max_size=32))
+    def test_multiclass_matches_splits(self, cls):
+        # past the reach of the *_by_definition scans: every set re-split
+        assert natarajan_dimension(cls) == natarajan_by_splits(cls)
+        assert graph_dimension(cls) == graph_by_splits(cls)
 
 
 class TestLittlestoneDimension:
