@@ -6,8 +6,10 @@ size (domains up to ~14 points, classes up to a few dozen concepts).
 Every shattering notion splits the class into nonempty cells of concepts, one
 pair of sides (A, B) per point, in one level walk whose sets carry their cells
 (``shattered_levels``).  VC, strength and support VC have one pair per point
-(``split_levels``); Natarajan and graph choose among three, and a set carries
-one cell list per choice that still leaves every cell nonempty.
+(``split_levels``, which walks the points it has sides for); Natarajan and
+graph choose among three, and a set carries one cell list per choice that
+still leaves every cell nonempty.  The empty subclass has LD -1, below every
+nonempty one, so no LD reader needs an emptiness branch.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     return splits(cls.packed.label_masks, cls.packed.full, points)
 
 
-def shattered_levels(n: int, step, root, first: int = 0) -> list[list[tuple[int, ...]]]:
-    """Nonempty subsets of {first, .., n-1} that ``step`` accepts, grouped by size.
+def shattered_levels(n: int, step, root) -> list[list[tuple[int, ...]]]:
+    """Nonempty subsets of {0, .., n-1} that ``step`` accepts, grouped by size.
 
     Each set carries a state, ``root`` for the empty set; ``step(state, x)`` is
     the state of the set extended by a larger point x, or None where the
@@ -50,7 +52,7 @@ def shattered_levels(n: int, step, root, first: int = 0) -> list[list[tuple[int,
         level = [
             (pts + (x,), nxt)
             for pts, state in level
-            for x in range(pts[-1] + 1 if pts else first, n)
+            for x in range(pts[-1] + 1 if pts else 0, n)
             if (nxt := step(state, x)) is not None
         ]
         if not level:
@@ -58,10 +60,10 @@ def shattered_levels(n: int, step, root, first: int = 0) -> list[list[tuple[int,
         levels.append([pts for pts, _ in level])
 
 
-def split_levels(sides, mask: int, n: int, first: int = 0) -> list[list[tuple[int, ...]]]:
-    """The point sets of {first, .., n-1} at which ``sides`` split the subclass
-    ``mask`` into nonempty cells, grouped by size."""
-    return shattered_levels(n, partial(split_cells, sides), [mask], first)
+def split_levels(sides, mask: int) -> list[list[tuple[int, ...]]]:
+    """The point sets at which ``sides`` (one pair per point) split the
+    subclass ``mask`` into nonempty cells, grouped by size."""
+    return shattered_levels(len(sides), partial(split_cells, sides), [mask])
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -70,7 +72,7 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     With ``witness=True`` returns ``(value, points)``, where ``points`` is the
     lexicographically first shattered set of that size.
     """
-    levels = split_levels(cls.packed.label_masks, cls.packed.full, cls.domain_size)
+    levels = split_levels(cls.packed.label_masks, cls.packed.full)
     if witness:
         return len(levels), levels[-1][0] if levels else ()
     return len(levels)
@@ -81,7 +83,7 @@ def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
     set; 0 for the empty subclass."""
     if not mask:
         return 0
-    levels = split_levels(cls.packed.label_masks, mask, cls.domain_size)
+    levels = split_levels(cls.packed.label_masks, mask)
     return 1 + sum(map(len, levels))
 
 
@@ -153,8 +155,6 @@ def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTr
             f"the tree depth d must be between 0 and the Littlestone dimension "
             f"{solver.ld(full)}, got {d}"
         )
-    if d == 0:
-        return None
 
     def build(mask: int, depth: int) -> Optional[LittlestoneTree]:
         if depth == 0:
@@ -163,7 +163,7 @@ def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTr
             m0, m1 = packed.label_masks[x]
             m0 &= mask
             m1 &= mask
-            if m0 and m1 and solver.ld(m0) >= depth - 1 and solver.ld(m1) >= depth - 1:
+            if solver.ld(m0) >= depth - 1 and solver.ld(m1) >= depth - 1:
                 return LittlestoneTree(x, build(m0, depth - 1), build(m1, depth - 1))
         raise AssertionError("recursion promised a deeper tree than it can build")
 
@@ -265,7 +265,7 @@ def support_vc_dimension(cls: PartialConceptClass) -> int:
     """VC dimension of the supports' indicator class: x maps to 1 iff h is defined."""
     full = cls.packed.full
     sides = [(star, full & ~star) for star in cls.packed.star_masks]
-    return len(split_levels(sides, full, cls.domain_size))
+    return len(split_levels(sides, full))
 
 
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:

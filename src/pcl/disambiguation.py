@@ -1,17 +1,17 @@
 """Total classes that disambiguate partial ones, and the biclique lower bound.
 
 Two sequential disambiguation procedures are implemented.  Both write a total
-extension of a given concept point by point, following a majority vote over
-the maintained consistent subclass and updating that subclass only when the
-concept forces the minority label:
+extension of a given concept point by point, following one vote over the
+maintained consistent subclass (``_run_sequential``) and updating that
+subclass only when the concept forces the losing label.  The vote compares a
+potential of the subclass's two restrictions:
 
-* the unweighted vote ranks labels by the number of shattered subsets of the
-  whole domain (the "strength" potential), giving at most ``log2 s(H)``
-  updates per concept;
-* the weighted vote ranks labels by a sum of ``1 / max(S)^(d+1)`` over
-  shattered subsets of the remaining suffix, summed as one integer over the
-  common denominator ``lcm(1..n)^(d+1)``, giving at most
-  ``(d+1) log2(m) + 2`` updates within every prefix of length m.
+* the strength vote uses the number of shattered subsets of the whole
+  domain, giving at most ``log2 s(H)`` updates per concept;
+* the weighted vote uses a sum of ``1 / max(S)^(d+1)`` over shattered
+  subsets of the remaining suffix, summed as one integer over the common
+  denominator ``lcm(1..n)^(d+1)``, giving at most ``(d+1) log2(m) + 2``
+  updates within every prefix of length m.
 
 Each update at least halves the relevant potential, which is what the update
 bounds certify.  The votes revisit the same subclass at many points, so each
@@ -76,17 +76,20 @@ def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
     n, exponent = cls.domain_size, cls.vc + 1
     lcm_n = lcm(*range(1, n + 1))
     scaled = [(lcm_n // (p + 1)) ** exponent for p in range(n)]
-    levels = split_levels(cls.packed.label_masks, mask, n, x + 1)
-    total = sum(scaled[pts[-1]] for level in levels for pts in level)
+    levels = split_levels(cls.packed.label_masks[x + 1 :], mask)
+    total = sum(scaled[x + 1 + pts[-1]] for level in levels for pts in level)
     return Fraction(total, lcm_n**exponent)
 
 
 def _run_sequential(
-    cls: PartialConceptClass, vote: Callable[[int, int], int], algorithm: str
+    cls: PartialConceptClass, potential: Callable[[int, int], int | Fraction], algorithm: str
 ) -> Disambiguation:
-    """Extend each concept point by point: take ``vote(mask, x)`` over the
-    consistent subclass ``mask``, and narrow it only where the concept forces
-    the other label."""
+    """Extend each concept point by point, and narrow the consistent subclass
+    ``mask`` only where the concept forces the label that lost the vote.
+
+    At x the vote compares ``potential`` of the two restrictions of ``mask``,
+    ties to 0; a label that no concept of the subclass takes loses outright,
+    or concepts with nothing shattered left would be forced into updates."""
     packed = cls.packed
     extension: dict[PartialConcept, PartialConcept] = {}
     updates: dict[PartialConcept, tuple[int, ...]] = {}
@@ -95,7 +98,13 @@ def _run_sequential(
         out: list[int] = []
         upd: list[int] = []
         for x in range(cls.domain_size):
-            y = vote(mask, x)
+            m0, m1 = packed.label_masks[x]
+            m0 &= mask
+            m1 &= mask
+            if m0 and m1:
+                y = ZERO if potential(m0, x) >= potential(m1, x) else ONE
+            else:
+                y = ONE if m1 else ZERO
             hx = h[x]
             if hx != STAR and hx != y:
                 y = hx
@@ -117,36 +126,14 @@ def _run_sequential(
 def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Strength-vote sequential disambiguation; u(h) <= log2 s(H) per concept."""
     strength = cache(partial(subclass_strength, cls))
-    label_masks = cls.packed.label_masks
-
-    def vote(mask: int, x: int) -> int:
-        m0, m1 = label_masks[x]
-        return ZERO if strength(mask & m0) >= strength(mask & m1) else ONE
-
-    res = _run_sequential(cls, vote, "majority")
+    res = _run_sequential(cls, lambda mask, x: strength(mask), "majority")
     res.info["strength"] = strength(cls.packed.full)
     return res
 
 
 def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
-    weight = cache(partial(_suffix_weight, cls))
-    label_masks = cls.packed.label_masks
-
-    def vote(mask: int, x: int) -> int:
-        m0, m1 = label_masks[x]
-        m0 &= mask
-        m1 &= mask
-        # A label nobody realizes must not win the vote: otherwise concepts with
-        # no shattered structure left would be forced into spurious updates and
-        # the prefix-update bound would fail.
-        if not m1:
-            return ZERO
-        if not m0:
-            return ONE
-        return ZERO if weight(m0, x) >= weight(m1, x) else ONE
-
-    return _run_sequential(cls, vote, "weighted")
+    return _run_sequential(cls, cache(partial(_suffix_weight, cls)), "weighted")
 
 
 def strong_violation(
@@ -154,8 +141,7 @@ def strong_violation(
 ) -> Optional[PartialConcept]:
     """A concept with no agreeing total extension, or None."""
     for h in cls.concepts:
-        supp = h.support()
-        if not any(all(t[x] == h[x] for x in supp) for t in totals.concepts):
+        if not totals.packed.mask_of((x, h[x]) for x in h.support()):
             return h
     return None
 

@@ -383,6 +383,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         rng = split_rng(cfg.seed, "ao-seq", ci)
         worst = -math.inf
         bound = learner.regret_bound() + ld
+        adv = online.tree_adversary(cls, max(ld, 1), T)
         for j in range(AGNOSTIC_SEQUENCES):
             if j % 2 == 0:
                 seq = [
@@ -390,7 +391,6 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
                     for _ in range(T)
                 ]
             else:
-                adv = online.tree_adversary(cls, max(ld, 1), T)
                 seq = adv.generate(rng)
             res = learner.run(seq)
             worst = max(worst, res.expected_regret)
@@ -472,8 +472,8 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
         cls = _draw_class_until(rng, 12, 16, lambda c: c.vc <= 3, "VC <= 3")
         n = cls.domain_size
         d = cls.vc
-        s = dimensions.shattering_strength(cls)
         res = disambiguation.vc_majority_disambiguate(cls)
+        s = res.info["strength"]
         max_updates = max(res.update_count(h) for h in cls)
         strong_ok = disambiguation.strong_violation(cls, res.totals) is None
         size_cap = dimensions.sauer_bound(
@@ -878,7 +878,7 @@ SUITES: dict[str, Suite] = {
     ),
     "erm-failure": Suite(
         suite_erm_failure, {"n": 20, "m": 5, "trials": 1000},
-        trials="trials", least={"trials": 1},
+        trials="trials", least={"m": 0, "trials": 1},
     ),
     "geometry": Suite(suite_geometry, {"streams": 100}, least={"streams": 1}),
     "approximation-monotonicity": Suite(suite_approximation_monotonicity, {}),

@@ -118,7 +118,7 @@ class OneInclusionGraph:
         defined = cls.packed.full
         for m0, m1 in sides:
             defined &= m0 | m1
-        self.vc = len(split_levels(sides, defined, len(points)))
+        self.vc = len(split_levels(sides, defined))
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
             for c in range(len(points)):

@@ -67,9 +67,10 @@ def play_sequence(
 class Soa:
     """Standard optimal algorithm: predict the label whose restriction keeps LD larger.
 
-    Ties break toward 0.  The LD recursion cache is the class's own, shared
-    with every other LD reader of the class, so repeated play over the same
-    class stays cheap.
+    Ties break toward 0.  An empty restriction has LD -1, so a label that no
+    concept of the version space takes loses to one that some concept takes.
+    The LD recursion cache is the class's own, shared with every other LD
+    reader of the class, so repeated play over the same class stays cheap.
     """
 
     def __init__(self, cls: PartialConceptClass):
@@ -78,11 +79,7 @@ class Soa:
 
     def __call__(self, mask: int, x: int) -> int:
         m0, m1 = self.packed.label_masks[x]
-        m0 &= mask
-        m1 &= mask
-        ld0 = self.solver.ld(m0) if m0 else -1
-        ld1 = self.solver.ld(m1) if m1 else -1
-        return 0 if ld0 >= ld1 else 1
+        return 0 if self.solver.ld(mask & m0) >= self.solver.ld(mask & m1) else 1
 
 
 @dataclass
@@ -242,7 +239,9 @@ def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:
     if d < 1 and T > 0:
         raise ContractViolation(f"the tree depth d must be at least 1, got {d}")
     if T < d:
-        raise ContractViolation("horizon must be at least the tree depth")
+        raise ContractViolation(
+            f"the horizon T must be at least the tree depth d = {d}, got {T}"
+        )
     return TreeAdversary(cls, d, T, littlestone_tree(cls, d))
 
 

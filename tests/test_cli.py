@@ -320,6 +320,13 @@ class TestCliContract:
         argv = ["online", "--input", class_file, "--mode", "adversary-regret", "--d", "0"]
         self._fails_naming(argv, "depth d", capsys)
 
+    def test_adversary_regret_horizon_below_depth(self, class_file, capsys):
+        argv = ["online", "--input", class_file, "--mode", "adversary-regret",
+                "--d", "1", "--T", "0"]
+        self._fails_naming(
+            argv, "the horizon T must be at least the tree depth d = 1, got 0", capsys
+        )
+
     def test_adversary_mistake_negative_depth(self, class_file, capsys):
         argv = ["online", "--input", class_file, "--mode", "adversary-mistake",
                 "--d", "-1", "--trials", "2"]
@@ -396,6 +403,7 @@ class TestCliContract:
              "'classes' must be at least 1, got 0"),
             (["biclique-lower-bound", "--param", "sizes=[]"], "'sizes' must not be empty"),
             (["agnostic-online-regret", "--param", "T=1"], "'T' must be at least 2, got 1"),
+            (["erm-failure", "--param", "m=-1"], "'m' must be at least 0, got -1"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):

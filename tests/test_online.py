@@ -64,6 +64,23 @@ class TestSoa:
                 assert play_sequence(cls, soa, seq).mistakes <= ld
 
 
+class TestEmptySubclass:
+    """The empty subclass has LD -1, below every nonempty one, so SOA and the
+    tree builder need no emptiness branch of their own."""
+
+    def test_solver_gives_minus_one(self):
+        assert concept_class(1, ["1"]).ld_solver.ld(0) == -1
+
+    def test_soa_never_predicts_a_label_no_concept_takes(self):
+        cls = concept_class(1, ["1"])
+        assert Soa(cls)(cls.packed.full, 0) == 1
+
+    def test_tree_skips_a_point_with_an_empty_side(self):
+        cls = concept_class(2, ["00", "01"])
+        tree = littlestone_tree(cls, 1)
+        assert tree.point == 1 and verify_tree(cls, tree)
+
+
 class TestLittlestoneTree:
     def test_full_cube_tree(self):
         tree = littlestone_tree(full_cube(3), 3)
