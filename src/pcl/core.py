@@ -62,6 +62,11 @@ class PartialConcept:
     def is_total(self) -> bool:
         return STAR not in self.labels
 
+    def sample_error(self, sample: "LabeledSample") -> Fraction:
+        """The share of pairs mislabeled; a STAR mislabels every pair."""
+        mistakes = sum(1 for x, y in sample if self.labels[x] != y)
+        return Fraction(mistakes, len(sample))
+
     def __str__(self) -> str:
         return "".join(_LABEL_CHARS[v] for v in self.labels)
 

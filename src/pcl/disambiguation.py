@@ -183,14 +183,12 @@ def compression_to_disambiguation(cls: PartialConceptClass) -> Disambiguation:
         raise ValueError(
             f"enumeration of {total_candidates} candidates exceeds the budget"
         )
-    seen: set[tuple[int, ...]] = set()
+    seen: set[PartialConcept] = set()
     for j in range(k + 1):
         for pairs in combinations(pair_pool, j):
             if cls.packed.mask_of(pairs):
-                seen.add(ld_reconstruct(cls, CompressionOutput(pairs, ())).labels)
-    totals = TotalConceptClass(
-        cls.domain_size, tuple(PartialConcept(t) for t in seen)
-    )
+                seen.add(ld_reconstruct(cls, CompressionOutput(pairs, ())))
+    totals = TotalConceptClass(cls.domain_size, tuple(seen))
     bad = weak_violation(cls, totals, VERIFY_LEN)
     if bad is not None:
         pts, pattern = bad
@@ -264,7 +262,7 @@ class BicliqueInstance:
 def star_partition_instance(m: int) -> BicliqueInstance:
     """K_m with the star partition: biclique i is ({i}, {i+1, .., m-1})."""
     if m < 2:
-        raise ValueError("need at least two vertices")
+        raise ValueError(f"the vertex count m must be at least 2, got {m}")
     edges = tuple((u, v) for u in range(m) for v in range(u + 1, m))
     partition = tuple(
         ((i,), tuple(range(i + 1, m))) for i in range(m - 1)

@@ -626,7 +626,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         )
         schedule = learners.pac_schedule(cls.vc, eps, delta)
         atoms = dist.support_pairs()
-        errors: dict[learners.Hypothesis, Fraction] = {}  # exact error of each winner
+        errors: dict[PartialConcept, Fraction] = {}  # exact error of each winner
         failures = 0
         draws = split_rng(cfg.seed, "pac-draw", i)
         for lo in range(0, trials, _PAC_BLOCK):

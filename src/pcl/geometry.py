@@ -12,13 +12,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, LabeledSample, TotalConceptClass, check_points
-from .learners import Hypothesis, boost_to_consistency
+from .core import (
+    ContractViolation,
+    LabeledSample,
+    PartialConcept,
+    TotalConceptClass,
+    check_points,
+)
+from .learners import boost_to_consistency
 
 DECISION_TOL = 1e-6
 CONVERGE_TOL = 1e-12
@@ -409,10 +415,6 @@ def weak_learning_game(
     return WeakGameValue(value, mixture, tuple(columns))
 
 
-class BoostingFailure(RuntimeError):
-    """Empirical boosting did not reach consistency within its round cap."""
-
-
 @dataclass
 class MajorityFitReport:
     rounds: int
@@ -421,7 +423,7 @@ class MajorityFitReport:
 
 def boosting_disambiguate_sample(
     base: TotalConceptClass, sample: LabeledSample, gamma
-) -> tuple[Hypothesis, MajorityFitReport]:
+) -> tuple[PartialConcept, MajorityFitReport]:
     """Majority of base hypotheses consistent with a weakly-learnable sample.
 
     Each round reweights the sample and takes the base hypothesis of least
@@ -440,31 +442,20 @@ def boosting_disambiguate_sample(
     cap = math.ceil((16.0 / g**2) * math.log(m + 2))
     threshold = (1.0 - g) / 2.0
     rows = [h.labels for h in base.concepts]
-    errs_per_row = [
-        [1 if row[x] != y else 0 for x, y in pairs] for row in rows
-    ]
+    errs_per_row = [[row[x] != y for x, y in pairs] for row in rows]
 
     def weak(weights: list[float], t: int) -> tuple[int, ...]:
         total_w = sum(weights)
-        best_i, best_err = None, None
-        for i, errs in enumerate(errs_per_row):
-            e = sum(w for w, bad in zip(weights, errs) if bad) / total_w
-            if best_err is None or e < best_err:
-                best_i, best_err = i, e
+        errs = [sum(compress(weights, bad)) / total_w for bad in errs_per_row]
+        best_err = min(errs)
         if best_err > threshold + 1e-9:
             raise ContractViolation(
                 f"round {t}: best weighted error {best_err:.4f} exceeds "
                 f"(1-gamma)/2; the sample is not gamma-realizable at gamma={g}"
             )
-        return rows[best_i]
+        return rows[errs.index(best_err)]  # the first least error
 
-    fit = boost_to_consistency(base.domain_size, pairs, weak, step, cap)
-    if fit is None:
-        raise BoostingFailure(
-            f"no consistent majority within {cap} rounds; "
-            "the declared gamma is likely overstated"
-        )
-    hyp, rounds = fit
+    hyp, rounds = boost_to_consistency(base.domain_size, pairs, weak, step, cap)
     return hyp, MajorityFitReport(rounds, cap)
 
 
@@ -569,8 +560,10 @@ def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailur
         raise ContractViolation(
             f"the domain size n must be even and at least 2, got {n}"
         )
-    if m < 0 or trials < 1:
-        raise ContractViolation("need m >= 0 and trials >= 1")
+    if m < 0:
+        raise ContractViolation(f"the sample size m must be at least 0, got {m}")
+    if trials < 1:
+        raise ContractViolation(f"trials must be at least 1, got {trials}")
     half = n // 2
     rng = random.Random(seed)
     total = Fraction(0)

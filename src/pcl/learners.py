@@ -8,6 +8,9 @@ the hypothesis table sits beside the graphs in the class's
 ``one_inclusion`` store.  The PAC wrapper scores a block of trials in one
 pass over their rows of atom indices: one count of the atoms each batch saw,
 one table lookup per distinct seen set, and one validation score per batch.
+
+Every hypothesis is a total ``core.PartialConcept`` (no STAR); boosting and
+its reconstruction share one majority rule, ``majority_vote``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     ContractViolation,
     LabeledSample,
+    PartialConcept,
     PartialConceptClass,
     best_empirical_error,
     check_points,
@@ -48,33 +52,6 @@ class WeakLearnerNotFound(RuntimeError):
 
 class BoostingCapExceeded(RuntimeError):
     """The boosting round cap was hit before the majority became consistent."""
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A total predictor materialized over the finite domain."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v not in (0, 1) for v in self.labels):
-            raise ValueError("hypothesis labels must be bits")
-
-    def __call__(self, x: int) -> int:
-        return self.labels[x]
-
-    @classmethod
-    def majority(cls, hyps: Sequence["Hypothesis"]) -> "Hypothesis":
-        n = len(hyps[0].labels)
-        labels = []
-        for x in range(n):
-            ones = sum(h.labels[x] for h in hyps)
-            labels.append(1 if 2 * ones > len(hyps) else 0)
-        return cls(tuple(labels))
-
-    def sample_error(self, sample: LabeledSample) -> Fraction:
-        mistakes = sum(1 for x, y in sample if self.labels[x] != y)
-        return Fraction(mistakes, len(sample))
 
 
 @dataclass(frozen=True)
@@ -185,7 +162,7 @@ class OneInclusionCache:
         # since each class owns its store
         self._concepts: Optional[tuple] = None
         self._graphs: dict[tuple[int, ...], OneInclusionGraph] = {}
-        self._hypotheses: dict[frozenset, Hypothesis] = {}
+        self._hypotheses: dict[frozenset, PartialConcept] = {}
 
     def _serve(self, cls: PartialConceptClass) -> None:
         if self._concepts is None:
@@ -203,7 +180,7 @@ class OneInclusionCache:
 
     def hypothesis(
         self, cls: PartialConceptClass, pairs: frozenset[tuple[int, int]]
-    ) -> Hypothesis:
+    ) -> PartialConcept:
         """The one-inclusion predictor trained on ``pairs``, at every domain point.
 
         The predictor reads only the distinct training pairs, so each set is
@@ -213,7 +190,7 @@ class OneInclusionCache:
         h = self._hypotheses.get(pairs)
         if h is None:
             predict = _predictor(cls, LabeledSample(tuple(pairs)), self)
-            h = Hypothesis(tuple(map(predict, range(cls.domain_size))))
+            h = PartialConcept(tuple(map(predict, range(cls.domain_size))))
             self._hypotheses[pairs] = h
         return h
 
@@ -265,7 +242,7 @@ def one_inclusion_predict(
 
 def materialize_transductive(
     cls: PartialConceptClass, train: LabeledSample
-) -> Hypothesis:
+) -> PartialConcept:
     """Evaluate the one-inclusion predictor at every domain point."""
     return cls.one_inclusion.hypothesis(cls, frozenset(train.pairs))
 
@@ -302,8 +279,10 @@ class PacSchedule:
 
 def pac_schedule(vc: int, eps: float, delta: float) -> PacSchedule:
     """Batch-and-validate sizes for target accuracy eps and confidence delta."""
-    if not 0 < eps < 1 or not 0 < delta <= 1:
-        raise ContractViolation("need 0 < eps < 1 and 0 < delta <= 1")
+    if not 0 < eps < 1:
+        raise ContractViolation(f"need 0 < eps < 1, got eps = {eps}")
+    if not 0 < delta <= 1:
+        raise ContractViolation(f"need 0 < delta <= 1, got delta = {delta}")
     d = max(vc, 1)
     k = math.ceil(math.log2(2.0 / delta))
     n = math.floor(4.0 * d / eps)
@@ -318,7 +297,7 @@ def batch_and_validate(
     eps: float,
     delta: float,
     graphs: OneInclusionCache,
-) -> list[Hypothesis]:
+) -> list[PartialConcept]:
     """For each row of ``picks``, a ``(trials, m)`` array of atom indices:
     train one-inclusion on disjoint batches of the sample ``atoms[row]`` and
     keep the validation winner, the first batch on ties.
@@ -370,7 +349,7 @@ def pac_learn_realizable(
     eps: float,
     delta: float,
     cache: Optional[OneInclusionCache] = None,
-) -> Hypothesis:
+) -> PartialConcept:
     """``batch_and_validate`` on one row: the sample's distinct pairs,
     numbered by first appearance, with ``cache`` in place of the class's own
     store."""
@@ -398,35 +377,45 @@ def boosting_round_size(vc: int) -> int:
     return 3 * max(vc, 1)
 
 
+def majority_vote(ones: Iterable[int], voters: int) -> PartialConcept:
+    """1 where more than half of ``voters`` vote 1 (``ones`` counts them per
+    point), else 0: ties go to 0.  A payload rebuilds the fit's own majority."""
+    return PartialConcept(tuple(1 if 2 * v > voters else 0 for v in ones))
+
+
 def boost_to_consistency(
     domain_size: int,
     pairs: Sequence[tuple[int, int]],
     weak: Callable[[list[float], int], Sequence[int]],
     step: float,
     cap: int,
-) -> Optional[tuple[Hypothesis, int]]:
+) -> tuple[PartialConcept, int]:
     """Multiplicative weights until the majority vote fits every pair.
 
     ``weak(weights, t)`` returns round t's labels of the whole domain for the
     current pair weights; each pair it mislabels then has its weight
-    multiplied by ``step``.  Returns the majority and the number of rounds,
-    or None when ``cap`` rounds pass without a consistent majority.
+    multiplied by ``step``.  Returns the ``majority_vote`` of the rounds and
+    their number; raises ``BoostingCapExceeded`` when ``cap`` rounds pass
+    without a consistent majority.
     """
     weights = [1.0] * len(pairs)
-    ones_votes = [0] * domain_size
+    ones = [0] * domain_size
     for t in range(1, cap + 1):
         labels = weak(weights, t)
         for x in range(domain_size):
-            ones_votes[x] += labels[x]
-        if all((1 if 2 * ones_votes[x] > t else 0) == y for x, y in pairs):
-            return Hypothesis(tuple(1 if 2 * v > t else 0 for v in ones_votes)), t
+            ones[x] += labels[x]
+        majority = majority_vote(ones, t)
+        if all(majority.labels[x] == y for x, y in pairs):
+            return majority, t
         for i, (x, y) in enumerate(pairs):
             if labels[x] != y:
                 weights[i] *= step
         top = max(weights)
         if top > 1e250:  # keep the float weights in range on long runs
             weights = [w / top for w in weights]
-    return None
+    raise BoostingCapExceeded(
+        f"no consistent majority within {cap} rounds on {len(pairs)} points"
+    )
 
 
 def _weak_hypothesis(
@@ -435,7 +424,7 @@ def _weak_hypothesis(
     weights: Sequence[float],
     k: int,
     rng: random.Random,
-) -> tuple[Hypothesis, LabeledSample]:
+) -> tuple[PartialConcept, LabeledSample]:
     """A k-point-trained hypothesis with weighted error at most 1/3.
 
     Random draws from the current distribution almost always work (the
@@ -444,7 +433,7 @@ def _weak_hypothesis(
     """
     total = sum(weights)
 
-    def weighted_error(h: Hypothesis) -> float:
+    def weighted_error(h: PartialConcept) -> float:
         return (
             sum(w for (x, y), w in zip(pairs, weights) if h.labels[x] != y) / total
         )
@@ -476,7 +465,7 @@ def alpha_boost_compress(
     cls: PartialConceptClass,
     sample: LabeledSample,
     seed: int = 0,
-) -> tuple[Hypothesis, CompressionOutput]:
+) -> tuple[PartialConcept, CompressionOutput]:
     """Boost the one-inclusion weak learner until the majority fits the sample.
 
     Mistake weights double each round (multiplicative step e^eta = 2 against
@@ -499,12 +488,7 @@ def alpha_boost_compress(
         return h.labels
 
     cap = boosting_round_cap(len(pairs))
-    fit = boost_to_consistency(cls.domain_size, pairs, weak, 2.0, cap)
-    if fit is None:
-        raise BoostingCapExceeded(
-            f"majority still inconsistent after {cap} rounds on {len(pairs)} points"
-        )
-    majority, T = fit
+    majority, T = boost_to_consistency(cls.domain_size, pairs, weak, 2.0, cap)
     subsample = tuple(p for train in trains for p in train.pairs)
     bits = tuple(int(b) for b in format(T, "b"))
     return majority, CompressionOutput(subsample, bits)
@@ -542,7 +526,7 @@ def _check_payload(cls: PartialConceptClass, comp: CompressionOutput) -> None:
             )
 
 
-def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
+def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> PartialConcept:
     if comp.bits:
         raise CompressionFormatError("kept-set payloads carry no side bits")
     _check_payload(cls, comp)
@@ -550,10 +534,10 @@ def ld_reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothe
     mask = cls.packed.mask_of(comp.subsample)
     if mask == 0:
         raise CompressionFormatError("kept set is not realizable by the class")
-    return Hypothesis(tuple(soa(mask, x) for x in range(cls.domain_size)))
+    return PartialConcept(tuple(soa(mask, x) for x in range(cls.domain_size)))
 
 
-def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis:
+def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> PartialConcept:
     """Rebuild the hypothesis from a compression payload.
 
     Empty bits mean a kept-set payload (SOA reconstruction); otherwise the
@@ -578,8 +562,8 @@ def reconstruct(cls: PartialConceptClass, comp: CompressionOutput) -> Hypothesis
         train = labeled_sample(comp.subsample[t * k : (t + 1) * k])
         if not is_realizable(cls, train):
             raise CompressionFormatError(f"round {t} subsample is not realizable")
-        hyps.append(materialize_transductive(cls, train))
-    return Hypothesis.majority(hyps)
+        hyps.append(materialize_transductive(cls, train).labels)
+    return majority_vote(map(sum, zip(*hyps)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +598,7 @@ def agnostic_learn(
     sample: LabeledSample,
     delta: float = 0.05,
     seed: int = 0,
-) -> tuple[Hypothesis, AgnosticReport]:
+) -> tuple[PartialConcept, AgnosticReport]:
     """Fit the largest realizable subsequence, then boost it to consistency."""
     if not 0 < delta <= 1:
         raise ContractViolation(f"need 0 < delta <= 1, got delta = {delta}")
@@ -622,7 +606,7 @@ def agnostic_learn(
         raise ContractViolation("agnostic learning requires a non-empty sample")
     kept = max_realizable_subsequence(cls, sample)
     if not kept:
-        hyp = Hypothesis(tuple([0] * cls.domain_size))
+        hyp = PartialConcept((0,) * cls.domain_size)
     else:
         hyp, _ = alpha_boost_compress(cls, sample.subsample(kept), seed=seed)
     err = hyp.sample_error(sample)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LabeledSample, PartialConcept, PartialConceptClass
 from .disambiguation import BicliqueInstance, Disambiguation
-from .learners import CompressionOutput, Hypothesis
+from .learners import CompressionOutput
 
 
 class FormatError(ValueError):
@@ -125,8 +125,8 @@ def compression_to_dict(comp: CompressionOutput) -> dict:
     }
 
 
-def hypothesis_to_dict(hyp: Hypothesis) -> dict:
-    return {"labels": "".join(str(v) for v in hyp.labels)}
+def hypothesis_to_dict(hyp: PartialConcept) -> dict:
+    return {"labels": str(hyp)}
 
 
 def disambiguation_to_dict(res: Disambiguation) -> dict:

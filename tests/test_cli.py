@@ -420,6 +420,34 @@ class TestCliContract:
     def test_erm_failure_domain_too_small(self, argv, capsys):
         self._fails_naming(argv, "domain size n", capsys)
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--eps", "0", "need 0 < eps < 1, got eps = 0.0"),
+            ("--eps", "nan", "need 0 < eps < 1, got eps = nan"),
+            ("--delta", "0", "need 0 < delta <= 1, got delta = 0.0"),
+        ],
+    )
+    def test_realizable_eps_or_delta_out_of_range(
+        self, flag, value, named, class_file, sample_file, capsys
+    ):
+        argv = ["learn", "--input", class_file, "--sample", sample_file,
+                "--mode", "realizable", flag, value]
+        self._fails_naming(argv, named, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["erm-failure", "--m", "-1", "--seed", "1"],
+             "the sample size m must be at least 0, got -1"),
+            (["erm-failure", "--trials", "0", "--seed", "1"],
+             "trials must be at least 1, got 0"),
+            (["biclique", "--complete", "1"], "the vertex count m must be at least 2, got 1"),
+        ],
+    )
+    def test_construct_count_out_of_range(self, argv, named, capsys):
+        self._fails_naming(["construct", *argv], named, capsys)
+
     def test_report_without_checks_does_not_pass(self, monkeypatch, capsys):
         # every count parameter has a least value, so only a suite that
         # returns no records reaches the guard

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 from pcl import dimensions, disambiguation
-from pcl.core import STAR, ContractViolation, concept, concept_class, total_class
+from pcl.core import (
+    STAR,
+    ContractViolation,
+    PartialConcept,
+    concept,
+    concept_class,
+    total_class,
+)
 from pcl.dimensions import (
     littlestone_dimension,
     sauer_bound,
@@ -29,7 +36,6 @@ from pcl.disambiguation import (
     weak_violation,
     weighted_disambiguate,
 )
-from pcl.learners import Hypothesis
 
 from _oracles import compression_totals_by_definition
 from _strategies import classes
@@ -262,7 +268,7 @@ class TestCompressionDisambiguation:
     def test_invalid_scheme_is_reported(self, monkeypatch):
         cls = concept_class(2, ["01", "10"])
         monkeypatch.setattr(
-            disambiguation, "ld_reconstruct", lambda cls, comp: Hypothesis((0, 1))
+            disambiguation, "ld_reconstruct", lambda cls, comp: PartialConcept((0, 1))
         )
         with pytest.raises(ContractViolation, match="not valid"):
             compression_to_disambiguation(cls)

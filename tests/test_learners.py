@@ -22,7 +22,6 @@ from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
-    Hypothesis,
     OneInclusionCache,
     OneInclusionGraph,
     agnostic_learn,
@@ -321,13 +320,13 @@ class TestPacWrapper:
                 built.append(args)
                 super().__init__(*args)
 
-        class CountingHypothesis(Hypothesis):
+        class CountingConcept(PartialConcept):
             def __post_init__(self):
                 built.append(self.labels)
                 super().__post_init__()
 
         monkeypatch.setattr(learners, "OneInclusionGraph", CountingGraph)
-        monkeypatch.setattr(learners, "Hypothesis", CountingHypothesis)
+        monkeypatch.setattr(learners, "PartialConcept", CountingConcept)
         # training on x0 = x1 = 0 leaves x2 open, so the fit reads a graph
         cls = concept_class(3, ["000", "001", "010", "100"])
         s = pac_schedule(cls.vc, 0.5, 0.5)
@@ -427,11 +426,22 @@ class TestAlphaBoost:
 
 
 class TestReconstruct:
+    def test_majority_ties_go_to_zero(self):
+        assert learners.majority_vote((0, 1, 2), 2) == PartialConcept((0, 0, 1))
+
+    def test_two_rounds_that_disagree_rebuild_zero(self):
+        # round 0 trains on x0 = 0 and predicts 00, round 1 on x0 = 1 and
+        # predicts 11: one vote each way at both points
+        cls = concept_class(2, ["00", "11"])
+        k = boosting_round_size(cls.vc)
+        comp = CompressionOutput(((0, 0),) * k + ((0, 1),) * k, (1, 0))
+        assert reconstruct(cls, comp) == PartialConcept((0, 0))
+
     def test_empty_payload_for_singleton_class(self):
         cls = concept_class(3, ["010"])
         comp = ld_compress(cls, labeled_sample([(0, 0), (1, 1)]))
         assert comp.subsample == ()
-        assert reconstruct(cls, comp) == Hypothesis((0, 1, 0))
+        assert reconstruct(cls, comp) == PartialConcept((0, 1, 0))
 
     def test_corrupted_bits_raise_parse_error(self):
         cls = concept_class(2, ["01", "10"])
@@ -502,7 +512,7 @@ class TestAgnosticLearn:
         cls = concept_class(2, ["00"])
         sample = labeled_sample([(0, 0), (1, 1), (1, 0)])
         hyp, report = agnostic_learn(cls, sample)
-        assert hyp == Hypothesis((0, 0))
+        assert hyp == PartialConcept((0, 0))
         assert report.hypothesis_error == Fraction(1, 3) == report.class_error
 
     def test_fit_check_raises(self, monkeypatch):
@@ -515,7 +525,7 @@ class TestAgnosticLearn:
         cls = concept_class(2, ["**"])
         sample = labeled_sample([(0, 1), (1, 1)])
         hyp, report = agnostic_learn(cls, sample)
-        assert hyp == Hypothesis((0, 0))
+        assert hyp == PartialConcept((0, 0))
         assert report.kept == 0
 
     @settings(max_examples=20, deadline=None)

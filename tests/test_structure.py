@@ -146,6 +146,53 @@ def test_no_numpy_random_streams():
     assert _numpy_stream_lines(ast.parse("u = random.Random(0).random() + rng.random()")) == []
 
 
+def _targets(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def _labels_classes(tree: ast.AST) -> list[str]:
+    """Classes with a ``labels`` field: a ``labels`` statement in the class
+    body, or an assignment to ``self.labels`` in one of its methods."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {t.id for stmt in cls.body for t in _targets(stmt) if isinstance(t, ast.Name)}
+        names.update(
+            t.attr
+            for node in ast.walk(cls)
+            for t in _targets(node)
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+            and t.value.id == "self"
+        )
+        if "labels" in names:
+            found.append(cls.name)
+    return found
+
+
+def test_one_labeling_type():
+    """A hypothesis is a total ``core.PartialConcept``; a second labeling
+    type would need conversions, and a majority rule of its own."""
+    for path in MODULES:
+        if path.name != "core.py":
+            found = _labels_classes(_tree(path))
+            assert found == [], f"{path.name} defines a labeling type: {found}"
+    assert _labels_classes(_tree(SRC / "core.py")) == ["PartialConcept"]
+    # the guard sees fields and attributes, and passes method locals and other names
+    assert _labels_classes(ast.parse("class H:\n    labels: tuple[int, ...]")) == ["H"]
+    assert _labels_classes(
+        ast.parse("class H:\n    def __init__(self, v):\n        self.labels = v")
+    ) == ["H"]
+    assert _labels_classes(
+        ast.parse("class H:\n    def f(self):\n        labels = []\n        return labels")
+    ) == []
+    assert _labels_classes(ast.parse("class P:\n    label_masks: list")) == []
+
+
 def _layer_imports(imported: set[str], layer: str) -> set[str]:
     return {m for m in imported if m == f"pcl.{layer}" or m.startswith(f"pcl.{layer}.")}
 
