@@ -316,7 +316,8 @@ class FiniteDistribution:
 
     def draw(self, rng: random.Random, n: int) -> np.ndarray:
         """The atom indices of n independent draws from ``rng``, as a 1-D array
-        made from one ``getrandbits`` call.
+        of the smallest unsigned type that holds them, made from one
+        ``getrandbits`` call.
 
         The indices, and the state ``rng`` is left in, are exactly those of
         ``rng.choices(range(len(atoms)), weights=[float(w), ...], k=n)``, so a
@@ -331,8 +332,13 @@ class FiniteDistribution:
         cum = self._cum_weights
         words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
         u = ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) * 2.0**-53
-        # the count of running weights at most u * total, short of the last
-        return np.searchsorted(cum[:-1], u * cum[-1], side="right")
+        u *= cum[-1]
+        # the count of running weights at most u * total, short of the last,
+        # one comparison pass per weight: a class has few atoms per point
+        index = np.zeros(n, np.min_scalar_type(len(cum) - 1))
+        for c in cum[:-1]:
+            index += c <= u
+        return index
 
     def sample(self, rng: random.Random, n: int) -> LabeledSample:
         """The pairs of ``draw(rng, n)``: ``rng.choices`` over the atom pairs."""
@@ -377,11 +383,26 @@ def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
 def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> int:
     """Fewest disagreements of any single concept with the pair sequence."""
     check_points(cls, pairs)
-    best = len(pairs)
-    for h in cls.concepts:
-        best = min(best, sum(1 for x, y in pairs if h[x] != y))
-        if best == 0:
-            break
+    packed = cls.packed
+    # Every concept's mistake count, bit-sliced: planes[j] holds the concepts
+    # whose count has bit j set, and a pair adds 1 to the concepts that miss
+    # it by a ripple carry, so a pair costs O(log len(pairs)) mask operations.
+    planes: list[int] = []
+    for x, y in pairs:
+        carry = packed.full & ~packed.label_masks[x][y]
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(0)
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    # the least count, bit by bit from the top, among the concepts reaching it
+    best, least = 0, packed.full
+    for j in reversed(range(len(planes))):
+        if least & ~planes[j]:
+            least &= ~planes[j]
+        else:
+            best |= 1 << j
     return best
 
 

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -219,10 +219,16 @@ def _support_sequence(
     return [(x, h[x]) for x in rng.choices(supp, k=length)] if supp else []
 
 
+def _defined_concepts(cls: PartialConceptClass) -> list[PartialConcept]:
+    """The concepts of ``cls`` defined somewhere, in class order."""
+    return [h for h in cls.concepts if h.support()]
+
+
 def _random_realizable_sequence(
-    cls: PartialConceptClass, rng: random.Random, length: int
+    candidates: Sequence[PartialConcept], rng: random.Random, length: int
 ) -> list[tuple[int, int]]:
-    candidates = [h for h in cls.concepts if h.support()]
+    """``_support_sequence`` of a concept drawn from ``candidates``, or no
+    pairs if there are none."""
     return _support_sequence(rng.choice(candidates), rng, length) if candidates else []
 
 
@@ -240,10 +246,11 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
         packed = cls.packed
         ld = soa.solver.ld(packed.full)
         tree = online.littlestone_tree(cls, ld)
+        candidates = _defined_concepts(cls)
         worst = 0
         for j in range(cfg.params["sequences"]):
             if j % 2 == 0 or ld == 0:
-                seq = _random_realizable_sequence(cls, rng, 2 * cls.domain_size)
+                seq = _random_realizable_sequence(candidates, rng, 2 * cls.domain_size)
             else:
                 # adversarial: walk the mistake tree against the learner itself,
                 # then continue with a consistent tail
@@ -409,8 +416,8 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     coins = split_rng(cfg.seed, "ao-adversary").getrandbits(trials * T_adv)
     raw = np.frombuffer(coins.to_bytes(trials * T_adv // 8 + 1, "little"), np.uint8)
     ys = np.unpackbits(raw, count=trials * T_adv, bitorder="little")
-    ys = ys.reshape(trials, T_adv).astype(np.int64)
-    ones = ys.sum(axis=1)
+    ys = ys.reshape(trials, T_adv)
+    ones = ys.sum(axis=1, dtype=np.int64)
     best = np.minimum(ones, T_adv - ones)
     target = 0.25 * math.sqrt(T_adv)
     for name, mistakes in (
@@ -456,12 +463,17 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
 
 
 def _ftl_mistakes(ys: np.ndarray) -> np.ndarray:
+    """Follow-the-leader's mistakes on each row of a 0/1 label matrix, in one
+    pass over its columns: it predicts 1 when more than half the earlier
+    labels of the row were 1."""
     trials, T = ys.shape
-    cum = np.cumsum(ys, axis=1)
-    prev_ones = cum - ys
-    t_idx = np.arange(T)[None, :]
-    preds = (2 * prev_ones > t_idx).astype(np.int64)
-    return (preds != ys).sum(axis=1)
+    ones = np.zeros(trials, np.int64)
+    mistakes = np.zeros(trials, np.int64)
+    for t in range(T):
+        y = ys[:, t]
+        mistakes += (2 * ones > t) != y
+        ones += y
+    return mistakes
 
 
 def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
@@ -562,7 +574,7 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
         rng = split_rng(cfg.seed, "compress", i)
         cls = _draw_class_until(rng, 8, 16, lambda c: c.vc <= 3, "VC <= 3")
         m = rng.randint(1, cfg.params["max_m"])
-        seq = _random_realizable_sequence(cls, rng, m)
+        seq = _random_realizable_sequence(_defined_concepts(cls), rng, m)
         if not seq:
             continue
         sample = labeled_sample(seq)
@@ -600,8 +612,9 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
 
 
 # Trials drawn and fitted per call.  Blocks of 16 to 256 trials run about
-# equally fast; the draws and counts of a block of 64 peak near 2 MiB, those
-# of one block of all 2000 trials near 70 MiB.
+# equally fast; the draws and counts of a block of 64 peak near 1.3 MiB, those
+# of one block of all 2000 trials near 37 MiB (tracemalloc, acceptance
+# parameters).
 _PAC_BLOCK = 64
 
 
@@ -960,7 +973,7 @@ def _compression_row(m: int, seed: int) -> list:
     rng = split_rng(seed, "scale-compress", m)
     cls = _draw_class_until(rng, 6, 20, lambda c: c.vc <= 3, "VC <= 3")
     k = learners.boosting_round_size(cls.vc)
-    sample = labeled_sample(_random_realizable_sequence(cls, rng, m))
+    sample = labeled_sample(_random_realizable_sequence(_defined_concepts(cls), rng, m))
     _, comp = learners.alpha_boost_compress(cls, sample, seed=rng.randrange(2**31))
     return [m, comp.size, k * learners.boosting_round_cap(m) + len(comp.bits)]
 

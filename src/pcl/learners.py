@@ -330,12 +330,15 @@ def batch_and_validate(
     cells = (np.arange(trials)[:, None] * (k + 1) + part) * a + picks[:, : schedule.total]
     counts = np.bincount(cells.ravel(), minlength=trials * (k + 1) * a)
     counts = counts.reshape(trials, k + 1, a)
-    # each batch's seen set as one byte string, numbered by first appearance
-    seen = (counts[:, :k] > 0).view(np.dtype((np.void, a))).ravel().tolist()
-    index: dict[bytes, int] = {}
-    batch_set = [index.setdefault(s, len(index)) for s in seen]
-    batch_set = np.array(batch_set, dtype=np.intp).reshape(trials, k)
-    hyps = [graphs.hypothesis(cls, frozenset(compress(atoms, s))) for s in index]
+    # each batch's seen set as one byte string, numbered in sorted order
+    seen = (counts[:, :k] > 0).reshape(trials * k, a)
+    keys = seen.view(np.dtype((np.void, a))).ravel()
+    _, first, batch_set = np.unique(keys, return_index=True, return_inverse=True)
+    batch_set = batch_set.reshape(trials, k)
+    hyps = [
+        graphs.hypothesis(cls, frozenset(compress(atoms, s)))
+        for s in seen[first].tolist()
+    ]
     wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps]).reshape(-1, a)
     # argmin keeps the first minimum: the first batch on ties
     scores = np.take_along_axis(counts[:, k] @ wrong.T, batch_set, axis=1)

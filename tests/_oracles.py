@@ -55,7 +55,16 @@ def shattered_sets_by_definition(cls: PartialConceptClass) -> list[tuple[int, ..
 
 
 def vc_by_definition(cls: PartialConceptClass) -> int:
-    return len(shattered_sets_by_definition(cls)[-1])
+    """The largest shattered size.  Every subset of a shattered set is
+    shattered, so the search stops at the first size with none."""
+    n = cls.domain_size
+    d = 0
+    while d < n and any(
+        len(patterns_on(cls, pts)) == 2 ** (d + 1)
+        for pts in combinations(range(n), d + 1)
+    ):
+        d += 1
+    return d
 
 
 def strength_by_definition(cls: PartialConceptClass) -> int:
@@ -485,6 +494,11 @@ def greedy_packing_by_loops(points, gamma: float) -> PackingResult:
         default=math.inf,
     )
     return PackingResult(tuple(chosen), min_pair, cells, radius)
+
+
+def min_mistakes_by_definition(cls: PartialConceptClass, pairs) -> int:
+    """Fewest pairs that one concept labels otherwise; a STAR mislabels every pair."""
+    return min(sum(h.labels[x] != y for x, y in pairs) for h in cls.concepts)
 
 
 def follow_the_leader_mistakes(sequence) -> int:

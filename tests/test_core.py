@@ -32,6 +32,7 @@ from pcl.online import AgnosticOnlineLearner, Soa, play_sequence
 from _oracles import (
     approximation_error_by_product,
     max_realizable_by_enumeration,
+    min_mistakes_by_definition,
     patterns_on,
     restrict,
 )
@@ -357,6 +358,7 @@ class TestSampleStream:
     @example([(0, 0, 1)], 0, 0)
     @example([(0, 0, 1), (1, 1, 10**15)], 1, 5)
     @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, 7)
+    @example([(x, x % 2, 1 + x % 3) for x in range(300)], 2000, 11)  # indices past 255
     def test_matches_choices(self, atoms, n, seed):
         dist = _from_raw_weights(atoms)
         mine, indexed, theirs = Random(seed), Random(seed), Random(seed)
@@ -436,6 +438,26 @@ class TestMaxRealizableSubsequence:
         assert best_empirical_error(cls, sample) == Fraction(
             len(sample) - kept, len(sample)
         )
+
+
+@st.composite
+def star_heavy_sequences(draw):
+    """A class on up to 5 points whose labels are STAR half the time, and up
+    to 24 pairs on its points, the empty sequence among them."""
+    cls = draw(classes(max_n=5, max_size=12, alphabet=(0, 1, STAR, STAR)))
+    point = st.integers(0, cls.domain_size - 1)
+    return cls, draw(st.lists(st.tuples(point, st.sampled_from((0, 1))), max_size=24))
+
+
+class TestMinMistakes:
+    @settings(max_examples=150)
+    @given(star_heavy_sequences())
+    @example((concept_class(2, ["**", "0*"]), []))
+    @example((concept_class(1, ["*"]), [(0, 0), (0, 1), (0, 1)]))
+    @example((concept_class(1, ["0", "1"]), [(0, 1)] * 5 + [(0, 0)] * 7))
+    def test_matches_definition(self, case):
+        cls, pairs = case
+        assert min_mistakes(cls, pairs) == min_mistakes_by_definition(cls, pairs)
 
 
 class TestApproximationError:

@@ -109,7 +109,7 @@ class TestParams:
 class TestPacBlocks:
     def test_peak_memory_stays_small(self):
         # The trials are drawn and fitted in blocks.  Blocks of 64 trials peak
-        # at about 2.8 MiB; one block of all 2000 trials at about 77 MiB.
+        # at about 1.2 MiB; one block of all 2000 trials at about 34 MiB.
         tracemalloc.start()
         try:
             report = run_experiment(
@@ -122,6 +122,27 @@ class TestPacBlocks:
             tracemalloc.stop()
         assert len(report.checks) == 2
         assert peak < 8 * 2**20
+
+
+class TestAdversaryBlock:
+    def test_peak_memory_stays_small(self):
+        # The coin matrix stays one byte per label and follow-the-leader is
+        # counted column by column: about 1.7 MiB at acceptance parameters,
+        # where int64 copies of the whole matrix peaked at 32 MiB.
+        tracemalloc.start()
+        try:
+            report = run_experiment(
+                ExperimentConfig(
+                    "agnostic-online-regret",
+                    seed=20240817,
+                    params={"T": 12, "adversary_T": 100, "adversary_trials": 10_000},
+                )
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_failed == 0
+        assert peak <= 4 * 2**20
 
 
 class TestReadme:

@@ -210,6 +210,19 @@ def one_batch_rows():
     return cls, 0.9, 1.0, [[(0, 0)] * s.batch_size + [(2, 1)] * s.validation_size]
 
 
+def wide_rows():
+    """33 points, so 66 atoms: the two batches see only atom 64 or only atom
+    65, and each row's validation pairs favour one of them."""
+    cls = concept_class(33, ["0" * 33, "1" * 33, "0" * 32 + "1"])
+    s = pac_schedule(cls.vc, 0.9, 0.5)
+    zero, one = [(32, 0)] * s.batch_size, [(32, 1)] * s.batch_size
+    rows = [
+        zero + one + [(32, 1)] * s.validation_size,
+        one + zero + [(32, 0)] * s.validation_size,
+    ]
+    return cls, 0.9, 0.5, rows
+
+
 class TestPacWrapper:
     def test_schedule_example(self):
         s = pac_schedule(1, 0.5, 0.25)
@@ -243,6 +256,7 @@ class TestPacWrapper:
     @settings(max_examples=40, deadline=None)
     @given(pac_rows())
     @example(one_batch_rows())
+    @example(wide_rows())
     def test_matches_the_batch_by_batch_wrapper(self, case):
         cls, eps, delta, rows = case
         n = cls.domain_size

@@ -303,6 +303,8 @@ class TestFollowTheLeaderCount:
             )
         )
     )
+    @example([[1] * 300, [0, 1] * 150, [1] * 200 + [0] * 100])  # counts past 255
     def test_rows_match_definition(self, rows):
+        # uint8 rows, as the suite unpacks its coins
         want = [follow_the_leader_mistakes([(0, y) for y in row]) for row in rows]
-        assert _ftl_mistakes(np.array(rows, dtype=np.int64)).tolist() == want
+        assert _ftl_mistakes(np.array(rows, dtype=np.uint8)).tolist() == want
