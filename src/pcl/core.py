@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial
 from operator import index
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -162,31 +162,17 @@ class PartialConceptClass:
         return OneInclusionCache()
 
 
-def split_cells(
-    sides: Sequence[tuple[int, int]], cells: list[int], x: int
-) -> Optional[list[int]]:
-    """The concept-mask ``cells`` split by ``sides[x] = (A, B)``, or None at the
-    first empty half."""
-    a_side, b_side = sides[x]
-    out = []
-    for m in cells:
-        a = m & a_side
-        b = m & b_side
-        if not a or not b:
-            return None
-        out.append(a)
-        out.append(b)
-    return out
-
-
 def splits(sides: Sequence[tuple[int, int]], mask: int, points: Iterable[int]) -> bool:
     """Whether splitting ``mask`` by ``sides[x] = (A, B)`` at each of ``points``
     leaves all 2^|points| cells nonempty: shattering when the sides are the
     0 and 1 label masks, a three-label notion of ``dimensions`` otherwise."""
-    cells = [mask] if mask else None
+    cells = [mask]
     for x in points:
-        cells = cells and split_cells(sides, cells, x)
-    return cells is not None
+        if not all(cells):
+            return False
+        a_side, b_side = sides[x]
+        cells = [half for m in cells for half in (m & a_side, m & b_side)]
+    return all(cells)
 
 
 class PackedClass:

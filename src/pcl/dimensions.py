@@ -4,18 +4,17 @@ Everything here is enumeration-based and exact; the intended scale is desk
 size (domains up to ~14 points, classes up to a few dozen concepts).
 
 Every shattering notion splits the class into nonempty cells of concepts, one
-pair of sides (A, B) per point, in one level walk whose sets carry their cells
-(``shattered_levels``).  VC, strength and support VC have one pair per point
-(``split_levels``, which walks the points it has sides for); Natarajan and
-graph choose among three, and a set carries one cell list per choice that
-still leaves every cell nonempty.  The empty subclass has LD -1, below every
-nonempty one, so no LD reader needs an emptiness branch.
+pair of disjoint sides (A, B) per point, in one depth-first walk whose sets
+carry their cells (``shattered_sets``), so memory is bounded by depth.  VC,
+strength and support VC have one pair per point; Natarajan and graph choose
+among three, and a set carries one cell list per choice that still leaves
+every cell nonempty.  The empty subclass has LD -1, below every nonempty one,
+so no LD reader needs an emptiness branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 from typing import Optional, Sequence
 
@@ -28,7 +27,6 @@ from .core import (
     TotalConceptClass,
     is_realizable,
     labeled_sample,
-    split_cells,
     splits,
 )
 
@@ -38,32 +36,63 @@ def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     return splits(cls.packed.label_masks, cls.packed.full, points)
 
 
-def shattered_levels(n: int, step, root) -> list[list[tuple[int, ...]]]:
-    """Nonempty subsets of {0, .., n-1} that ``step`` accepts, grouped by size.
+def shattered_sets(choices, mask: int, cut: bool = False):
+    """The nonempty point sets at which a choice among ``choices`` (sides
+    sequences, one disjoint pair (A, B) per point) splits the subclass
+    ``mask`` into nonempty cells, depth-first, so in lexicographic order.
 
-    Each set carries a state, ``root`` for the empty set; ``step(state, x)`` is
-    the state of the set extended by a larger point x, or None where the
-    downward-closed notion fails.  Level k+1 extends the sets of level k
-    (Apriori), so each level is in lexicographic order.
+    A set carries one cell list per choice of its points that leaves no cell
+    empty, and only the sets on the current path are held.  With ``cut`` the
+    walk skips each set that, with every point after it added, is no larger
+    than the largest yielded so far; the first largest set it yields is still
+    the lexicographically first.
     """
-    levels = []
-    level = [((), root)]
+    n = len(choices[0])
+    pts: list[int] = []
+    path = []  # path[k]: the cell lists the set pts[:k] carries
+    # a cell of one concept never splits, so a list holding one is dropped
+    carried = [[mask]] if mask & (mask - 1) else []
+    best = x = 0
     while True:
-        level = [
-            (pts + (x,), nxt)
-            for pts, state in level
-            for x in range(pts[-1] + 1 if pts else 0, n)
-            if (nxt := step(state, x)) is not None
-        ]
-        if not level:
-            return levels
-        levels.append([pts for pts, _ in level])
+        if x < n and carried and not (cut and len(pts) + n - x <= best):
+            out = []
+            found = False
+            for sides in choices:
+                a_side, b_side = sides[x]
+                for cells in carried:
+                    split = []
+                    deep = True
+                    for m in cells:
+                        a = m & a_side
+                        if not a:
+                            break
+                        b = m & b_side
+                        if not b:
+                            break
+                        split.append(a)
+                        split.append(b)
+                        deep = deep and a & (a - 1) and b & (b - 1)
+                    else:
+                        found = True
+                        if deep:
+                            out.append(split)
+            if found:
+                pts.append(x)
+                path.append(carried)
+                carried = out
+                best = max(best, len(pts))
+                yield tuple(pts)
+            x += 1
+        elif pts:
+            x = pts.pop() + 1
+            carried = path.pop()
+        else:
+            return
 
 
-def split_levels(sides, mask: int) -> list[list[tuple[int, ...]]]:
-    """The point sets at which ``sides`` (one pair per point) split the
-    subclass ``mask`` into nonempty cells, grouped by size."""
-    return shattered_levels(len(sides), partial(split_cells, sides), [mask])
+def first_largest(choices, mask: int) -> tuple[int, ...]:
+    """The lexicographically first largest set of ``shattered_sets``."""
+    return max(shattered_sets(choices, mask, cut=True), key=len, default=())
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -72,10 +101,8 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     With ``witness=True`` returns ``(value, points)``, where ``points`` is the
     lexicographically first shattered set of that size.
     """
-    levels = split_levels(cls.packed.label_masks, cls.packed.full)
-    if witness:
-        return len(levels), levels[-1][0] if levels else ()
-    return len(levels)
+    pts = first_largest([cls.packed.label_masks], cls.packed.full)
+    return (len(pts), pts) if witness else len(pts)
 
 
 def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
@@ -83,8 +110,7 @@ def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
     set; 0 for the empty subclass."""
     if not mask:
         return 0
-    levels = split_levels(cls.packed.label_masks, mask)
-    return 1 + sum(map(len, levels))
+    return 1 + sum(1 for _ in shattered_sets([cls.packed.label_masks], mask))
 
 
 def shattering_strength(cls: PartialConceptClass) -> int:
@@ -96,8 +122,9 @@ class LdSolver:
     """Littlestone-dimension recursion over subclasses encoded as concept bitmasks.
 
     Subclasses are masks of the class's ``packed`` encoding, so restriction
-    is a single AND.  Values are memoized per solver instance; each class
-    builds one, ``PartialConceptClass.ld_solver``, which every reader shares.
+    is a single AND.  Values are exact and memoized per solver instance; each
+    class builds one, ``PartialConceptClass.ld_solver``, which every reader
+    shares.
     """
 
     def __init__(self, cls: PartialConceptClass):
@@ -109,14 +136,21 @@ class LdSolver:
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
+        # branch and bound: a depth-d tree needs 2^d concepts, and a point
+        # raises best only when both restrictions reach it, so the smaller
+        # restriction is tried first and cut below best
+        top = mask.bit_count().bit_length() - 1
         best = 0
         for m0, m1 in self.packed.label_masks:
+            if best == top:
+                break
             m0 &= mask
             m1 &= mask
-            if m0 and m1:
-                v = 1 + min(self.ld(m0), self.ld(m1))
-                if v > best:
-                    best = v
+            if m0.bit_count() > m1.bit_count():
+                m0, m1 = m1, m0
+            if m0.bit_count() < 1 << best or (v := self.ld(m0)) < best:
+                continue
+            best = max(best, 1 + min(v, self.ld(m1)))
         self._memo[mask] = best
         return best
 
@@ -228,29 +262,13 @@ class MulticlassDimensions:
     support_vc: int
 
 
-def _choice_dimension(cls: PartialConceptClass, choices) -> int:
-    """Largest point set split into nonempty cells by a choice, point by point,
-    among ``choices`` (sides sequences over the domain).  A set carries one
-    cell list per choice of its points that still leaves no cell empty."""
-
-    def step(carried: list[list[int]], x: int) -> Optional[list[list[int]]]:
-        out = [
-            cells
-            for sides in choices
-            for before in carried
-            if (cells := split_cells(sides, before, x)) is not None
-        ]
-        return out or None
-
-    return len(shattered_levels(cls.domain_size, step, [[cls.packed.full]]))
-
-
 def natarajan_dimension(cls: PartialConceptClass) -> int:
     """N-shattering picks two labels at each point (STAR counts as a label) and
     needs every selection between them realized: one side per label."""
     m0, m1 = zip(*cls.packed.label_masks)
     star = cls.packed.star_masks
-    return _choice_dimension(cls, [list(zip(a, b)) for a, b in ((m0, m1), (m0, star), (m1, star))])
+    choices = [list(zip(a, b)) for a, b in ((m0, m1), (m0, star), (m1, star))]
+    return len(first_largest(choices, cls.packed.full))
 
 
 def graph_dimension(cls: PartialConceptClass) -> int:
@@ -258,14 +276,14 @@ def graph_dimension(cls: PartialConceptClass) -> int:
     concepts with the reference label at a point against all the others."""
     full = cls.packed.full
     masks = (*zip(*cls.packed.label_masks), cls.packed.star_masks)
-    return _choice_dimension(cls, [[(m, full & ~m) for m in ms] for ms in masks])
+    return len(first_largest([[(m, full & ~m) for m in ms] for ms in masks], full))
 
 
 def support_vc_dimension(cls: PartialConceptClass) -> int:
     """VC dimension of the supports' indicator class: x maps to 1 iff h is defined."""
     full = cls.packed.full
     sides = [(star, full & ~star) for star in cls.packed.star_masks]
-    return len(split_levels(sides, full))
+    return len(first_largest([sides], full))
 
 
 def multiclass_dimensions(cls: PartialConceptClass) -> MulticlassDimensions:

@@ -37,7 +37,7 @@ from .core import (
     PartialConceptClass,
     TotalConceptClass,
 )
-from .dimensions import littlestone_dimension, split_levels, subclass_strength
+from .dimensions import littlestone_dimension, shattered_sets, subclass_strength
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -76,8 +76,8 @@ def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
     n, exponent = cls.domain_size, cls.vc + 1
     lcm_n = lcm(*range(1, n + 1))
     scaled = [(lcm_n // (p + 1)) ** exponent for p in range(n)]
-    levels = split_levels(cls.packed.label_masks[x + 1 :], mask)
-    total = sum(scaled[x + 1 + pts[-1]] for level in levels for pts in level)
+    sets = shattered_sets([cls.packed.label_masks[x + 1 :]], mask)
+    total = sum(scaled[x + 1 + pts[-1]] for pts in sets)
     return Fraction(total, lcm_n**exponent)
 
 

@@ -35,7 +35,7 @@ from .core import (
     labeled_sample,
     max_realizable_subsequence,
 )
-from .dimensions import littlestone_dimension, split_levels
+from .dimensions import first_largest, littlestone_dimension
 from .online import Soa
 
 
@@ -95,7 +95,7 @@ class OneInclusionGraph:
         defined = cls.packed.full
         for m0, m1 in sides:
             defined &= m0 | m1
-        self.vc = len(split_levels(sides, defined))
+        self.vc = len(first_largest([sides], defined))
         self.out: list[list[int]] = [[] for _ in pats]
         for i, p in enumerate(pats):
             for c in range(len(points)):
@@ -339,7 +339,7 @@ def batch_and_validate(
         graphs.hypothesis(cls, frozenset(compress(atoms, s)))
         for s in seen[first].tolist()
     ]
-    wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps]).reshape(-1, a)
+    wrong = np.array([[h.labels[x] != y for x, y in atoms] for h in hyps]).reshape(len(hyps), a)
     # argmin keeps the first minimum: the first batch on ties
     scores = np.take_along_axis(counts[:, k] @ wrong.T, batch_set, axis=1)
     winners = np.take_along_axis(batch_set, scores.argmin(axis=1)[:, None], axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from pcl.core import (
 from pcl.dimensions import (
     DimensionReport,
     dual_vc_dimension,
+    first_largest,
     graph_dimension,
     is_shattered,
     littlestone_dimension,
@@ -25,15 +27,19 @@ from pcl.dimensions import (
     multiclass_dimensions,
     natarajan_dimension,
     sauer_bound,
+    shattered_sets,
     shattering_strength,
     subclass_strength,
     threshold_dimension,
     vc_dimension,
 )
 from pcl.disambiguation import _suffix_weight
+from pcl.experiments import generate_random_class
 from pcl.learners import OneInclusionGraph
+from pcl.online import Soa
 
 from _oracles import (
+    _soa_label_by_definition,
     graph_by_definition,
     graph_by_splits,
     ld_by_definition,
@@ -99,7 +105,7 @@ def level_cases(draw):
 
 
 class TestShatteredLevels:
-    """Every measure on the level-wise search against full subset scans."""
+    """Every measure on the depth-first walk against full subset scans."""
 
     @settings(max_examples=80, deadline=None)
     @given(level_cases())
@@ -143,12 +149,57 @@ class TestShatteredLevels:
             graph = OneInclusionGraph(cls, pts)
             assert graph.vc == vc_by_definition(PartialConceptClass(n, defined))
 
+    @settings(max_examples=80, deadline=None)
+    @given(level_cases())
+    # (0, 2) and (1, 2) are as large as (0, 1) and come after it in the walk
+    @example((concept_class(4, ["0000", "0110", "1010", "1100"]), 0b1111, -1))
+    @example((concept_class(3, ["01*", "110", "101"]), 0, -1))  # the empty subclass
+    def test_walk_yields_the_sets_in_lexicographic_order(self, case):
+        cls, mask, _ = case
+        kept = tuple(h for i, h in enumerate(cls.concepts) if mask >> i & 1)
+        sub = []
+        if kept:
+            sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
+        nonempty = sorted(pts for pts in sub if pts)
+        sides = [cls.packed.label_masks]
+        assert list(shattered_sets(sides, mask)) == nonempty
+        d = max(map(len, nonempty), default=0)
+        assert first_largest(sides, mask) == next((p for p in nonempty if len(p) == d), ())
+
+    def test_multiclass_peak_memory_stays_small(self):
+        # The walk holds the cell lists of one set per depth: graph and
+        # Natarajan here peak near 0.01 MiB traced, where holding whole
+        # levels of sets with their cell lists peaked at 5.5 and 0.9 MiB.
+        cls = generate_random_class(12, 80, 0.5, 7)
+        cls.packed  # built before tracing starts
+        tracemalloc.start()
+        try:
+            values = graph_dimension(cls), natarajan_dimension(cls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == (5, 3)
+        assert peak < 2**20
+
     @settings(max_examples=40, deadline=None)
     @given(classes(min_n=6, max_n=8, max_size=32))
     def test_multiclass_matches_splits(self, cls):
         # past the reach of the *_by_definition scans: every set re-split
         assert natarajan_dimension(cls) == natarajan_by_splits(cls)
         assert graph_dimension(cls) == graph_by_splits(cls)
+
+
+@st.composite
+def ld_queries(draw):
+    """A class on up to 6 points with up to 16 concepts, and the version
+    spaces of the prefixes of a labeled sequence, in a drawn order."""
+    cls = draw(classes(max_n=6, max_size=16))
+    point = st.integers(0, cls.domain_size - 1)
+    pairs = draw(st.lists(st.tuples(point, st.sampled_from((0, 1))), max_size=5))
+    masks = [mask := cls.packed.full]
+    for x, y in pairs:
+        masks.append(mask := mask & cls.packed.label_masks[x][y])
+    return cls, draw(st.permutations(masks))
 
 
 class TestLittlestoneDimension:
@@ -166,6 +217,22 @@ class TestLittlestoneDimension:
     @given(classes(max_n=4, max_size=10))
     def test_matches_definition_oracle(self, cls):
         assert littlestone_dimension(cls) == ld_by_definition(cls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ld_queries())
+    def test_restrictions_in_any_order_match_definition(self, case):
+        # each query may meet memo entries that earlier cut searches left
+        cls, masks = case
+        solver, soa = cls.ld_solver, Soa(cls)
+        for mask in masks:
+            kept = tuple(h for i, h in enumerate(cls.concepts) if mask >> i & 1)
+            if not kept:
+                assert solver.ld(mask) == -1
+                continue
+            sub = PartialConceptClass(cls.domain_size, kept)
+            assert solver.ld(mask) == ld_by_definition(sub)
+            for x in range(cls.domain_size):
+                assert soa(mask, x) == _soa_label_by_definition(sub, x)
 
     @settings(max_examples=80)
     @given(classes(max_n=5, max_size=12))

@@ -320,6 +320,12 @@ class TestPacWrapper:
                 cls, [(0, 0), (1, 0)], picks, 0.5, 0.5, OneInclusionCache()
             )
 
+    @pytest.mark.parametrize("atoms", [[], [(0, 1)]], ids=["no-atoms", "one-atom"])
+    def test_zero_trials_give_no_hypotheses(self, atoms):
+        cls = concept_class(2, ["01", "10"])
+        picks = np.zeros((0, pac_schedule(cls.vc, 0.9, 0.5).total), dtype=np.intp)
+        assert learners.batch_and_validate(cls, atoms, picks, 0.9, 0.5, cls.one_inclusion) == []
+
     def test_validation_point_outside_the_domain(self):
         cls = concept_class(3, ["001", "110"])
         sample = labeled_sample([(0, 0)] * 16 + [(7, 1)] * 134)
