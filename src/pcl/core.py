@@ -300,24 +300,38 @@ class FiniteDistribution:
         ``rng.choices`` sums them."""
         return np.array(list(accumulate(float(w) for _, w in self.atoms)))
 
+    @cached_property
+    def _twister(self):
+        """A numpy MT19937 to run a generator's state in, built once (about
+        130 us); ``numpy.random`` is imported on the first draw."""
+        from numpy.random import RandomState
+        return RandomState(0)
+
     def draw(self, rng: random.Random, n: int) -> np.ndarray:
         """The atom indices of n independent draws from ``rng``, as a 1-D array
-        of the smallest unsigned type that holds them, made from one
-        ``getrandbits`` call.
+        of the smallest unsigned type that holds them.
 
         The indices, and the state ``rng`` is left in, are exactly those of
         ``rng.choices(range(len(atoms)), weights=[float(w), ...], k=n)``, so a
-        draw of a and then of b indices is one draw of a + b.  Each ``random()``
-        is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over the generator's next
-        two 32-bit words a and b, and ``getrandbits(64 * n)`` returns the next
-        2n words in order, least significant first.  A draw is the first atom
-        whose running weight exceeds ``random() * total``, the last at most.
+        draw of a and then of b indices is one draw of a + b.  ``rng``'s
+        Mersenne Twister state is copied into a numpy ``RandomState``, whose
+        ``random_sample`` runs the same MT19937 in C and makes each value as
+        ``random()`` does, ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` over the
+        next two 32-bit words a and b; the advanced state is written back.  A
+        draw is the first atom whose running weight exceeds ``random() *
+        total``, the last at most.
         """
         if n < 0:
             raise ContractViolation(f"sample size must be nonnegative, got {n}")
-        cum = self._cum_weights
-        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
-        u = ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) * 2.0**-53
+        try:
+            version, key, gauss = rng.getstate()
+        except NotImplementedError:
+            raise ContractViolation(f"cannot draw from {type(rng).__name__}: it has no state") from None
+        cum, twister = self._cum_weights, self._twister
+        twister.set_state(("MT19937", key[:-1], key[-1]))
+        u = twister.random_sample(n)
+        _, words, pos = twister.get_state()[:3]
+        rng.setstate((version, (*words.tolist(), pos), gauss))
         u *= cum[-1]
         # the count of running weights at most u * total, short of the last,
         # one comparison pass per weight: a class has few atoms per point

@@ -611,10 +611,10 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
     return Report(cfg.experiment, cfg.seed, checks, {"samples": n_samples})
 
 
-# Trials drawn and fitted per call.  Blocks of 16 to 256 trials run about
-# equally fast; the draws and counts of a block of 64 peak near 1.3 MiB, those
-# of one block of all 2000 trials near 37 MiB (tracemalloc, acceptance
-# parameters).
+# Trials drawn and fitted per call.  Blocks of 64 to 256 trials run within
+# about 10 % of each other, blocks of 16 about 1.8x slower; the draws and
+# counts of a block of 64 peak near 0.7 MiB, those of one block of all 2000
+# trials near 20 MiB (tracemalloc, acceptance parameters).
 _PAC_BLOCK = 64
 
 

@@ -325,11 +325,12 @@ def batch_and_validate(
         raise ContractViolation(
             f"pick {picks[bad][0]} is not an atom index; there are {a} atoms"
         )
-    # part j < k of a row is batch j, part k its validation points
-    part = np.repeat(np.arange(k + 1), [schedule.batch_size] * k + [schedule.validation_size])
-    cells = (np.arange(trials)[:, None] * (k + 1) + part) * a + picks[:, : schedule.total]
-    counts = np.bincount(cells.ravel(), minlength=trials * (k + 1) * a)
-    counts = counts.reshape(trials, k + 1, a)
+    # counts[r, i, j]: atom j's picks in row r's batch i < k, or in its
+    # validation points for i = k
+    starts = np.arange(k + 1) * schedule.batch_size
+    counts = np.zeros((trials, k + 1, a), np.intp)
+    for j in range(a):
+        counts[:, :, j] = np.add.reduceat(picks[:, : schedule.total] == j, starts, axis=1)
     # each batch's seen set as one byte string, numbered in sorted order
     seen = (counts[:, :k] > 0).reshape(trials * k, a)
     keys = seen.view(np.dtype((np.void, a))).ravel()

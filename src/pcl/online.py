@@ -14,18 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, PartialConceptClass, min_mistakes
+from .core import ContractViolation, PartialConceptClass, check_points, min_mistakes
 from .dimensions import LittlestoneTree, littlestone_dimension, littlestone_tree
 
 Learner = Callable[[int, int], int]
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     x: int
     prediction: int
     y: int
@@ -48,7 +47,7 @@ def play_sequence(
     learner: Learner,
     sequence: Sequence[tuple[int, int]],
 ) -> OnlineTranscript:
-    best = min_mistakes(cls, sequence)  # checks every point before any is played
+    check_points(cls, sequence)  # every point, before any is played
     label_masks = cls.packed.label_masks
     mask = cls.packed.full
     rounds = []
@@ -61,6 +60,8 @@ def play_sequence(
         mistakes += bad
         rounds.append(Round(x, p, y, bad))
         mask &= label_masks[x][y]
+    # a concept left in the version space realizes the whole sequence
+    best = 0 if mask else min_mistakes(cls, sequence)
     return OnlineTranscript(tuple(rounds), mistakes, best)
 
 

@@ -1,6 +1,7 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
-from random import Random
+from random import Random, SystemRandom
 
 import numpy as np
 import pytest
@@ -359,6 +360,7 @@ class TestSampleStream:
     @example([(0, 0, 1), (1, 1, 10**15)], 1, 5)
     @example([(2, 1, 1), (0, 0, 10**15), (1, 1, 1)], 2000, 7)
     @example([(x, x % 2, 1 + x % 3) for x in range(300)], 2000, 11)  # indices past 255
+    @example([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 4)], 64 * 937, 13)  # a pac block
     def test_matches_choices(self, atoms, n, seed):
         dist = _from_raw_weights(atoms)
         mine, indexed, theirs = Random(seed), Random(seed), Random(seed)
@@ -376,6 +378,7 @@ class TestSampleStream:
         _weighted_atoms, st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**64)
     )
     @example([(0, 0, 1), (1, 1, 3)], 0, 5, 3)
+    @example([(0, 0, 1), (1, 1, 3)], 312, 5, 3)  # b starts at state position 624
     def test_consecutive_draws_continue_one_stream(self, atoms, a, b, seed):
         # pac-realizable draws its blocks of trials one after another from
         # one generator per distribution
@@ -401,6 +404,23 @@ class TestSampleStream:
     def test_negative_size_rejected(self):
         with pytest.raises(ContractViolation, match="got -1"):
             uniform_on([(0, 0)]).sample(Random(0), -1)
+
+
+# sha256 of the index bytes of a suite-shaped block (64 trials of 937 draws)
+_PAC_BLOCK_DIGEST = "7cb3998264ae6f6fbf242252b82b53d3483fb3c4b0780d178dbf5c1f20caeaf6"
+
+
+class TestDrawContract:
+    def test_pac_block_stream_is_pinned(self):
+        # no report digest sees the pac-draw stream; this literal does
+        dist = finite_distribution({(0, 0): "1/10", (1, 1): "1/5", (2, 0): "3/10", (3, 1): "2/5"})
+        picks = dist.draw(Random(20240817), 64 * 937)
+        assert picks.dtype == np.uint8
+        assert hashlib.sha256(picks.tobytes()).hexdigest() == _PAC_BLOCK_DIGEST
+
+    def test_stateless_generator_rejected(self):
+        with pytest.raises(ContractViolation, match="SystemRandom"):
+            uniform_on([(0, 0), (1, 1)]).draw(SystemRandom(), 3)
 
 
 class TestMaxRealizableSubsequence:

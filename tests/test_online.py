@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcl import dimensions
-from pcl.core import ContractViolation, concept_class, min_mistakes
+from pcl.core import STAR, ContractViolation, concept_class, min_mistakes
 from pcl.dimensions import littlestone_dimension, measure_report, verify_tree
 from pcl.experiments import _ftl_mistakes
 from pcl.online import (
@@ -24,7 +24,7 @@ from pcl.online import (
 )
 
 from _oracles import follow_the_leader_mistakes
-from _strategies import classes
+from _strategies import classes, classes_with_samples
 
 
 def full_cube(n):
@@ -62,6 +62,35 @@ class TestSoa:
             for pts in product(supp, repeat=3):
                 seq = [(x, h[x]) for x in pts]
                 assert play_sequence(cls, soa, seq).mistakes <= ld
+
+
+class TestPlaySequence:
+    @settings(max_examples=80, deadline=None)
+    @given(classes_with_samples(max_len=8), st.integers(-1, 11))
+    @example((concept_class(2, ["0*", "11"]), ((1, 0), (0, 0))), -1)
+    @example((concept_class(2, ["0*", "11"]), ((0, 0), (1, 1))), 1)
+    def test_best_in_class_is_min_mistakes(self, drawn, target):
+        # target -1 keeps the drawn labels; otherwise the sequence takes the
+        # labels of concept target (mod |H|) on its defined points
+        cls, pairs = drawn
+        if target >= 0:
+            h = cls.concepts[target % len(cls.concepts)]
+            pairs = tuple((x, h[x]) for x, _ in pairs if h[x] != STAR)
+        transcript = play_sequence(cls, Soa(cls), pairs)
+        assert transcript.best_in_class == min_mistakes(cls, pairs)
+        assert target < 0 or transcript.best_in_class == 0
+
+    def test_out_of_domain_point_raises_before_any_round(self):
+        cls = concept_class(2, ["01", "10"])
+        asked = []
+
+        def spy(mask, x):
+            asked.append(x)
+            return 0
+
+        with pytest.raises(ValueError, match="point index 2"):
+            play_sequence(cls, spy, [(0, 0), (1, 1), (2, 0)])
+        assert asked == []
 
 
 class TestEmptySubclass:

@@ -1,6 +1,9 @@
 """Structural guards on the package source, read with the AST."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,7 +111,8 @@ _NUMPY_STREAMS = {"default_rng", "Generator"}
 
 def _numpy_stream_lines(tree: ast.AST) -> list[int]:
     """Lines naming a numpy random stream: ``np.random``, ``default_rng`` or
-    ``Generator``, as an attribute, a name or an import."""
+    ``Generator``, as an attribute, a name or an import.  The one import let
+    through is exactly ``from numpy.random import RandomState``."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -121,6 +125,9 @@ def _numpy_stream_lines(tree: ast.AST) -> list[int]:
             if any(alias.name.startswith("numpy.random") for alias in node.names):
                 lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom):
+            names = [(alias.name, alias.asname) for alias in node.names]
+            if node.module == "numpy.random" and names == [("RandomState", None)]:
+                continue
             if (node.module or "").startswith("numpy.random") or any(
                 alias.name in _NUMPY_STREAMS for alias in node.names
             ):
@@ -131,7 +138,12 @@ def _numpy_stream_lines(tree: ast.AST) -> list[int]:
 def test_no_numpy_random_streams():
     """Every suite draws from ``random.Random``, whose streams Python keeps
     across versions; numpy promises no stream of its ``Generator``s across
-    versions, so a report drawn from one could change with numpy."""
+    versions, so a report drawn from one could change with numpy.
+
+    The only numpy twister allowed is ``RandomState``, which
+    ``FiniteDistribution.draw`` runs on a ``random.Random``'s own state: NEP 19
+    freezes its stream, and ``test_core.TestSampleStream`` pins it draw for
+    draw against ``rng.choices``."""
     for path in MODULES:
         lines = _numpy_stream_lines(_tree(path))
         assert lines == [], f"numpy random stream in {path.name} at lines {lines}"
@@ -144,6 +156,36 @@ def test_no_numpy_random_streams():
     assert _numpy_stream_lines(ast.parse("import numpy.random")) == [1]
     assert _numpy_stream_lines(ast.parse("def f(g: Generator): pass")) == [1]
     assert _numpy_stream_lines(ast.parse("u = random.Random(0).random() + rng.random()")) == []
+    # RandomState imported alone passes; beside a stream it is still flagged
+    assert _numpy_stream_lines(
+        ast.parse("from numpy.random import RandomState\nt = RandomState(0)")
+    ) == []
+    assert _numpy_stream_lines(
+        ast.parse("from numpy.random import RandomState, default_rng")
+    ) == [1]
+
+
+def test_measuring_leaves_numpy_random_unloaded():
+    """``numpy.random`` (over 1 MiB of peak RSS) is imported on the first
+    ``FiniteDistribution.draw``; importing the CLI and measuring a dimension
+    make no draw, so they leave it out."""
+    code = (
+        "import sys\n"
+        "import pcl, pcl.cli\n"
+        "from random import Random\n"
+        "from pcl import core, dimensions\n"
+        "dimensions.measure_report(core.concept_class(3, ['01*', '110', '0*1']), 'ld')\n"
+        "print('numpy.random' in sys.modules)\n"
+        "core.uniform_on([(0, 1)]).draw(Random(0), 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 def _targets(node: ast.AST) -> list[ast.AST]:
