@@ -4,12 +4,13 @@ Everything here is enumeration-based and exact; the intended scale is desk
 size (domains up to ~14 points, classes up to a few dozen concepts).
 
 Every shattering notion splits the class into nonempty cells of concepts, one
-pair of disjoint sides (A, B) per point, in one depth-first walk whose sets
-carry their cells (``shattered_sets``), so memory is bounded by depth.  VC,
-strength and support VC have one pair per point; Natarajan and graph choose
-among three, and a set carries one cell list per choice that still leaves
-every cell nonempty.  The empty subclass has LD -1, below every nonempty one,
-so no LD reader needs an emptiness branch.
+pair of disjoint sides (A, B) per point, depth-first with each set carrying
+its cells, so memory is bounded by depth: one largest-set search
+(``first_largest``) and one recursive count fold (``shattered_weight``), which
+builds no set.  VC, strength and support VC have one pair per point; Natarajan
+and graph choose among three, and a set carries one cell list per choice that
+still leaves every cell nonempty.  The empty subclass has LD -1, below every
+nonempty one, so no LD reader needs an emptiness branch.
 """
 
 from __future__ import annotations
@@ -36,25 +37,21 @@ def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     return splits(cls.packed.label_masks, cls.packed.full, points)
 
 
-def shattered_sets(choices, mask: int, cut: bool = False):
-    """The nonempty point sets at which a choice among ``choices`` (sides
-    sequences, one disjoint pair (A, B) per point) splits the subclass
-    ``mask`` into nonempty cells, depth-first, so in lexicographic order.
-
-    A set carries one cell list per choice of its points that leaves no cell
-    empty, and only the sets on the current path are held.  With ``cut`` the
-    walk skips each set that, with every point after it added, is no larger
-    than the largest yielded so far; the first largest set it yields is still
-    the lexicographically first.
+def first_largest(choices, mask: int) -> tuple[int, ...]:
+    """The lexicographically first largest point set at which a choice among
+    ``choices`` (sides sequences, one disjoint pair (A, B) per point) splits
+    the subclass ``mask`` into nonempty cells, found depth-first: a set
+    carries one cell list per choice that leaves no cell empty, and is skipped
+    when it cannot outgrow the largest found even with every later point.
     """
     n = len(choices[0])
     pts: list[int] = []
     path = []  # path[k]: the cell lists the set pts[:k] carries
     # a cell of one concept never splits, so a list holding one is dropped
     carried = [[mask]] if mask & (mask - 1) else []
-    best = x = 0
+    best, x = (), 0
     while True:
-        if x < n and carried and not (cut and len(pts) + n - x <= best):
+        if x < n and carried and len(pts) + n - x > len(best):
             out = []
             found = False
             for sides in choices:
@@ -80,19 +77,43 @@ def shattered_sets(choices, mask: int, cut: bool = False):
                 pts.append(x)
                 path.append(carried)
                 carried = out
-                best = max(best, len(pts))
-                yield tuple(pts)
+                if len(pts) > len(best):
+                    best = tuple(pts)
             x += 1
         elif pts:
             x = pts.pop() + 1
             carried = path.pop()
         else:
-            return
+            return best
 
 
-def first_largest(choices, mask: int) -> tuple[int, ...]:
-    """The lexicographically first largest set of ``shattered_sets``."""
-    return max(shattered_sets(choices, mask, cut=True), key=len, default=())
+def shattered_weight(sides, mask: int, weight) -> int:
+    """Sum of ``weight[max S]`` over the nonempty point sets S that the
+    subclass ``mask`` shatters, where ``sides[x]`` is point x's pair (A, B)."""
+    return _weight_after(sides, [mask], 0, weight) if mask & (mask - 1) else 0
+
+
+def _weight_after(sides, cells, start, weight):
+    """``shattered_weight`` over the extensions of a set's ``cells`` by points >= start."""
+    total = 0
+    for x in range(start, len(sides)):
+        a_side, b_side = sides[x]
+        split = []
+        deep = True
+        for m in cells:
+            a = m & a_side
+            if not a:
+                break
+            b = m & b_side
+            if not b:
+                break
+            split += (a, b)
+            deep = deep and a & (a - 1) and b & (b - 1)
+        else:
+            total += weight[x]
+            if deep:  # a one-concept cell never splits, so depth <= log2 |mask|
+                total += _weight_after(sides, split, x + 1, weight)
+    return total
 
 
 def vc_dimension(cls: PartialConceptClass, witness: bool = False):
@@ -110,7 +131,7 @@ def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
     set; 0 for the empty subclass."""
     if not mask:
         return 0
-    return 1 + sum(1 for _ in shattered_sets([cls.packed.label_masks], mask))
+    return 1 + shattered_weight(cls.packed.label_masks, mask, [1] * cls.domain_size)
 
 
 def shattering_strength(cls: PartialConceptClass) -> int:
@@ -221,9 +242,15 @@ def _bits(m: int):
 def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
     """Longest staircase: points x_1..x_d and concepts h_1..h_d with h_i(x_j)=1[i<=j].
 
-    Depth-first search on masks of live points and concepts.  Choosing the next
-    (x, h) with h(x)=1 restricts future concepts to those labeling all chosen
-    points 0, and future points to those labeled 1 by all chosen concepts.
+    Depth-first search on masks of live points and concepts, in ascending
+    order.  Choosing the next (x, h) with h(x)=1 restricts future concepts to
+    those labeling all chosen points 0, and future points to those labeled 1
+    by all chosen concepts.  Three cuts keep the first longest staircase:
+    (1) a child is entered only if its depth plus its fewer live points or
+    concepts beats the best; (2) under one x, a concept whose child points
+    equal an earlier sibling's is skipped, as its subtree is the same; (3) a
+    node stops unless its depth plus the most live points one live concept
+    labels 1 beats the best, as the next chain concept is 1 at all of them.
     """
     label_masks = cls.packed.label_masks
     ones_at = [0] * len(cls.concepts)  # ones_at[r]: the points where concept r is 1
@@ -236,17 +263,24 @@ def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
     def extend(points_avail, rows_avail, chain_pts, chain_rows):
         nonlocal best, best_chain
         depth = len(chain_pts)
-        if depth + min(points_avail.bit_count(), rows_avail.bit_count()) <= best:
+        for r in _bits(rows_avail):  # cut 3
+            if depth + (points_avail & ones_at[r]).bit_count() > best:
+                break
+        else:
             return
         for x in _bits(points_avail):
             m0, m1 = label_masks[x]
             nxt_rows = rows_avail & m0
             others = points_avail & ~(1 << x)
+            firsts = {}  # cut 2: the first concept per distinct child point set
             for r in _bits(rows_avail & m1):
+                firsts.setdefault(others & ones_at[r], r)
+            for nxt_pts, r in firsts.items():
                 if depth + 1 > best:
                     best = depth + 1
                     best_chain = (chain_pts + (x,), chain_rows + (r,))
-                extend(others & ones_at[r], nxt_rows, chain_pts + (x,), chain_rows + (r,))
+                if depth + 1 + min(nxt_pts.bit_count(), nxt_rows.bit_count()) > best:
+                    extend(nxt_pts, nxt_rows, chain_pts + (x,), chain_rows + (r,))
 
     extend((1 << cls.domain_size) - 1, cls.packed.full, (), ())
     if witness:

@@ -13,10 +13,12 @@ potential of the subclass's two restrictions:
   denominator ``lcm(1..n)^(d+1)``, giving at most ``(d+1) log2(m) + 2``
   updates within every prefix of length m.
 
-Each update at least halves the relevant potential, which is what the update
-bounds certify.  The votes revisit the same subclass at many points, so each
-procedure memoizes its potential for the length of one call; the memo goes
-with the call and keeps no class alive.
+Both potentials are ``dimensions.shattered_weight`` folds, so votes compare
+integer numerators, in the fractions' order, ties to 0.  Each update at least
+halves the relevant potential, which is what the update bounds certify.  The
+votes revisit the same subclass at many points, so each procedure memoizes its
+potential for the length of one call; the memo goes with the call and keeps no
+class alive.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import (
     PartialConceptClass,
     TotalConceptClass,
 )
-from .dimensions import littlestone_dimension, shattered_sets, subclass_strength
+from .dimensions import littlestone_dimension, shattered_weight, subclass_strength
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -65,24 +67,24 @@ class Disambiguation:
         return sum(1 for x in self.update_positions[h] if x < m)
 
 
-def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
-    """Sum of 1/max(S)^(d+1) over nonempty subsets S of {x+1, ..} that the
-    subclass ``mask`` shatters, with d = VC(H).
-
-    Points are weighted by their 1-based position, matching the harmonic
-    convergence of the potential.  The sum is taken in integers over the
-    common denominator lcm(1..n)^(d+1).
-    """
+def _scaled_weights(cls: PartialConceptClass) -> tuple[list[int], int]:
+    """Point p's weight 1/(p+1)^(d+1), d = VC(H), as an integer over the
+    common denominator lcm(1..n)^(d+1); and that denominator."""
     n, exponent = cls.domain_size, cls.vc + 1
     lcm_n = lcm(*range(1, n + 1))
-    scaled = [(lcm_n // (p + 1)) ** exponent for p in range(n)]
-    sets = shattered_sets([cls.packed.label_masks[x + 1 :]], mask)
-    total = sum(scaled[x + 1 + pts[-1]] for pts in sets)
-    return Fraction(total, lcm_n**exponent)
+    return [(lcm_n // (p + 1)) ** exponent for p in range(n)], lcm_n**exponent
+
+
+def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
+    """Sum of 1/max(S)^(d+1) over nonempty subsets S of {x+1, ..} that the
+    subclass ``mask`` shatters, points counted from 1: the weighted potential."""
+    scaled, denominator = _scaled_weights(cls)
+    suffix = cls.packed.label_masks[x + 1 :]
+    return Fraction(shattered_weight(suffix, mask, scaled[x + 1 :]), denominator)
 
 
 def _run_sequential(
-    cls: PartialConceptClass, potential: Callable[[int, int], int | Fraction], algorithm: str
+    cls: PartialConceptClass, potential: Callable[[int, int], int], algorithm: str
 ) -> Disambiguation:
     """Extend each concept point by point, and narrow the consistent subclass
     ``mask`` only where the concept forces the label that lost the vote.
@@ -133,7 +135,10 @@ def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
 
 def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
-    return _run_sequential(cls, cache(partial(_suffix_weight, cls)), "weighted")
+    scaled, _ = _scaled_weights(cls)  # once per call: votes compare numerators
+    sides = cls.packed.label_masks
+    numerator = cache(lambda mask, x: shattered_weight(sides[x + 1 :], mask, scaled[x + 1 :]))
+    return _run_sequential(cls, numerator, "weighted")
 
 
 def strong_violation(

@@ -648,9 +648,10 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
             for hyp in learners.batch_and_validate(
                 cls, atoms, picks, eps, delta, cls.one_inclusion
             ):
-                if hyp not in errors:
-                    errors[hyp] = sum(w for (x, y), w in dist.atoms if hyp.labels[x] != y)
-                failures += errors[hyp] > eps
+                err = errors.get(hyp)
+                if err is None:
+                    err = errors[hyp] = sum(w for (x, y), w in dist.atoms if hyp.labels[x] != y)
+                failures += err > eps
         rate = failures / trials
         sigma = math.sqrt(max(rate * (1 - rate), delta * (1 - delta)) / trials)
         checks.append(

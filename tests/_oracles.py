@@ -220,6 +220,50 @@ def _soa_label_by_definition(cls: PartialConceptClass, x: int) -> int:
     return 0 if ld0 >= ld1 else 1
 
 
+def sequential_by_definition(cls: PartialConceptClass, vote: str):
+    """The sequential disambiguation of each concept, label lists throughout:
+    ``(extension_of, update_positions)`` with extensions as label tuples.
+
+    At point x the maintained subclass votes between its restrictions to 0
+    and 1 by a potential in Fractions, ties to 0; a label no concept of the
+    subclass takes loses outright.  The ``"majority"`` potential counts the
+    shattered sets, the empty one included; the ``"weighted"`` one sums
+    1/(max S + 1)^(d+1) over the nonempty shattered S above x, d = VC(H).
+    Where the concept forces the losing label, that label is written, the
+    subclass is restricted to it and x is an update.
+    """
+    n, d = cls.domain_size, vc_by_definition(cls)
+
+    def potential(concepts, x):
+        sets = shattered_sets_by_definition(PartialConceptClass(n, concepts))
+        if vote == "majority":
+            return Fraction(len(sets))
+        return sum(
+            (Fraction(1, (pts[-1] + 1) ** (d + 1)) for pts in sets if pts and pts[0] > x),
+            Fraction(0),
+        )
+
+    extensions, updates = {}, {}
+    for h in cls.concepts:
+        sub = cls.concepts
+        out, upd = [], []
+        for x in range(n):
+            zeros = tuple(g for g in sub if g[x] == 0)
+            ones = tuple(g for g in sub if g[x] == 1)
+            if zeros and ones:
+                y = 0 if potential(zeros, x) >= potential(ones, x) else 1
+            else:
+                y = 1 if ones else 0
+            if h[x] != STAR and h[x] != y:
+                y = h[x]
+                sub = ones if y == 1 else zeros
+                upd.append(x)
+            out.append(y)
+        extensions[h] = tuple(out)
+        updates[h] = tuple(upd)
+    return extensions, updates
+
+
 def compression_totals_by_definition(cls: PartialConceptClass) -> set[tuple[int, ...]]:
     """SOA's rebuild from every realizable *sequence* of at most LD pairs.
 

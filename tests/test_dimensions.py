@@ -27,7 +27,7 @@ from pcl.dimensions import (
     multiclass_dimensions,
     natarajan_dimension,
     sauer_bound,
-    shattered_sets,
+    shattered_weight,
     shattering_strength,
     subclass_strength,
     threshold_dimension,
@@ -155,16 +155,22 @@ class TestShatteredLevels:
     @example((concept_class(4, ["0000", "0110", "1010", "1100"]), 0b1111, -1))
     @example((concept_class(3, ["01*", "110", "101"]), 0, -1))  # the empty subclass
     def test_walk_yields_the_sets_in_lexicographic_order(self, case):
+        # With weight B**x the fold spells, as base-B digits, the number of
+        # shattered sets whose largest point is x: at most 2**x < B of them.
+        # The search returns the lexicographically first largest set.
         cls, mask, _ = case
         kept = tuple(h for i, h in enumerate(cls.concepts) if mask >> i & 1)
         sub = []
         if kept:
             sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
         nonempty = sorted(pts for pts in sub if pts)
-        sides = [cls.packed.label_masks]
-        assert list(shattered_sets(sides, mask)) == nonempty
+        n, sides = cls.domain_size, cls.packed.label_masks
+        base = 2**n + 1
+        total = shattered_weight(sides, mask, [base**x for x in range(n)])
+        digits = [total // base**x % base for x in range(n)]
+        assert digits == [sum(1 for p in nonempty if p[-1] == x) for x in range(n)]
         d = max(map(len, nonempty), default=0)
-        assert first_largest(sides, mask) == next((p for p in nonempty if len(p) == d), ())
+        assert first_largest([sides], mask) == next((p for p in nonempty if len(p) == d), ())
 
     def test_multiclass_peak_memory_stays_small(self):
         # The walk holds the cell lists of one set per depth: graph and
@@ -262,9 +268,15 @@ class TestThresholdDimension:
     def test_matches_definition_oracle(self, cls):
         assert threshold_dimension(cls) == td_by_definition(cls)
 
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     @given(classes(max_n=7, max_size=14))
     @example(total_thresholds(5))
+    # dims shapes, where a concept's child points often repeat a sibling's
+    # and a node's live concepts often cannot carry a longer chain
+    @example(generate_random_class(12, 40, 0.25, 0))
+    @example(generate_random_class(12, 40, 0.25, 3))
+    @example(generate_random_class(14, 48, 0.15, 1))
+    @example(generate_random_class(14, 48, 0.15, 7))
     def test_witness_matches_the_label_search(self, cls):
         # the mask search visits points and concepts in the same ascending
         # order, so it must find the very same first staircase

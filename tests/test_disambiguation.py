@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 from itertools import product
@@ -19,6 +20,7 @@ from pcl.dimensions import (
     littlestone_dimension,
     sauer_bound,
     shattering_strength,
+    threshold_dimension,
     vc_dimension,
 )
 from pcl.disambiguation import (
@@ -36,8 +38,9 @@ from pcl.disambiguation import (
     weak_violation,
     weighted_disambiguate,
 )
+from pcl.experiments import generate_random_class
 
-from _oracles import compression_totals_by_definition
+from _oracles import compression_totals_by_definition, sequential_by_definition
 from _strategies import classes
 
 
@@ -125,6 +128,37 @@ class TestWeightedDisambiguation:
                     mask &= cls.packed.label_masks[x][h[x]]
                     after = _suffix_weight(cls, mask, x)
                     assert 2 * after <= before
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes(max_n=5, max_size=10))
+def test_both_votes_match_the_definition(cls):
+    for vote, procedure in (
+        ("majority", vc_majority_disambiguate),
+        ("weighted", weighted_disambiguate),
+    ):
+        res = procedure(cls)
+        extensions, updates = sequential_by_definition(cls, vote)
+        assert {h: bar.labels for h, bar in res.extension_of.items()} == extensions
+        assert res.update_positions == updates
+
+
+# sha256 of one dims-shaped class's td and vc witnesses, strength and both
+# votes' update positions, taken before the count fold and the staircase cuts
+_DIMS_CLASS_DIGEST = "dd7fcf5dde6c939679f862d77275231892dbe4c95775cedb4ac263035b68be42"
+
+
+def test_dims_class_outputs_are_pinned():
+    cls = generate_random_class(14, 48, 0.15, 1)
+    td, (pts, hs) = threshold_dimension(cls, witness=True)
+    record = (
+        (td, pts, tuple(h.labels for h in hs)),
+        vc_dimension(cls, witness=True),
+        shattering_strength(cls),
+        tuple(vc_majority_disambiguate(cls).update_positions[h] for h in cls.concepts),
+        tuple(weighted_disambiguate(cls).update_positions[h] for h in cls.concepts),
+    )
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == _DIMS_CLASS_DIGEST
 
 
 def test_potential_memos_die_with_the_call():
