@@ -162,19 +162,6 @@ class PartialConceptClass:
         return OneInclusionCache()
 
 
-def splits(sides: Sequence[tuple[int, int]], mask: int, points: Iterable[int]) -> bool:
-    """Whether splitting ``mask`` by ``sides[x] = (A, B)`` at each of ``points``
-    leaves all 2^|points| cells nonempty: shattering when the sides are the
-    0 and 1 label masks, a three-label notion of ``dimensions`` otherwise."""
-    cells = [mask]
-    for x in points:
-        if not all(cells):
-            return False
-        a_side, b_side = sides[x]
-        cells = [half for m in cells for half in (m & a_side, m & b_side)]
-    return all(cells)
-
-
 class PackedClass:
     """A class encoded as concept bitmasks: bit i stands for ``concepts[i]``.
 

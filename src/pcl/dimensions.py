@@ -28,13 +28,12 @@ from .core import (
     TotalConceptClass,
     is_realizable,
     labeled_sample,
-    splits,
 )
 
 
 def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     """A point set is shattered when every binary pattern on it is realized."""
-    return splits(cls.packed.label_masks, cls.packed.full, points)
+    return len(cls.binary_patterns(points)) == 2 ** len(points)
 
 
 def first_largest(choices, mask: int) -> tuple[int, ...]:
@@ -222,7 +221,9 @@ def littlestone_tree(cls: PartialConceptClass, d: int) -> Optional[LittlestoneTr
                 return LittlestoneTree(x, build(m0, depth - 1), build(m1, depth - 1))
         raise AssertionError("recursion promised a deeper tree than it can build")
 
-    return build(full, d)
+    tree = build(full, d)
+    del build  # build's cell refers to build: a cycle the collector would free
+    return tree
 
 
 def verify_tree(cls: PartialConceptClass, tree: Optional[LittlestoneTree]) -> bool:
@@ -283,6 +284,7 @@ def threshold_dimension(cls: PartialConceptClass, witness: bool = False):
                     extend(nxt_pts, nxt_rows, chain_pts + (x,), chain_rows + (r,))
 
     extend((1 << cls.domain_size) - 1, cls.packed.full, (), ())
+    del extend  # extend's cell refers to extend: a cycle the collector would free
     if witness:
         pts, row_ids = best_chain
         return best, (pts, tuple(cls.concepts[i] for i in row_ids))

@@ -24,7 +24,6 @@ class alive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
 from math import comb, lcm
@@ -75,12 +74,12 @@ def _scaled_weights(cls: PartialConceptClass) -> tuple[list[int], int]:
     return [(lcm_n // (p + 1)) ** exponent for p in range(n)], lcm_n**exponent
 
 
-def _suffix_weight(cls: PartialConceptClass, mask: int, x: int) -> Fraction:
-    """Sum of 1/max(S)^(d+1) over nonempty subsets S of {x+1, ..} that the
-    subclass ``mask`` shatters, points counted from 1: the weighted potential."""
-    scaled, denominator = _scaled_weights(cls)
-    suffix = cls.packed.label_masks[x + 1 :]
-    return Fraction(shattered_weight(suffix, mask, scaled[x + 1 :]), denominator)
+def _suffix_numerator(sides, scaled: list[int], mask: int, x: int) -> int:
+    """The weighted vote's potential of the subclass ``mask`` after point x,
+    over the denominator of ``_scaled_weights``: the sum of 1/max(S)^(d+1)
+    over nonempty subsets S of {x+1, ..} that it shatters, points counted
+    from 1, where ``sides`` are the label masks and ``scaled`` the weights."""
+    return shattered_weight(sides[x + 1 :], mask, scaled[x + 1 :])
 
 
 def _run_sequential(
@@ -136,8 +135,7 @@ def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
 def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
     scaled, _ = _scaled_weights(cls)  # once per call: votes compare numerators
-    sides = cls.packed.label_masks
-    numerator = cache(lambda mask, x: shattered_weight(sides[x + 1 :], mask, scaled[x + 1 :]))
+    numerator = cache(partial(_suffix_numerator, cls.packed.label_masks, scaled))
     return _run_sequential(cls, numerator, "weighted")
 
 

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -195,12 +195,14 @@ class TreeAdversary:
     """Oblivious fair-coin labels at the points of a depth-d mistake tree.
 
     The T rounds form d blocks; every round of block i asks the point of the
-    tree node reached by the majority labels of the blocks before it.  At
-    T = d each block is one round whose majority is its own coin, so the
-    sequence walks a uniformly random branch and any deterministic learner
-    errs d/2 times in expectation; at larger T the best concept follows the
-    block majorities and the learner's regret is Omega(sqrt(dT)).  d = T = 0
-    is the empty game.
+    tree node reached by the majority labels of the blocks before it (ties to
+    0).  Each label is a fair coin drawn after the prediction, so every
+    learner expects T/2 mistakes.  Each block asks one point and its majority
+    branch is realizable, so the best concept errs min(B, L - B) times in a
+    block of length L with B ones.  Every deterministic learner therefore has
+    the same expected regret, the sum over blocks of E|B - L/2| with
+    B ~ Bin(L, 1/2) (``expected_regret``): d/2 at T = d, where each block is
+    one round, and Omega(sqrt(dT)) at larger T.  d = T = 0 is the empty game.
     """
 
     cls: PartialConceptClass
@@ -227,13 +229,15 @@ class TreeAdversary:
     def generate(self, rng: random.Random) -> list[tuple[int, int]]:
         return self.sequence([rng.getrandbits(1) for _ in range(self.T)])
 
-    def exact_expected_mistakes(self, learner: Learner) -> Fraction:
-        """Average mistakes of a deterministic learner over all 2^T label strings."""
-        total = sum(
-            play_sequence(self.cls, learner, self.sequence(ys)).mistakes
-            for ys in product((0, 1), repeat=self.T)
-        )
-        return Fraction(total, 2**self.T)
+    def expected_regret(self) -> Fraction:
+        """Every deterministic learner's expected regret: the sum over blocks
+        of E|B - L/2| = k C(L, k) / 2^L, k = floor(L/2) + 1 (de Moivre)."""
+        total = Fraction(0)
+        for start, end in self.block_bounds():
+            L = end - start
+            k = L // 2 + 1
+            total += Fraction(k * comb(L, k), 2**L)
+        return total
 
 
 def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass, splits
+from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
 from pcl.geometry import PackingResult
 from pcl.learners import OneInclusionGraph, pac_schedule
 
@@ -152,6 +152,19 @@ def _largest_by_levels(n: int, holds) -> int:
     ]:
         d += 1
     return d
+
+
+def splits(sides, mask: int, points) -> bool:
+    """Whether splitting ``mask`` by ``sides[x] = (A, B)`` at each of ``points``
+    leaves all 2^|points| cells nonempty: shattering when the sides are the
+    0 and 1 label masks, a three-label notion otherwise."""
+    cells = [mask]
+    for x in points:
+        if not all(cells):
+            return False
+        a_side, b_side = sides[x]
+        cells = [half for m in cells for half in (m & a_side, m & b_side)]
+    return all(cells)
 
 
 def _natarajan_shatters(cls: PartialConceptClass, pts) -> bool:
@@ -553,3 +566,29 @@ def follow_the_leader_mistakes(sequence) -> int:
         seen = [b for p, b in sequence[:t] if p == x]
         mistakes += (1 if 2 * sum(seen) > len(seen) else 0) != y
     return mistakes
+
+
+def tree_game_by_enumeration(adv, learner) -> tuple[Fraction, Fraction]:
+    """A deterministic learner's mean mistakes and mean regret against the
+    tree adversary ``adv``, over all 2^T label strings, each played round by
+    round: the d blocks of T // d rounds (the last takes the rest) each ask
+    the point of the node that the earlier blocks' majorities (ties to 0)
+    reach, and the learner sees the version space as a concept bitmask."""
+    cls, d, T = adv.cls, adv.d, adv.T
+    k = T // max(d, 1)
+    ends = [k * (i + 1) for i in range(d - 1)] + [T] if d else []
+    mistakes = regret = 0
+    for ys in product((0, 1), repeat=T):
+        pairs, node, start = [], adv.tree, 0
+        for end in ends:
+            block = ys[start:end]
+            pairs += [(node.point, y) for y in block]
+            node = node.one if 2 * sum(block) > len(block) else node.zero
+            start = end
+        alive, made = list(range(len(cls))), 0
+        for x, y in pairs:
+            made += learner(sum(1 << i for i in alive), x) != y
+            alive = [i for i in alive if cls.concepts[i][x] == y]
+        mistakes += made
+        regret += made - min_mistakes_by_definition(cls, pairs)
+    return Fraction(mistakes, 2**T), Fraction(regret, 2**T)

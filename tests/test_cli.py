@@ -141,6 +141,16 @@ class TestCliOther:
         out = json.loads(capsys.readouterr().out)
         assert out["mistakes"] <= out["ld"]
 
+    def test_adversary_regret_long_horizon(self, class_file, capsys):
+        # the exact regret's denominator 2^20000 has more digits than str() takes
+        argv = ["online", "--input", class_file, "--mode", "adversary-regret",
+                "--d", "1", "--T", "20000"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert isinstance(out["expected_regret"], float)
+        assert out["expected_mistakes"] == 10_000
+        assert out["lower_bound"] <= out["expected_regret"] <= out["expected_mistakes"]
+
     def test_disambiguate_majority(self, class_file, capsys):
         rc = main(["disambiguate", "--input", class_file, "--algo", "majority"])
         assert rc == 0
@@ -637,12 +647,12 @@ CLI_SHA256 = {
         "0f9d5fa3406d3109ea9da5f347592c96"
     ),
     "online-adversary-mistake": (
-        "526bc1770d761d9a7eaf441e16e57b21"
-        "6519e5ecc9e41c3ba4630a890c97eb55"
+        "6d9d2340c4841bdc212033653e20a370"
+        "14df9d3f452531b1e4c408f39882cb03"
     ),
     "online-adversary-regret": (
-        "f377fb0099e1f0ea2de2fa2cad32bfaf"
-        "b8c21109267a751e385dc325f4cb77bd"
+        "f2e60a15cf26fa9b5b2778ce5ab375d7"
+        "4788a81d7d845702ac60390c7905be05"
     ),
     "online-agnostic": (
         "a22b279b6c75d5091eeedaf223348209"

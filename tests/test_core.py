@@ -22,7 +22,6 @@ from pcl.core import (
     labeled_sample,
     max_realizable_subsequence,
     min_mistakes,
-    splits,
     total_class,
     uniform_on,
 )
@@ -36,6 +35,7 @@ from _oracles import (
     min_mistakes_by_definition,
     patterns_on,
     restrict,
+    splits,
 )
 from _strategies import classes, classes_with_blank_columns, classes_with_samples
 
@@ -239,6 +239,7 @@ class TestPackedClass:
     @example((concept_class(2, ["0*", "*1"]), 0b11, (0, 1), [(0, STAR), (STAR, 1)]))
     @example((concept_class(2, ["0*", "*1"]), 0, (), [(0, 1), (0, 1)]))
     def test_split_kernel_matches_brute_force(self, case):
+        # the oracles' split walk, which the Natarajan and graph references run
         cls, mask, points, labels = case
         packed = cls.packed
         kept = [h for i, h in enumerate(cls.concepts) if mask >> i & 1]

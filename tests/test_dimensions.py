@@ -33,7 +33,7 @@ from pcl.dimensions import (
     threshold_dimension,
     vc_dimension,
 )
-from pcl.disambiguation import _suffix_weight
+from pcl.disambiguation import _scaled_weights, _suffix_numerator
 from pcl.experiments import generate_random_class
 from pcl.learners import OneInclusionGraph
 from pcl.online import Soa
@@ -132,7 +132,9 @@ class TestShatteredLevels:
             sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
         assert cls.vc == d
         assert subclass_strength(cls, mask) == len(sub)
-        assert _suffix_weight(cls, mask, x) == sum(
+        scaled, denominator = _scaled_weights(cls)
+        numerator = _suffix_numerator(cls.packed.label_masks, scaled, mask, x)
+        assert Fraction(numerator, denominator) == sum(
             (Fraction(1, (pts[-1] + 1) ** (d + 1)) for pts in sub if pts and pts[0] > x),
             Fraction(0),
         )

@@ -25,7 +25,8 @@ from pcl.dimensions import (
 )
 from pcl.disambiguation import (
     BicliqueInstance,
-    _suffix_weight,
+    _scaled_weights,
+    _suffix_numerator,
     biclique_class,
     certify_coloring_lower_bound,
     compression_to_disambiguation,
@@ -119,14 +120,16 @@ class TestWeightedDisambiguation:
     @given(classes(max_n=5, max_size=10))
     def test_weight_halves_at_every_update(self, cls):
         res = weighted_disambiguate(cls)
+        scaled, _ = _scaled_weights(cls)  # numerators over one denominator
+        sides = cls.packed.label_masks
         for h in cls:
             mask = cls.packed.full
             update_at = set(res.update_positions[h])
             for x in range(cls.domain_size):
                 if x in update_at:
-                    before = _suffix_weight(cls, mask, x - 1)
-                    mask &= cls.packed.label_masks[x][h[x]]
-                    after = _suffix_weight(cls, mask, x)
+                    before = _suffix_numerator(sides, scaled, mask, x - 1)
+                    mask &= sides[x][h[x]]
+                    after = _suffix_numerator(sides, scaled, mask, x)
                     assert 2 * after <= before
 
 

@@ -23,7 +23,7 @@ from pcl.online import (
     tree_adversary,
 )
 
-from _oracles import follow_the_leader_mistakes
+from _oracles import follow_the_leader_mistakes, tree_game_by_enumeration
 from _strategies import classes, classes_with_samples
 
 
@@ -156,19 +156,23 @@ class TestMistakeAdversary:
     def test_exact_half_per_round_for_constant_learner(self):
         cls = concept_class(2, ["01", "10"])
         adv = tree_adversary(cls, 1, 1)
-        assert adv.exact_expected_mistakes(constant_learner(0)) == Fraction(1, 2)
+        half = Fraction(1, 2)
+        assert tree_game_by_enumeration(adv, constant_learner(0)) == (half, half)
+        assert adv.expected_regret() == half
 
     def test_depth_zero_empty_game(self):
         cls = concept_class(2, ["00"])
         adv = tree_adversary(cls, 0, 0)
         assert adv.generate(random.Random(0)) == []
-        assert adv.exact_expected_mistakes(constant_learner(0)) == 0
+        assert tree_game_by_enumeration(adv, constant_learner(0)) == (0, 0)
+        assert adv.expected_regret() == 0
 
     def test_exact_half_d_for_soa_on_cube(self):
         cls = full_cube(3)
         adv = tree_adversary(cls, 3, 3)
         # fair-coin labels make every deterministic learner miss half the time
-        assert adv.exact_expected_mistakes(Soa(cls)) == Fraction(3, 2)
+        assert tree_game_by_enumeration(adv, Soa(cls)) == (Fraction(3, 2), Fraction(3, 2))
+        assert adv.expected_regret() == Fraction(3, 2)
 
     def test_monte_carlo_matches_exact(self):
         cls = full_cube(3)
@@ -195,7 +199,7 @@ class TestMistakeAdversary:
     ):
         d = min(d, littlestone_dimension(cls))
         adv = tree_adversary(cls, d, d)
-        assert adv.exact_expected_mistakes(learner) == Fraction(d, 2)
+        assert tree_game_by_enumeration(adv, learner)[0] == Fraction(d, 2)
         coins = random.Random(seed)
         branch, node = [], adv.tree
         for _ in range(d):
@@ -203,6 +207,33 @@ class TestMistakeAdversary:
             branch.append((node.point, y))
             node = node.one if y else node.zero
         assert adv.generate(random.Random(seed)) == branch
+
+
+class TestAdversaryLaw:
+    """Fair-coin labels give every deterministic learner T/2 expected mistakes
+    and the same expected regret, the adversary's closed form."""
+
+    def test_block_of_three(self):
+        # E|B - 3/2| for B ~ Bin(3, 1/2): (1 * 3/2 + 3 * 1/2 + 3 * 1/2 + 1 * 3/2) / 8
+        adv = tree_adversary(concept_class(1, ["0", "1"]), 1, 3)
+        assert adv.expected_regret() == Fraction(3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        classes(max_n=5),
+        st.integers(0, 4),
+        st.integers(0, 6),
+        st.functions(like=lambda mask, x: 0, returns=st.integers(0, 1), pure=True),
+    )
+    @example(concept_class(1, ["0", "1"]), 1, 6, lambda mask, x: mask & 1)
+    @example(full_cube(3), 3, 5, lambda mask, x: x & 1)  # blocks of 2, 2 and 4
+    def test_enumeration_meets_the_closed_form(self, cls, d, extra, learner):
+        d = min(d, littlestone_dimension(cls))
+        T = d + extra if d else 0
+        adv = tree_adversary(cls, d, T)
+        law = (Fraction(T, 2), adv.expected_regret())
+        for player in (Soa(cls), constant_learner(0), constant_learner(1), learner):
+            assert tree_game_by_enumeration(adv, player) == law
 
 
 class TestExperts:

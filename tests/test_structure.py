@@ -1,12 +1,18 @@
-"""Structural guards on the package source, read with the AST."""
+"""Structural guards on the package: its source, read with the AST, and
+what its calls leave behind."""
 
 import ast
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pcl.dimensions import MEASURES, measure_report
+from pcl.disambiguation import vc_majority_disambiguate, weighted_disambiguate
+from pcl.experiments import generate_random_class
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pcl"
 MODULES = sorted(SRC.glob("*.py"))
@@ -186,6 +192,24 @@ def test_measuring_leaves_numpy_random_unloaded():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "True"]
+
+
+def test_measuring_leaves_no_reference_cycle():
+    """Every measure, with its witness, and both votes free what they build by
+    reference counting alone: a self-recursive inner function left alive is a
+    cycle that the collector must find, on every call."""
+    cls = generate_random_class(10, 24, 0.0, 0)  # total, so "dual" applies
+    gc.collect()
+    gc.disable()
+    try:
+        for measure in MEASURES:
+            measure_report(cls, measure, witness=True)
+            assert gc.collect() == 0, measure
+        for vote in (vc_majority_disambiguate, weighted_disambiguate):
+            vote(cls)
+            assert gc.collect() == 0, vote.__name__
+    finally:
+        gc.enable()
 
 
 def _targets(node: ast.AST) -> list[ast.AST]:
