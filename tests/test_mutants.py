@@ -1,0 +1,68 @@
+"""Mutants the suites must kill: every check must be able to fail.
+
+Each row patches one definition in ``src/`` with a defect and names the
+suite, its seed and parameters, and the records that must fail under the
+patch.  The same run without the patch must pass every record, so the kill
+is the mutant's doing.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+from unittest import mock
+
+import pytest
+
+from pcl.experiments import ExperimentConfig, run_experiment
+from pcl.learners import OneInclusionGraph
+
+_repair = OneInclusionGraph._repair_orientation
+
+
+def _drop_reversed_edges(graph: OneInclusionGraph) -> None:
+    """The repair, then every edge it reversed deleted instead of kept.
+
+    Out-degrees only fall, so each one stays within the VC and every LOO
+    value can only shrink: the LOO bounds cannot see this defect.
+    """
+    before = [set(out) for out in graph.out]
+    _repair(graph)
+    graph.out = [[w for w in out if w in old] for out, old in zip(graph.out, before)]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    target: str  # the patched definition
+    defect: Callable
+    suite: str
+    seed: int
+    params: dict
+    killers: frozenset[str]  # the records that must fail, and no others
+
+
+MUTANTS = {
+    # one-point graphs never need a repair, so max_len = 1 cannot kill it;
+    # class 0 at seed 0 needs one from max_len = 2 on (at the acceptance
+    # seed 20240817 the first class that does is class 3, and the mutant
+    # breaks 155 of the acceptance run's 2 292 graphs)
+    "repair-drops-reversed-edges": Mutant(
+        "pcl.learners.OneInclusionGraph._repair_orientation",
+        _drop_reversed_edges,
+        "one-inclusion-loo",
+        seed=0,
+        params={"classes": 1, "max_len": 2},
+        killers=frozenset({"orientation-edges"}),
+    ),
+}
+
+
+def _failing(mutant: Mutant) -> set[str]:
+    cfg = ExperimentConfig(mutant.suite, seed=mutant.seed, params=dict(mutant.params))
+    return {c.name for c in run_experiment(cfg).checks if not c.passed}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_killed_by_its_records_only(name):
+    mutant = MUTANTS[name]
+    assert _failing(mutant) == set()
+    with mock.patch(mutant.target, mutant.defect):
+        assert _failing(mutant) == mutant.killers
