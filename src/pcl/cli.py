@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when an experiment suite records a failing check,
 2 on usage or input errors.  ``PCL_SEED`` supplies the default seed of the
-commands that take ``--seed``.
+commands and modes that read ``--seed``.
 
 ``main`` resolves that seed and loads the ``--input`` class before it calls a
 command's handler.  A handler returns the JSON object to print, or to write
@@ -57,8 +57,20 @@ def _load_sample(path, cls):
     return sample
 
 
+def _read_mode_flags(args) -> None:
+    """Fail naming each flag given that ``args.mode`` does not read, and default
+    those it reads; an unread ``--seed`` stays unset, so PCL_SEED is not read."""
+    reads = args.mode_flags[args.mode]
+    flags = {f for t in args.mode_flags.values() for f in t}
+    given = [f"--{f}" for f in vars(args) if f in flags and f not in reads]
+    if given:
+        raise FormatError(f"--mode {args.mode} does not read {', '.join(given)}")
+    for flag, default in reads.items():
+        vars(args).setdefault(flag, default)
+
+
 def cmd_learn(args) -> dict:
-    cls, seed = args.cls, args.seed
+    cls = args.cls
     sample = _load_sample(args.sample, cls)
     if args.mode == "realizable":
         # pac_learn_realizable rejects a sample shorter than the schedule's m
@@ -74,7 +86,7 @@ def cmd_learn(args) -> dict:
             "empirical_error": str(hyp.sample_error(sample)),
         }
     elif args.mode == "agnostic":
-        hyp, rep = learners.agnostic_learn(cls, sample, args.delta, seed)
+        hyp, rep = learners.agnostic_learn(cls, sample, args.delta, args.seed)
         out = {
             "empirical_error": str(rep.hypothesis_error),
             "class_error": str(rep.class_error),
@@ -82,7 +94,7 @@ def cmd_learn(args) -> dict:
             "bound": rep.bound,
         }
     elif args.mode == "compress":
-        hyp, comp = learners.alpha_boost_compress(cls, sample, seed)
+        hyp, comp = learners.alpha_boost_compress(cls, sample, args.seed)
         out = {"compression": serialize.compression_to_dict(comp), "size": comp.size}
     else:  # ld-compress
         comp = learners.ld_compress(cls, sample)
@@ -96,7 +108,7 @@ def cmd_learn(args) -> dict:
 
 
 def cmd_online(args) -> dict:
-    cls, seed = args.cls, args.seed
+    cls = args.cls
     if args.mode == "agnostic" and args.trials < 1:
         raise FormatError(f"--trials must be at least 1, got {args.trials}")
     if args.mode == "soa":
@@ -117,7 +129,7 @@ def cmd_online(args) -> dict:
         learner = online.AgnosticOnlineLearner(cls, args.T)
         stats = []
         for t in range(args.trials):
-            trial_rng = experiments.split_rng(seed, "cli-online", t)
+            trial_rng = experiments.split_rng(args.seed, "cli-online", t)
             seq = [
                 (trial_rng.randrange(cls.domain_size), trial_rng.randint(0, 1))
                 for _ in range(args.T)
@@ -284,15 +296,15 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def _command(sub, name: str, func, help: str, *, input=False, seed=False, out=None):
+def _command(sub, name: str, func, help: str, *, input=False, seed=False, out=None, **kw):
     """A subcommand that runs ``func``, with ``--out`` (described by ``out``)
-    and, where asked, ``--input`` and ``--seed``."""
-    p = sub.add_parser(name, help=help)
+    and, where asked, ``--input`` and ``--seed``; ``kw`` goes to its parser."""
+    p = sub.add_parser(name, help=help, **kw)
     if input:
         p.add_argument("--input", required=True)
     if seed:
         p.add_argument("--seed", type=int)
-    p.add_argument("--out", help=out)
+    p.add_argument("--out", help=out, default=None)  # None under any argument_default
     p.set_defaults(func=func)
     return p
 
@@ -308,31 +320,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=dimensions.MEASURES)
     p.add_argument("--witness", action="store_true")
 
+    # each --mode of learn and online reads only the flags of its row, which
+    # hold their defaults; a flag not given is left unset until then
+    modes = {
+        "realizable": {"eps": 0.2, "delta": 0.1},
+        "agnostic": {"delta": 0.1, "seed": None},
+        "compress": {"seed": None},
+        "ld-compress": {},
+    }
     p = _command(
-        sub, "learn", cmd_learn, "run a batch learner on a sample", input=True, seed=True
+        sub, "learn", cmd_learn, "run a batch learner on a sample", input=True, seed=True,
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--sample", required=True)
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=["realizable", "agnostic", "compress", "ld-compress"],
-    )
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--mode", required=True, choices=list(modes))
+    p.add_argument("--eps", type=float)
+    p.add_argument("--delta", type=float)
+    p.set_defaults(mode_flags=modes)
 
+    modes = {
+        "soa": {"sample": None},
+        "agnostic": {"T": 10, "trials": 100, "seed": None},
+        "adversary-mistake": {"d": 1},
+        "adversary-regret": {"d": 1, "T": 10},
+    }
     p = _command(
         sub, "online", cmd_online, "online games, learners and adversaries",
-        input=True, seed=True,
+        input=True, seed=True, argument_default=argparse.SUPPRESS,
     )
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=["soa", "agnostic", "adversary-mistake", "adversary-regret"],
-    )
+    p.add_argument("--mode", required=True, choices=list(modes))
     p.add_argument("--sample")
-    p.add_argument("--T", type=int, default=10)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--T", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--trials", type=int)
+    p.set_defaults(mode_flags=modes)
 
     p = _command(
         sub, "disambiguate", cmd_disambiguate, "build a total class from a partial one",
@@ -389,6 +410,8 @@ def main(argv=None) -> int:
         # Every command takes --out; a missing directory fails before any work.
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FormatError(f"--out {args.out}: directory does not exist")
+        if "mode_flags" in args:
+            _read_mode_flags(args)
         if "seed" in args and args.seed is None:
             env = os.environ.get("PCL_SEED", "0")
             try:

@@ -11,7 +11,8 @@ widened by an absolute tolerance: 1e-9 for floating-point sums, and three
 sample sigmas for Monte-Carlo means, whose z-score the record keeps.
 ``_tally`` records how many of its cases failed; it passes when none did, and
 an aggregate over zero cases fails.  The records whose verdict is a
-conjunction of conditions state it themselves.
+conjunction of conditions, or an exact comparison of values shown as floats,
+state it themselves.
 """
 
 from __future__ import annotations
@@ -436,25 +437,15 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
                 extra={"sigma": sigma, "z": (mean - target) / sigma if sigma else 0.0},
             )
         )
-    # consistency spot check of the vectorized game against the object-level one
+    # the same adversary's exact law at d = 1, compared in squares: no tolerance
     cls1 = core.concept_class(1, ["0", "1"])
-    adv = online.tree_adversary(cls1, 1, T_adv)
-    rng = split_rng(cfg.seed, "ao-spot")
-    spot = min(200, trials)
-    zero = online.constant_learner(0)
-    regrets = np.array(
-        [
-            online.play_sequence(cls1, zero, adv.generate(rng)).regret
-            for _ in range(spot)
-        ]
-    )
-    sigma = float(regrets.std(ddof=1) / math.sqrt(spot))
+    law = online.tree_adversary(cls1, 1, T_adv).expected_regret()
     checks.append(
-        _check(
-            "adversary-object-path",
-            "object-level adversary attains the same regret scale",
-            float(regrets.mean()), ">=", target, tol=3 * sigma,
-            extra={"trials": spot},
+        CheckRecord(
+            "adversary-law",
+            "exact expected regret of the block adversary >= (1/4) sqrt(dT), "
+            "decided in Fractions as regret^2 >= dT/16",
+            float(law), target, law**2 >= Fraction(T_adv, 16), {"d": 1, "T": T_adv},
         )
     )
     return Report(cfg.experiment, cfg.seed, checks, {"trials": trials})

@@ -248,10 +248,3 @@ def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:
             f"the horizon T must be at least the tree depth d = {d}, got {T}"
         )
     return TreeAdversary(cls, d, T, littlestone_tree(cls, d))
-
-
-def constant_learner(bit: int) -> Learner:
-    def predict(mask, x):
-        return bit
-
-    return predict

@@ -12,8 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
 from .core import LabeledSample, PartialConcept, PartialConceptClass
 from .disambiguation import BicliqueInstance, Disambiguation
 from .learners import CompressionOutput
@@ -145,16 +143,10 @@ def disambiguation_to_dict(res: Disambiguation) -> dict:
 
 
 def json_value(v):
-    """``v`` as plain JSON: Fractions as strings, numpy scalars as Python
-    numbers, and containers rebuilt with their items converted."""
+    """``v`` as plain JSON: Fractions as strings, and containers rebuilt with
+    their items converted."""
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
     if isinstance(v, dict):
         return {k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

@@ -339,7 +339,7 @@ class TestCliContract:
 
     def test_adversary_mistake_negative_depth(self, class_file, capsys):
         argv = ["online", "--input", class_file, "--mode", "adversary-mistake",
-                "--d", "-1", "--trials", "2"]
+                "--d", "-1"]
         self._fails_naming(argv, "depth d", capsys)
 
     @pytest.mark.parametrize("delta", ["0", "nan", "-1", "2"])
@@ -370,6 +370,42 @@ class TestCliContract:
         assert main(["construct", "margin"]) == 0
         capsys.readouterr()
         self._fails_naming(["construct", "erm-failure", "--trials", "10"], "PCL_SEED", capsys)
+
+    def test_bad_seed_variable_fails_only_modes_that_read_a_seed(
+        self, monkeypatch, class_file, sample_file, capsys
+    ):
+        monkeypatch.setenv("PCL_SEED", "abc")
+        learn = ["learn", "--input", class_file, "--sample", sample_file, "--mode"]
+        online = ["online", "--input", class_file, "--mode"]
+        assert main([*learn, "ld-compress"]) == 0
+        assert main([*online, "adversary-regret"]) == 0
+        capsys.readouterr()
+        self._fails_naming([*learn, "compress"], "PCL_SEED", capsys)
+        self._fails_naming([*online, "agnostic"], "PCL_SEED", capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["online", "--mode", "adversary-mistake", "--trials", "8", "--seed", "5"],
+             "--mode adversary-mistake does not read --trials, --seed"),
+            (["online", "--mode", "soa", "--T", "5", "--d", "3", "--trials", "9"],
+             "--mode soa does not read --T, --d, --trials"),
+            (["online", "--mode", "adversary-regret", "--sample", "{sample}"],
+             "--mode adversary-regret does not read --sample"),
+            (["learn", "--sample", "{sample}", "--mode", "ld-compress",
+              "--eps", "0.9", "--delta", "0.7", "--seed", "3"],
+             "--mode ld-compress does not read --eps, --delta, --seed"),
+            (["learn", "--sample", "{sample}", "--mode", "realizable", "--seed", "1"],
+             "--mode realizable does not read --seed"),
+            (["learn", "--sample", "{sample}", "--mode", "compress", "--delta", "0.5"],
+             "--mode compress does not read --delta"),
+        ],
+    )
+    def test_mode_refuses_a_flag_it_does_not_read(
+        self, argv, named, class_file, sample_file, capsys
+    ):
+        argv = [argv[0], "--input", class_file, *argv[1:]]
+        self._fails_naming([a.format(sample=sample_file) for a in argv], named, capsys)
 
     @pytest.mark.parametrize(
         "args, named",
@@ -663,7 +699,7 @@ CLI_SHA256 = {
 GOLDEN_ARGV = {
     "learn-realizable": [
         "learn", "--input", "{cls}", "--sample", "{long}", "--mode", "realizable",
-        "--eps", "0.5", "--delta", "0.5", "--seed", "1",
+        "--eps", "0.5", "--delta", "0.5",
     ],
     "learn-agnostic": [
         "learn", "--input", "{cls}", "--sample", "{noisy}", "--mode", "agnostic",
@@ -675,11 +711,11 @@ GOLDEN_ARGV = {
     ],
     "online-adversary-mistake": [
         "online", "--input", "{cls}", "--mode", "adversary-mistake",
-        "--d", "2", "--trials", "8", "--seed", "5",
+        "--d", "2",
     ],
     "online-adversary-regret": [
         "online", "--input", "{cls}", "--mode", "adversary-regret",
-        "--d", "2", "--T", "4", "--trials", "8", "--seed", "5",
+        "--d", "2", "--T", "4",
     ],
     "construct-margin": ["construct", "margin", "--radius", "3"],
     "construct-general-margin": [

@@ -7,6 +7,8 @@ is the mutant's doing.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from typing import Callable
 from unittest import mock
 
@@ -14,6 +16,7 @@ import pytest
 
 from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import OneInclusionGraph
+from pcl.online import TreeAdversary
 
 _repair = OneInclusionGraph._repair_orientation
 
@@ -27,6 +30,15 @@ def _drop_reversed_edges(graph: OneInclusionGraph) -> None:
     before = [set(out) for out in graph.out]
     _repair(graph)
     graph.out = [[w for w in out if w in old] for out, old in zip(graph.out, before)]
+
+
+def _law_with_k_half(adv: TreeAdversary) -> Fraction:
+    """The block adversary's law with k = L // 2 in place of L // 2 + 1."""
+    total = Fraction(0)
+    for start, end in adv.block_bounds():
+        L = end - start
+        total += Fraction(L // 2 * comb(L, L // 2), 2**L)
+    return total
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,17 @@ MUTANTS = {
         seed=0,
         params={"classes": 1, "max_len": 2},
         killers=frozenset({"orientation-edges"}),
+    ),
+    # k C(L, k) is the same at k = L // 2 and L // 2 + 1 for even L, so the
+    # acceptance horizon adversary_T = 100 (one block of 100) cannot see this;
+    # at adversary_T = 1 the law reads 0 against the bound 1/4
+    "adversary-law-k-half": Mutant(
+        "pcl.online.TreeAdversary.expected_regret",
+        _law_with_k_half,
+        "agnostic-online-regret",
+        seed=0,
+        params={"T": 2, "adversary_T": 1, "adversary_trials": 2},
+        killers=frozenset({"adversary-law"}),
     ),
 }
 

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,6 @@ from pcl.online import (
     MAX_EXPERTS,
     AgnosticOnlineLearner,
     Soa,
-    constant_learner,
     experts_aggregate,
     littlestone_tree,
     play_sequence,
@@ -29,6 +29,10 @@ from _strategies import classes, classes_with_samples
 
 def full_cube(n):
     return concept_class(n, ["".join(b) for b in product("01", repeat=n)])
+
+
+def constant_learner(bit):
+    return lambda mask, x: bit
 
 
 class TestSoa:
@@ -321,20 +325,19 @@ class TestRegretAdversary:
     def test_mean_regret_against_baselines(self):
         cls = concept_class(1, ["0", "1"])
         adv = tree_adversary(cls, 1, 100)
+        law = float(adv.expected_regret())
         rng = random.Random(2)
         zero = constant_learner(0)
         for mistakes in (
             lambda seq: play_sequence(cls, zero, seq).mistakes,
             follow_the_leader_mistakes,
         ):
-            total = 0.0
-            trials = 400
-            for _ in range(trials):
+            regrets = []
+            for _ in range(400):
                 seq = adv.generate(rng)
-                total += mistakes(seq) - min_mistakes(cls, seq)
-            mean = total / trials
-            sigma = math.sqrt(25.0 / trials)  # crude variance envelope
-            assert mean >= 2.5 - 3 * sigma
+                regrets.append(mistakes(seq) - min_mistakes(cls, seq))
+            sigma = statistics.stdev(regrets) / math.sqrt(len(regrets))
+            assert abs(statistics.fmean(regrets) - law) <= 3 * sigma
 
     def test_best_in_class_block_deficit(self):
         # within one block the best concept tracks the majority label:
