@@ -204,7 +204,7 @@ def construct_margin(args) -> dict:
         "radius": args.radius,
         "gamma": args.gamma,
         "labelings": len(certs),
-        "all_separable": all(c.witness_ok and c.generic_ok for c in certs),
+        "all_separable": all(certs),
     }
 
 
@@ -283,11 +283,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    _, _, default = experiments.SCALING_TABLES[args.name]
+    _, _, default, most = experiments.SCALING_TABLES[args.name]
     grid = default if args.grid is None else args.grid
     for value in grid:
-        if value < 1:
-            raise FormatError(f"--grid values must be positive, got {value}")
+        if not 1 <= value <= most:
+            raise FormatError(
+                f"--grid values of {args.name} must lie in 1..{most}, got {value}"
+            )
     header, rows = experiments.emit_scaling_table(args.name, grid, args.seed)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)

@@ -273,22 +273,23 @@ def star_partition_instance(m: int) -> BicliqueInstance:
     return BicliqueInstance(m, edges, partition)
 
 
-def vertex_concept(instance: BicliqueInstance, v: int) -> PartialConcept:
-    labels = []
-    for left, right in instance.partition:
-        if v in left:
-            labels.append(ZERO)
-        elif v in right:
-            labels.append(ONE)
-        else:
-            labels.append(STAR)
-    return PartialConcept(tuple(labels))
+def vertex_concepts(instance: BicliqueInstance) -> tuple[PartialConcept, ...]:
+    """Each vertex's concept, in one pass over the partition: biclique j puts
+    0 at coordinate j of its left side's rows, 1 at its right side's, and
+    leaves STAR elsewhere."""
+    n = instance.n_vertices
+    rows = [[STAR] * len(instance.partition) for _ in range(n)]
+    for j, (left, right) in enumerate(instance.partition):
+        for side, label in ((left, ZERO), (right, ONE)):
+            for v in side:
+                if 0 <= v < n:  # a side facing an empty one is not range-checked
+                    rows[v][j] = label
+    return tuple(PartialConcept(tuple(row)) for row in rows)
 
 
 def biclique_class(instance: BicliqueInstance) -> PartialConceptClass:
     """One concept per vertex over one coordinate per biclique."""
-    concepts = tuple(vertex_concept(instance, v) for v in range(instance.n_vertices))
-    return PartialConceptClass(len(instance.partition), concepts)
+    return PartialConceptClass(len(instance.partition), vertex_concepts(instance))
 
 
 @dataclass
@@ -309,17 +310,16 @@ def certify_coloring_lower_bound(
         raise ContractViolation(
             "certification needs a strong disambiguation with per-concept extensions"
         )
-    colors: dict[int, PartialConcept] = {}
-    for v in range(instance.n_vertices):
-        c = vertex_concept(instance, v)
+    colors = []
+    for v, c in enumerate(vertex_concepts(instance)):
         try:
-            colors[v] = disamb.extension_of[c]
+            colors.append(disamb.extension_of[c])
         except KeyError:
             raise ContractViolation(
                 f"disambiguation does not cover the concept of vertex {v}"
             ) from None
     proper = all(colors[u] != colors[v] for u, v in instance.edges)
-    return ColoringCertificate(proper, len(set(colors.values())))
+    return ColoringCertificate(proper, len(set(colors)))
 
 
 def support_indicator_disambiguation(cls: PartialConceptClass) -> Disambiguation:

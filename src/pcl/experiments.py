@@ -25,7 +25,7 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -369,10 +369,20 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
 
 
 AGNOSTIC_SEQUENCES = 20  # per upper-side class; every second one is adversarial
+MAX_ADVERSARY_LABELS = 10**7  # adversary_trials * adversary_T; a coin takes a byte
 
 
 def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
     checks = []
+    # the lower side's coins and its law's horizon are bounded before any work
+    trials = cfg.params["adversary_trials"]
+    T_adv = cfg.params["adversary_T"]
+    if trials * T_adv > MAX_ADVERSARY_LABELS:
+        raise ValueError(
+            f"{cfg.experiment}: adversary_trials * adversary_T = {trials} * {T_adv} "
+            f"labels exceed the limit of {MAX_ADVERSARY_LABELS}"
+        )
+    law_adversary = online.tree_adversary(core.concept_class(1, ["0", "1"]), 1, T_adv)
     # (a) upper side: the subset-expert construction on small classes
     class_specs = [
         core.concept_class(3, ["000", "111"]),
@@ -409,8 +419,6 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             )
         )
     # (b) lower side: the block adversary forces (1/4) sqrt(dT) regret
-    trials = cfg.params["adversary_trials"]
-    T_adv = cfg.params["adversary_T"]
     # one fair coin per label: the bits of one getrandbits call, lowest first
     coins = split_rng(cfg.seed, "ao-adversary").getrandbits(trials * T_adv)
     raw = np.frombuffer(coins.to_bytes(trials * T_adv // 8 + 1, "little"), np.uint8)
@@ -438,8 +446,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             )
         )
     # the same adversary's exact law at d = 1, compared in squares: no tolerance
-    cls1 = core.concept_class(1, ["0", "1"])
-    law = online.tree_adversary(cls1, 1, T_adv).expected_regret()
+    law = law_adversary.expected_regret()
     checks.append(
         CheckRecord(
             "adversary-law",
@@ -681,50 +688,44 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
     checks = []
     for radius, gamma in ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)):
         certs = geometry.certify_orthonormal_labelings(radius, gamma)
-        bad = [c for c in certs if not (c.witness_ok and c.generic_ok)]
         checks.append(
             _tally(
                 f"orthonormal-R{radius:g}",
                 "every bipartition certified separable by witness and checker",
-                ("labelings", len(certs)), ("failures", len(bad)),
+                ("labelings", len(certs)), ("failures", certs.count(False)),
             )
         )
-    # Voronoi rule on the 5x5 grid, gamma = 0.6
+    # Voronoi rule on the 5x5 grid, gamma = 0.6: singletons, pairs, the
+    # labelings of five packed points, then random ones, kept if separated
     grid = geometry.unit_grid(5)
     gamma = 0.6
     packing = geometry.greedy_packing(grid, gamma)
-    tested = 0
-    mismatches = 0
-
-    def check_labeling(labeled):
-        nonlocal tested, mismatches
-        out = geometry.voronoi_disambiguate(packing, labeled)
-        tested += 1
-        mismatches += any(out[i] != y for i, y in labeled)
-
-    for i in range(len(grid)):
-        for bits in ((0,), (1,)):
-            check_labeling([(i, bits[0])])
-    for i, j in combinations(range(len(grid)), 2):
-        for yi, yj in product((0, 1), repeat=2):
-            labeled = [(i, yi), (j, yj)]
-            if geometry.is_gamma_separated(grid, labeled, gamma):
-                check_labeling(labeled)
+    points = range(len(grid))
     packing_pts = [0, 4, 12, 20, 24]  # corners and center: pairwise >= 0.6
-    for bits in product((0, 1), repeat=len(packing_pts)):
-        check_labeling(list(zip(packing_pts, bits)))
     rng = split_rng(cfg.seed, "geometry-voronoi")
-    for _ in range(300):
-        size = rng.randint(3, 6)
-        idx = rng.sample(range(len(grid)), size)
-        labeled = [(i, rng.randint(0, 1)) for i in idx]
-        if geometry.is_gamma_separated(grid, labeled, gamma):
-            check_labeling(labeled)
+    candidates = chain(
+        ([(i, y)] for i in points for y in (0, 1)),
+        (
+            [(i, yi), (j, yj)]
+            for i, j in combinations(points, 2)
+            for yi, yj in product((0, 1), repeat=2)
+        ),
+        (list(zip(packing_pts, bits)) for bits in product((0, 1), repeat=5)),
+        (
+            [(i, rng.randint(0, 1)) for i in rng.sample(points, rng.randint(3, 6))]
+            for _ in range(300)
+        ),
+    )
+    separated = [c for c in candidates if geometry.is_gamma_separated(grid, c, gamma)]
+    mismatches = 0
+    for labeled in separated:
+        out = geometry.voronoi_disambiguate(packing, labeled)
+        mismatches += any(out[i] != y for i, y in labeled)
     checks.append(
         _tally(
             "voronoi-grid",
             "separated labelings are matched on support by the cell rule",
-            ("labelings", tested), ("mismatches", mismatches),
+            ("labelings", len(separated)), ("mismatches", mismatches),
         )
     )
     # perceptron streams
@@ -984,13 +985,17 @@ def _disambiguation_row(n: int, seed: int) -> list:
 
 
 # Each scaling table: its header, the function giving the row of one grid
-# point, and the default grid.
-SCALING_TABLES: dict[str, tuple[list[str], Callable[[int, int], list], list[int]]] = {
+# point, the default grid and the largest grid point it takes.
+SCALING_TABLES: dict[
+    str, tuple[list[str], Callable[[int, int], list], list[int], int]
+] = {
+    # a row holds m labeled points: 10^5 take about 0.1 s and 45 MiB
     "compression-size": (
-        ["m", "measured_size", "envelope"], _compression_row, [8, 16, 32, 64]
+        ["m", "measured_size", "envelope"], _compression_row, [8, 16, 32, 64], 100_000
     ),
+    # generate_random_class draws classes on at most 24 points
     "disambiguation-size": (
-        ["n", "measured_totals", "envelope"], _disambiguation_row, [4, 6, 8, 10]
+        ["n", "measured_totals", "envelope"], _disambiguation_row, [4, 6, 8, 10], 24
     ),
 }
 
@@ -1005,5 +1010,5 @@ def emit_scaling_table(
     """
     if experiment not in SCALING_TABLES:
         raise ValueError(f"unknown scaling experiment {experiment!r}")
-    header, row, _ = SCALING_TABLES[experiment]
+    header, row, _, _ = SCALING_TABLES[experiment]
     return list(header), [row(value, seed) for value in grid]

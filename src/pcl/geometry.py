@@ -282,39 +282,26 @@ def orthonormal_points(radius: float, gamma: float) -> np.ndarray:
     return radius * np.eye(m)
 
 
-@dataclass
-class LabelingCertificate:
-    witness_ok: bool
-    generic_ok: bool
-
-
-def certify_orthonormal_labelings(
-    radius: float, gamma: float
-) -> list[LabelingCertificate]:
+def certify_orthonormal_labelings(radius: float, gamma: float) -> list[bool]:
     """Certify every bipartition of the axis family as (R, gamma)-separable.
 
-    Each labeling is checked twice: by the explicit unit-ball witness vector
-    (gamma/R times the signed sum of basis vectors) and by the generic
-    ball-plus-hull-gap checker.  Both verdicts are recorded per labeling, in
-    the order of ``product((0, 1), repeat=m)``.
+    The explicit witness of signs s is (gamma/R) s in basis coordinates: its
+    norm and its margins s_i <p_i, w> = gamma do not depend on s, so it is
+    checked once for the family.  Each labeling's verdict is that check AND
+    the generic ball-plus-hull-gap checker's, in the order of
+    ``product((0, 1), repeat=m)``.
     """
     pts = orthonormal_points(radius, gamma)
+    w = np.full(len(pts), gamma / radius)
+    witness_ok = bool(
+        np.linalg.norm(w) <= 1 + 1e-9 and np.allclose(pts @ w, gamma, atol=1e-9)
+    )
     _, r = min_enclosing_ball(pts)  # every labeling has these points
-    out = []
-    for bits in product((0, 1), repeat=len(pts)):
-        labels = np.array(bits)
-        signs = np.where(labels == 1, 1.0, -1.0)
-        w = (gamma / radius) * signs  # witness in basis coordinates
-        dots = pts @ w
-        witness_ok = bool(
-            np.linalg.norm(w) <= 1 + 1e-9
-            and np.allclose(dots * signs, gamma, atol=1e-9)
-        )
-        report = _separability(pts, labels, radius, gamma, r)
-        out.append(
-            LabelingCertificate(witness_ok=witness_ok, generic_ok=report.separable)
-        )
-    return out
+    generic = [
+        _separability(pts, np.array(bits), radius, gamma, r).separable
+        for bits in product((0, 1), repeat=len(pts))
+    ]
+    return [witness_ok and ok for ok in generic]
 
 
 # ---------------------------------------------------------------------------

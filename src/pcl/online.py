@@ -138,6 +138,7 @@ class AgnosticRunResult:
 
 
 MAX_EXPERTS = 100_000  # most SOA variants one agnostic learner may run
+MAX_ADVERSARY_T = 100_000  # longest tree-adversary horizon; its law grows with T
 
 
 class AgnosticOnlineLearner:
@@ -246,5 +247,9 @@ def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:
     if T < d:
         raise ContractViolation(
             f"the horizon T must be at least the tree depth d = {d}, got {T}"
+        )
+    if T > MAX_ADVERSARY_T:
+        raise ContractViolation(
+            f"the horizon T = {T} exceeds the limit of {MAX_ADVERSARY_T}"
         )
     return TreeAdversary(cls, d, T, littlestone_tree(cls, d))

@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcl import experiments
+from pcl import dimensions, experiments
 from pcl.cli import main
 from pcl.core import concept_class
 from pcl.learners import CompressionOutput
@@ -318,6 +324,40 @@ class TestCliContract:
     def test_scaling_grid_zero(self, capsys):
         self._fails_naming(["scaling", "compression-size", "--grid", "0"], "--grid", capsys)
 
+    @pytest.mark.parametrize(
+        "name, most", [("compression-size", 100_000), ("disambiguation-size", 24)]
+    )
+    def test_scaling_grid_over_its_table_limit(self, name, most, capsys):
+        # the bad point comes last, and no row is printed before the refusal
+        assert main(["scaling", name, "--grid", "4", str(most + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        named = f"--grid values of {name} must lie in 1..{most}, got {most + 1}"
+        assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["experiment", "agnostic-online-regret", "--param", "adversary_T=1000000"],
+             "adversary_trials * adversary_T = 10000 * 1000000 labels exceed the "
+             "limit of 10000000"),
+            (["experiment", "agnostic-online-regret", "--param", "adversary_T=1000000",
+              "--trials", "2"],
+             "the horizon T = 1000000 exceeds the limit of 100000"),
+            (["online", "--input", "{cls}", "--mode", "adversary-regret",
+              "--T", "1000000"],
+             "the horizon T = 1000000 exceeds the limit of 100000"),
+        ],
+        ids=["coins", "suite-horizon", "online-horizon"],
+    )
+    def test_adversary_over_its_limits_refused_at_once(
+        self, argv, named, class_file, capsys
+    ):
+        # unbounded, each of these would run for seconds or fill the memory
+        start = time.perf_counter()
+        self._fails_naming([a.format(cls=class_file) for a in argv], named, capsys)
+        assert time.perf_counter() - start < 1.0
+
     def test_online_agnostic_zero_trials(self, class_file, capsys):
         argv = ["online", "--input", class_file, "--mode", "agnostic", "--trials", "0"]
         self._fails_naming(argv, "--trials", capsys)
@@ -586,6 +626,106 @@ class TestCliContract:
             ),
         }[command]
         self._fails_naming(argv, f"{where}: expected a JSON object", capsys)
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _spoiled(draw, valid, keys):
+    """Any JSON value (one draw in four), a valid object with one field (a key,
+    or an entry's index) set to any JSON value (one in four), or a valid one."""
+    how = draw(st.integers(0, 3))
+    if how == 0:
+        return draw(_ANY_JSON)
+    obj = draw(valid)
+    if how == 1:
+        obj[draw(st.sampled_from(keys))] = draw(_ANY_JSON)
+    return obj
+
+
+@st.composite
+def _valid_class(draw):
+    # at most 4 points and 6 concepts: no query on it is slow
+    n = draw(st.integers(2, 4))
+    rows = st.text("01*", min_size=n, max_size=n)
+    obj = {"domain_size": n, "concepts": draw(st.lists(rows, min_size=1, max_size=6))}
+    if draw(st.booleans()):
+        obj["names"] = [str(x) for x in range(n)]
+    return obj
+
+
+@st.composite
+def _valid_sample(draw):
+    # points 0 and 1 lie in every valid class's domain
+    pair = st.tuples(st.integers(0, 1), st.integers(0, 1)).map(list)
+    return draw(st.lists(pair, min_size=1, max_size=6))
+
+
+@st.composite
+def _valid_graph(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique_by=tuple)
+    )
+    return {"vertices": n, "edges": edges, "partition": [[[u], [v]] for u, v in edges]}
+
+
+_CLASS_LIKE = _spoiled(_valid_class(), ["domain_size", "concepts", "names"])
+_FILE_VALUE = {
+    "input": _CLASS_LIKE,
+    "base": _CLASS_LIKE,
+    "sample": _spoiled(_valid_sample(), [0, -1]),
+    "graph": _spoiled(_valid_graph(), ["vertices", "edges", "partition"]),
+}
+# every command that reads a file flag, with flags that keep valid runs short
+_FILE_COMMANDS = [
+    *(["dim", "--input", "{input}", "--measure", m] for m in dimensions.MEASURES),
+    *(
+        ["learn", "--input", "{input}", "--sample", "{sample}", "--mode", m]
+        for m in ("realizable", "agnostic", "compress", "ld-compress")
+    ),
+    ["online", "--input", "{input}", "--mode", "soa", "--sample", "{sample}"],
+    ["online", "--input", "{input}", "--mode", "agnostic", "--T", "2", "--trials", "1"],
+    ["online", "--input", "{input}", "--mode", "adversary-mistake"],
+    ["online", "--input", "{input}", "--mode", "adversary-regret"],
+    *(
+        ["disambiguate", "--input", "{input}", "--algo", a]
+        for a in ("majority", "weighted", "compression", "support")
+    ),
+    ["construct", "biclique", "--graph", "{graph}"],
+    ["construct", "gamma-boost", "--base", "{base}", "--sample", "{sample}"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFileFlagFuzz:
+    """Any JSON in any file flag: exit 0, 1 or 2, and never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_json_exits_cleanly(self, data, fuzz_dir):
+        argv = data.draw(st.sampled_from(_FILE_COMMANDS))
+        paths = {}
+        for slot in re.findall(r"{(\w+)}", " ".join(argv)):
+            paths[slot] = str(fuzz_dir / f"{slot}.json")
+            with open(paths[slot], "w") as fh:
+                json.dump(data.draw(_FILE_VALUE[slot], label=slot), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([a.format(**paths) for a in argv])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestScalingTables:

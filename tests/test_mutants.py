@@ -12,13 +12,16 @@ from math import comb
 from typing import Callable
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from pcl import geometry
 from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import OneInclusionGraph
 from pcl.online import TreeAdversary
 
 _repair = OneInclusionGraph._repair_orientation
+_orthonormal_points = geometry.orthonormal_points
 
 
 def _drop_reversed_edges(graph: OneInclusionGraph) -> None:
@@ -39,6 +42,11 @@ def _law_with_k_half(adv: TreeAdversary) -> Fraction:
         L = end - start
         total += Fraction(L // 2 * comb(L, L // 2), 2**L)
     return total
+
+
+def _one_point_too_many(radius: float, gamma: float) -> np.ndarray:
+    """The axis family with one axis point more than floor(R^2 / gamma^2)."""
+    return radius * np.eye(len(_orthonormal_points(radius, gamma)) + 1)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,17 @@ MUTANTS = {
         seed=0,
         params={"T": 2, "adversary_T": 1, "adversary_trials": 2},
         killers=frozenset({"adversary-law"}),
+    ),
+    # the witness (gamma/R) s then has norm sqrt(m + 1) gamma/R > 1, so every
+    # labeling of all three families fails; the perceptron streams measure
+    # their own bound and still pass
+    "axis-family-one-point-too-many": Mutant(
+        "pcl.geometry.orthonormal_points",
+        _one_point_too_many,
+        "geometry",
+        seed=0,
+        params={"streams": 1},
+        killers=frozenset({"orthonormal-R1", "orthonormal-R2", "orthonormal-R3"}),
     ),
 }
 
