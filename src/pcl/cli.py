@@ -182,6 +182,7 @@ def cmd_disambiguate(args) -> dict:
 
 def construct_biclique(args) -> dict:
     if args.complete is not None:
+        disambiguation.check_vertex_count(args.complete, "--complete")
         inst = disambiguation.star_partition_instance(args.complete)
     elif args.graph is not None:
         inst = serialize.biclique_from_dict(serialize.load_json(args.graph))

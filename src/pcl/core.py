@@ -367,40 +367,8 @@ def is_realizable(cls: PartialConceptClass, sample: LabeledSample) -> bool:
     return cls.packed.mask_of(sample) != 0
 
 
-def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> int:
-    """Fewest disagreements of any single concept with the pair sequence."""
-    check_points(cls, pairs)
-    packed = cls.packed
-    # Every concept's mistake count, bit-sliced: planes[j] holds the concepts
-    # whose count has bit j set, and a pair adds 1 to the concepts that miss
-    # it by a ripple carry, so a pair costs O(log len(pairs)) mask operations.
-    planes: list[int] = []
-    for x, y in pairs:
-        carry = packed.full & ~packed.label_masks[x][y]
-        j = 0
-        while carry:
-            if j == len(planes):
-                planes.append(0)
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            j += 1
-    # the least count, bit by bit from the top, among the concepts reaching it
-    best, least = 0, packed.full
-    for j in reversed(range(len(planes))):
-        if least & ~planes[j]:
-            least &= ~planes[j]
-        else:
-            best |= 1 << j
-    return best
-
-
-def best_empirical_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
-    if len(sample) == 0:
-        raise ContractViolation("empirical error of an empty sample is undefined")
-    return Fraction(min_mistakes(cls, sample.pairs), len(sample))
-
-
 def max_realizable_subsequence(
-    cls: PartialConceptClass, sample: LabeledSample
+    cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]
 ) -> tuple[int, ...]:
     """Indices of a largest subsequence whose induced subsample is realizable.
 
@@ -409,13 +377,19 @@ def max_realizable_subsequence(
     Scanning those sets is exact in O(|H| * |S|); ties between equally large
     sets are broken toward the lexicographically smallest index tuple.
     """
-    check_points(cls, sample)
+    check_points(cls, pairs)
     best: tuple[int, ...] = ()
     for h in cls.concepts:
-        agree = tuple(i for i, (x, y) in enumerate(sample) if h[x] == y)
+        agree = tuple(i for i, (x, y) in enumerate(pairs) if h[x] == y)
         if len(agree) > len(best) or (len(agree) == len(best) and agree < best):
             best = agree
     return best
+
+
+def min_mistakes(cls: PartialConceptClass, pairs: Sequence[tuple[int, int]]) -> int:
+    """Fewest disagreements of any single concept with the pair sequence: the
+    pairs outside the largest agreement set."""
+    return len(pairs) - len(max_realizable_subsequence(cls, pairs))
 
 
 def approximation_error(

@@ -521,6 +521,8 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
 
 def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
     sizes = cfg.params["sizes"]
+    for m in sizes:  # every size, before any instance is built
+        disambiguation.check_vertex_count(m, f"{cfg.experiment}: a 'sizes' entry")
     checks = []
     for m in sizes:
         inst = disambiguation.star_partition_instance(m)

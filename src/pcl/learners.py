@@ -31,7 +31,6 @@ from .core import (
     LabeledSample,
     PartialConcept,
     PartialConceptClass,
-    best_empirical_error,
     check_points,
     is_realizable,
     labeled_sample,
@@ -612,7 +611,7 @@ def agnostic_learn(
     else:
         hyp, _ = alpha_boost_compress(cls, sample.subsample(kept), seed=seed)
     err = hyp.sample_error(sample)
-    class_err = best_empirical_error(cls, sample)
+    class_err = Fraction(len(sample) - len(kept), len(sample))
     if err > class_err:
         raise AssertionError("the boosted fit must err at most where the class does")
     report = AgnosticReport(

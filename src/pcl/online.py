@@ -206,7 +206,6 @@ class TreeAdversary:
     one round, and Omega(sqrt(dT)) at larger T.  d = T = 0 is the empty game.
     """
 
-    cls: PartialConceptClass
     d: int
     T: int
     tree: Optional[LittlestoneTree]
@@ -252,4 +251,4 @@ def tree_adversary(cls: PartialConceptClass, d: int, T: int) -> TreeAdversary:
         raise ContractViolation(
             f"the horizon T = {T} exceeds the limit of {MAX_ADVERSARY_T}"
         )
-    return TreeAdversary(cls, d, T, littlestone_tree(cls, d))
+    return TreeAdversary(d, T, littlestone_tree(cls, d))

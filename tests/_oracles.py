@@ -579,13 +579,14 @@ def follow_the_leader_mistakes(sequence) -> int:
     return mistakes
 
 
-def tree_game_by_enumeration(adv, learner) -> tuple[Fraction, Fraction]:
+def tree_game_by_enumeration(cls, adv, learner) -> tuple[Fraction, Fraction]:
     """A deterministic learner's mean mistakes and mean regret against the
-    tree adversary ``adv``, over all 2^T label strings, each played round by
-    round: the d blocks of T // d rounds (the last takes the rest) each ask
-    the point of the node that the earlier blocks' majorities (ties to 0)
-    reach, and the learner sees the version space as a concept bitmask."""
-    cls, d, T = adv.cls, adv.d, adv.T
+    tree adversary ``adv`` built on ``cls``, over all 2^T label strings, each
+    played round by round: the d blocks of T // d rounds (the last takes the
+    rest) each ask the point of the node that the earlier blocks' majorities
+    (ties to 0) reach, and the learner sees the version space as a concept
+    bitmask."""
+    d, T = adv.d, adv.T
     k = T // max(d, 1)
     ends = [k * (i + 1) for i in range(d - 1)] + [T] if d else []
     mistakes = regret = 0

@@ -612,6 +612,37 @@ class TestCliContract:
         path.write_text(json.dumps(graph))
         self._fails_naming(["construct", "biclique", "--graph", str(path)], named, capsys)
 
+    def test_graph_side_names_a_vertex_out_of_range(self, tmp_path, capsys):
+        # biclique 1 faces an empty side, so no edge it covers reaches 7 or -1
+        path = tmp_path / "graph.json"
+        graph = {"vertices": 3, "edges": [[0, 1]], "partition": [[[0], [1]], [[7, -1], []]]}
+        path.write_text(json.dumps(graph))
+        argv = ["construct", "biclique", "--graph", str(path)]
+        self._fails_naming(argv, "graph: biclique 1 names vertex -1 out of range", capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["construct", "biclique", "--complete", "1000"],
+             "--complete = 1000 exceeds the limit of 300 vertices"),
+            (["experiment", "biclique-lower-bound", "--param", "sizes=[4, 1000]"],
+             "biclique-lower-bound: a 'sizes' entry = 1000 exceeds the limit of 300 vertices"),
+            (["construct", "biclique", "--graph", "{graph}"],
+             "graph: vertices = 1000000 exceeds the limit of 300 vertices"),
+        ],
+        ids=["complete", "suite-sizes", "graph-vertices"],
+    )
+    def test_biclique_over_its_vertex_limit_refused_at_once(
+        self, argv, named, tmp_path, capsys
+    ):
+        # unbounded, each of these would run for seconds (a 70-byte graph file too)
+        path = tmp_path / "graph.json"
+        graph = {"vertices": 10**6, "edges": [[0, 1]], "partition": [[[0], [1]]]}
+        path.write_text(json.dumps(graph))
+        start = time.perf_counter()
+        self._fails_naming([a.format(graph=path) for a in argv], named, capsys)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("value", [None, 5, [], "x"], ids=["null", "number", "array", "string"])
     @pytest.mark.parametrize("command", ["dim", "biclique", "gamma-boost"])
     def test_non_object_json(self, value, command, tmp_path, sample_file, capsys):

@@ -25,6 +25,7 @@ from pcl.dimensions import (
 )
 from pcl.disambiguation import (
     BicliqueInstance,
+    MAX_BICLIQUE_VERTICES,
     _scaled_weights,
     _suffix_numerator,
     biclique_class,
@@ -203,6 +204,18 @@ class TestBiclique:
     def test_partition_validation_catches_missing_edge(self):
         with pytest.raises(ValueError, match="not covered"):
             BicliqueInstance(3, edges=((0, 1), (1, 2)), partition=(((0,), (1,)),))
+
+    @pytest.mark.parametrize("side", [(7,), (-1,), (3,)])
+    def test_partition_validation_catches_vertex_out_of_range(self, side):
+        # the second biclique faces an empty side, so it covers no edge
+        with pytest.raises(ValueError, match=f"biclique 1 names vertex {side[0]} out of range"):
+            BicliqueInstance(3, edges=((0, 1),), partition=(((0,), (1,)), (side, ())))
+
+    def test_over_the_vertex_limit_refused(self):
+        with pytest.raises(ValueError, match="vertices = 301 exceeds the limit of 300"):
+            BicliqueInstance(MAX_BICLIQUE_VERTICES + 1, edges=(), partition=())
+        with pytest.raises(ValueError, match="m = 301 exceeds the limit of 300"):
+            star_partition_instance(MAX_BICLIQUE_VERTICES + 1)
 
     def test_single_edge_coloring(self):
         inst = BicliqueInstance(2, edges=((0, 1),), partition=(((0,), (1,)),))

@@ -587,7 +587,9 @@ class TestAgnosticLearn:
         assert report.hypothesis_error == Fraction(1, 3) == report.class_error
 
     def test_fit_check_raises(self, monkeypatch):
-        monkeypatch.setattr(learners, "best_empirical_error", lambda *args: Fraction(-1))
+        # a boosted fit that misses both kept pairs, where the class errs on none
+        misfit = PartialConcept((1, 0))
+        monkeypatch.setattr(learners, "alpha_boost_compress", lambda *a, **kw: (misfit, None))
         cls = concept_class(2, ["01"])
         with pytest.raises(AssertionError, match="err at most where the class does"):
             agnostic_learn(cls, labeled_sample([(0, 0), (1, 1)]))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pcl import geometry
+from pcl.core import STAR
 from pcl.experiments import ExperimentConfig, run_experiment
 from pcl.learners import OneInclusionGraph
 from pcl.online import TreeAdversary
@@ -42,6 +43,15 @@ def _law_with_k_half(adv: TreeAdversary) -> Fraction:
         L = end - start
         total += Fraction(L // 2 * comb(L, L // 2), 2**L)
     return total
+
+
+def _star_agrees(cls, pairs) -> tuple[int, ...]:
+    """A largest agreement set in which a STAR agrees with either label."""
+    sets = (
+        tuple(i for i, (x, y) in enumerate(pairs) if h[x] in (y, STAR))
+        for h in cls.concepts
+    )
+    return max(sets, key=len, default=())
 
 
 def _one_point_too_many(radius: float, gamma: float) -> np.ndarray:
@@ -82,6 +92,17 @@ MUTANTS = {
         seed=0,
         params={"T": 2, "adversary_T": 1, "adversary_trials": 2},
         killers=frozenset({"adversary-law"}),
+    ),
+    # the best concept then misses fewer pairs, so the regret measured
+    # against it grows; only class 1 ("01*", "*10", "110") is both starred
+    # and tight enough to break its bound, from T = 4 on (class 3 from T = 12)
+    "agreement-counts-star": Mutant(
+        "pcl.core.max_realizable_subsequence",
+        _star_agrees,
+        "agnostic-online-regret",
+        seed=0,
+        params={"T": 4, "adversary_T": 1, "adversary_trials": 2},
+        killers=frozenset({"upper-class-1"}),
     ),
     # the witness (gamma/R) s then has norm sqrt(m + 1) gamma/R > 1, so every
     # labeling of all three families fails; the perceptron streams measure

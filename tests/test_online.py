@@ -161,21 +161,22 @@ class TestMistakeAdversary:
         cls = concept_class(2, ["01", "10"])
         adv = tree_adversary(cls, 1, 1)
         half = Fraction(1, 2)
-        assert tree_game_by_enumeration(adv, constant_learner(0)) == (half, half)
+        assert tree_game_by_enumeration(cls, adv, constant_learner(0)) == (half, half)
         assert adv.expected_regret() == half
 
     def test_depth_zero_empty_game(self):
         cls = concept_class(2, ["00"])
         adv = tree_adversary(cls, 0, 0)
         assert adv.generate(random.Random(0)) == []
-        assert tree_game_by_enumeration(adv, constant_learner(0)) == (0, 0)
+        assert tree_game_by_enumeration(cls, adv, constant_learner(0)) == (0, 0)
         assert adv.expected_regret() == 0
 
     def test_exact_half_d_for_soa_on_cube(self):
         cls = full_cube(3)
         adv = tree_adversary(cls, 3, 3)
         # fair-coin labels make every deterministic learner miss half the time
-        assert tree_game_by_enumeration(adv, Soa(cls)) == (Fraction(3, 2), Fraction(3, 2))
+        three_halves = Fraction(3, 2)
+        assert tree_game_by_enumeration(cls, adv, Soa(cls)) == (three_halves, three_halves)
         assert adv.expected_regret() == Fraction(3, 2)
 
     def test_monte_carlo_matches_exact(self):
@@ -203,7 +204,7 @@ class TestMistakeAdversary:
     ):
         d = min(d, littlestone_dimension(cls))
         adv = tree_adversary(cls, d, d)
-        assert tree_game_by_enumeration(adv, learner)[0] == Fraction(d, 2)
+        assert tree_game_by_enumeration(cls, adv, learner)[0] == Fraction(d, 2)
         coins = random.Random(seed)
         branch, node = [], adv.tree
         for _ in range(d):
@@ -237,7 +238,7 @@ class TestAdversaryLaw:
         adv = tree_adversary(cls, d, T)
         law = (Fraction(T, 2), adv.expected_regret())
         for player in (Soa(cls), constant_learner(0), constant_learner(1), learner):
-            assert tree_game_by_enumeration(adv, player) == law
+            assert tree_game_by_enumeration(cls, adv, player) == law
 
 
 class TestExperts:
