@@ -341,8 +341,8 @@ def dual_vc_dimension(cls: PartialConceptClass) -> int:
     dual = TotalConceptClass(len(cls.concepts), tuple(PartialConcept(r) for r in transposed))
     d_star = vc_dimension(dual)
     d = cls.vc
-    if d_star > 2 ** (d + 1):
-        raise AssertionError(f"dual dimension {d_star} exceeds 2^(d+1) for d={d}")
+    if d_star >= 2 ** (d + 1):  # Assouad: d* < 2^(d+1)
+        raise AssertionError(f"dual dimension {d_star} reaches 2^(d+1) for d={d}")
     return d_star
 
 

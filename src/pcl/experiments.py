@@ -1,18 +1,18 @@
 """Seeded experiment suites that exercise every checkable bound at desk scale.
 
-Each suite produces a ``Report``: a list of per-check records (statement,
-measured value, bound value, pass flag) plus summary counts.  Reports are pure
-functions of (inputs, seed); all randomness flows through ``random.Random``
-generators split deterministically per suite unit (class, matrix or distribution).
+Each suite produces a ``Report``: a list of per-check records plus summary
+counts.  Reports are pure functions of (inputs, seed); all randomness flows
+through ``random.Random`` generators split deterministically per suite unit
+(class, matrix or distribution).
 
-A record's verdict is derived from the values it shows.  ``_check`` compares
-the measured value with the bound by a relation (``<=``, ``>=`` or ``==``),
+A record prints a statement, the operands of its verdict (``measured``,
+``relation``, ``bound`` and ``tolerance``) and ``passed``, which is ``verdict``
+of those printed operands.  A relation (``<=``, ``>=``, ``>`` or ``==``) is
 widened by an absolute tolerance: 1e-9 for floating-point sums, and three
-sample sigmas for Monte-Carlo means, whose z-score the record keeps.
-``_tally`` records how many of its cases failed; it passes when none did, and
-an aggregate over zero cases fails.  The records whose verdict is a
-conjunction of conditions, or an exact comparison of values shown as floats,
-state it themselves.
+sample sigmas for Monte-Carlo means, whose z-score the record keeps.  A
+compound record holds one relation and one bound per key of its ``measured``
+dict; a tally is the compound whose case count must be > 0 and whose bad
+count must be == 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .core import (
 )
 from .serialize import json_value
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _digest(seed: int, *path) -> int:
@@ -51,40 +51,65 @@ def split_rng(seed: int, *path) -> random.Random:
     return random.Random(_digest(seed, *path))
 
 
-@dataclass
+_RELATIONS = {
+    "<=": lambda m, b, tol: m <= b + tol,
+    ">=": lambda m, b, tol: m >= b - tol,
+    ">": lambda m, b, tol: m > b - tol,
+    "==": lambda m, b, tol: abs(m - b) <= tol,
+}
+
+
+def verdict(measured, relation, bound, tolerance) -> bool:
+    """Whether ``measured relation bound`` holds, widened by ``tolerance``;
+    for a compound record, whether it holds at every key of ``measured``."""
+    if isinstance(measured, dict):
+        if not measured.keys() == relation.keys() == bound.keys():
+            raise ValueError("a compound record needs one relation and bound per key")
+        return all(
+            verdict(measured[k], relation[k], bound[k], tolerance) for k in measured
+        )
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    # Fractions print as strings
+    m, b, tol = (Fraction(v) if isinstance(v, str) else v for v in (measured, bound, tolerance))
+    return bool(_RELATIONS[relation](m, b, tol))
+
+
+@dataclass(frozen=True)
 class CheckRecord:
     name: str
     statement: str
     measured: object
+    relation: object
     bound: object
-    passed: bool
+    tolerance: object = 0
     extra: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """The record as a report prints it, with ``verdict`` of the printed
+        operands as ``passed``."""
+        out = {k: json_value(v) for k, v in vars(self).items()}
+        out["passed"] = verdict(out["measured"], out["relation"], out["bound"], out["tolerance"])
+        return out
 
-def _check(
-    name: str, statement: str, measured, rel: str, bound, tol=0, extra=None
-) -> CheckRecord:
-    """A record that passes when ``measured rel bound`` holds, ``tol`` allowed."""
-    if rel == "<=":
-        passed = measured <= bound + tol
-    elif rel == ">=":
-        passed = measured >= bound - tol
-    elif rel == "==":
-        passed = measured == bound
-    else:
-        raise ValueError(f"unknown relation {rel!r}")
-    return CheckRecord(name, statement, measured, bound, bool(passed), extra or {})
+    @property
+    def passed(self) -> bool:
+        return self.to_dict()["passed"]
+
+
+def _compound(name: str, statement: str, rows: dict, extra=None) -> CheckRecord:
+    """A compound record from one (measured, relation, bound) row per key."""
+    measured, relation, bound = ({k: row[i] for k, row in rows.items()} for i in range(3))
+    return CheckRecord(name, statement, measured, relation, bound, extra=extra or {})
 
 
 def _tally(
     name: str, statement: str, cases: tuple[str, int], bad: tuple[str, int], extra=None
 ) -> CheckRecord:
-    """An aggregate record that passes when some cases ran and none was bad."""
+    """An aggregate record: some cases ran, and none was bad."""
     (cases_key, n), (bad_key, k) = cases, bad
-    measured = {cases_key: n, bad_key: k}
-    return CheckRecord(
-        name, statement, measured, {bad_key: 0}, n > 0 and k == 0, extra or {}
-    )
+    rows = {cases_key: (n, ">", 0), bad_key: (k, "==", 0)}
+    return _compound(name, statement, rows, extra)
 
 
 @dataclass
@@ -113,42 +138,24 @@ class Report:
         return len(self.checks) - self.n_failed
 
     def to_dict(self) -> dict:
+        checks = [c.to_dict() for c in self.checks]
+        failed = sum(not c["passed"] for c in checks)
         return {
             "schema": SCHEMA_VERSION,
             "experiment": self.experiment,
             "seed": self.seed,
             "params": {k: json_value(v) for k, v in sorted(self.params.items())},
-            "checks": [
-                {
-                    "name": c.name,
-                    "statement": c.statement,
-                    "measured": json_value(c.measured),
-                    "bound": json_value(c.bound),
-                    "passed": bool(c.passed),
-                    "extra": {k: json_value(v) for k, v in sorted(c.extra.items())},
-                }
-                for c in self.checks
-            ],
-            "summary": {"passed": self.n_passed, "failed": self.n_failed},
+            "checks": checks,
+            "summary": {"passed": len(checks) - failed, "failed": failed},
         }
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["experiment", "check", "statement", "measured", "bound", "passed"]
-        )
-        for c in self.checks:
-            writer.writerow(
-                [
-                    self.experiment,
-                    c.name,
-                    c.statement,
-                    json_value(c.measured),
-                    json_value(c.bound),
-                    int(c.passed),
-                ]
-            )
+        writer.writerow(["experiment", "check", "statement", "measured", "bound", "passed"])
+        for c in map(CheckRecord.to_dict, self.checks):
+            fields = (c["name"], c["statement"], c["measured"], c["bound"])
+            writer.writerow([self.experiment, *fields, int(c["passed"])])
         return buf.getvalue()
 
 
@@ -270,7 +277,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                 continue
             worst = max(worst, online.play_sequence(cls, soa, seq).mistakes)
         checks.append(
-            _check(
+            CheckRecord(
                 f"class-{i}", "online mistakes <= LD(H) on realizable sequences",
                 worst, "<=", ld,
             )
@@ -312,7 +319,7 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
                     edges != sum(out_degrees) or edges > graph.vc * len(pats)
                 )
         checks.append(
-            _check(
+            CheckRecord(
                 f"class-{i}", "permutation-averaged LOO error <= VC(H)/n, exact",
                 worst_excess, "<=", Fraction(0), extra={"vc": d},
             )
@@ -360,7 +367,7 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
         ys = np.array([rng.random() for _ in range(T)])
         res = online.experts_aggregate(preds, ys)
         checks.append(
-            _check(
+            CheckRecord(
                 f"matrix-{i}", "mixture loss - best expert loss <= sqrt((T/2) ln N)",
                 res.regret, "<=", res.regret_bound, extra={"T": T, "N": N},
             )
@@ -411,10 +418,10 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             res = learner.run(seq)
             worst = max(worst, res.expected_regret)
         checks.append(
-            _check(
+            CheckRecord(
                 f"upper-class-{ci}",
                 "expected regret <= sqrt((T/2) ln N) + LD (mixture accounting)",
-                worst, "<=", bound, tol=1e-9,
+                worst, "<=", bound, tolerance=1e-9,
                 extra={"T": T, "experts": learner.n_experts, "ld": ld},
             )
         )
@@ -438,10 +445,10 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         mean = float(regrets.mean())
         sigma = float(regrets.std(ddof=1) / math.sqrt(trials))
         checks.append(
-            _check(
+            CheckRecord(
                 f"adversary-vs-{name}",
                 "mean regret of the block adversary >= (1/4) sqrt(dT) - 3 sigma",
-                mean, ">=", target, tol=3 * sigma,
+                mean, ">=", target, tolerance=3 * sigma,
                 extra={"sigma": sigma, "z": (mean - target) / sigma if sigma else 0.0},
             )
         )
@@ -451,8 +458,9 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         CheckRecord(
             "adversary-law",
             "exact expected regret of the block adversary >= (1/4) sqrt(dT), "
-            "decided in Fractions as regret^2 >= dT/16",
-            float(law), target, law**2 >= Fraction(T_adv, 16), {"d": 1, "T": T_adv},
+            "in squares: regret^2 >= dT/16",
+            law**2, ">=", Fraction(T_adv, 16),
+            extra={"d": 1, "T": T_adv, "regret": float(law)},
         )
     )
     return Report(cfg.experiment, cfg.seed, checks, {"trials": trials})
@@ -481,39 +489,31 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
         n = cls.domain_size
         d = cls.vc
         res = disambiguation.vc_majority_disambiguate(cls)
-        s = res.info["strength"]
-        max_updates = max(res.update_count(h) for h in cls)
-        strong_ok = disambiguation.strong_violation(cls, res.totals) is None
-        size_cap = dimensions.sauer_bound(
-            n, int(1 + d * math.log2(n)) if n > 1 else 1
-        )
         wres = disambiguation.weighted_disambiguate(cls)
+        majority_strong = disambiguation.strong_violation(cls, res.totals) is None
         weighted_strong = disambiguation.strong_violation(cls, wres.totals) is None
         worst_slack = min(
             (d + 1) * math.log2(m) + 2 - wres.prefix_update_count(h, m)
             for h in cls
             for m in range(1, n + 1)
         )
+        size_cap = dimensions.sauer_bound(n, int(1 + d * math.log2(n)) if n > 1 else 1)
         checks.append(
-            CheckRecord(
-                name=f"class-{i}",
-                statement=(
-                    "majority: updates <= log2 s(H), strong, size capped; "
-                    "weighted: prefix updates <= (d+1) log2(m) + 2"
-                ),
-                measured={
-                    "max_updates": max_updates,
-                    "totals": len(res.totals),
-                    "min_weighted_slack": worst_slack,
+            _compound(
+                f"class-{i}",
+                "majority: updates <= log2 s(H), strong, size capped; "
+                "weighted: strong, prefix updates <= (d+1) log2(m) + 2",
+                {
+                    "max_updates": (
+                        max(res.update_count(h) for h in cls), "<=",
+                        math.log2(res.info["strength"]),
+                    ),
+                    "totals": (len(res.totals), "<=", size_cap),
+                    "majority_strong": (majority_strong, "==", True),
+                    "weighted_strong": (weighted_strong, "==", True),
+                    "min_weighted_slack": (worst_slack, ">=", 0),
                 },
-                bound={"log2_strength": math.log2(s), "size_cap": size_cap},
-                # the two strong-disambiguation flags show in no report byte
-                passed=strong_ok
-                and weighted_strong
-                and max_updates <= math.log2(s)
-                and len(res.totals) <= size_cap
-                and worst_slack >= 0,
-                extra={"n": n, "vc": d},
+                {"n": n, "vc": d, "weighted_updates": sum(map(wres.update_count, cls))},
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
@@ -527,19 +527,16 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
     for m in sizes:
         inst = disambiguation.star_partition_instance(m)
         cls = disambiguation.biclique_class(inst)
-        vc = cls.vc
         pair_ok = all(
             len(cls.binary_patterns((a, b))) <= 2
             for a in range(cls.domain_size)
             for b in range(a + 1, cls.domain_size)
         )
         checks.append(
-            CheckRecord(
-                name=f"K{m}-structure",
-                statement="VC = 1 and every coordinate pair realizes <= 2 patterns",
-                measured={"vc": vc, "pairs_ok": pair_ok},
-                bound={"vc": 1},
-                passed=vc == 1 and pair_ok,
+            _compound(
+                f"K{m}-structure",
+                "VC = 1 and every coordinate pair realizes <= 2 patterns",
+                {"vc": (cls.vc, "==", 1), "pairs_ok": (pair_ok, "==", True)},
             )
         )
         for builder, label in (
@@ -550,13 +547,13 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
             res = builder(cls)
             cert = disambiguation.certify_coloring_lower_bound(inst, res)
             checks.append(
-                CheckRecord(
-                    name=f"K{m}-{label}",
-                    statement="strong disambiguation colors the graph with >= chi colors",
-                    measured=cert.colors_used,
-                    bound=m,
-                    passed=cert.is_proper and cert.colors_used >= m,
-                    extra={"proper": cert.is_proper},
+                _compound(
+                    f"K{m}-{label}",
+                    "strong disambiguation colors the graph with >= chi colors",
+                    {
+                        "colors": (cert.colors_used, ">=", m),
+                        "proper": (cert.is_proper, "==", True),
+                    },
                 )
             )
     return Report(cfg.experiment, cfg.seed, checks, {"sizes": list(sizes)})
@@ -653,10 +650,10 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         rate = failures / trials
         sigma = math.sqrt(max(rate * (1 - rate), delta * (1 - delta)) / trials)
         checks.append(
-            _check(
+            CheckRecord(
                 f"distribution-{i}",
                 "failure rate at the prescribed sample size <= delta + 3 sigma",
-                rate, "<=", delta, tol=3 * sigma,
+                rate, "<=", delta, tolerance=3 * sigma,
                 extra={
                     "m": schedule.total,
                     "sigma": sigma,
@@ -674,11 +671,11 @@ def suite_erm_failure(cfg: ExperimentConfig) -> Report:
     trials = cfg.params["trials"]
     res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(cfg.seed, "erm"))
     checks = [
-        _check(
+        CheckRecord(
             "proper-learner", "mean error of consistent half-support guesses >= 0.2",
             res.proper_mean_error, ">=", Fraction(1, 5),
         ),
-        _check(
+        CheckRecord(
             "improper-learner", "the all-zeros predictor never errs",
             res.improper_mean_error, "==", Fraction(0),
         ),
@@ -734,7 +731,8 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
     streams = cfg.params["streams"]
     pts = geometry.orthonormal_points(2.0, 1.0)
     rng = split_rng(cfg.seed, "geometry-perceptron")
-    over_bound = 0
+    over_bound = mistakes = 0
+    bound_sum = 0.0
     for _ in range(streams):
         labels = np.array([rng.getrandbits(1) for _ in pts])
         order = rng.sample(range(len(pts)), len(pts))
@@ -742,56 +740,53 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
         ys = np.tile(labels[order], 25)
         report = geometry.perceptron_run(stream, ys)
         over_bound += report.mistakes > report.bound_used
+        mistakes += report.mistakes
+        bound_sum += report.bound_used
     checks.append(
         _tally(
             "perceptron-streams",
             "mistakes <= the self-measured lifted bound on shuffled streams",
             ("streams", streams), ("violations", over_bound),
+            extra={"mistakes_sum": mistakes, "bound_sum": bound_sum},
         )
     )
     return Report(cfg.experiment, cfg.seed, checks, {"streams": streams})
 
 
 def suite_approximation_monotonicity(cfg: ExperimentConfig) -> Report:
+    # each pair with its relations from n - 1 to n = 2, 3: strict where the
+    # pair's exact errors rise (1/2, 1/2, 1/2; 1/3, 4/9, 13/27; 0, 1/4, 1/4;
+    # 0, 2/9, 2/9; 0, 3/16, 3/16)
     pairs = [
-        (
-            core.concept_class(1, ["0"]),
-            uniform_on([(0, 0), (0, 1)]),
-        ),
+        (core.concept_class(1, ["0"]), uniform_on([(0, 0), (0, 1)]), (">=", ">=")),
         (
             core.concept_class(2, ["0*", "*0"]),
             uniform_on([(0, 0), (0, 1), (1, 0)]),
+            (">", ">"),
         ),
-        (
-            core.concept_class(2, ["00", "11"]),
-            uniform_on([(0, 0), (1, 1)]),
-        ),
+        (core.concept_class(2, ["00", "11"]), uniform_on([(0, 0), (1, 1)]), (">", ">=")),
         (
             disambiguation.biclique_class(disambiguation.star_partition_instance(4)),
             uniform_on([(0, 0), (1, 1), (2, 0)]),
+            (">", ">="),
         ),
         (
             core.concept_class(3, ["01*", "*10", "1*1"]),
             core.finite_distribution(
-                {
-                    (0, 0): Fraction(1, 2),
-                    (1, 1): Fraction(1, 4),
-                    (2, 1): Fraction(1, 4),
-                }
+                {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)}
             ),
+            (">", ">="),
         ),
     ]
     checks = []
-    for i, (cls, dist) in enumerate(pairs):
-        values = [core.approximation_error(cls, dist, n) for n in (1, 2, 3)]
-        monotone = values[0] <= values[1] <= values[2]
+    for i, (cls, dist, rises) in enumerate(pairs):
+        e1, e2, e3 = (core.approximation_error(cls, dist, n) for n in (1, 2, 3))
         checks.append(
-            CheckRecord(
-                name=f"pair-{i}",
-                statement="exact expected best-fit error is non-decreasing in n",
-                measured=[str(v) for v in values],
-                bound="monotone",
-                passed=monotone,
+            _compound(
+                f"pair-{i}",
+                "exact expected best-fit error does not fall from n - 1 to n, "
+                "and rises where the pair's law does",
+                {"n=2": (e2, rises[0], e1), "n=3": (e3, rises[1], e2)},
             )
         )
     return Report(cfg.experiment, cfg.seed, checks, {"pairs": len(pairs)})
@@ -801,18 +796,22 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
     n_classes = cfg.params["classes"]
     checks = []
     violations = 0
+    sums = dict.fromkeys(("natarajan_sum", "graph_sum", "support_vc_sum"), 0)
     for i in range(n_classes):
         cls = _draw_class(split_rng(cfg.seed, "multiclass", i), 8, 20, (0.2, 0.4, 0.6))
         mc = dimensions.multiclass_dimensions(cls)
         res = disambiguation.support_indicator_disambiguation(cls)
         ok = mc.natarajan <= cls.vc + mc.support_vc and res.info["vc"] <= mc.graph
         violations += not ok
+        sums["natarajan_sum"] += mc.natarajan
+        sums["graph_sum"] += mc.graph
+        sums["support_vc_sum"] += mc.support_vc
     checks.append(
         _tally(
             "random-classes",
             "Natarajan <= VC + support-VC and indicator-disambiguation VC <= "
             "graph dimension",
-            ("classes", n_classes), ("violations", violations),
+            ("classes", n_classes), ("violations", violations), extra=sums,
         )
     )
     for n in (2, 3, 4):
@@ -826,7 +825,7 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
             [h1, h2], disambiguation.majority_table(2)
         )
         checks.append(
-            _check(
+            CheckRecord(
                 f"closure-failure-{n}",
                 "two VC-0 factors compose to a fully shattering class",
                 composed.vc, "==", n,

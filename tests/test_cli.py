@@ -238,7 +238,7 @@ class TestCliExperiment:
         )
         assert rc == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["summary"]["failed"] == 0
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0] == (
@@ -842,8 +842,8 @@ CLI_SHA256 = {
         "e5f4b6a5940d5c29e2efa2006dbd5632"
     ),
     "experiment-stdout": (
-        "397343efad9754db42bfa38297d0cbc8"
-        "8500d4280f3453fd5a36f80b204d5e8e"
+        "8ea28f7b43980416f6e648ba8a711c97"
+        "e3eb7cad6d78787052e17cab17024696"
     ),
     "learn-agnostic": (
         "bb575b4ea0b5ab54f75bb0ac77107b3e"

@@ -369,17 +369,24 @@ class TestDualVcDimension:
             dual_vc_dimension(concept_class(2, ["0*"]))
 
     def test_dual_bound_check_raises(self, monkeypatch):
-        # Dual VC 5 against primal VC 0 breaks d* <= 2^(d+1) = 2.
+        # Dual VC 5 against primal VC 0 breaks Assouad's d* < 2^(d+1) = 2.
         values = iter([5, 0])
         monkeypatch.setattr(dimensions, "vc_dimension", lambda cls: next(values))
-        with pytest.raises(AssertionError, match="exceeds 2"):
+        with pytest.raises(AssertionError, match="reaches 2"):
+            dual_vc_dimension(full_cube(2))
+
+    def test_dual_bound_check_raises_at_the_bound(self, monkeypatch):
+        # d* = 2^(d+1) itself: Assouad's lemma makes the bound strict
+        values = iter([2, 0])
+        monkeypatch.setattr(dimensions, "vc_dimension", lambda cls: next(values))
+        with pytest.raises(AssertionError, match="reaches 2"):
             dual_vc_dimension(full_cube(2))
 
     @settings(max_examples=30)
     @given(classes(max_n=4, max_size=8, alphabet=(0, 1)))
     def test_dual_bound(self, cls):
         d = vc_dimension(cls)
-        assert dual_vc_dimension(cls) <= 2 ** (d + 1)
+        assert dual_vc_dimension(cls) < 2 ** (d + 1)
 
 
 class TestReports:

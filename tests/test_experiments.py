@@ -1,44 +1,88 @@
+import hashlib
+import json
 import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from pcl import experiments
-from pcl.experiments import ExperimentConfig, Suite, _check, _tally, run_experiment
+from pcl import core, experiments
+from pcl.experiments import (
+    SUITES,
+    CheckRecord,
+    ExperimentConfig,
+    Suite,
+    _tally,
+    run_experiment,
+    verdict,
+)
+from pcl.serialize import dump_json
+
+from _oracles import approximation_error_by_product
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestCheck:
+    """``verdict``, which decides every record from its printed operands."""
+
     @pytest.mark.parametrize(
         "rel,at_edge,beyond",
-        [("<=", 5, 6), (">=", 1, 0)],
+        [("<=", 5, 6), (">=", 1, 0), (">", 2, 1), ("==", 5, 6)],
     )
     def test_tolerance_edge(self, rel, at_edge, beyond):
-        # bound 3 with tol 2: the edge is 3 + 2 for <= and 3 - 2 for >=
-        assert _check("c", "s", at_edge, rel, 3, tol=2).passed
-        assert not _check("c", "s", beyond, rel, 3, tol=2).passed
+        # bound 3 with tolerance 2: the edge is 3 + 2 for <= and ==, 3 - 2 for
+        # >=, and just above 3 - 2 for >
+        assert verdict(at_edge, rel, 3, 2)
+        assert not verdict(beyond, rel, 3, 2)
 
     @pytest.mark.parametrize("rel", ["<=", ">=", "=="])
     def test_exact_bound_passes(self, rel):
-        assert _check("c", "s", Fraction(1, 5), rel, Fraction(1, 5)).passed
+        assert verdict(Fraction(1, 5), rel, Fraction(1, 5), 0)
 
     def test_zero_tolerance_is_strict(self):
-        assert not _check("c", "s", Fraction(1, 5), "<=", Fraction(1, 6)).passed
-        assert not _check("c", "s", Fraction(1, 6), ">=", Fraction(1, 5)).passed
-        assert not _check("c", "s", 4, "==", 3).passed
+        assert not verdict(Fraction(1, 5), "<=", Fraction(1, 6), 0)
+        assert not verdict(Fraction(1, 6), ">=", Fraction(1, 5), 0)
+        assert not verdict(Fraction(1, 5), ">", Fraction(1, 5), 0)
+        assert not verdict(4, "==", 3, 0)
+        assert not verdict(False, "==", True, 0)
 
-    def test_record_shows_what_it_judged(self):
-        record = _check("c", "s", 2.5, ">=", 2.0, tol=0.1, extra={"z": 1.0})
-        assert (record.measured, record.bound, record.extra) == (2.5, 2.0, {"z": 1.0})
-        assert record.passed is True
-        assert _check("c", "s", 1, "<=", 1).extra == {}
+    def test_printed_fractions_are_read_exactly(self):
+        # the two read equal as floats; as Fractions 1/3 is the larger
+        assert not verdict("1/3", "<=", "3333333333333333/10000000000000000", 0)
+        assert verdict("1/3", ">", "3333333333333333/10000000000000000", 0)
+        assert verdict("25/4", ">=", "25/4", "0")
+
+    def test_compound_holds_at_every_key(self):
+        relation = {"cases": ">", "bad": "=="}
+        bound = {"cases": 0, "bad": 0}
+        assert verdict({"cases": 3, "bad": 0}, relation, bound, 0)
+        assert not verdict({"cases": 3, "bad": 1}, relation, bound, 0)
+        assert not verdict({"cases": 0, "bad": 0}, relation, bound, 0)
+
+    def test_compound_needs_a_relation_and_bound_per_key(self):
+        with pytest.raises(ValueError, match="per key"):
+            verdict({"cases": 3, "bad": 0}, {"bad": "=="}, {"bad": 0}, 0)
+        with pytest.raises(ValueError, match="per key"):
+            verdict({"bad": 0}, {"bad": "=="}, {"bad": 0, "cases": 0}, 0)
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="relation"):
-            _check("c", "s", 1, "<", 2)
+            verdict(1, "<", 2, 0)
+
+    def test_record_shows_what_it_judged(self):
+        record = CheckRecord("c", "s", 2.5, ">=", 2.0, 0.1, extra={"z": 1.0})
+        assert record.to_dict() == {
+            "name": "c", "statement": "s", "measured": 2.5, "relation": ">=",
+            "bound": 2.0, "tolerance": 0.1, "passed": True, "extra": {"z": 1.0},
+        }
+        assert record.passed is True
+        assert CheckRecord("c", "s", 1, "<=", 1).tolerance == 0
+        assert CheckRecord("c", "s", 1, "<=", 1).extra == {}
+        exact = CheckRecord("c", "s", Fraction(1, 3), "<=", Fraction(1, 2))
+        assert exact.to_dict()["measured"] == "1/3" and exact.passed
 
 
 class TestTally:
@@ -46,13 +90,95 @@ class TestTally:
         record = _tally("t", "s", ("samples", 3), ("violations", 0))
         assert record.passed
         assert record.measured == {"samples": 3, "violations": 0}
-        assert record.bound == {"violations": 0}
+        assert record.relation == {"samples": ">", "violations": "=="}
+        assert record.bound == {"samples": 0, "violations": 0}
 
     def test_one_bad_case_fails(self):
         assert not _tally("t", "s", ("samples", 3), ("violations", 1)).passed
 
     def test_zero_cases_fail(self):
         assert not _tally("t", "s", ("samples", 0), ("violations", 0)).passed
+
+
+ACCEPTANCE_SEED = 20240817
+
+
+def _least(name: str) -> dict:
+    """The suite's least parameters; a tuple parameter as a one-entry list."""
+    suite = SUITES[name]
+    return {
+        key: [least] if isinstance(suite.defaults[key], tuple) else least
+        for key, least in suite.least.items()
+    }
+
+
+class TestPrintedVerdicts:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_record_is_the_verdict_of_its_printed_fields(self, name):
+        report = run_experiment(ExperimentConfig(name, params=_least(name)))
+        printed = json.loads(dump_json(report.to_dict(), None))
+        assert printed["schema"] == 2
+        assert len(printed["checks"]) == len(report.checks) > 0
+        for record, check in zip(printed["checks"], report.checks):
+            operands = (record[k] for k in ("measured", "relation", "bound", "tolerance"))
+            assert verdict(*operands) is record["passed"] is check.passed, check.name
+
+    def test_pair_relations_follow_the_enumerated_law(self, monkeypatch):
+        # each pair-<i> declares a strict rise exactly where the oracle's
+        # product-space enumeration of its exact errors rises
+        errors = []
+
+        def by_product(cls, dist, n):
+            errors.append(approximation_error_by_product(cls, dist, n))
+            return errors[-1]
+
+        monkeypatch.setattr(core, "approximation_error", by_product)
+        report = run_experiment(ExperimentConfig("approximation-monotonicity"))
+        for i, check in enumerate(report.checks):
+            e1, e2, e3 = errors[3 * i : 3 * i + 3]
+            assert check.relation == {
+                "n=2": ">" if e2 > e1 else ">=", "n=3": ">" if e3 > e2 else ">="
+            }, check.name
+            assert check.passed, check.name
+
+
+# Each suite's parameters in the stream probe: its least values at
+# ACCEPTANCE_SEED, except pac-realizable, whose printed VCs first tell a
+# shifted "pac" stream apart at 6 distributions (a failure count of 0 and
+# the VC are all its records print of a distribution).
+PROBE_PARAMS = {
+    **{name: _least(name) for name in SUITES},
+    "pac-realizable": {"trials": 1, "distributions": 6},
+}
+
+# Streams whose shift cannot move any report byte, and why.
+BLIND = {
+    "pac-draw": "its records print a failure count that is 0 under any draw; "
+    "tests/test_core.py::TestDrawContract pins the stream itself",
+}
+
+
+def _probe(name: str, shift=None) -> tuple[set[str], str]:
+    """The streams a suite run draws, and its report digest with the seed
+    of stream ``shift`` moved by 1."""
+    streams = set()
+    digest = experiments._digest
+
+    def shifted(seed, stream, *path):
+        streams.add(stream)
+        return digest(seed + (stream == shift), stream, *path)
+
+    with mock.patch.object(experiments, "_digest", shifted):
+        cfg = ExperimentConfig(name, seed=ACCEPTANCE_SEED, params=PROBE_PARAMS[name])
+        text = dump_json(run_experiment(cfg).to_dict(), None)
+    return streams, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_stream_moves_the_report_digest(name):
+    streams, digest = _probe(name)
+    blind = {stream for stream in streams if _probe(name, stream)[1] == digest}
+    assert blind == streams & BLIND.keys()
 
 
 class TestParams:

@@ -104,6 +104,17 @@ MUTANTS = {
         params={"T": 4, "adversary_T": 1, "adversary_trials": 2},
         killers=frozenset({"upper-class-1"}),
     ),
+    # a STAR then agrees, so pairs 1, 3 and 4 read 0, 0, 0 at n = 1, 2, 3
+    # where their exact errors rise strictly from n = 1 to 2 (pairs 0 and 2
+    # have no STAR); the suite reads no seed or parameter
+    "agreement-counts-star-approximation": Mutant(
+        "pcl.core.max_realizable_subsequence",
+        _star_agrees,
+        "approximation-monotonicity",
+        seed=0,
+        params={},
+        killers=frozenset({"pair-1", "pair-3", "pair-4"}),
+    ),
     # the witness (gamma/R) s then has norm sqrt(m + 1) gamma/R > 1, so every
     # labeling of all three families fails; the perceptron streams measure
     # their own bound and still pass
