@@ -374,14 +374,14 @@ def max_realizable_subsequence(
 
     A subsequence is realizable iff a single concept agrees with all of its
     entries, so the maximum is attained by some concept's full agreement set.
-    Scanning those sets is exact in O(|H| * |S|); ties between equally large
-    sets are broken toward the lexicographically smallest index tuple.
+    Scanning those sets is exact in O(|H| * |S|); of equally large sets the
+    first in class order is returned.
     """
     check_points(cls, pairs)
     best: tuple[int, ...] = ()
     for h in cls.concepts:
         agree = tuple(i for i, (x, y) in enumerate(pairs) if h[x] == y)
-        if len(agree) > len(best) or (len(agree) == len(best) and agree < best):
+        if len(agree) > len(best):
             best = agree
     return best
 

@@ -1,9 +1,10 @@
 """Seeded experiment suites that exercise every checkable bound at desk scale.
 
-Each suite produces a ``Report``: a list of per-check records plus summary
-counts.  Reports are pure functions of (inputs, seed); all randomness flows
-through ``random.Random`` generators split deterministically per suite unit
-(class, matrix or distribution).
+Each suite is a function of a seed and its parameters that returns its check
+records; ``run_experiment`` alone wraps them in a ``Report`` that prints every
+parameter the suite ran with.  Reports are pure functions of (parameters,
+seed); all randomness flows through ``random.Random`` generators split
+deterministically per suite unit (class, matrix or distribution).
 
 A record prints a statement, the operands of its verdict (``measured``,
 ``relation``, ``bound`` and ``tolerance``) and ``passed``, which is ``verdict``
@@ -23,7 +24,7 @@ import io
 import math
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
@@ -127,15 +128,7 @@ class Report:
     experiment: str
     seed: int
     checks: list[CheckRecord]
-    params: dict = field(default_factory=dict)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
-
-    @property
-    def n_passed(self) -> int:
-        return len(self.checks) - self.n_failed
+    params: dict
 
     def to_dict(self) -> dict:
         checks = [c.to_dict() for c in self.checks]
@@ -244,11 +237,10 @@ def _random_realizable_sequence(
 # suites
 
 
-def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params["classes"]
+def suite_soa_mistake_bound(seed: int, classes: int, sequences: int) -> list[CheckRecord]:
     checks = []
-    for i in range(n_classes):
-        rng = split_rng(cfg.seed, "soa", i)
+    for i in range(classes):
+        rng = split_rng(seed, "soa", i)
         cls = _draw_class(rng, 8, 32, (0.0, 0.25, 0.5))
         soa = online.Soa(cls)
         packed = cls.packed
@@ -256,7 +248,7 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
         tree = online.littlestone_tree(cls, ld)
         candidates = _defined_concepts(cls)
         worst = 0
-        for j in range(cfg.params["sequences"]):
+        for j in range(sequences):
             if j % 2 == 0 or ld == 0:
                 seq = _random_realizable_sequence(candidates, rng, 2 * cls.domain_size)
             else:
@@ -282,23 +274,22 @@ def suite_soa_mistake_bound(cfg: ExperimentConfig) -> Report:
                 worst, "<=", ld,
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
+    return checks
 
 
 LOO_MULTISET_CLASSES = 10  # classes whose short sequences with repeats are all swept
 
 
-def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params["classes"]
+def suite_one_inclusion_loo(seed: int, classes: int, max_len: int) -> list[CheckRecord]:
     checks = []
     graphs = bad_graphs = 0
     multiset_samples = 0
     multiset_violations = 0
-    for i in range(n_classes):
-        cls = _draw_class(split_rng(cfg.seed, "loo", i), 6, 32, (0.0, 0.3, 0.5))
+    for i in range(classes):
+        cls = _draw_class(split_rng(seed, "loo", i), 6, 32, (0.0, 0.3, 0.5))
         d = cls.vc
         worst_excess = Fraction(-1)
-        for k in range(1, min(cfg.params["max_len"], cls.domain_size) + 1):
+        for k in range(1, min(max_len, cls.domain_size) + 1):
             for pts in combinations(range(cls.domain_size), k):
                 if not cls.binary_patterns(pts):
                     continue
@@ -353,14 +344,13 @@ def suite_one_inclusion_loo(cfg: ExperimentConfig) -> Report:
             ("samples", multiset_samples), ("violations", multiset_violations),
         )
     )
-    return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
+    return checks
 
 
-def suite_experts_regret(cfg: ExperimentConfig) -> Report:
-    n_matrices = cfg.params["matrices"]
+def suite_experts_regret(seed: int, matrices: int) -> list[CheckRecord]:
     checks = []
-    for i in range(n_matrices):
-        rng = split_rng(cfg.seed, "experts", i)
+    for i in range(matrices):
+        rng = split_rng(seed, "experts", i)
         T = rng.randint(1, 64)
         N = rng.randint(1, 16)
         preds = np.array([[rng.random() for _ in range(N)] for _ in range(T)])
@@ -372,22 +362,23 @@ def suite_experts_regret(cfg: ExperimentConfig) -> Report:
                 res.regret, "<=", res.regret_bound, extra={"T": T, "N": N},
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"matrices": n_matrices})
+    return checks
 
 
 AGNOSTIC_SEQUENCES = 20  # per upper-side class; every second one is adversarial
 MAX_ADVERSARY_LABELS = 10**7  # adversary_trials * adversary_T; a coin takes a byte
 
 
-def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
+def suite_agnostic_online_regret(
+    seed: int, T: int, adversary_trials: int, adversary_T: int
+) -> list[CheckRecord]:
     checks = []
     # the lower side's coins and its law's horizon are bounded before any work
-    trials = cfg.params["adversary_trials"]
-    T_adv = cfg.params["adversary_T"]
+    trials, T_adv = adversary_trials, adversary_T
     if trials * T_adv > MAX_ADVERSARY_LABELS:
         raise ValueError(
-            f"{cfg.experiment}: adversary_trials * adversary_T = {trials} * {T_adv} "
-            f"labels exceed the limit of {MAX_ADVERSARY_LABELS}"
+            "agnostic-online-regret: adversary_trials * adversary_T = "
+            f"{trials} * {T_adv} labels exceed the limit of {MAX_ADVERSARY_LABELS}"
         )
     law_adversary = online.tree_adversary(core.concept_class(1, ["0", "1"]), 1, T_adv)
     # (a) upper side: the subset-expert construction on small classes
@@ -397,13 +388,12 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         core.concept_class(2, ["00", "01", "10", "11"]),
         core.concept_class(4, ["00**", "01**", "10**", "11**"]),
     ]
-    T = cfg.params["T"]
     for ci, cls in enumerate(class_specs):
         learner = online.AgnosticOnlineLearner(cls, T=T)
         ld = learner.ld
         if ld > 2:
             raise AssertionError("upper-side classes are meant to stay at LD <= 2")
-        rng = split_rng(cfg.seed, "ao-seq", ci)
+        rng = split_rng(seed, "ao-seq", ci)
         worst = -math.inf
         bound = learner.regret_bound() + ld
         adv = online.tree_adversary(cls, max(ld, 1), T)
@@ -427,7 +417,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
         )
     # (b) lower side: the block adversary forces (1/4) sqrt(dT) regret
     # one fair coin per label: the bits of one getrandbits call, lowest first
-    coins = split_rng(cfg.seed, "ao-adversary").getrandbits(trials * T_adv)
+    coins = split_rng(seed, "ao-adversary").getrandbits(trials * T_adv)
     raw = np.frombuffer(coins.to_bytes(trials * T_adv // 8 + 1, "little"), np.uint8)
     ys = np.unpackbits(raw, count=trials * T_adv, bitorder="little")
     ys = ys.reshape(trials, T_adv)
@@ -463,7 +453,7 @@ def suite_agnostic_online_regret(cfg: ExperimentConfig) -> Report:
             extra={"d": 1, "T": T_adv, "regret": float(law)},
         )
     )
-    return Report(cfg.experiment, cfg.seed, checks, {"trials": trials})
+    return checks
 
 
 def _ftl_mistakes(ys: np.ndarray) -> np.ndarray:
@@ -480,11 +470,10 @@ def _ftl_mistakes(ys: np.ndarray) -> np.ndarray:
     return mistakes
 
 
-def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params["classes"]
+def suite_disambiguation_bounds(seed: int, classes: int) -> list[CheckRecord]:
     checks = []
-    for i in range(n_classes):
-        rng = split_rng(cfg.seed, "disamb", i)
+    for i in range(classes):
+        rng = split_rng(seed, "disamb", i)
         cls = _draw_class_until(rng, 12, 16, lambda c: c.vc <= 3, "VC <= 3")
         n = cls.domain_size
         d = cls.vc
@@ -516,13 +505,12 @@ def suite_disambiguation_bounds(cfg: ExperimentConfig) -> Report:
                 {"n": n, "vc": d, "weighted_updates": sum(map(wres.update_count, cls))},
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
+    return checks
 
 
-def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
-    sizes = cfg.params["sizes"]
+def suite_biclique_lower_bound(seed: int, sizes: Sequence[int]) -> list[CheckRecord]:
     for m in sizes:  # every size, before any instance is built
-        disambiguation.check_vertex_count(m, f"{cfg.experiment}: a 'sizes' entry")
+        disambiguation.check_vertex_count(m, "biclique-lower-bound: a 'sizes' entry")
     checks = []
     for m in sizes:
         inst = disambiguation.star_partition_instance(m)
@@ -556,26 +544,24 @@ def suite_biclique_lower_bound(cfg: ExperimentConfig) -> Report:
                     },
                 )
             )
-    return Report(cfg.experiment, cfg.seed, checks, {"sizes": list(sizes)})
+    return checks
 
 
-def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
-    n_samples = cfg.params["samples"]
+def suite_compression_bounds(seed: int, samples: int, max_m: int) -> list[CheckRecord]:
     failures = []
     max_size = 0
     max_rounds = 0
     max_ld_size = 0
-    for i in range(n_samples):
-        rng = split_rng(cfg.seed, "compress", i)
+    for i in range(samples):
+        rng = split_rng(seed, "compress", i)
         cls = _draw_class_until(rng, 8, 16, lambda c: c.vc <= 3, "VC <= 3")
-        m = rng.randint(1, cfg.params["max_m"])
+        m = rng.randint(1, max_m)
         seq = _random_realizable_sequence(_defined_concepts(cls), rng, m)
         if not seq:
             continue
         sample = labeled_sample(seq)
         k = learners.boosting_round_size(cls.vc)
-        seed = rng.randrange(2**31)
-        hyp, comp = learners.alpha_boost_compress(cls, sample, seed=seed)
+        hyp, comp = learners.alpha_boost_compress(cls, sample, seed=rng.randrange(2**31))
         consistent = hyp.sample_error(sample) == 0
         size_bound = k * learners.boosting_round_cap(len(sample)) + len(comp.bits)
         rebuilt = learners.reconstruct(cls, comp)
@@ -589,12 +575,12 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
         if not (consistent and round_trip and comp.size <= size_bound and ld_fits):
             failures.append(i)
     # aggregate record (per-sample records would flood the report)
-    checks = [
+    return [
         _tally(
             "all-samples",
             "every boosted compression is consistent, round-trips, and is "
             "size-bounded; every kept set fits under LD",
-            ("samples", n_samples), ("failures", len(failures)),
+            ("samples", samples), ("failures", len(failures)),
             extra={
                 "failing_indices": failures[:10],
                 "max_size": max_size,
@@ -603,7 +589,6 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
             },
         )
     ]
-    return Report(cfg.experiment, cfg.seed, checks, {"samples": n_samples})
 
 
 # Trials drawn and fitted per call.  Blocks of 64 to 256 trials run within
@@ -613,13 +598,12 @@ def suite_compression_bounds(cfg: ExperimentConfig) -> Report:
 _PAC_BLOCK = 64
 
 
-def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
-    eps = cfg.params["eps"]
-    delta = cfg.params["delta"]
-    trials = cfg.params["trials"]
+def suite_pac_realizable(
+    seed: int, eps: float, delta: float, trials: int, distributions: int
+) -> list[CheckRecord]:
     checks = []
-    for i in range(cfg.params["distributions"]):
-        rng = split_rng(cfg.seed, "pac", i)
+    for i in range(distributions):
+        rng = split_rng(seed, "pac", i)
         cls = _draw_class_until(
             rng, 6, 12,
             lambda c: 1 <= c.vc <= 2 and any(len(h.support()) >= 2 for h in c),
@@ -636,7 +620,7 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
         atoms = dist.support_pairs()
         errors: dict[PartialConcept, Fraction] = {}  # exact error of each winner
         failures = 0
-        draws = split_rng(cfg.seed, "pac-draw", i)
+        draws = split_rng(seed, "pac-draw", i)
         for lo in range(0, trials, _PAC_BLOCK):
             block = min(_PAC_BLOCK, trials - lo)
             picks = dist.draw(draws, block * schedule.total).reshape(block, schedule.total)
@@ -662,15 +646,12 @@ def suite_pac_realizable(cfg: ExperimentConfig) -> Report:
                 },
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"trials": trials})
+    return checks
 
 
-def suite_erm_failure(cfg: ExperimentConfig) -> Report:
-    n = cfg.params["n"]
-    m = cfg.params["m"]
-    trials = cfg.params["trials"]
-    res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(cfg.seed, "erm"))
-    checks = [
+def suite_erm_failure(seed: int, n: int, m: int, trials: int) -> list[CheckRecord]:
+    res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(seed, "erm"))
+    return [
         CheckRecord(
             "proper-learner", "mean error of consistent half-support guesses >= 0.2",
             res.proper_mean_error, ">=", Fraction(1, 5),
@@ -680,10 +661,9 @@ def suite_erm_failure(cfg: ExperimentConfig) -> Report:
             res.improper_mean_error, "==", Fraction(0),
         ),
     ]
-    return Report(cfg.experiment, cfg.seed, checks, {"n": n, "m": m, "trials": trials})
 
 
-def suite_geometry(cfg: ExperimentConfig) -> Report:
+def suite_geometry(seed: int, streams: int) -> list[CheckRecord]:
     checks = []
     for radius, gamma in ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)):
         certs = geometry.certify_orthonormal_labelings(radius, gamma)
@@ -701,7 +681,7 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
     packing = geometry.greedy_packing(grid, gamma)
     points = range(len(grid))
     packing_pts = [0, 4, 12, 20, 24]  # corners and center: pairwise >= 0.6
-    rng = split_rng(cfg.seed, "geometry-voronoi")
+    rng = split_rng(seed, "geometry-voronoi")
     candidates = chain(
         ([(i, y)] for i in points for y in (0, 1)),
         (
@@ -728,9 +708,8 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
         )
     )
     # perceptron streams
-    streams = cfg.params["streams"]
     pts = geometry.orthonormal_points(2.0, 1.0)
-    rng = split_rng(cfg.seed, "geometry-perceptron")
+    rng = split_rng(seed, "geometry-perceptron")
     over_bound = mistakes = 0
     bound_sum = 0.0
     for _ in range(streams):
@@ -750,10 +729,10 @@ def suite_geometry(cfg: ExperimentConfig) -> Report:
             extra={"mistakes_sum": mistakes, "bound_sum": bound_sum},
         )
     )
-    return Report(cfg.experiment, cfg.seed, checks, {"streams": streams})
+    return checks
 
 
-def suite_approximation_monotonicity(cfg: ExperimentConfig) -> Report:
+def suite_approximation_monotonicity(seed: int) -> list[CheckRecord]:
     # each pair with its relations from n - 1 to n = 2, 3: strict where the
     # pair's exact errors rise (1/2, 1/2, 1/2; 1/3, 4/9, 13/27; 0, 1/4, 1/4;
     # 0, 2/9, 2/9; 0, 3/16, 3/16)
@@ -789,16 +768,15 @@ def suite_approximation_monotonicity(cfg: ExperimentConfig) -> Report:
                 {"n=2": (e2, rises[0], e1), "n=3": (e3, rises[1], e2)},
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"pairs": len(pairs)})
+    return checks
 
 
-def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
-    n_classes = cfg.params["classes"]
+def suite_multiclass_inequalities(seed: int, classes: int) -> list[CheckRecord]:
     checks = []
     violations = 0
     sums = dict.fromkeys(("natarajan_sum", "graph_sum", "support_vc_sum"), 0)
-    for i in range(n_classes):
-        cls = _draw_class(split_rng(cfg.seed, "multiclass", i), 8, 20, (0.2, 0.4, 0.6))
+    for i in range(classes):
+        cls = _draw_class(split_rng(seed, "multiclass", i), 8, 20, (0.2, 0.4, 0.6))
         mc = dimensions.multiclass_dimensions(cls)
         res = disambiguation.support_indicator_disambiguation(cls)
         ok = mc.natarajan <= cls.vc + mc.support_vc and res.info["vc"] <= mc.graph
@@ -811,7 +789,7 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
             "random-classes",
             "Natarajan <= VC + support-VC and indicator-disambiguation VC <= "
             "graph dimension",
-            ("classes", n_classes), ("violations", violations), extra=sums,
+            ("classes", classes), ("violations", violations), extra=sums,
         )
     )
     for n in (2, 3, 4):
@@ -831,16 +809,16 @@ def suite_multiclass_inequalities(cfg: ExperimentConfig) -> Report:
                 composed.vc, "==", n,
             )
         )
-    return Report(cfg.experiment, cfg.seed, checks, {"classes": n_classes})
+    return checks
 
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's run function, the default of every parameter it reads, the
-    parameter ``--trials`` sets (if any) and each parameter's least value (if
-    it has one)."""
+    """A suite's run function of the seed and every parameter, the default of
+    each parameter, the parameter ``--trials`` sets (if any) and each
+    parameter's least value (if it has one)."""
 
-    run: Callable[[ExperimentConfig], Report]
+    run: Callable[..., list[CheckRecord]]
     defaults: dict
     trials: Optional[str] = None
     least: dict = field(default_factory=dict)
@@ -914,7 +892,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     An unknown parameter (``--trials`` for a suite without trials), a value
     whose type does not fit the default, an empty tuple, or a value below its
     least value (any entry, for a tuple) raises ``ValueError`` naming the key
-    before any work starts.
+    before any work starts.  A suite that returns no checks raises
+    ``ValueError`` too: a report with no checks cannot pass.  The report
+    prints every parameter the suite ran with.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -954,7 +934,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     f"{cfg.experiment}: parameter {key!r}{via} must be "
                     f"at least {least}, got {got}"
                 )
-    return suite.run(replace(cfg, params=params))
+    checks = suite.run(cfg.seed, **params)
+    if not checks:
+        raise ValueError(
+            f"{cfg.experiment} ran no checks (params {params}); "
+            "a report with no checks cannot pass"
+        )
+    return Report(cfg.experiment, cfg.seed, checks, params)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def experts_aggregate(
         raise ValueError("need at least one expert and one round")
     if (preds < 0).any() or (preds > 1).any() or (ys < 0).any() or (ys > 1).any():
         raise ValueError("predictions and outcomes must lie in [0, 1]")
-    eta = math.sqrt((8.0 / T) * math.log(N)) if N > 1 else 0.0
+    eta = math.sqrt((8.0 / T) * math.log(N))
     cum_losses = np.zeros(N)
     mixtures = np.zeros(T)
     total = 0.0
@@ -122,7 +122,7 @@ def experts_aggregate(
         total += float(abs(mixtures[t] - ys[t]))
         cum_losses += np.abs(preds[t] - ys[t])
     best = float(cum_losses.min())
-    bound = math.sqrt((T / 2.0) * math.log(N)) if N > 1 else 0.0
+    bound = math.sqrt((T / 2.0) * math.log(N))
     return ExpertsResult(mixtures, total, best, total - best, bound)
 
 
@@ -168,8 +168,6 @@ class AgnosticOnlineLearner:
         ]
 
     def regret_bound(self) -> float:
-        if self.n_experts <= 1:
-            return 0.0
         return math.sqrt((self.T / 2.0) * math.log(self.n_experts))
 
     def run(self, sequence: Sequence[tuple[int, int]]) -> AgnosticRunResult:

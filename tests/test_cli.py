@@ -511,6 +511,7 @@ class TestCliContract:
         [
             ("--eps", "0", "need 0 < eps < 1, got eps = 0.0"),
             ("--eps", "nan", "need 0 < eps < 1, got eps = nan"),
+            ("--eps", "1", "need 0 < eps < 1, got eps = 1.0"),
             ("--delta", "0", "need 0 < delta <= 1, got delta = 0.0"),
         ],
     )
@@ -538,10 +539,11 @@ class TestCliContract:
         # every count parameter has a least value, so only a suite that
         # returns no records reaches the guard
         suite = experiments.SUITES["soa-mistake-bound"]
-        empty = replace(suite, run=lambda cfg: experiments.Report(cfg.experiment, cfg.seed, []))
+        empty = replace(suite, run=lambda seed, classes, sequences: [])
         monkeypatch.setitem(experiments.SUITES, "soa-mistake-bound", empty)
         argv = ["experiment", "soa-mistake-bound", "--param", "classes=3"]
-        self._fails_naming(argv, "ran no checks (params {'classes': 3}", capsys)
+        named = "ran no checks (params {'classes': 3, 'sequences': 20})"
+        self._fails_naming(argv, named, capsys)
 
     def test_margin_zero_gamma(self, capsys):
         self._fails_naming(["construct", "margin", "--gamma", "0"], "gamma", capsys)

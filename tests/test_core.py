@@ -34,6 +34,7 @@ from _oracles import (
     max_realizable_by_enumeration,
     min_mistakes_by_definition,
     patterns_on,
+    realizable_by_definition,
     restrict,
     splits,
 )
@@ -82,6 +83,18 @@ class TestConstruction:
     def test_uniform_on_nothing_rejected(self):
         with pytest.raises(ValueError, match=r"nonempty support, got \[\]"):
             uniform_on([])
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: PartialConceptClass(0, (concept(""),)), "domain_size must be positive"),
+            (lambda: finite_distribution({(0, 0): 1, (1, 1): 0}), "weight must be positive"),
+        ],
+        ids=["domain-size-0", "atom-weight-0"],
+    )
+    def test_edge_value_rejected(self, build, named):
+        with pytest.raises(ValueError, match=named):
+            build()
 
     @pytest.mark.parametrize(
         "build, entries, named",
@@ -442,10 +455,18 @@ class TestMaxRealizableSubsequence:
     @settings(max_examples=60)
     @given(classes_with_samples(max_n=4, max_size=6, max_len=5))
     def test_matches_enumeration_oracle(self, cls_pairs):
+        # the oracle breaks ties its own way, so only the size must agree
         cls, pairs = cls_pairs
         sample = labeled_sample(pairs)
         got = max_realizable_subsequence(cls, sample)
-        assert got == max_realizable_by_enumeration(cls, sample)
+        assert len(got) == len(max_realizable_by_enumeration(cls, sample))
+        assert realizable_by_definition(cls, sample.subsample(got))
+
+    def test_tie_goes_to_the_first_concept_in_class_order(self):
+        # "00" keeps index 1 and "11" keeps index 0; "00" comes first
+        cls = concept_class(2, ["11", "00"])
+        s = labeled_sample([(0, 1), (1, 0)])
+        assert max_realizable_subsequence(cls, s) == (1,)
 
 
 @st.composite

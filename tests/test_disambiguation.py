@@ -211,6 +211,13 @@ class TestBiclique:
         with pytest.raises(ValueError, match=f"biclique 1 names vertex {side[0]} out of range"):
             BicliqueInstance(3, edges=((0, 1),), partition=(((0,), (1,)), (side, ())))
 
+    @pytest.mark.parametrize("edge", [(3, 0), (0, 3)])
+    def test_edge_endpoint_at_the_vertex_count_refused(self, edge):
+        # an edge is stored low end first; the partition would name vertex 3
+        # under another message if the edge got through
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of vertex range"):
+            BicliqueInstance(3, edges=(edge,), partition=(((0,), (3,)),))
+
     def test_over_the_vertex_limit_refused(self):
         with pytest.raises(ValueError, match="vertices = 301 exceeds the limit of 300"):
             BicliqueInstance(MAX_BICLIQUE_VERTICES + 1, edges=(), partition=())

@@ -118,6 +118,9 @@ class TestPrintedVerdicts:
         report = run_experiment(ExperimentConfig(name, params=_least(name)))
         printed = json.loads(dump_json(report.to_dict(), None))
         assert printed["schema"] == 2
+        # every parameter the suite ran with, defaults included
+        resolved = {**SUITES[name].defaults, **_least(name)}
+        assert printed["params"] == json.loads(json.dumps(resolved))
         assert len(printed["checks"]) == len(report.checks) > 0
         for record, check in zip(printed["checks"], report.checks):
             operands = (record[k] for k in ("measured", "relation", "bound", "tolerance"))
@@ -192,7 +195,7 @@ class TestParams:
         ],
     )
     def test_bad_param_rejected_before_any_work(self, monkeypatch, params, named):
-        def never(cfg):
+        def never(seed, **params):
             raise AssertionError("the suite ran")
 
         monkeypatch.setitem(
@@ -203,19 +206,22 @@ class TestParams:
 
     def test_merged_over_defaults(self, monkeypatch):
         seen = []
+
+        def suite(seed, **params):
+            seen.append(params)
+            return [CheckRecord("c", "s", 0, "==", 0)]
+
         monkeypatch.setitem(
-            experiments.SUITES,
-            "pac-realizable",
-            Suite(lambda cfg: seen.append(cfg.params), {"eps": 0.2, "trials": 2000}),
+            experiments.SUITES, "pac-realizable", Suite(suite, {"eps": 0.2, "trials": 2000})
         )
-        run_experiment(ExperimentConfig("pac-realizable", params={"eps": 1}))
-        assert seen == [{"eps": 1, "trials": 2000}]
+        report = run_experiment(ExperimentConfig("pac-realizable", params={"eps": 1}))
+        assert seen == [{"eps": 1, "trials": 2000}] == [report.params]
 
     def test_list_stands_for_tuple(self):
         report = run_experiment(
             ExperimentConfig("biclique-lower-bound", params={"sizes": [4]})
         )
-        assert report.params == {"sizes": [4]} and report.n_failed == 0
+        assert report.params == {"sizes": [4]} and all(c.passed for c in report.checks)
         with pytest.raises(ValueError, match="'sizes'"):
             run_experiment(
                 ExperimentConfig("biclique-lower-bound", params={"sizes": [4, 5.5]})
@@ -257,7 +263,7 @@ class TestAdversaryBlock:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.n_failed == 0
+        assert all(c.passed for c in report.checks)
         assert peak <= 4 * 2**20
 
 

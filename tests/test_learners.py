@@ -594,6 +594,11 @@ class TestAgnosticLearn:
         with pytest.raises(AssertionError, match="err at most where the class does"):
             agnostic_learn(cls, labeled_sample([(0, 0), (1, 1)]))
 
+    def test_delta_one_accepted(self):
+        cls = concept_class(2, ["01"])
+        hyp, report = agnostic_learn(cls, labeled_sample([(0, 0), (1, 1)]), delta=1.0)
+        assert hyp == PartialConcept((0, 1)) and report.hypothesis_error == 0
+
     def test_nothing_realizable_returns_zeros(self):
         cls = concept_class(2, ["**"])
         sample = labeled_sample([(0, 1), (1, 1)])
