@@ -134,11 +134,26 @@ class PartialConceptClass:
         return PackedClass(self)
 
     @cached_property
+    def vc_set(self) -> tuple[int, ...]:
+        """The lexicographically first largest shattered set, found on first use."""
+        from .dimensions import first_largest  # dimensions builds on this module
+
+        return first_largest([self.packed.label_masks], self.packed.full)
+
+    @cached_property
     def vc(self) -> int:
         """The VC dimension, computed on first use."""
         from .dimensions import vc_dimension  # dimensions builds on this module
 
         return vc_dimension(self)
+
+    @cached_property
+    def strength(self) -> int:
+        """The number of shattered subsets, the empty set included, counted on
+        first use."""
+        from .dimensions import subclass_strength  # dimensions builds on this module
+
+        return subclass_strength(self, self.packed.full)
 
     @cached_property
     def graph(self) -> int:

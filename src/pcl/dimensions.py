@@ -7,10 +7,14 @@ Every shattering notion splits the class into nonempty cells of concepts, one
 pair of disjoint sides (A, B) per point, depth-first with each set carrying
 its cells, so memory is bounded by depth: one largest-set search
 (``first_largest``) and one recursive count fold (``shattered_weight``), which
-builds no set.  VC, strength and support VC have one pair per point; Natarajan
-and graph choose among three, and a set carries one cell list per choice that
-still leaves every cell nonempty.  The empty subclass has LD -1, below every
-nonempty one, so no LD reader needs an emptiness branch.
+builds no set.  Given an int stop bound the fold returns as soon as its sum
+passes it, since a disambiguation vote needs only the order of two counts.
+A class keeps its VC set and strength (``PartialConceptClass.vc_set`` and
+``.strength``) once found.  VC, strength and support VC have one pair per
+point; Natarajan and graph choose among three, and a set carries one cell
+list per choice that still leaves every cell nonempty.  The empty subclass
+has LD -1, below every nonempty one, so no LD reader needs an emptiness
+branch.
 """
 
 from __future__ import annotations
@@ -86,14 +90,23 @@ def first_largest(choices, mask: int) -> tuple[int, ...]:
             return best
 
 
-def shattered_weight(sides, mask: int, weight) -> int:
+def shattered_weight(sides, mask: int, weight, stop: Optional[int] = None) -> int:
     """Sum of ``weight[max S]`` over the nonempty point sets S that the
-    subclass ``mask`` shatters, where ``sides[x]`` is point x's pair (A, B)."""
-    return _weight_after(sides, [mask], 0, weight) if mask & (mask - 1) else 0
+    subclass ``mask`` shatters, where ``sides[x]`` is point x's pair (A, B).
+
+    With an int ``stop`` the fold returns as soon as its running sum passes
+    ``stop``: a result at most ``stop`` is exact, and a larger one only says
+    that the sum exceeds ``stop``."""
+    if not mask & (mask - 1):
+        return 0
+    if stop is None:  # 2^n sets of weight at most sum(weight): never passed
+        stop = sum(weight) << len(weight)
+    return _weight_after(sides, [mask], 0, weight, stop)
 
 
-def _weight_after(sides, cells, start, weight):
-    """``shattered_weight`` over the extensions of a set's ``cells`` by points >= start."""
+def _weight_after(sides, cells, start, weight, stop):
+    """``shattered_weight`` over the extensions of a set's ``cells`` by points
+    >= start, returning once the sum passes ``stop``."""
     total = 0
     for x in range(start, len(sides)):
         a_side, b_side = sides[x]
@@ -106,12 +119,15 @@ def _weight_after(sides, cells, start, weight):
             b = m & b_side
             if not b:
                 break
-            split += (a, b)
+            split.append(a)
+            split.append(b)
             deep = deep and a & (a - 1) and b & (b - 1)
         else:
             total += weight[x]
             if deep:  # a one-concept cell never splits, so depth <= log2 |mask|
-                total += _weight_after(sides, split, x + 1, weight)
+                total += _weight_after(sides, split, x + 1, weight, stop - total)
+            if total > stop:
+                return total
     return total
 
 
@@ -121,7 +137,7 @@ def vc_dimension(cls: PartialConceptClass, witness: bool = False):
     With ``witness=True`` returns ``(value, points)``, where ``points`` is the
     lexicographically first shattered set of that size.
     """
-    pts = first_largest([cls.packed.label_masks], cls.packed.full)
+    pts = cls.vc_set
     return (len(pts), pts) if witness else len(pts)
 
 
@@ -135,7 +151,7 @@ def subclass_strength(cls: PartialConceptClass, mask: int) -> int:
 
 def shattering_strength(cls: PartialConceptClass) -> int:
     """Number of shattered subsets of the domain, counting the empty set."""
-    return subclass_strength(cls, cls.packed.full)
+    return cls.strength
 
 
 class LdSolver:

@@ -15,16 +15,17 @@ potential of the subclass's two restrictions:
 
 Both potentials are ``dimensions.shattered_weight`` folds, so votes compare
 integer numerators, in the fractions' order, ties to 0.  Each update at least
-halves the relevant potential, which is what the update bounds certify.  The
-votes revisit the same subclass at many points, so each procedure memoizes its
-potential for the length of one call; the memo goes with the call and keeps no
-class alive.
+halves the relevant potential, which is what the update bounds certify.  Only
+the order of the two potentials matters: a vote counts the restriction with
+fewer concepts exactly and the other only until it passes that count.
+Concepts that agree so far reach the same subclass at the same point, so each
+call memoizes its votes by (subclass, point); the memo goes with the call and
+keeps no class alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
 from itertools import combinations, product
 from math import comb, lcm
 from typing import Callable, Mapping, Optional, Sequence
@@ -38,7 +39,7 @@ from .core import (
     PartialConceptClass,
     TotalConceptClass,
 )
-from .dimensions import littlestone_dimension, shattered_weight, subclass_strength
+from .dimensions import littlestone_dimension, shattered_weight
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -74,24 +75,43 @@ def _scaled_weights(cls: PartialConceptClass) -> tuple[list[int], int]:
     return [(lcm_n // (p + 1)) ** exponent for p in range(n)], lcm_n**exponent
 
 
-def _suffix_numerator(sides, scaled: list[int], mask: int, x: int) -> int:
+def _suffix_numerator(
+    sides, scaled: list[int], mask: int, x: int, stop: Optional[int] = None
+) -> int:
     """The weighted vote's potential of the subclass ``mask`` after point x,
     over the denominator of ``_scaled_weights``: the sum of 1/max(S)^(d+1)
     over nonempty subsets S of {x+1, ..} that it shatters, points counted
-    from 1, where ``sides`` are the label masks and ``scaled`` the weights."""
-    return shattered_weight(sides[x + 1 :], mask, scaled[x + 1 :])
+    from 1, where ``sides`` are the label masks and ``scaled`` the weights;
+    counted only until it passes ``stop``, as in ``shattered_weight``."""
+    return shattered_weight(sides[x + 1 :], mask, scaled[x + 1 :], stop)
+
+
+Potential = Callable[[int, int, Optional[int]], int]
+
+
+def _vote(potential: Potential, m0: int, m1: int, x: int) -> int:
+    """0 when ``potential(m0, x)`` is at least ``potential(m1, x)``, else 1.
+    The restriction with fewer concepts is counted exactly, and the other
+    only until its count passes the first."""
+    if m0.bit_count() <= m1.bit_count():
+        w0 = potential(m0, x, None)
+        return ZERO if w0 >= potential(m1, x, w0) else ONE
+    w1 = potential(m1, x, None)
+    return ONE if w1 > potential(m0, x, w1) else ZERO
 
 
 def _run_sequential(
-    cls: PartialConceptClass, potential: Callable[[int, int], int], algorithm: str
+    cls: PartialConceptClass, potential: Potential, algorithm: str
 ) -> Disambiguation:
     """Extend each concept point by point, and narrow the consistent subclass
     ``mask`` only where the concept forces the label that lost the vote.
 
-    At x the vote compares ``potential`` of the two restrictions of ``mask``,
-    ties to 0; a label that no concept of the subclass takes loses outright,
-    or concepts with nothing shattered left would be forced into updates."""
+    At x the vote compares ``potential(m, x, stop)`` of the two restrictions
+    of ``mask``, ties to 0; a label that no concept of the subclass takes
+    loses outright, or concepts with nothing shattered left would be forced
+    into updates."""
     packed = cls.packed
+    votes: dict[tuple[int, int], int] = {}
     extension: dict[PartialConcept, PartialConcept] = {}
     updates: dict[PartialConcept, tuple[int, ...]] = {}
     for h in cls.concepts:
@@ -103,7 +123,9 @@ def _run_sequential(
             m0 &= mask
             m1 &= mask
             if m0 and m1:
-                y = ZERO if potential(m0, x) >= potential(m1, x) else ONE
+                y = votes.get((mask, x))
+                if y is None:
+                    y = votes[mask, x] = _vote(potential, m0, m1, x)
             else:
                 y = ONE if m1 else ZERO
             hx = h[x]
@@ -125,18 +147,27 @@ def _run_sequential(
 
 
 def vc_majority_disambiguate(cls: PartialConceptClass) -> Disambiguation:
-    """Strength-vote sequential disambiguation; u(h) <= log2 s(H) per concept."""
-    strength = cache(partial(subclass_strength, cls))
-    res = _run_sequential(cls, lambda mask, x: strength(mask), "majority")
-    res.info["strength"] = strength(cls.packed.full)
+    """Strength-vote sequential disambiguation; u(h) <= log2 s(H) per concept.
+
+    Both restrictions of a vote are nonempty, so the vote compares their
+    strengths less the empty set's 1."""
+    sides, ones = cls.packed.label_masks, [1] * cls.domain_size
+    res = _run_sequential(
+        cls, lambda mask, x, stop: shattered_weight(sides, mask, ones, stop), "majority"
+    )
+    res.info["strength"] = cls.strength
     return res
 
 
 def weighted_disambiguate(cls: PartialConceptClass) -> Disambiguation:
     """Weighted-vote variant with the per-prefix update guarantee."""
+    sides = cls.packed.label_masks
     scaled, _ = _scaled_weights(cls)  # once per call: votes compare numerators
-    numerator = cache(partial(_suffix_numerator, cls.packed.label_masks, scaled))
-    return _run_sequential(cls, numerator, "weighted")
+    return _run_sequential(
+        cls,
+        lambda mask, x, stop: _suffix_numerator(sides, scaled, mask, x, stop),
+        "weighted",
+    )
 
 
 def strong_violation(

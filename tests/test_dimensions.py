@@ -174,6 +174,32 @@ class TestShatteredLevels:
         d = max(map(len, nonempty), default=0)
         assert first_largest([sides], mask) == next((p for p in nonempty if len(p) == d), ())
 
+    @settings(max_examples=60, deadline=None)
+    @given(level_cases())
+    # VC 3 at n = 12: the scaled weights, 27720^4 / (p + 1)^4, pass 2^53
+    @example(
+        (concept_class(12, ["0" * 9 + "".join(b) for b in product("01", repeat=3)]), 0xFF, -1)
+    )
+    @example((concept_class(3, ["01*", "110", "101"]), 0, -1))  # the empty subclass
+    def test_stop_bound(self, case):
+        # With a stop the fold is exact while its sum is at most the stop,
+        # and past the stop otherwise.
+        cls, mask, _ = case
+        kept = tuple(h for i, h in enumerate(cls.concepts) if mask >> i & 1)
+        sub = []
+        if kept:
+            sub = shattered_sets_by_definition(PartialConceptClass(cls.domain_size, kept))
+        sides = cls.packed.label_masks
+        for weight in ([1] * cls.domain_size, _scaled_weights(cls)[0]):
+            fold = sum(weight[pts[-1]] for pts in sub if pts)
+            assert shattered_weight(sides, mask, weight) == fold
+            for stop in {-1, 0, fold // 2, fold - 1, fold, fold + 1}:
+                got = shattered_weight(sides, mask, weight, stop)
+                if fold <= stop:
+                    assert got == fold
+                else:
+                    assert got > stop
+
     def test_multiclass_peak_memory_stays_small(self):
         # The walk holds the cell lists of one set per depth: graph and
         # Natarajan here peak near 0.01 MiB traced, where holding whole

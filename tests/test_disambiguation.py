@@ -180,6 +180,37 @@ def test_potential_memos_die_with_the_call():
     assert all(res.totals for res in results)
 
 
+def test_majority_reuses_the_class_vc_set_and_strength(monkeypatch):
+    """After a `pcl dim`-style vc and strength query, the majority vote runs
+    no VC search and no strength fold on the whole class; on a fresh class
+    it runs one of each."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]))  # (choices or sides, mask, ..)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(dimensions, "first_largest")
+    spy(dimensions, "shattered_weight")
+    spy(disambiguation, "shattered_weight")
+    rows = ["01*10", "1*001", "00110", "*1*11", "10*0*", "0110*"]
+    for queried in (False, True):
+        cls = concept_class(5, rows)
+        if queried:
+            dimensions.measure_report(cls, "vc", witness=True)
+            dimensions.measure_report(cls, "strength")
+        calls.clear()
+        vc_majority_disambiguate(cls)
+        on_full = sorted(name for name, mask in calls if mask == cls.packed.full)
+        assert len(calls) > len(on_full)  # the spy sees the votes' own folds
+        assert on_full == ([] if queried else ["first_largest", "shattered_weight"])
+
+
 class TestBiclique:
     def test_k4_star_concepts(self):
         cls = biclique_class(star_partition_instance(4))

@@ -486,6 +486,34 @@ class TestAlphaBoost:
         reconstruct(cls, comp)
         assert built == []
 
+    def test_weights_rescale_only_above_1e250(self):
+        # the one pair is missed in round 1 only; its weight is then exactly
+        # step, and round 2 sees it rescaled to 1 only when step > 1e250
+        for step, seen in ((1e250, 1e250), (2e250, 1.0)):
+            weights = []
+
+            def weak(w, t):
+                weights.append(list(w))
+                return [int(t > 1)]
+
+            learners.boost_to_consistency(1, [(0, 1)], weak, step, cap=3)
+            assert weights[1] == [seen]
+
+    def test_weak_draw_at_exactly_a_third_is_accepted(self, monkeypatch):
+        # every hypothesis misses one of three equal pairs: error exactly 1/3
+        cls = concept_class(3, ["000", "111"])
+        pairs = [(0, 0), (1, 0), (2, 1)]
+        monkeypatch.setattr(
+            learners, "materialize_transductive", lambda cls, train: PartialConcept((0, 0, 0))
+        )
+        rng, replay = random.Random(5), random.Random(5)
+        _, train = learners._weak_hypothesis(cls, pairs, [1.0] * 3, 2, rng)
+        assert train == labeled_sample(replay.choices(pairs, weights=[1.0] * 3, k=2))
+        assert rng.getstate() == replay.getstate()  # the first draw was taken
+        monkeypatch.setattr(learners, "WEAK_DRAWS", 0)  # the exhaustive search alone
+        _, train = learners._weak_hypothesis(cls, pairs, [1.0] * 3, 2, rng)
+        assert train == labeled_sample([(0, 0), (0, 0)])
+
     def test_round_trip_every_realizable_five_point_sample(self):
         cls = concept_class(5, ["00000", "11111", "01*10", "1*0*1", "00110"])
         count = 0

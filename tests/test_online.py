@@ -319,6 +319,15 @@ class TestRegretAdversary:
         xs = [x for x, _ in seq]
         assert len(set(xs[:3])) == 1 and len(set(xs[3:])) == 1
 
+    def test_even_block_with_equal_counts_goes_to_zero(self):
+        # the root's two children ask different points (1 and 2)
+        cls = concept_class(3, ["00*", "01*", "1*0", "1*1"])
+        adv = tree_adversary(cls, 2, 4)
+        zero, one = adv.tree.zero.point, adv.tree.one.point
+        assert zero != one
+        assert [x for x, _ in adv.sequence([0, 1, 1, 1])][2:] == [zero, zero]
+        assert [x for x, _ in adv.sequence([1, 1, 0, 0])][2:] == [one, one]
+
     def test_horizon_shorter_than_depth_rejected(self):
         with pytest.raises(ContractViolation):
             tree_adversary(full_cube(2), 2, 1)
