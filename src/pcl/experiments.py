@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import math
 import random
@@ -237,7 +238,7 @@ def _random_realizable_sequence(
 # suites
 
 
-def suite_soa_mistake_bound(seed: int, classes: int, sequences: int) -> list[CheckRecord]:
+def suite_soa_mistake_bound(seed: int, classes=200, sequences=20) -> list[CheckRecord]:
     checks = []
     for i in range(classes):
         rng = split_rng(seed, "soa", i)
@@ -280,7 +281,7 @@ def suite_soa_mistake_bound(seed: int, classes: int, sequences: int) -> list[Che
 LOO_MULTISET_CLASSES = 10  # classes whose short sequences with repeats are all swept
 
 
-def suite_one_inclusion_loo(seed: int, classes: int, max_len: int) -> list[CheckRecord]:
+def suite_one_inclusion_loo(seed: int, classes=100, max_len=5) -> list[CheckRecord]:
     checks = []
     graphs = bad_graphs = 0
     multiset_samples = 0
@@ -347,7 +348,7 @@ def suite_one_inclusion_loo(seed: int, classes: int, max_len: int) -> list[Check
     return checks
 
 
-def suite_experts_regret(seed: int, matrices: int) -> list[CheckRecord]:
+def suite_experts_regret(seed: int, matrices=100) -> list[CheckRecord]:
     checks = []
     for i in range(matrices):
         rng = split_rng(seed, "experts", i)
@@ -370,7 +371,7 @@ MAX_ADVERSARY_LABELS = 10**7  # adversary_trials * adversary_T; a coin takes a b
 
 
 def suite_agnostic_online_regret(
-    seed: int, T: int, adversary_trials: int, adversary_T: int
+    seed: int, T=12, adversary_trials=10_000, adversary_T=100
 ) -> list[CheckRecord]:
     checks = []
     # the lower side's coins and its law's horizon are bounded before any work
@@ -470,7 +471,7 @@ def _ftl_mistakes(ys: np.ndarray) -> np.ndarray:
     return mistakes
 
 
-def suite_disambiguation_bounds(seed: int, classes: int) -> list[CheckRecord]:
+def suite_disambiguation_bounds(seed: int, classes=100) -> list[CheckRecord]:
     checks = []
     for i in range(classes):
         rng = split_rng(seed, "disamb", i)
@@ -508,7 +509,7 @@ def suite_disambiguation_bounds(seed: int, classes: int) -> list[CheckRecord]:
     return checks
 
 
-def suite_biclique_lower_bound(seed: int, sizes: Sequence[int]) -> list[CheckRecord]:
+def suite_biclique_lower_bound(seed: int, sizes=(4, 6, 8)) -> list[CheckRecord]:
     for m in sizes:  # every size, before any instance is built
         disambiguation.check_vertex_count(m, "biclique-lower-bound: a 'sizes' entry")
     checks = []
@@ -547,7 +548,7 @@ def suite_biclique_lower_bound(seed: int, sizes: Sequence[int]) -> list[CheckRec
     return checks
 
 
-def suite_compression_bounds(seed: int, samples: int, max_m: int) -> list[CheckRecord]:
+def suite_compression_bounds(seed: int, samples=500, max_m=64) -> list[CheckRecord]:
     failures = []
     max_size = 0
     max_rounds = 0
@@ -599,7 +600,7 @@ _PAC_BLOCK = 64
 
 
 def suite_pac_realizable(
-    seed: int, eps: float, delta: float, trials: int, distributions: int
+    seed: int, eps=0.2, delta=0.1, trials=2000, distributions=10
 ) -> list[CheckRecord]:
     checks = []
     for i in range(distributions):
@@ -649,7 +650,7 @@ def suite_pac_realizable(
     return checks
 
 
-def suite_erm_failure(seed: int, n: int, m: int, trials: int) -> list[CheckRecord]:
+def suite_erm_failure(seed: int, n=20, m=5, trials=1000) -> list[CheckRecord]:
     res = geometry.erm_failure_simulate(n, m, trials, seed=_digest(seed, "erm"))
     return [
         CheckRecord(
@@ -663,7 +664,7 @@ def suite_erm_failure(seed: int, n: int, m: int, trials: int) -> list[CheckRecor
     ]
 
 
-def suite_geometry(seed: int, streams: int) -> list[CheckRecord]:
+def suite_geometry(seed: int, streams=100) -> list[CheckRecord]:
     checks = []
     for radius, gamma in ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)):
         certs = geometry.certify_orthonormal_labelings(radius, gamma)
@@ -771,7 +772,7 @@ def suite_approximation_monotonicity(seed: int) -> list[CheckRecord]:
     return checks
 
 
-def suite_multiclass_inequalities(seed: int, classes: int) -> list[CheckRecord]:
+def suite_multiclass_inequalities(seed: int, classes=100) -> list[CheckRecord]:
     checks = []
     violations = 0
     sums = dict.fromkeys(("natarajan_sum", "graph_sum", "support_vc_sum"), 0)
@@ -814,60 +815,43 @@ def suite_multiclass_inequalities(seed: int, classes: int) -> list[CheckRecord]:
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's run function of the seed and every parameter, the default of
-    each parameter, the parameter ``--trials`` sets (if any) and each
-    parameter's least value (if it has one)."""
+    """A suite's run function of the seed and every parameter, each declared
+    once with its default in that signature; the parameter ``--trials`` sets
+    (if any); and each parameter's least value (if it has one)."""
 
     run: Callable[..., list[CheckRecord]]
-    defaults: dict
     trials: Optional[str] = None
     least: dict = field(default_factory=dict)
 
+    @property
+    def defaults(self) -> dict:
+        """Each parameter of ``run`` after the seed, with its default."""
+        _, *params = inspect.signature(self.run).parameters.values()
+        return {p.name: p.default for p in params}
+
 
 SUITES: dict[str, Suite] = {
-    "soa-mistake-bound": Suite(
-        suite_soa_mistake_bound, {"classes": 200, "sequences": 20},
-        least={"classes": 1, "sequences": 1},
-    ),
-    "one-inclusion-loo": Suite(
-        suite_one_inclusion_loo, {"classes": 100, "max_len": 5},
-        least={"classes": 1, "max_len": 1},
-    ),
-    "experts-regret": Suite(
-        suite_experts_regret, {"matrices": 100}, least={"matrices": 1}
-    ),
+    "soa-mistake-bound": Suite(suite_soa_mistake_bound, least={"classes": 1, "sequences": 1}),
+    "one-inclusion-loo": Suite(suite_one_inclusion_loo, least={"classes": 1, "max_len": 1}),
+    "experts-regret": Suite(suite_experts_regret, least={"matrices": 1}),
+    # a sample sigma takes two trials; the tree adversary needs T at least the
+    # upper classes' LD, which reaches 2
     "agnostic-online-regret": Suite(
-        suite_agnostic_online_regret,
-        {"T": 12, "adversary_trials": 10_000, "adversary_T": 100},
-        trials="adversary_trials",
-        # a sample sigma takes two trials; the tree adversary needs T at
-        # least the upper classes' LD, which reaches 2
+        suite_agnostic_online_regret, trials="adversary_trials",
         least={"T": 2, "adversary_trials": 2, "adversary_T": 1},
     ),
-    "disambiguation-bounds": Suite(
-        suite_disambiguation_bounds, {"classes": 100}, least={"classes": 1}
-    ),
-    "biclique-lower-bound": Suite(
-        suite_biclique_lower_bound, {"sizes": (4, 6, 8)}, least={"sizes": 2}
-    ),
+    "disambiguation-bounds": Suite(suite_disambiguation_bounds, least={"classes": 1}),
+    "biclique-lower-bound": Suite(suite_biclique_lower_bound, least={"sizes": 2}),
     "compression-bounds": Suite(
-        suite_compression_bounds, {"samples": 500, "max_m": 64},
-        trials="samples", least={"samples": 1, "max_m": 1},
+        suite_compression_bounds, trials="samples", least={"samples": 1, "max_m": 1}
     ),
     "pac-realizable": Suite(
-        suite_pac_realizable,
-        {"eps": 0.2, "delta": 0.1, "trials": 2000, "distributions": 10},
-        trials="trials", least={"trials": 1, "distributions": 1},
+        suite_pac_realizable, trials="trials", least={"trials": 1, "distributions": 1}
     ),
-    "erm-failure": Suite(
-        suite_erm_failure, {"n": 20, "m": 5, "trials": 1000},
-        trials="trials", least={"m": 0, "trials": 1},
-    ),
-    "geometry": Suite(suite_geometry, {"streams": 100}, least={"streams": 1}),
-    "approximation-monotonicity": Suite(suite_approximation_monotonicity, {}),
-    "multiclass-inequalities": Suite(
-        suite_multiclass_inequalities, {"classes": 100}, least={"classes": 1}
-    ),
+    "erm-failure": Suite(suite_erm_failure, trials="trials", least={"m": 0, "trials": 1}),
+    "geometry": Suite(suite_geometry, least={"streams": 1}),
+    "approximation-monotonicity": Suite(suite_approximation_monotonicity),
+    "multiclass-inequalities": Suite(suite_multiclass_inequalities, least={"classes": 1}),
 }
 
 
@@ -988,14 +972,22 @@ SCALING_TABLES: dict[
 
 
 def emit_scaling_table(
-    experiment: str, grid: list[int], seed: int
+    experiment: str, grid: Optional[list[int]], seed: int
 ) -> tuple[list[str], list[list]]:
-    """Rows of (grid point, measured metric, theoretical envelope).
+    """Rows of (grid point, measured metric, theoretical envelope) over
+    ``grid``, or over the table's default grid when ``grid`` is None.
 
     ``compression-size`` sweeps the sample size m; ``disambiguation-size``
-    sweeps the domain size n for VC-1 classes.
+    sweeps the domain size n for VC-1 classes.  A grid point outside 1 to the
+    table's largest point raises ``ValueError`` before any row runs.
     """
     if experiment not in SCALING_TABLES:
         raise ValueError(f"unknown scaling experiment {experiment!r}")
-    header, row, _, _ = SCALING_TABLES[experiment]
+    header, row, default, most = SCALING_TABLES[experiment]
+    grid = default if grid is None else grid
+    for value in grid:
+        if not 1 <= value <= most:
+            raise ValueError(
+                f"--grid values of {experiment} must lie in 1..{most}, got {value}"
+            )
     return list(header), [row(value, seed) for value in grid]

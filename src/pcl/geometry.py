@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     ContractViolation,
     LabeledSample,
+    STAR,
     PartialConcept,
     TotalConceptClass,
     check_points,
@@ -54,7 +55,8 @@ def _wolfe_corral(pts: np.ndarray, d: np.ndarray) -> np.ndarray:
     relative tolerance.  Each corral stays affinely independent, so its KKT
     matrix [[P P^T, 1], [1^T, 0]] is solved without a fallback: a row entering
     in the corral's affine hull is swapped in along e_j - alpha, which keeps x,
-    for the first corral row whose weight reaches 0.
+    for the first corral row whose weight reaches 0.  A run that has not
+    converged after ``WOLFE_MAX_ITER`` steps raises ``ArithmeticError``.
     """
     half = d / 2
     tilted = d.any()
@@ -116,6 +118,10 @@ def _wolfe_corral(pts: np.ndarray, d: np.ndarray) -> np.ndarray:
             lam = lam[keep]
             lam = lam / lam.sum()
         x = lam @ pts[corral]
+    else:
+        raise ArithmeticError(
+            f"the corral did not converge in WOLFE_MAX_ITER = {WOLFE_MAX_ITER} steps"
+        )
     return x
 
 
@@ -535,13 +541,20 @@ class ProperFailureResult:
     improper_mean_error: Fraction
 
 
+def _hidden_concept(rng: random.Random, n: int) -> PartialConcept:
+    """A half-support concept: 0 on n/2 uniformly drawn points, undefined elsewhere."""
+    support = set(rng.sample(range(n), n // 2))
+    return PartialConcept(tuple(0 if x in support else STAR for x in range(n)))
+
+
 def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailureResult:
     """Half-support concepts: proper learners must guess the hidden support.
 
     The hidden concept labels a random size-n/2 subset with zeros and is
     undefined elsewhere; examples are uniform over its support.  A proper
     learner answers with some consistent half-support concept (random
-    completion); the trivial all-zeros predictor is improper and never errs.
+    completion); the trivial all-zeros predictor is improper.  Both mean
+    errors are read off each trial's hidden concept.
     """
     if n < 2 or n % 2 != 0:
         raise ContractViolation(
@@ -553,16 +566,17 @@ def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailur
         raise ContractViolation(f"trials must be at least 1, got {trials}")
     half = n // 2
     rng = random.Random(seed)
-    total = Fraction(0)
+    proper = improper = 0  # mistakes summed over the trials' supports
     for _ in range(trials):
-        support = set(rng.sample(range(n), half))
-        observed = set(rng.choices(sorted(support), k=m))
+        hidden = _hidden_concept(rng, n)
+        support = hidden.support()
+        observed = set(rng.choices(support, k=m))
         free = sorted(set(range(n)) - observed)
-        completion = set(rng.sample(free, half - len(observed)))
-        guess = observed | completion
-        missed = len(support - guess)
-        total += Fraction(missed, half)
+        guess = observed.union(rng.sample(free, half - len(observed)))
+        # each predictor errs where it differs from the hidden label: the
+        # guess says 0 on its points and * elsewhere
+        proper += sum(x not in guess or hidden[x] != 0 for x in support)
+        improper += sum(hidden[x] != 0 for x in support)
     return ProperFailureResult(
-        proper_mean_error=total / trials,
-        improper_mean_error=Fraction(0),
+        Fraction(proper, half * trials), Fraction(improper, half * trials)
     )

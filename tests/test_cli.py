@@ -539,7 +539,7 @@ class TestCliContract:
         # every count parameter has a least value, so only a suite that
         # returns no records reaches the guard
         suite = experiments.SUITES["soa-mistake-bound"]
-        empty = replace(suite, run=lambda seed, classes, sequences: [])
+        empty = replace(suite, run=lambda seed, classes=200, sequences=20: [])
         monkeypatch.setitem(experiments.SUITES, "soa-mistake-bound", empty)
         argv = ["experiment", "soa-mistake-bound", "--param", "classes=3"]
         named = "ran no checks (params {'classes': 3, 'sequences': 20})"
@@ -778,6 +778,24 @@ class TestScalingTables:
         ):
             _, rows = emit_scaling_table(name, grid, seed=2)
             assert all(measured <= envelope for _, measured, envelope in rows)
+
+    def test_default_grid_and_limit_without_the_cli(self, monkeypatch):
+        from pcl.experiments import SCALING_TABLES, emit_scaling_table
+
+        ran = []
+
+        def row(n, seed):
+            ran.append(n)
+            return [n]
+
+        header, _, default, most = SCALING_TABLES["disambiguation-size"]
+        monkeypatch.setitem(SCALING_TABLES, "disambiguation-size", (header, row, default, most))
+        assert emit_scaling_table("disambiguation-size", None, seed=0)[1] == [[4], [6], [8], [10]]
+        ran.clear()
+        named = "--grid values of disambiguation-size must lie in 1..24, got 25"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            emit_scaling_table("disambiguation-size", [4, 25], seed=0)
+        assert ran == []  # refused before any row ran
 
     def test_unknown_table_rejected(self):
         from pcl.experiments import emit_scaling_table

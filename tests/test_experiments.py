@@ -195,25 +195,21 @@ class TestParams:
         ],
     )
     def test_bad_param_rejected_before_any_work(self, monkeypatch, params, named):
-        def never(seed, **params):
+        def never(seed, classes=200):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(
-            experiments.SUITES, "soa-mistake-bound", Suite(never, {"classes": 200})
-        )
+        monkeypatch.setitem(experiments.SUITES, "soa-mistake-bound", Suite(never))
         with pytest.raises(ValueError, match=named):
             run_experiment(ExperimentConfig("soa-mistake-bound", params=params))
 
     def test_merged_over_defaults(self, monkeypatch):
         seen = []
 
-        def suite(seed, **params):
-            seen.append(params)
+        def suite(seed, eps=0.2, trials=2000):
+            seen.append({"eps": eps, "trials": trials})
             return [CheckRecord("c", "s", 0, "==", 0)]
 
-        monkeypatch.setitem(
-            experiments.SUITES, "pac-realizable", Suite(suite, {"eps": 0.2, "trials": 2000})
-        )
+        monkeypatch.setitem(experiments.SUITES, "pac-realizable", Suite(suite))
         report = run_experiment(ExperimentConfig("pac-realizable", params={"eps": 1}))
         assert seen == [{"eps": 1, "trials": 2000}] == [report.params]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from pcl import geometry
 from pcl.core import ContractViolation, labeled_sample, total_class
 from pcl.geometry import (
     boosting_disambiguate_sample,
@@ -71,6 +72,14 @@ class TestMinEnclosingBall:
         scale = 1.0 + float(np.abs(pts).max())
         assert r == pytest.approx(ref_r, abs=1e-9 * scale)
         assert np.allclose(c, ref_c, atol=1e-7 * scale)
+
+    def test_unconverged_corral_raises(self, monkeypatch):
+        # two steps leave this cloud's ball at radius 4.316 against 2.973;
+        # an exhausted step budget is an error, not an answer
+        pts = np.random.default_rng(0).normal(size=(30, 5)) + 2
+        monkeypatch.setattr(geometry, "WOLFE_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="WOLFE_MAX_ITER = 2"):
+            min_enclosing_ball(pts)
 
 
 class TestHullDistance:

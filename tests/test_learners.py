@@ -199,6 +199,15 @@ class TestOneInclusion:
             assert max(map(len, graph.out)) <= graph.vc
             assert graph.vc <= vc_dimension(cls)
 
+    def test_repair_passes_through_a_full_vertex(self):
+        # the path 001 - 000 - 010 - 110 has VC 1, and 000 starts with two
+        # out-edges: to 010, which is full (its edge to 110), and to 001; the
+        # repair reverses 000 -> 001 alone, where filling 010 would reverse two
+        cls = concept_class(3, ["000", "001", "010", "110"])
+        graph = OneInclusionGraph(cls, (0, 1, 2))
+        assert graph.patterns == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]
+        assert graph.out == [[2], [0], [3], []]
+
     def test_vc_counts_only_concepts_defined_on_the_points(self):
         # "0*1" and "1*1" shatter {0}, but only "110" is defined on both points
         cls = concept_class(3, ["0*1", "110", "1*1", "1**", "*10", "*11", "***"])

@@ -4,10 +4,20 @@ Each row patches one definition in ``src/`` with a defect and names the
 suite, its seed and parameters, and the records that must fail under the
 patch.  The same run without the patch must pass every record, so the kill
 is the mutant's doing.
+
+``EQUIVALENT`` lists the comparisons whose swap to their strict or
+non-strict twin changes no answer, each with the reason.
 """
 
+import __future__
+import ast
+import contextlib
+import inspect
+import sys
+import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Callable
 from unittest import mock
@@ -16,8 +26,9 @@ import numpy as np
 import pytest
 
 from pcl import geometry
-from pcl.core import STAR
-from pcl.experiments import ExperimentConfig, run_experiment
+from pcl.core import STAR, PartialConcept
+from pcl.dimensions import measure_report
+from pcl.experiments import ExperimentConfig, generate_random_class, run_experiment
 from pcl.learners import OneInclusionGraph
 from pcl.online import TreeAdversary
 
@@ -57,6 +68,12 @@ def _star_agrees(cls, pairs) -> tuple[int, ...]:
 def _one_point_too_many(radius: float, gamma: float) -> np.ndarray:
     """The axis family with one axis point more than floor(R^2 / gamma^2)."""
     return radius * np.eye(len(_orthonormal_points(radius, gamma)) + 1)
+
+
+def _hidden_labeled_one(rng, n: int) -> PartialConcept:
+    """The hidden half-support concept labeled 1 on its support, not 0."""
+    support = set(rng.sample(range(n), n // 2))
+    return PartialConcept(tuple(1 if x in support else STAR for x in range(n)))
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,16 @@ MUTANTS = {
         params={"streams": 1},
         killers=frozenset({"orthonormal-R1", "orthonormal-R2", "orthonormal-R3"}),
     ),
+    # the all-zeros predictor then errs on every example; the proper learner's
+    # zero-labeled guesses err everywhere too, which its bound >= 1/5 admits
+    "erm-hidden-concept-labeled-one": Mutant(
+        "pcl.geometry._hidden_concept",
+        _hidden_labeled_one,
+        "erm-failure",
+        seed=0,
+        params={},
+        killers=frozenset({"improper-learner"}),
+    ),
 }
 
 
@@ -140,3 +167,111 @@ def test_mutant_is_killed_by_its_records_only(name):
     assert _failing(mutant) == set()
     with mock.patch(mutant.target, mutant.defect):
         assert _failing(mutant) == mutant.killers
+
+
+# Comparisons that may be swapped to their strict or non-strict twin with no
+# answer moving, keyed by module, the __qualname__ of the function holding
+# them and their source.  A search cut's swap changes only the work: the
+# figures are traced calls or lines of the swapped function on six classes
+# drawn as the dims workload draws them (n = 8, 12 and 14 at seeds 101 and
+# 4242), with the one-inclusion graphs of the n = 8 ones and of twelve
+# one-inclusion-loo classes.
+EQUIVALENT = {
+    ("pcl.dimensions", "first_largest", "x < n"): (
+        "at x = n the size cut reads len(pts) > len(best), which never holds: "
+        "best takes pts as soon as pts outgrows it; the work is the same"
+    ),
+    ("pcl.dimensions", "first_largest", "len(pts) + n - x > len(best)"): (
+        "a set that can at most tie is entered too, but best changes only on a "
+        "larger set: 248 798 -> 375 710 lines"
+    ),
+    ("pcl.dimensions", "LdSolver.ld", "m0.bit_count() > m1.bit_count()"): (
+        "a tie only changes which restriction is tried first; 1 + min of both "
+        "LDs is symmetric, and the min is below best when either is: "
+        "3 007 -> 3 045 ld calls"
+    ),
+    (
+        "pcl.dimensions",
+        "threshold_dimension.<locals>.extend",
+        "depth + (points_avail & ones_at[r]).bit_count() > best",
+    ): (
+        "a node that can at most tie is entered too, but best and its chain "
+        "change only on a longer staircase: 106 007 -> 211 195 lines"
+    ),
+    (
+        "pcl.dimensions",
+        "threshold_dimension.<locals>.extend",
+        "depth + 1 + min(nxt_pts.bit_count(), nxt_rows.bit_count()) > best",
+    ): (
+        "a child that can at most tie is entered too, but best and its chain "
+        "change only on a longer staircase: 1 869 -> 3 809 extend calls"
+    ),
+    ("pcl.learners", "OneInclusionGraph.__init__", "j > i"): (
+        "j = i never holds: the neighbour q differs from p at coordinate c; "
+        "the work is the same"
+    ),
+    ("pcl.learners", "OneInclusionGraph._repair_orientation", "guard <= 0"): (
+        "the guard never reaches 0: each reversal lowers the out-degree surplus "
+        "by one, and the guard starts above twice the edge count; the work is "
+        "the same"
+    ),
+}
+
+_SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+
+def _swapped(module: str, qualname: str, source: str):
+    """The top-level definition holding the comparison, with the comparison
+    swapped, compiled in its module's namespace; and the object it sits on."""
+    top, *inner = qualname.split(".<locals>.")
+    *path, name = top.split(".")
+    owner = sys.modules[module]
+    for attr in path:
+        owner = getattr(owner, attr)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(owner, name))))
+    scope = tree.body[0]
+    for local in inner:
+        scope = next(
+            node for node in ast.walk(scope)
+            if isinstance(node, ast.FunctionDef) and node.name == local
+        )
+    hits = [
+        node for node in ast.walk(scope)
+        if isinstance(node, ast.Compare) and ast.unparse(node) == source
+    ]
+    assert len(hits) == 1, f"{len(hits)} comparisons {source!r} in {qualname}"
+    hits[0].ops[0] = _SWAP[type(hits[0].ops[0])]()
+    namespace = dict(vars(sys.modules[module]))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(tree, f"<swapped {qualname}>", "exec", flags=flags), namespace)
+    return owner, name, namespace[name]
+
+
+def _answers() -> list:
+    """Values, witnesses and one-inclusion orientations on fresh classes."""
+    out = []
+    for n, size, star, seed in ((8, 32, 0.25, 3), (10, 40, 0.25, 7), (6, 20, 0.3, 1)):
+        cls = generate_random_class(n, size, star, seed)
+        for measure in ("vc", "ld", "td"):
+            report = measure_report(cls, measure, witness=True)
+            out.append((report.value, report.witness))
+        for pts in combinations(range(n), 3):
+            if cls.binary_patterns(pts):
+                out.append(OneInclusionGraph(cls, pts).out)
+    return out
+
+
+@pytest.mark.parametrize("site", sorted(EQUIVALENT), ids=lambda site: site[2])
+def test_equivalent_swap_moves_no_answer(site):
+    answers = _answers()
+    owner, name, swapped = _swapped(*site)
+    original = getattr(owner, name)
+    # a module that imported the definition by name sees the swap too
+    holders = [owner] + [
+        module for key, module in sys.modules.items()
+        if key.startswith("pcl.") and module is not owner and vars(module).get(name) is original
+    ]
+    with contextlib.ExitStack() as stack:
+        for holder in holders:
+            stack.enter_context(mock.patch.object(holder, name, swapped))
+        assert _answers() == answers

@@ -3,6 +3,7 @@ what its calls leave behind."""
 
 import ast
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from pcl.dimensions import MEASURES, measure_report
 from pcl.disambiguation import vc_majority_disambiguate, weighted_disambiguate
-from pcl.experiments import generate_random_class
+from pcl.experiments import SUITES, generate_random_class
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pcl"
 MODULES = sorted(SRC.glob("*.py"))
@@ -275,3 +276,16 @@ def test_geometry_imports_nothing_from_dimensions():
     imported = _imported_modules(_tree(SRC / "geometry.py"))
     assert not _layer_imports(imported, "dimensions")
     assert "pcl.core" in imported and "pcl.learners" in imported
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_suite_parameter_is_declared_in_its_signature(name):
+    """Every parameter after the seed has its default in the run function's
+    signature, and every least key and the ``--trials`` key name one of them:
+    a mistyped key would reach ``run_experiment`` as a ``KeyError``."""
+    suite = SUITES[name]
+    seed, *params = inspect.signature(suite.run).parameters.values()
+    assert seed.name == "seed"
+    assert [p.name for p in params if p.default is p.empty] == []
+    keys = {*suite.least, *([suite.trials] if suite.trials else [])}
+    assert keys <= {p.name for p in params}
