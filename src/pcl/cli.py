@@ -374,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         kinds, "erm-failure", construct_erm_failure, "the proper-learner failure",
         seed=True,
     )
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--trials", type=int, default=1000)
+    for key, default in experiments.SUITES["erm-failure"].defaults.items():
+        p.add_argument(f"--{key}", type=int, default=default)
 
     p = _command(
         sub, "experiment", cmd_experiment, "run a named bound-checking suite", seed=True,

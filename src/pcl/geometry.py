@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     ContractViolation,
     LabeledSample,
-    STAR,
     PartialConcept,
     TotalConceptClass,
     check_points,
@@ -541,10 +540,10 @@ class ProperFailureResult:
     improper_mean_error: Fraction
 
 
-def _hidden_concept(rng: random.Random, n: int) -> PartialConcept:
-    """A half-support concept: 0 on n/2 uniformly drawn points, undefined elsewhere."""
-    support = set(rng.sample(range(n), n // 2))
-    return PartialConcept(tuple(0 if x in support else STAR for x in range(n)))
+def _hidden_concept(rng: random.Random, n: int) -> dict[int, int]:
+    """A half-support concept as its labels on its support, in point order:
+    0 on n/2 uniformly drawn points (undefined elsewhere)."""
+    return dict.fromkeys(sorted(rng.sample(range(n), n // 2)), 0)
 
 
 def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailureResult:
@@ -569,14 +568,13 @@ def erm_failure_simulate(n: int, m: int, trials: int, seed: int) -> ProperFailur
     proper = improper = 0  # mistakes summed over the trials' supports
     for _ in range(trials):
         hidden = _hidden_concept(rng, n)
-        support = hidden.support()
-        observed = set(rng.choices(support, k=m))
+        observed = set(rng.choices(list(hidden), k=m))
         free = sorted(set(range(n)) - observed)
         guess = observed.union(rng.sample(free, half - len(observed)))
         # each predictor errs where it differs from the hidden label: the
         # guess says 0 on its points and * elsewhere
-        proper += sum(x not in guess or hidden[x] != 0 for x in support)
-        improper += sum(hidden[x] != 0 for x in support)
+        proper += sum(x not in guess or y != 0 for x, y in hidden.items())
+        improper += sum(y != 0 for y in hidden.values())
     return ProperFailureResult(
         Fraction(proper, half * trials), Fraction(improper, half * trials)
     )

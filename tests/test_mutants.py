@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from pcl import geometry
-from pcl.core import STAR, PartialConcept
+from pcl.core import STAR
 from pcl.dimensions import measure_report
 from pcl.experiments import ExperimentConfig, generate_random_class, run_experiment
 from pcl.learners import OneInclusionGraph
@@ -70,10 +70,9 @@ def _one_point_too_many(radius: float, gamma: float) -> np.ndarray:
     return radius * np.eye(len(_orthonormal_points(radius, gamma)) + 1)
 
 
-def _hidden_labeled_one(rng, n: int) -> PartialConcept:
+def _hidden_labeled_one(rng, n: int) -> dict[int, int]:
     """The hidden half-support concept labeled 1 on its support, not 0."""
-    support = set(rng.sample(range(n), n // 2))
-    return PartialConcept(tuple(1 if x in support else STAR for x in range(n)))
+    return dict.fromkeys(sorted(rng.sample(range(n), n // 2)), 1)
 
 
 @dataclass(frozen=True)
