@@ -169,12 +169,12 @@ def cmd_disambiguate(args) -> dict:
     cls = args.cls
     res = DISAMBIGUATIONS[args.algo](cls)
     out = serialize.disambiguation_to_dict(res)
-    out["strong_verified"] = (
-        disambiguation.strong_violation(cls, res.totals) is None
-        if res.extension_of is not None
-        else None
-    )
-    out["weak_verified_len3"] = (
+    strong = None
+    if res.extension_of is not None:
+        strong = disambiguation.strong_violation(cls, res.totals) is None
+    out["strong_verified"] = strong
+    # totals extending every concept realize every pattern the concepts realize
+    out["weak_verified_len3"] = strong or (
         disambiguation.weak_violation(cls, res.totals, disambiguation.VERIFY_LEN) is None
     )
     return out

@@ -348,15 +348,11 @@ class FiniteDistribution:
         return LabeledSample(tuple(pairs[i] for i in self.draw(rng, n).tolist()))
 
 
-def finite_distribution(
-    atoms: Union[Mapping[tuple[int, int], object], Iterable[Sequence[object]]]
-) -> FiniteDistribution:
-    """Build a distribution from ``{(x, y): weight}`` or ``[(x, y, weight), ...]``."""
-    if isinstance(atoms, Mapping):
-        items = [(_index_pair(x, y), Fraction(w)) for (x, y), w in atoms.items()]
-    else:
-        items = [(_index_pair(x, y), Fraction(w)) for x, y, w in atoms]
-    return FiniteDistribution(tuple(items))
+def finite_distribution(atoms: Mapping[tuple[int, int], object]) -> FiniteDistribution:
+    """Build a distribution from ``{(x, y): weight}``."""
+    return FiniteDistribution(
+        tuple((_index_pair(x, y), Fraction(w)) for (x, y), w in atoms.items())
+    )
 
 
 def uniform_on(pairs: Iterable[Sequence[int]]) -> FiniteDistribution:

@@ -18,9 +18,8 @@ integer numerators, in the fractions' order, ties to 0.  Each update at least
 halves the relevant potential, which is what the update bounds certify.  Only
 the order of the two potentials matters: a vote counts the restriction with
 fewer concepts exactly and the other only until it passes that count.
-Concepts that agree so far reach the same subclass at the same point, so each
-call memoizes its votes by (subclass, point); the memo goes with the call and
-keeps no class alive.
+Concepts that agree so far share their subclass and hence their votes, so one
+pass over the points walks them as groups and asks each vote once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .core import (
     PartialConceptClass,
     TotalConceptClass,
 )
-from .dimensions import littlestone_dimension, shattered_weight
+from .dimensions import _bits, littlestone_dimension, shattered_weight
 from .learners import CompressionOutput, ld_reconstruct
 
 
@@ -103,45 +102,42 @@ def _vote(potential: Potential, m0: int, m1: int, x: int) -> int:
 def _run_sequential(
     cls: PartialConceptClass, potential: Potential, algorithm: str
 ) -> Disambiguation:
-    """Extend each concept point by point, and narrow the consistent subclass
-    ``mask`` only where the concept forces the label that lost the vote.
+    """Extend every concept point by point, narrowing its consistent subclass
+    only where it forces the label that lost the vote.
 
-    At x the vote compares ``potential(m, x, stop)`` of the two restrictions
-    of ``mask``, ties to 0; a label that no concept of the subclass takes
-    loses outright, or concepts with nothing shattered left would be forced
-    into updates."""
+    At x the vote compares ``potential(m, x, stop)`` of the subclass's two
+    restrictions, ties to 0; a label no concept of the subclass takes loses
+    outright, or concepts with nothing shattered left would be forced into
+    updates.  The pass carries groups (members, subclass, labels as bits,
+    update points) and splits off the members forced to the losing label,
+    whose subclass then excludes the members that stayed: no two groups share
+    a subclass, so each (subclass, point) is voted on once."""
     packed = cls.packed
-    votes: dict[tuple[int, int], int] = {}
-    extension: dict[PartialConcept, PartialConcept] = {}
-    updates: dict[PartialConcept, tuple[int, ...]] = {}
-    for h in cls.concepts:
-        mask = packed.full
-        out: list[int] = []
-        upd: list[int] = []
-        for x in range(cls.domain_size):
-            m0, m1 = packed.label_masks[x]
-            m0 &= mask
-            m1 &= mask
-            if m0 and m1:
-                y = votes.get((mask, x))
-                if y is None:
-                    y = votes[mask, x] = _vote(potential, m0, m1, x)
-            else:
-                y = ONE if m1 else ZERO
-            hx = h[x]
-            if hx != STAR and hx != y:
-                y = hx
-                mask &= packed.label_masks[x][hx]
-                upd.append(x)
-            out.append(y)
-        extension[h] = PartialConcept(tuple(out))
-        updates[h] = tuple(upd)
-    totals = TotalConceptClass(cls.domain_size, tuple(set(extension.values())))
+    groups = [(packed.full, packed.full, 0, ())]
+    for x in range(cls.domain_size):
+        sides = packed.label_masks[x]
+        split = []
+        for members, mask, code, upd in groups:
+            m0, m1 = sides[ZERO] & mask, sides[ONE] & mask
+            y = _vote(potential, m0, m1, x) if m0 and m1 else (ONE if m1 else ZERO)
+            lost = 1 - y
+            forced = members & sides[lost]
+            if forced:
+                split.append((forced, mask & sides[lost], code | lost << x, upd + (x,)))
+            if members != forced:
+                split.append((members ^ forced, mask, code | y << x, upd))
+        groups = split
+    n, concepts = cls.domain_size, cls.concepts
+    extension, updates = [None] * len(concepts), [None] * len(concepts)
+    for members, _, code, upd in groups:
+        total = PartialConcept(tuple(code >> x & 1 for x in range(n)))
+        for i in _bits(members):
+            extension[i], updates[i] = total, upd
     return Disambiguation(
-        totals=totals,
+        totals=TotalConceptClass(n, tuple(set(extension))),
         algorithm=algorithm,
-        extension_of=extension,
-        update_positions=updates,
+        extension_of=dict(zip(concepts, extension)),
+        update_positions=dict(zip(concepts, updates)),
         info={"vc": cls.vc},
     )
 
@@ -196,6 +192,7 @@ def weak_violation(cls: PartialConceptClass, totals: TotalConceptClass, max_len:
 
 ENUMERATION_BUDGET = 200_000  # most kept sets the compression is rebuilt from
 VERIFY_LEN = 3  # longest point sets on which the rebuilt totals are checked
+VERIFY_BUDGET = 100_000  # most such sets; n = 84 has 98 854, n = 85 has 102 425
 
 
 def compression_to_disambiguation(cls: PartialConceptClass) -> Disambiguation:
@@ -207,10 +204,15 @@ def compression_to_disambiguation(cls: PartialConceptClass) -> Disambiguation:
     distinct pairs give every total it can rebuild.  The result is then
     verified to weakly disambiguate the class on every set of at most
     ``VERIFY_LEN`` points, and a violation is reported as evidence that the
-    compression was not valid for the class.
+    compression was not valid for the class.  A domain with more than
+    ``VERIFY_BUDGET`` such sets, or more than ``ENUMERATION_BUDGET`` kept
+    sets, is refused before any work.
     """
-    k = littlestone_dimension(cls)
     n = cls.domain_size
+    point_sets = sum(comb(n, j) for j in range(1, VERIFY_LEN + 1))
+    if point_sets > VERIFY_BUDGET:
+        raise ValueError(f"verification on {point_sets} point sets exceeds the budget")
+    k = littlestone_dimension(cls)
     pair_pool = [(x, y) for x in range(n) for y in (ZERO, ONE)]
     total_candidates = sum(comb(2 * n, j) for j in range(k + 1))
     if total_candidates > ENUMERATION_BUDGET:

@@ -178,6 +178,34 @@ class TestCliOther:
         assert out["weak_verified_len3"] is True
         assert out["strong_verified"] is None
 
+    @pytest.mark.parametrize(
+        "algo, strong_fails, walks",
+        [
+            ("majority", False, 0),
+            ("weighted", False, 0),
+            ("support", False, 0),
+            ("majority", True, 1),
+            ("compression", False, 2),  # its own verification, then the flag's
+        ],
+    )
+    def test_disambiguate_walks_short_sets_unless_strong_holds(
+        self, algo, strong_fails, walks, class_file, capsys, monkeypatch
+    ):
+        from pcl import disambiguation
+
+        real = disambiguation.weak_violation
+        calls = []
+        monkeypatch.setattr(
+            disambiguation, "weak_violation", lambda *a: calls.append(a) or real(*a)
+        )
+        if strong_fails:
+            monkeypatch.setattr(disambiguation, "strong_violation", lambda cls, t: cls.concepts[0])
+        assert main(["disambiguate", "--input", class_file, "--algo", algo]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == walks
+        assert out["strong_verified"] is (None if algo == "compression" else not strong_fails)
+        assert out["weak_verified_len3"] is True
+
     def test_construct_biclique_complete(self, capsys):
         rc = main(["construct", "biclique", "--complete", "4"])
         assert rc == 0
@@ -861,6 +889,22 @@ CLI_SHA256 = {
         "0bef9176f23c745995296cdb0a5be41b"
         "e5f4b6a5940d5c29e2efa2006dbd5632"
     ),
+    "disambiguate-compression": (
+        "3058d4acdcac6a555e97d9575368cf93"
+        "1af56a037a64a577a15d5a8e181f6d99"
+    ),
+    "disambiguate-majority": (
+        "5bb6525175ae8a3135d2dabfc2375c28"
+        "4b6919ea0d3d4229745e0a34517e70e5"
+    ),
+    "disambiguate-support": (
+        "be74a6ee85fb61b5dbd35182d1986cf1"
+        "2a8e894253cc0b57ad058e3f408fe7e8"
+    ),
+    "disambiguate-weighted": (
+        "db04bfb2f56390c3603e4914ecc0c9bb"
+        "842360a346495750ca9f752a26b6257f"
+    ),
     "experiment-stdout": (
         "8ea28f7b43980416f6e648ba8a711c97"
         "e3eb7cad6d78787052e17cab17024696"
@@ -921,6 +965,10 @@ GOLDEN_ARGV = {
     ],
     "dim-td-witness": ["dim", "--input", "{cls}", "--measure", "td", "--witness"],
     "dim-names": ["dim", "--input", "{named}", "--measure", "vc", "--witness"],
+    "disambiguate-compression": ["disambiguate", "--input", "{cls}", "--algo", "compression"],
+    "disambiguate-majority": ["disambiguate", "--input", "{cls}", "--algo", "majority"],
+    "disambiguate-support": ["disambiguate", "--input", "{cls}", "--algo", "support"],
+    "disambiguate-weighted": ["disambiguate", "--input", "{cls}", "--algo", "weighted"],
     "experiment-stdout": ["experiment", "erm-failure", "--seed", "3", "--trials", "50"],
 }
 

@@ -102,7 +102,7 @@ class TestConstruction:
             (labeled_sample, [(0, 1), (0.5, 1), (1, 1.9)], r"\(0\.5, 1\)"),
             (labeled_sample, [(0, 1), (1, 1.9)], r"\(1, 1\.9\)"),
             (finite_distribution, {(0.7, 1): 1}, r"\(0\.7, 1\)"),
-            (finite_distribution, [(0, 1.0, 1)], r"\(0, 1\.0\)"),
+            (finite_distribution, {(0, 1.0): 1}, r"\(0, 1\.0\)"),
             (uniform_on, [(2.9, 0)], r"\(2\.9, 0\)"),
             (uniform_on, [("1", 0)], r"\('1', 0\)"),
         ],
@@ -361,7 +361,7 @@ _weighted_atoms = st.lists(
 
 def _from_raw_weights(atoms):
     total = sum(r for _, _, r in atoms)
-    return finite_distribution([(x, y, Fraction(r, total)) for x, y, r in atoms])
+    return finite_distribution({(x, y): Fraction(r, total) for x, y, r in atoms})
 
 
 class TestSampleStream:

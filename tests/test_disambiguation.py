@@ -2,10 +2,12 @@ import gc
 import hashlib
 import math
 import weakref
+from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from pcl import dimensions, disambiguation
 from pcl.core import (
@@ -165,9 +167,41 @@ def test_dims_class_outputs_are_pinned():
     assert hashlib.sha256(repr(record).encode()).hexdigest() == _DIMS_CLASS_DIGEST
 
 
+@settings(max_examples=60, deadline=None)
+@given(classes(max_n=5, max_size=10))
+@example(generate_random_class(14, 48, 0.15, 1))
+def test_each_subclass_and_point_is_voted_on_once(cls):
+    """The walk asks one vote per distinct (subclass, point) that some
+    concept's consistent subclass, replayed from its update positions, meets
+    with both restrictions nonempty, and no other."""
+    sides = cls.packed.label_masks
+    for procedure in (vc_majority_disambiguate, weighted_disambiguate):
+        asked = []
+        real = disambiguation._vote
+
+        def spy(potential, m0, m1, x):
+            asked.append((m0, m1, x))
+            return real(potential, m0, m1, x)
+
+        with mock.patch.object(disambiguation, "_vote", spy):
+            res = procedure(cls)
+        met = set()
+        for h in cls.concepts:
+            mask = cls.packed.full
+            for x in range(cls.domain_size):
+                if sides[x][0] & mask and sides[x][1] & mask:
+                    met.add((mask, x))
+                if x in res.update_positions[h]:
+                    mask &= sides[x][h[x]]
+        assert Counter(asked) == Counter(
+            (sides[x][0] & mask, sides[x][1] & mask, x) for mask, x in met
+        )
+
+
 def test_potential_memos_die_with_the_call():
-    """Neither procedure keeps a memo past its call: with collection off, the
-    class is freed as soon as its last reference goes, results still held."""
+    """Neither procedure keeps any state past its call: with collection off,
+    the class is freed as soon as its last reference goes, results still
+    held."""
     cls = concept_class(5, ["01*10", "1*001", "00110", "*1*11", "10*0*", "0110*"])
     alive = weakref.ref(cls)
     gc.disable()

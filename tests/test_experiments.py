@@ -148,11 +148,9 @@ class TestPrintedVerdicts:
 # Each suite's parameters in the stream probe: its least values at
 # ACCEPTANCE_SEED, except pac-realizable, whose printed VCs first tell a
 # shifted "pac" stream apart at 6 distributions (a failure count of 0 and
-# the VC are all its records print of a distribution).
-PROBE_PARAMS = {
-    **{name: _least(name) for name in SUITES},
-    "pac-realizable": {"trials": 1, "distributions": 6},
-}
+# the VC are all its records print of a distribution).  The least values are
+# read in the test, so a bad declaration fails only its own suite's tests.
+PROBE_PARAMS = {"pac-realizable": {"trials": 1, "distributions": 6}}
 
 # Streams whose shift cannot move any report byte, and why.
 BLIND = {
@@ -172,7 +170,8 @@ def _probe(name: str, shift=None) -> tuple[set[str], str]:
         return digest(seed + (stream == shift), stream, *path)
 
     with mock.patch.object(experiments, "_digest", shifted):
-        cfg = ExperimentConfig(name, seed=ACCEPTANCE_SEED, params=PROBE_PARAMS[name])
+        params = PROBE_PARAMS[name] if name in PROBE_PARAMS else _least(name)
+        cfg = ExperimentConfig(name, seed=ACCEPTANCE_SEED, params=params)
         text = dump_json(run_experiment(cfg).to_dict(), None)
     return streams, hashlib.sha256(text.encode()).hexdigest()
 

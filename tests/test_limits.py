@@ -44,6 +44,12 @@ def enumeration(monkeypatch, over):
     compression_to_disambiguation(concept_class(2, ["00", "11"]))
 
 
+def verification(monkeypatch, over):
+    # 2 points: C(2, 1) + C(2, 2) = 3 point sets of at most VERIFY_LEN points
+    monkeypatch.setattr(disambiguation, "VERIFY_BUDGET", 3 - over)
+    compression_to_disambiguation(concept_class(2, ["00", "11"]))
+
+
 def composition(monkeypatch, over):
     # 2 x 3 concept tuples
     monkeypatch.setattr(disambiguation, "COMPOSE_BUDGET", 6 - over)
@@ -72,6 +78,7 @@ def exhaustive_search(monkeypatch, over):
             (experts, ValueError, "budget of"),
             (biclique_vertices, ValueError, "limit of"),
             (enumeration, ValueError, "exceeds the budget"),
+            (verification, ValueError, "on 3 point sets exceeds the budget"),
             (composition, ValueError, "exceeds the budget"),
             (exhaustive_search, WeakLearnerNotFound, "exceed the cap"),
         ]
