@@ -173,8 +173,10 @@ def cmd_disambiguate(args) -> dict:
     if res.extension_of is not None:
         strong = disambiguation.strong_violation(cls, res.totals) is None
     out["strong_verified"] = strong
-    # totals extending every concept realize every pattern the concepts realize
-    out["weak_verified_len3"] = strong or (
+    # totals extending every concept realize every pattern the concepts
+    # realize; a result verified on these sets as it was built raised otherwise
+    verified = strong or res.info.get("verified_len") == disambiguation.VERIFY_LEN
+    out["weak_verified_len3"] = verified or (
         disambiguation.weak_violation(cls, res.totals, disambiguation.VERIFY_LEN) is None
     )
     return out

@@ -110,9 +110,6 @@ class PartialConceptClass:
     def __iter__(self) -> Iterator[PartialConcept]:
         return iter(self.concepts)
 
-    def __contains__(self, h: PartialConcept) -> bool:
-        return h in self.concepts
-
     def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
         """All-0/1 restrictions realized on ``points`` (concepts with a STAR there drop out)."""
         packed = self.packed
@@ -248,9 +245,6 @@ class LabeledSample:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.pairs[i]
 
     def subsample(self, indices: Sequence[int]) -> "LabeledSample":
         return LabeledSample(tuple(self.pairs[i] for i in indices))

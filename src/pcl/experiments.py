@@ -266,8 +266,6 @@ def suite_soa_mistake_bound(seed: int, classes=200, sequences=20) -> list[CheckR
                     node = node.zero if y == 0 else node.one
                 survivor = cls.concepts[(mask & -mask).bit_length() - 1]
                 seq += _support_sequence(survivor, rng, cls.domain_size)
-            if not seq:
-                continue
             worst = max(worst, online.play_sequence(cls, soa, seq).mistakes)
         checks.append(
             CheckRecord(
@@ -557,10 +555,7 @@ def suite_compression_bounds(seed: int, samples=500, max_m=64) -> list[CheckReco
         rng = split_rng(seed, "compress", i)
         cls = _draw_class_until(rng, 8, 16, lambda c: c.vc <= 3, "VC <= 3")
         m = rng.randint(1, max_m)
-        seq = _random_realizable_sequence(_defined_concepts(cls), rng, m)
-        if not seq:
-            continue
-        sample = labeled_sample(seq)
+        sample = labeled_sample(_random_realizable_sequence(_defined_concepts(cls), rng, m))
         k = learners.boosting_round_size(cls.vc)
         hyp, comp = learners.alpha_boost_compress(cls, sample, seed=rng.randrange(2**31))
         consistent = hyp.sample_error(sample) == 0
@@ -873,12 +868,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one suite with ``cfg.params`` over its defaults and ``cfg.trials``
     over the parameter ``--trials`` sets.
 
-    An unknown parameter (``--trials`` for a suite without trials), a value
-    whose type does not fit the default, an empty tuple, or a value below its
-    least value (any entry, for a tuple) raises ``ValueError`` naming the key
-    before any work starts.  A suite that returns no checks raises
-    ``ValueError`` too: a report with no checks cannot pass.  The report
-    prints every parameter the suite ran with.
+    An unknown parameter (``--trials`` for a suite without trials), one that
+    both ``cfg.trials`` and ``cfg.params`` set, a value whose type does not
+    fit the default, an empty tuple, or a value below its least value (any
+    entry, for a tuple) raises ``ValueError`` naming the key before any work
+    starts.  A suite that returns no checks raises ``ValueError`` too: a
+    report with no checks cannot pass.  The report prints every parameter the
+    suite ran with.
     """
     if cfg.experiment not in SUITES:
         raise ValueError(
@@ -891,6 +887,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     # a suite without trials knows no parameter "--trials"
     trial_key = suite.trials or "--trials"
     if cfg.trials is not None:
+        if trial_key in params:
+            raise ValueError(
+                f"{cfg.experiment}: parameter {trial_key!r} is given twice, "
+                "by --trials and by --param"
+            )
         params[trial_key] = cfg.trials
     for key, value in params.items():
         if key not in defaults:

@@ -29,7 +29,6 @@ from .learners import boost_to_consistency
 DECISION_TOL = 1e-6
 CONVERGE_TOL = 1e-12
 WOLFE_MAX_ITER = 10_000  # Wolfe's method is finite; this only guards a stall
-PERCEPTRON_UPDATE_CAP = 10**6
 PERCEPTRON_PASSES = 4  # passes over a stream before the run stops unconverged
 MAX_ORTHONORMAL_POINTS = 12  # largest axis family whose 2^m labelings are enumerated
 MAX_GRID_SIDE = 30  # 900 points; greedy_packing makes one array pass per centre
@@ -249,10 +248,6 @@ def perceptron_run(points: np.ndarray, labels: np.ndarray) -> PerceptronReport:
                 w = w + y * x
                 mistakes += 1
                 clean = False
-                if mistakes >= PERCEPTRON_UPDATE_CAP:
-                    break
-        if mistakes >= PERCEPTRON_UPDATE_CAP:
-            break
         if clean:
             converged = True
             break

@@ -84,7 +84,6 @@ class OneInclusionGraph:
     """
 
     def __init__(self, cls: PartialConceptClass, points: tuple[int, ...]):
-        self.points = points
         pats = sorted(cls.binary_patterns(points))
         if not pats:
             raise ContractViolation(
@@ -218,12 +217,11 @@ def one_inclusion_predict(
     cls: PartialConceptClass, train: LabeledSample, test: int
 ) -> int:
     """Predict the test label from the oriented one-inclusion graph."""
-    h = materialize_transductive(cls, train)
     if not 0 <= test < cls.domain_size:
         raise ValueError(
             f"test point {test} out of range for domain of size {cls.domain_size}"
         )
-    return h.labels[test]
+    return materialize_transductive(cls, train).labels[test]
 
 
 def materialize_transductive(

@@ -28,7 +28,7 @@ def _require(obj: dict, field: str, kind, where: str):
         raise FormatError(f"{where}: missing field {field!r}")
     value = obj[field]
     # JSON true/false load as bool, which Python counts as an int
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(
             f"{where}: field {field!r} must be {kind.__name__}, got {type(value).__name__}"
         )

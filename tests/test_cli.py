@@ -94,6 +94,15 @@ class TestCliDim:
         for measure in ["vc", "ld", "td", "strength", "natarajan", "graph", "support-vc", "dual"]:
             assert main(["dim", "--input", class_file, "--measure", measure]) == 0
 
+    def test_out_writes_what_stdout_would_print(self, class_file, tmp_path, capsys):
+        argv = ["dim", "--input", class_file, "--measure", "vc"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "dim.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr() == ("", f"wrote {path}\n")
+        assert path.read_text() == printed
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -185,7 +194,7 @@ class TestCliOther:
             ("weighted", False, 0),
             ("support", False, 0),
             ("majority", True, 1),
-            ("compression", False, 2),  # its own verification, then the flag's
+            ("compression", False, 1),  # its own verification, which the flag reads
         ],
     )
     def test_disambiguate_walks_short_sets_unless_strong_holds(
@@ -518,6 +527,7 @@ class TestCliContract:
             (["biclique-lower-bound", "--param", "sizes=[]"], "'sizes' must not be empty"),
             (["agnostic-online-regret", "--param", "T=1"], "'T' must be at least 2, got 1"),
             (["erm-failure", "--param", "m=-1"], "'m' must be at least 0, got -1"),
+            (["erm-failure", "--trials", "3", "--param", "trials=5"], "'trials' is given twice"),
         ],
     )
     def test_bad_trial_count(self, args, named, capsys):
@@ -558,10 +568,33 @@ class TestCliContract:
             (["erm-failure", "--trials", "0", "--seed", "1"],
              "trials must be at least 1, got 0"),
             (["biclique", "--complete", "1"], "the vertex count m must be at least 2, got 1"),
+            (["margin", "--radius", "1e200"], "m = inf axis points exceed the cap of 12"),
+            (["margin", "--radius", "1", "--gamma", "2"], "need radius^2 / gamma^2 >= 1"),
         ],
     )
     def test_construct_count_out_of_range(self, argv, named, capsys):
         self._fails_naming(["construct", *argv], named, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["online", "--input", "{cls}", "--mode", "soa"],
+             "soa mode needs --sample with the round sequence"),
+            (["construct", "biclique"], "construct biclique needs --graph or --complete"),
+            (["experiment", "geometry", "--param", "streams"],
+             "--param needs key=value, got 'streams'"),
+            (["dim", "--input", "{dir}", "--measure", "vc"], "{dir}: Is a directory"),
+            (["online", "--input", "{cls}", "--mode", "soa", "--sample", "{cls}"],
+             "sample: expected a list of [x, y] pairs"),
+        ],
+        ids=["soa-no-sample", "biclique-no-source", "param-no-value", "input-directory",
+             "sample-not-a-list"],
+    )
+    def test_missing_or_unreadable_input_named(
+        self, argv, named, class_file, tmp_path, capsys
+    ):
+        paths = {"cls": class_file, "dir": str(tmp_path)}
+        self._fails_naming([a.format(**paths) for a in argv], named.format(**paths), capsys)
 
     def test_report_without_checks_does_not_pass(self, monkeypatch, capsys):
         # every count parameter has a least value, so only a suite that
@@ -802,7 +835,7 @@ class TestScalingTables:
 
         for name, grid in (
             ("compression-size", [8, 16]),
-            ("disambiguation-size", [4, 6]),
+            ("disambiguation-size", [4, 6, 24]),  # at 24 no random VC-1 class is drawn
         ):
             _, rows = emit_scaling_table(name, grid, seed=2)
             assert all(measured <= envelope for _, measured, envelope in rows)
@@ -859,6 +892,9 @@ class TestRandomClassGeneration:
 
         with pytest.raises(ValueError):
             generate_random_class(2, 5, 0.0, seed=1)
+        for n in (0, 25):
+            with pytest.raises(ValueError, match="domain size must be between 1 and 24"):
+                generate_random_class(n, 1, 0.0, seed=1)
 
 
 # sha256 of what each command below prints to stdout on the fixed inputs of

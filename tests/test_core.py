@@ -12,6 +12,7 @@ from pcl.core import (
     STAR,
     ContractViolation,
     LabeledSample,
+    PartialConcept,
     PartialConceptClass,
     approximation_error,
     concept,
@@ -89,8 +90,19 @@ class TestConstruction:
         [
             (lambda: PartialConceptClass(0, (concept(""),)), "domain_size must be positive"),
             (lambda: finite_distribution({(0, 0): 1, (1, 1): 0}), "weight must be positive"),
+            (lambda: PartialConcept((0, 3)), "label must be 0, 1 or STAR, got 3"),
+            (lambda: total_class(2, ["01", "0*"]), r"total class contains a partial concept: 0\*"),
+            (lambda: finite_distribution({(0, 2): 1}), "atom label must be 0 or 1, got 2"),
+            (lambda: uniform_on([(1, 0), (1, 0)]), r"duplicate atom \(1, 0\)"),
+            (
+                lambda: approximation_error(concept_class(1, ["0"]), uniform_on([(0, 0)]), 0),
+                "n must be at least 1",
+            ),
         ],
-        ids=["domain-size-0", "atom-weight-0"],
+        ids=[
+            "domain-size-0", "atom-weight-0", "concept-label-3", "partial-in-total",
+            "atom-label-2", "duplicate-atom", "approximation-n-0",
+        ],
     )
     def test_edge_value_rejected(self, build, named):
         with pytest.raises(ValueError, match=named):

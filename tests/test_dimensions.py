@@ -290,6 +290,8 @@ class TestThresholdDimension:
         report = measure_report(total_thresholds(4), "td", witness=True)
         assert report.value == 4
         assert report.verify(total_thresholds(4))
+        # a staircase of four points does not witness td 3
+        assert not DimensionReport("td", 3, report.witness).verify(total_thresholds(4))
 
     @settings(max_examples=50)
     @given(classes(max_n=4, max_size=8))

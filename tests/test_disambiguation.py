@@ -283,6 +283,19 @@ class TestBiclique:
         with pytest.raises(ValueError, match=r"edge \(0, 3\) out of vertex range"):
             BicliqueInstance(3, edges=(edge,), partition=(((0,), (3,)),))
 
+    @pytest.mark.parametrize(
+        "edges, partition, named",
+        [
+            (((0, 1), (1, 0)), (((0,), (1,)),), "duplicate edges in graph"),
+            (((1, 1),), (((1,), (1,)),), "self-loop at vertex 1"),
+            (((0, 1),), (((0,), (0, 1)),), "biclique 0 has overlapping sides"),
+        ],
+        ids=["duplicate-edge", "self-loop", "overlapping-sides"],
+    )
+    def test_graph_fault_named(self, edges, partition, named):
+        with pytest.raises(ValueError, match=named):
+            BicliqueInstance(3, edges=edges, partition=partition)
+
     def test_over_the_vertex_limit_refused(self):
         with pytest.raises(ValueError, match="vertices = 301 exceeds the limit of 300"):
             BicliqueInstance(MAX_BICLIQUE_VERTICES + 1, edges=(), partition=())
@@ -309,6 +322,17 @@ class TestBiclique:
             cert = certify_coloring_lower_bound(inst, res)
             assert cert.is_proper, f"{builder.__name__} gave an improper coloring"
             assert cert.colors_used >= m
+
+    def test_certificate_needs_an_extension_for_every_vertex(self):
+        inst = star_partition_instance(4)
+        cls = biclique_class(inst)
+        with pytest.raises(ContractViolation, match="per-concept extensions"):
+            certify_coloring_lower_bound(inst, compression_to_disambiguation(cls))
+        res = vc_majority_disambiguate(cls)
+        first = disambiguation.vertex_concepts(inst)[0]
+        del res.extension_of[first]
+        with pytest.raises(ContractViolation, match="concept of vertex 0"):
+            certify_coloring_lower_bound(inst, res)
 
     def test_any_graph_with_an_edge_has_vc_one(self):
         # single-edge bicliques are always a valid partition; the class of a
@@ -453,6 +477,13 @@ class TestMajorityCompose:
         assert table[(1, star)] == 1 and table[(star, 1)] == 1
         assert table[(0, star)] == 0 and table[(star, 0)] == 0
         assert table[(0, 1)] == star and table[(star, star)] == star
+
+    def test_no_class_or_mixed_domains_rejected(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            majority_compose([], IDENTITY)
+        mixed = [concept_class(2, ["01"]), concept_class(3, ["011"])]
+        with pytest.raises(ValueError, match="share a domain size"):
+            majority_compose(mixed, majority_table(2))
 
     def test_arity_mismatch_rejected(self):
         cls = concept_class(2, ["01"])

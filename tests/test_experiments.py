@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from pcl import core, experiments
+from pcl import core, experiments, online
 from pcl.experiments import (
     SUITES,
     CheckRecord,
@@ -201,6 +202,21 @@ class TestParams:
         with pytest.raises(ValueError, match=named):
             run_experiment(ExperimentConfig("soa-mistake-bound", params=params))
 
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ValueError, match="unknown experiment 'nonsense'; known: "):
+            run_experiment(ExperimentConfig("nonsense"))
+
+    def test_trials_value_given_twice_rejected_before_any_work(self, monkeypatch):
+        def never(seed, classes=200):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(
+            experiments.SUITES, "soa-mistake-bound", Suite(never, trials="classes")
+        )
+        cfg = ExperimentConfig("soa-mistake-bound", trials=3, params={"classes": 5})
+        with pytest.raises(ValueError, match="'classes' is given twice"):
+            run_experiment(cfg)
+
     def test_merged_over_defaults(self, monkeypatch):
         seen = []
 
@@ -221,6 +237,25 @@ class TestParams:
             run_experiment(
                 ExperimentConfig("biclique-lower-bound", params={"sizes": [4, 5.5]})
             )
+
+
+def test_class_search_gives_up_after_1000_draws():
+    with pytest.raises(RuntimeError, match="no class with nothing found in 1000 draws"):
+        experiments._draw_class_until(random.Random(0), 2, 2, lambda cls: False, "nothing")
+
+
+def test_upper_side_class_above_ld_two_refused(monkeypatch):
+    # the suite's four upper-side classes have LD at most 2; a learner that
+    # reads a deeper one stops the suite instead of checking it
+    class Deeper(online.AgnosticOnlineLearner):
+        def __init__(self, cls, T):
+            super().__init__(cls, T)
+            self.ld = 3
+
+    monkeypatch.setattr(online, "AgnosticOnlineLearner", Deeper)
+    params = {"T": 2, "adversary_T": 1, "adversary_trials": 2}
+    with pytest.raises(AssertionError, match="LD <= 2"):
+        run_experiment(ExperimentConfig("agnostic-online-regret", params=params))
 
 
 class TestPacBlocks:

@@ -46,6 +46,10 @@ class TestMinEnclosingBall:
         c, r = min_enclosing_ball(np.array([[3.0, 4.0]]))
         assert r == pytest.approx(0.0)
 
+    def test_no_point_rejected(self):
+        with pytest.raises(ValueError, match="need at least one point"):
+            min_enclosing_ball(np.zeros((0, 2)))
+
     def test_square(self):
         pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
         _, r = min_enclosing_ball(pts)
@@ -66,6 +70,12 @@ class TestMinEnclosingBall:
     @given(point_clouds())
     # the last point enters in the affine hull of a full corral: r is 1.25
     @example(np.array([[0, 2], [0, 0], [1, 0], [2, 1]], dtype=float))
+    # at this scale rounding leaves the gap above its tolerance while the
+    # point of least slope is already in the corral, which ends the run
+    @example(100.0 * np.array(
+        [[-1, 4, 1], [-8, 1, -1], [-6, -6, 1], [-7, 3, -4], [-8, 8, -6],
+         [-6, -4, -8], [-3, 2, -3], [7, -3, 8], [-2, -2, 7]], dtype=float,
+    ))
     def test_matches_definition(self, pts):
         c, r = min_enclosing_ball(pts)
         ref_c, ref_r = enclosing_ball_by_definition(pts)
@@ -187,6 +197,11 @@ class TestPerceptron:
         assert report.mistakes <= 5
         assert report.mistakes <= report.bound_used
 
+    def test_one_point_with_both_labels_has_no_bound(self):
+        # the hulls of the two labels meet, at a gap of exactly 0
+        report = perceptron_run(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, 0]))
+        assert report.bound_used == math.inf and not report.converged
+
     def test_warm_start_makes_no_new_mistakes(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = np.array([1, 0])
@@ -297,6 +312,22 @@ class TestWeakLearningGame:
         base = total_class(1, ["0", "1"])
         assert weak_learning_game(base, labeled_sample([(0, 1)])).value <= 0
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ContractViolation, match="nonempty sample"):
+            weak_learning_game(total_class(1, ["0"]), labeled_sample([]))
+
+    @pytest.mark.parametrize(
+        "A, named",
+        [([[0]], "unbounded game LP"), ([[0.5, 0.25]], "fails its dual certificate")],
+        ids=["zero-payoff", "fractional-payoffs"],
+    )
+    def test_exact_tableau_refuses_a_matrix_off_its_premise(self, A, named):
+        # the game shifts every payoff to a positive integer; without that
+        # shift the LP is unbounded, and without integers the fraction-free
+        # pivots go wrong, which the dual certificate catches
+        with pytest.raises(ArithmeticError, match=named):
+            geometry._exact_simplex_max(A)
+
     def test_matched_pennies_value_half(self):
         base = total_class(2, ["01", "10"])
         sample = labeled_sample([(0, 0), (1, 0)])
@@ -399,6 +430,20 @@ class TestBoostingDisambiguation:
         hyp, report = boosting_disambiguate_sample(base, sample, gamma)
         assert hyp.sample_error(sample) == 0
         assert report.rounds <= report.cap
+
+    @pytest.mark.parametrize(
+        "pairs, gamma, named",
+        [
+            ([(0, 0)], 0, r"gamma must lie in \(0, 1\]"),
+            ([(0, 0)], Fraction(3, 2), r"gamma must lie in \(0, 1\]"),
+            ([], 1, "need a nonempty sample"),
+        ],
+        ids=["gamma-0", "gamma-3/2", "empty-sample"],
+    )
+    def test_bad_arguments_rejected(self, pairs, gamma, named):
+        base = total_class(2, ["00"])
+        with pytest.raises(ContractViolation, match=named):
+            boosting_disambiguate_sample(base, labeled_sample(pairs), gamma)
 
     def test_overstated_gamma_rejected(self):
         base = total_class(2, ["00"])

@@ -86,6 +86,17 @@ class TestOneInclusion:
         train = labeled_sample([(0, 0), (0, 0), (1, 1)])
         assert one_inclusion_predict(cls, train, 0) == 0
 
+    def test_out_of_range_test_point_builds_no_graph(self, monkeypatch):
+        built = []
+        real = learners.OneInclusionGraph
+        monkeypatch.setattr(
+            learners, "OneInclusionGraph", lambda *a: built.append(a) or real(*a)
+        )
+        cls = concept_class(3, ["01*", "*10", "110", "000"])
+        with pytest.raises(ValueError, match="test point 99 "):
+            one_inclusion_predict(cls, labeled_sample([(0, 0)]), 99)
+        assert built == []
+
     @settings(max_examples=150, deadline=None)
     @given(realizable_with_repeats())
     def test_predictor_matches_definition(self, case):
@@ -207,6 +218,18 @@ class TestOneInclusion:
         graph = OneInclusionGraph(cls, (0, 1, 2))
         assert graph.patterns == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]
         assert graph.out == [[2], [0], [3], []]
+
+    def test_graph_needs_a_realizable_pattern(self):
+        cls = concept_class(2, ["0*", "*1"])  # no concept is defined on both points
+        with pytest.raises(ContractViolation, match=r"no realizable total pattern on points \(0, 1\)"):
+            OneInclusionGraph(cls, (0, 1))
+
+    def test_repair_refuses_a_vc_below_the_edge_density(self, monkeypatch):
+        # the repair's out-degree target is the patterns' VC; below the edge
+        # density, a vertex over it has no path to one with room
+        monkeypatch.setattr(learners, "first_largest", lambda *a: ())
+        with pytest.raises(AssertionError, match="no reversible path"):
+            OneInclusionGraph(concept_class(1, ["0", "1"]), (0,))
 
     def test_vc_counts_only_concepts_defined_on_the_points(self):
         # "0*1" and "1*1" shatter {0}, but only "110" is defined on both points
@@ -386,6 +409,12 @@ class TestPacWrapper:
         picks = np.zeros((0, pac_schedule(cls.vc, 0.9, 0.5).total), dtype=np.intp)
         assert learners.batch_and_validate(cls, atoms, picks, 0.9, 0.5, cls.one_inclusion) == []
 
+    def test_picks_must_be_a_matrix(self):
+        cls = concept_class(2, ["01", "10"])
+        picks = np.zeros(pac_schedule(cls.vc, 0.9, 0.5).total, dtype=np.intp)
+        with pytest.raises(ContractViolation, match=r"picks must be a \(trials, m\) array"):
+            learners.batch_and_validate(cls, [(0, 1)], picks, 0.9, 0.5, cls.one_inclusion)
+
     def test_validation_point_outside_the_domain(self):
         cls = concept_class(3, ["001", "110"])
         sample = labeled_sample([(0, 0)] * 16 + [(7, 1)] * 134)
@@ -508,6 +537,20 @@ class TestAlphaBoost:
             learners.boost_to_consistency(1, [(0, 1)], weak, step, cap=3)
             assert weights[1] == [seen]
 
+    def test_no_consistent_majority_within_the_cap_raises(self):
+        with pytest.raises(learners.BoostingCapExceeded, match="within 3 rounds on 1 points"):
+            learners.boost_to_consistency(1, [(0, 1)], lambda w, t: [0], 2.0, cap=3)
+
+    def test_weak_search_that_finds_nothing_raises(self, monkeypatch):
+        # some k-point training multiset has weighted error at most 1/3 by the
+        # expected-error guarantee; a predictor that errs everywhere breaks it
+        cls = concept_class(3, ["000", "111"])
+        monkeypatch.setattr(
+            learners, "materialize_transductive", lambda cls, train: PartialConcept((1, 1, 1))
+        )
+        with pytest.raises(learners.WeakLearnerNotFound, match="expected-error guarantee"):
+            learners._weak_hypothesis(cls, [(0, 0), (1, 0)], [1.0] * 2, 2, random.Random(0))
+
     def test_weak_draw_at_exactly_a_third_is_accepted(self, monkeypatch):
         # every hypothesis misses one of three equal pairs: error exactly 1/3
         cls = concept_class(3, ["000", "111"])
@@ -564,6 +607,21 @@ class TestReconstruct:
         with pytest.raises(CompressionFormatError):
             reconstruct(cls, CompressionOutput(((0, 0),), (2,)))
 
+    @pytest.mark.parametrize(
+        "rebuild, subsample, bits, named",
+        [
+            (learners.ld_reconstruct, ((0, 0),), (1,), "kept-set payloads carry no side bits"),
+            (reconstruct, ((0, 1), (1, 1)), (), "kept set is not realizable"),
+            (reconstruct, ((0, 0),) * 3, (0,), "round count must be positive"),
+            (reconstruct, ((0, 1), (1, 1), (0, 1)), (1,), "round 0 subsample is not realizable"),
+        ],
+        ids=["kept-set-bits", "kept-set-unrealizable", "zero-rounds", "round-unrealizable"],
+    )
+    def test_malformed_payload_named(self, rebuild, subsample, bits, named):
+        cls = concept_class(2, ["01", "10"])
+        with pytest.raises(CompressionFormatError, match=named):
+            rebuild(cls, CompressionOutput(subsample, bits))
+
     @pytest.mark.parametrize("bits", [(), (1,)], ids=["kept-set", "boosting"])
     @pytest.mark.parametrize("x, y", [(-1, 1), (3, 0)], ids=["negative", "past-domain"])
     def test_payload_point_outside_the_domain_rejected(self, bits, x, y):
@@ -584,6 +642,10 @@ class TestLdCompress:
         cls = concept_class(2, ["00", "11"])
         sample = labeled_sample([(0, 0), (1, 0)])
         assert ld_compress(cls, sample).subsample == ()
+
+    def test_unrealizable_sample_rejected(self):
+        with pytest.raises(ContractViolation, match="requires a realizable sample"):
+            ld_compress(concept_class(2, ["00"]), labeled_sample([(0, 1)]))
 
     @settings(max_examples=25, deadline=None)
     @given(classes(min_n=2, max_n=4, max_size=10))

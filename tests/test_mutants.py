@@ -15,6 +15,7 @@ import contextlib
 import inspect
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +30,7 @@ from pcl import geometry
 from pcl.core import STAR
 from pcl.dimensions import measure_report
 from pcl.experiments import ExperimentConfig, generate_random_class, run_experiment
-from pcl.learners import OneInclusionGraph
+from pcl.learners import CompressionOutput, OneInclusionGraph
 from pcl.online import TreeAdversary
 
 _repair = OneInclusionGraph._repair_orientation
@@ -68,6 +69,25 @@ def _star_agrees(cls, pairs) -> tuple[int, ...]:
 def _one_point_too_many(radius: float, gamma: float) -> np.ndarray:
     """The axis family with one axis point more than floor(R^2 / gamma^2)."""
     return radius * np.eye(len(_orthonormal_points(radius, gamma)) + 1)
+
+
+def _loo_charging_repeats(cls, sample) -> Fraction:
+    """The exact LOO error with every entry of a point charged, not only the
+    entries whose point occurs once."""
+    labels = dict(sample.pairs)
+    points = tuple(sorted(labels))
+    graph = cls.one_inclusion.graph(cls, points)
+    v = tuple(labels[x] for x in points)
+    counts = Counter(x for x, _ in sample)
+    heads = (graph.patterns[w] for w in graph.out[graph.index[v]])
+    charged = sum(counts[x] for h in heads for x, a, b in zip(points, v, h) if a != b)
+    return Fraction(charged, len(sample))
+
+
+def _keep_every_pair(cls, sample) -> CompressionOutput:
+    """A kept-set payload of the whole sample: it rebuilds a consistent total,
+    but its size is the number of distinct pairs, not at most LD."""
+    return CompressionOutput(tuple(dict.fromkeys(sample.pairs)), ())
 
 
 def _hidden_labeled_one(rng, n: int) -> dict[int, int]:
@@ -141,6 +161,26 @@ MUTANTS = {
         seed=0,
         params={"streams": 1},
         killers=frozenset({"orthonormal-R1", "orthonormal-R2", "orthonormal-R3"}),
+    ),
+    # a repeated point costs each of its entries, so two entries of a point
+    # whose edge leaves the labeling cost 2/2 against VC/2; the per-class
+    # records read out-degrees, not this function
+    "loo-charges-repeated-points": Mutant(
+        "pcl.learners.loo_error",
+        _loo_charging_repeats,
+        "one-inclusion-loo",
+        seed=0,
+        params={"classes": 1, "max_len": 1},
+        killers=frozenset({"multiset-sequences"}),
+    ),
+    # every kept set is then the whole sample, which outgrows LD
+    "ld-compress-keeps-every-pair": Mutant(
+        "pcl.learners.ld_compress",
+        _keep_every_pair,
+        "compression-bounds",
+        seed=0,
+        params={"samples": 2, "max_m": 8},
+        killers=frozenset({"all-samples"}),
     ),
     # the all-zeros predictor then errs on every example; the proper learner's
     # zero-labeled guesses err everywhere too, which its bound >= 1/5 admits

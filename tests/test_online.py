@@ -96,6 +96,11 @@ class TestPlaySequence:
             play_sequence(cls, spy, [(0, 0), (1, 1), (2, 0)])
         assert asked == []
 
+    def test_non_bit_prediction_rejected(self):
+        cls = concept_class(2, ["01", "10"])
+        with pytest.raises(ValueError, match="predictions must be bits"):
+            play_sequence(cls, constant_learner(2), [(0, 0)])
+
 
 class TestEmptySubclass:
     """The empty subclass has LD -1, below every nonempty one, so SOA and the
@@ -130,6 +135,14 @@ class TestLittlestoneTree:
     def test_too_deep_rejected(self):
         with pytest.raises(ContractViolation):
             littlestone_tree(concept_class(2, ["00"]), 1)
+
+    def test_overstated_ld_is_refused_rather_than_built(self):
+        # the depth check reads the solver's LD; one above the truth promises
+        # a tree that the recursion cannot build, and it says so
+        cls = full_cube(2)
+        cls.ld_solver._memo[cls.packed.full] = 3
+        with pytest.raises(AssertionError, match="deeper tree"):
+            littlestone_tree(cls, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(classes(max_n=5, max_size=12))
@@ -268,6 +281,10 @@ class TestExperts:
             experts_aggregate([[1.5]], [0.0])
         with pytest.raises(ValueError):
             experts_aggregate([[0.5]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="T x N matrix"):
+            experts_aggregate([0.5, 0.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="at least one expert and one round"):
+            experts_aggregate(np.zeros((1, 0)), [0.0])
 
 
 class TestAgnosticOnline:
@@ -283,6 +300,11 @@ class TestAgnosticOnline:
         assert sum(math.comb(100, i) for i in range(4)) > MAX_EXPERTS
         with pytest.raises(ValueError, match="budget"):
             AgnosticOnlineLearner(cls, T=100)
+
+    def test_sequence_of_another_length_rejected(self):
+        learner = AgnosticOnlineLearner(concept_class(1, ["0", "1"]), T=2)
+        with pytest.raises(ValueError, match="sequence length 1 != T = 2"):
+            learner.run([(0, 1)])
 
     def test_regret_bound_on_fixed_sequences(self):
         cls = concept_class(3, ["000", "111", "01*"])
