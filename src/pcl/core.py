@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial
@@ -71,6 +71,16 @@ class PartialConcept:
         return "".join(_LABEL_CHARS[v] for v in self.labels)
 
 
+def pattern_code(labels: Iterable[int]) -> int:
+    """The code of a pattern's labels, the first label on top."""
+    return reduce(lambda code, y: code << 1 | y, labels, 0)
+
+
+def pattern_labels(code: int, k: int) -> tuple[int, ...]:
+    """The k labels a pattern code holds, the top bit first."""
+    return tuple(code >> i & 1 for i in reversed(range(k)))
+
+
 def concept(spec: Union[str, Sequence[int], PartialConcept]) -> PartialConcept:
     """Coerce a string like ``"01*"`` or a label sequence into a concept."""
     if isinstance(spec, PartialConcept):
@@ -110,20 +120,24 @@ class PartialConceptClass:
     def __iter__(self) -> Iterator[PartialConcept]:
         return iter(self.concepts)
 
-    def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
-        """All-0/1 restrictions realized on ``points`` (concepts with a STAR there drop out)."""
+    def pattern_codes(self, points: Sequence[int]) -> set[int]:
+        """All-0/1 restrictions realized on ``points`` as bits, ``points[0]``'s on
+        top so codes sort as label tuples do; concepts with a STAR there drop out."""
         packed = self.packed
         live = [(0, packed.full)]  # (pattern bits, concepts realizing them)
-        for i, x in enumerate(points):
+        for x in points:
             m0, m1 = packed.label_masks[x]
             live = [
-                (code | y << i, m & my)
+                (code << 1 | y, m & my)
                 for code, m in live
                 for y, my in ((ZERO, m0), (ONE, m1))
                 if m & my
             ]
-        k = len(points)
-        return {tuple(code >> i & 1 for i in range(k)) for code, _ in live}
+        return {code for code, _ in live}
+
+    def binary_patterns(self, points: Sequence[int]) -> set[tuple[int, ...]]:
+        """``pattern_codes`` as label tuples."""
+        return {pattern_labels(code, len(points)) for code in self.pattern_codes(points)}
 
     @cached_property
     def packed(self) -> "PackedClass":

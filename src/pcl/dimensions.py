@@ -37,7 +37,7 @@ from .core import (
 
 def is_shattered(cls: PartialConceptClass, points: Sequence[int]) -> bool:
     """A point set is shattered when every binary pattern on it is realized."""
-    return len(cls.binary_patterns(points)) == 2 ** len(points)
+    return len(cls.pattern_codes(points)) == 1 << len(points)
 
 
 def first_largest(choices, mask: int) -> tuple[int, ...]:

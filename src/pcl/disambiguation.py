@@ -37,6 +37,7 @@ from .core import (
     PartialConcept,
     PartialConceptClass,
     TotalConceptClass,
+    pattern_labels,
 )
 from .dimensions import _bits, littlestone_dimension, shattered_weight
 from .learners import CompressionOutput, ld_reconstruct
@@ -184,9 +185,9 @@ def weak_violation(cls: PartialConceptClass, totals: TotalConceptClass, max_len:
     n = cls.domain_size
     for k in range(1, min(max_len, n) + 1):
         for pts in combinations(range(n), k):
-            missing = cls.binary_patterns(pts) - totals.binary_patterns(pts)
+            missing = cls.pattern_codes(pts) - totals.pattern_codes(pts)
             if missing:
-                return pts, sorted(missing)[0]
+                return pts, pattern_labels(min(missing), k)
     return None
 
 

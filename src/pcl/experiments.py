@@ -290,24 +290,19 @@ def suite_one_inclusion_loo(seed: int, classes=100, max_len=5) -> list[CheckReco
         worst_excess = Fraction(-1)
         for k in range(1, min(max_len, cls.domain_size) + 1):
             for pts in combinations(range(cls.domain_size), k):
-                if not cls.binary_patterns(pts):
+                if not cls.pattern_codes(pts):
                     continue
                 graph = cls.one_inclusion.graph(cls, pts)
+                out = graph.out
                 # the permutation-averaged leave-one-out error of the
                 # distinct-point sample labeled by v is out_deg(v) / k;
                 # duplicated points only shrink it (their rounds are free)
-                out_degrees = list(map(len, graph.out))
+                out_degrees = list(map(len, out.values()))
                 worst_excess = max(worst_excess, Fraction(max(out_degrees) - d, k))
-                # edges counted from the patterns alone: along coordinate c,
-                # the patterns that differ only at c share one projection
-                pats = graph.patterns
-                edges = sum(
-                    len(pats) - len({p[:c] + p[c + 1 :] for p in pats}) for c in range(k)
-                )
+                # edges from the codes alone: codes differing only at bit c share a projection
+                edges = sum(len(out) - len({p & ~(1 << c) for p in out}) for c in range(k))
                 graphs += 1
-                bad_graphs += (
-                    edges != sum(out_degrees) or edges > graph.vc * len(pats)
-                )
+                bad_graphs += edges != sum(out_degrees) or edges > graph.vc * len(out)
         checks.append(
             CheckRecord(
                 f"class-{i}", "permutation-averaged LOO error <= VC(H)/n, exact",
@@ -515,7 +510,7 @@ def suite_biclique_lower_bound(seed: int, sizes=(4, 6, 8)) -> list[CheckRecord]:
         inst = disambiguation.star_partition_instance(m)
         cls = disambiguation.biclique_class(inst)
         pair_ok = all(
-            len(cls.binary_patterns((a, b))) <= 2
+            len(cls.pattern_codes((a, b))) <= 2
             for a in range(cls.domain_size)
             for b in range(a + 1, cls.domain_size)
         )

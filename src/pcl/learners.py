@@ -4,11 +4,12 @@ compression, and the agnostic reduction.
 The one-inclusion predictor is transductive: it never materializes a global
 hypothesis by itself.  It is evaluated over the finite domain in one place,
 once per set of distinct training pairs: the hypothesis table beside the
-graphs in the class's ``one_inclusion`` store.  The leave-one-out error reads
-one oriented graph and needs no predictor.  The PAC wrapper scores a block of
-trials in one pass over their rows of atom indices: one count of the atoms
-each batch saw, one table lookup per distinct seen set, and one validation
-score per batch.
+graphs in the class's ``one_inclusion`` store.  A pattern there is only ever
+its bit code (``PartialConceptClass.pattern_codes``).  The leave-one-out error
+reads one oriented graph and needs no predictor.  The PAC wrapper scores a
+block of trials in one pass over their rows of atom indices: one count of the
+atoms each batch saw, one table lookup per distinct seen set, and one
+validation score per batch.
 
 Every hypothesis is a total ``core.PartialConcept`` (no STAR); boosting and
 its reconstruction share one majority rule, ``majority_vote``.
@@ -35,6 +36,7 @@ from .core import (
     is_realizable,
     labeled_sample,
     max_realizable_subsequence,
+    pattern_code,
 )
 from .dimensions import first_largest, littlestone_dimension
 from .online import Soa
@@ -74,45 +76,39 @@ class CompressionOutput:
 class OneInclusionGraph:
     """Realizable total patterns on a point set, with a low-out-degree orientation.
 
-    Vertices are the 0/1 patterns the class realizes on ``points``; edges join
-    patterns differing in one coordinate; ``vc`` is the VC dimension of the
-    patterns.  The orientation is repaired by reversing a directed path from
-    any vertex above the out-degree target to one below it; such a path
-    always exists because every induced subgraph of a one-inclusion graph of
-    a VC-d class has edge density at most d (the ``one-inclusion-loo`` suite
-    checks this lemma on every graph it builds).
+    Vertices are the codes of the 0/1 patterns the class realizes on
+    ``points``; edges join patterns differing in one coordinate; ``vc`` is the
+    VC dimension of the patterns; ``out`` maps each vertex, in ascending
+    order, to the heads of its out-edges.  Each edge starts at its smaller
+    code; the orientation is repaired by reversing a directed path from any
+    vertex above the out-degree target to one below it; such a path always
+    exists because every induced subgraph of a one-inclusion graph of a VC-d
+    class has edge density at most d (the ``one-inclusion-loo`` suite checks
+    this lemma on every graph it builds).
     """
 
     def __init__(self, cls: PartialConceptClass, points: tuple[int, ...]):
-        pats = sorted(cls.binary_patterns(points))
-        if not pats:
-            raise ContractViolation(
-                f"no realizable total pattern on points {points}"
-            )
-        self.patterns = pats
-        self.index = {p: i for i, p in enumerate(pats)}
+        codes = cls.pattern_codes(points)
+        if not codes:
+            raise ContractViolation(f"no realizable total pattern on points {points}")
         # the patterns' VC: concepts defined on all of points, over subsets of them
         sides = [cls.packed.label_masks[x] for x in points]
         defined = cls.packed.full
         for m0, m1 in sides:
             defined &= m0 | m1
         self.vc = len(first_largest([sides], defined))
-        self.out: list[list[int]] = [[] for _ in pats]
-        for i, p in enumerate(pats):
-            for c in range(len(points)):
-                q = p[:c] + (1 - p[c],) + p[c + 1 :]
-                j = self.index.get(q)
-                if j is not None and j > i:  # initial orientation: toward the larger id
-                    self.out[i].append(j)
+        bits = [1 << c for c in reversed(range(len(points)))]  # in point order
+        self.out: dict[int, list[int]] = {
+            i: [j for j in (i ^ b for b in bits) if j > i and j in codes]
+            for i in sorted(codes)
+        }
         self._repair_orientation()
 
     def _repair_orientation(self) -> None:
-        d = self.vc
-        guard = 2 * sum(len(o) for o in self.out) + len(self.patterns) + 4
+        d, out = self.vc, self.out
+        guard = 2 * sum(map(len, out.values())) + len(out) + 4
         while True:
-            over = next(
-                (v for v in range(len(self.patterns)) if len(self.out[v]) > d), None
-            )
+            over = next((v for v, heads in out.items() if len(heads) > d), None)
             if over is None:
                 return
             guard -= 1
@@ -124,10 +120,10 @@ class OneInclusionGraph:
             target = None
             while queue and target is None:
                 u = queue.pop(0)
-                for w in self.out[u]:
+                for w in out[u]:
                     if w not in parent:
                         parent[w] = u
-                        if len(self.out[w]) < d:
+                        if len(out[w]) < d:
                             target = w
                             break
                         queue.append(w)
@@ -138,13 +134,9 @@ class OneInclusionGraph:
             node = target
             while parent[node] is not None:
                 prev = parent[node]
-                self.out[prev].remove(node)
-                self.out[node].append(prev)
+                out[prev].remove(node)
+                out[node].append(prev)
                 node = prev
-
-    def oriented_toward(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Head pattern of the edge {a, b}."""
-        return b if self.index[b] in self.out[self.index[a]] else a
 
 
 class OneInclusionCache:
@@ -172,8 +164,7 @@ class OneInclusionCache:
         self._serve(cls)
         g = self._graphs.get(points)
         if g is None:
-            g = OneInclusionGraph(cls, points)
-            self._graphs[points] = g
+            g = self._graphs[points] = OneInclusionGraph(cls, points)
         return g
 
     def hypothesis(
@@ -203,13 +194,12 @@ class OneInclusionCache:
                 elif not mask & m0 or not mask & m1:
                     labels.append(1 if mask & m1 else 0)
                 else:
+                    # the training labels completed with 0 at test, and test's bit
                     points = tuple(sorted({*constraints, test}))
-                    a = tuple(constraints.get(x, 0) for x in points)
-                    b = tuple(constraints.get(x, 1) for x in points)
-                    head = self.graph(cls, points).oriented_toward(a, b)
-                    labels.append(head[points.index(test)])
-            h = PartialConcept(tuple(labels))
-            self._hypotheses[pairs] = h
+                    code = pattern_code(constraints.get(x, 0) for x in points)
+                    bit = 1 << sum(x > test for x in constraints)
+                    labels.append(int((code | bit) in self.graph(cls, points).out[code]))
+            h = self._hypotheses[pairs] = PartialConcept(tuple(labels))
         return h
 
 
@@ -250,10 +240,9 @@ def loo_error(cls: PartialConceptClass, sample: LabeledSample) -> Fraction:
     labels = dict(sample.pairs)
     points = tuple(sorted(labels))
     graph = cls.one_inclusion.graph(cls, points)
-    v = tuple(labels[x] for x in points)
-    # each head differs from v at one point, the one the predictor gets wrong
-    heads = (graph.patterns[w] for w in graph.out[graph.index[v]])
-    once = (counts[x] == 1 for h in heads for x, a, b in zip(points, v, h) if a != b)
+    v = pattern_code(labels[x] for x in points)
+    # each head differs from v at one point's bit, the point the predictor gets wrong
+    once = (counts[points[-(h ^ v).bit_length()]] == 1 for h in graph.out[v])
     return Fraction(sum(once), len(sample))
 
 

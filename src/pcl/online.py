@@ -161,11 +161,12 @@ class AgnosticOnlineLearner:
             raise ValueError(
                 f"{self.n_experts} experts exceed the budget of {MAX_EXPERTS}"
             )
-        self.flip_sets = [
-            frozenset(J)
-            for k in range(self.ld + 1)
-            for J in combinations(range(T), k)
-        ]
+        # expert i flips round t when t is in its subset: flips[t] lists them
+        self.flips: list[list[int]] = [[] for _ in range(T)]
+        subsets = (J for k in range(self.ld + 1) for J in combinations(range(T), k))
+        for i, J in enumerate(subsets):
+            for t in J:
+                self.flips[t].append(i)
 
     def regret_bound(self) -> float:
         return math.sqrt((self.T / 2.0) * math.log(self.n_experts))
@@ -177,15 +178,14 @@ class AgnosticOnlineLearner:
         soa = Soa(self.cls)
         packed = self.cls.packed
         masks = [packed.full] * self.n_experts
-        preds = np.empty((self.T, self.n_experts))
+        rows = []
         for t, (x, _) in enumerate(sequence):
-            for i, J in enumerate(self.flip_sets):
-                p = soa(masks[i], x)
-                if t in J:  # expert i takes round t as a mistake and learns from it
-                    p = 1 - p
-                    masks[i] &= packed.label_masks[x][p]
-                preds[t, i] = p
-        res = experts_aggregate(preds, [y for _, y in sequence])
+            row = [soa(m, x) for m in masks]
+            for i in self.flips[t]:  # expert i takes round t as a mistake and learns from it
+                row[i] = p = 1 - row[i]
+                masks[i] &= packed.label_masks[x][p]
+            rows.append(row)
+        res = experts_aggregate(rows, [y for _, y in sequence])
         return AgnosticRunResult(res.total_loss, best, res.regret_bound)
 
 

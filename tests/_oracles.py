@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass
+from pcl.core import STAR, LabeledSample, PartialConcept, PartialConceptClass, pattern_code
 from pcl.geometry import PackingResult
 from pcl.learners import OneInclusionGraph, pac_schedule
 
@@ -98,7 +98,8 @@ def one_inclusion_by_definition(cls: PartialConceptClass, train, test: int) -> i
     if len(completions) == 1:
         return completions[0][t]
     a, b = completions
-    return OneInclusionGraph(cls, points).oriented_toward(a, b)[t]
+    out = OneInclusionGraph(cls, points).out
+    return (b if pattern_code(b) in out[pattern_code(a)] else a)[t]
 
 
 def loo_by_definition(cls: PartialConceptClass, sample) -> Fraction:

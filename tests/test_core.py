@@ -22,6 +22,8 @@ from pcl.core import (
     labeled_sample,
     max_realizable_subsequence,
     min_mistakes,
+    pattern_code,
+    pattern_labels,
     total_class,
     uniform_on,
 )
@@ -289,10 +291,16 @@ class TestPackedClass:
     @given(packed_cases())
     @example((concept_class(3, ["0*1"]), (0, 2), [(0, 0), (2, 1), (0, 0)]))
     @example((concept_class(3, ["0*1", "1*0", "1*1"]), (0, 1), [(2, 1), (2, 0)]))
+    @example((concept_class(2, ["0*", "11"]), (), []))
     def test_kernel_matches_brute_force(self, case):
         cls, points, pairs = case
         pats = patterns_on(cls, points)
         assert cls.binary_patterns(points) == pats
+        # the codes decode to the patterns, and in ascending order to sorted ones
+        codes = sorted(cls.pattern_codes(points))
+        decoded = [pattern_labels(code, len(points)) for code in codes]
+        assert decoded == sorted(pats)
+        assert [pattern_code(p) for p in decoded] == codes
         assert is_shattered(cls, points) == (len(pats) == 2 ** len(points))
 
         labels = dict(pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pcl import learners
+from pcl import experiments, learners
 from pcl.core import (
     STAR,
     ContractViolation,
@@ -15,6 +16,7 @@ from pcl.core import (
     PartialConceptClass,
     concept_class,
     labeled_sample,
+    pattern_labels,
     uniform_on,
 )
 from pcl.dimensions import littlestone_dimension, vc_dimension
@@ -207,7 +209,7 @@ class TestOneInclusion:
             if not cls.binary_patterns(pts):
                 continue
             graph = cls.one_inclusion.graph(cls, pts)
-            assert max(map(len, graph.out)) <= graph.vc
+            assert max(map(len, graph.out.values())) <= graph.vc
             assert graph.vc <= vc_dimension(cls)
 
     def test_repair_passes_through_a_full_vertex(self):
@@ -216,8 +218,32 @@ class TestOneInclusion:
         # repair reverses 000 -> 001 alone, where filling 010 would reverse two
         cls = concept_class(3, ["000", "001", "010", "110"])
         graph = OneInclusionGraph(cls, (0, 1, 2))
-        assert graph.patterns == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]
-        assert graph.out == [[2], [0], [3], []]
+        assert list(graph.out) == [0b000, 0b001, 0b010, 0b110]
+        assert graph.out == {0b000: [0b010], 0b001: [0b000], 0b010: [0b110], 0b110: []}
+
+    def test_acceptance_orientations_are_pinned(self):
+        # every oriented graph of the one-inclusion-loo run at its acceptance
+        # seed: a point set with a pattern, then each vertex with its
+        # out-neighbours in out-list order, all as label tuples.  The report
+        # digests read out-degrees and predictions; this one reads every edge
+        digest = hashlib.sha256()
+        for i in range(100):
+            cls = experiments._draw_class(
+                experiments.split_rng(20240817, "loo", i), 6, 32, (0.0, 0.3, 0.5)
+            )
+            for k in range(1, min(5, cls.domain_size) + 1):
+                for pts in combinations(range(cls.domain_size), k):
+                    if not cls.pattern_codes(pts):
+                        continue
+                    out = [
+                        (pattern_labels(v, k), [pattern_labels(w, k) for w in heads])
+                        for v, heads in OneInclusionGraph(cls, pts).out.items()
+                    ]
+                    digest.update(repr((pts, out)).encode())
+        assert digest.hexdigest() == (
+            "0a1ce6a7c545b6fe4e7555f69bac2606"
+            "ff4c35edfa55c5514e45a5d1102f6c99"
+        )
 
     def test_graph_needs_a_realizable_pattern(self):
         cls = concept_class(2, ["0*", "*1"])  # no concept is defined on both points

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from pcl import geometry
-from pcl.core import STAR
+from pcl.core import STAR, pattern_code
 from pcl.dimensions import measure_report
 from pcl.experiments import ExperimentConfig, generate_random_class, run_experiment
 from pcl.learners import CompressionOutput, OneInclusionGraph
@@ -43,9 +43,9 @@ def _drop_reversed_edges(graph: OneInclusionGraph) -> None:
     Out-degrees only fall, so each one stays within the VC and every LOO
     value can only shrink: the LOO bounds cannot see this defect.
     """
-    before = [set(out) for out in graph.out]
+    before = {v: set(heads) for v, heads in graph.out.items()}
     _repair(graph)
-    graph.out = [[w for w in out if w in old] for out, old in zip(graph.out, before)]
+    graph.out = {v: [w for w in heads if w in before[v]] for v, heads in graph.out.items()}
 
 
 def _law_with_k_half(adv: TreeAdversary) -> Fraction:
@@ -77,10 +77,9 @@ def _loo_charging_repeats(cls, sample) -> Fraction:
     labels = dict(sample.pairs)
     points = tuple(sorted(labels))
     graph = cls.one_inclusion.graph(cls, points)
-    v = tuple(labels[x] for x in points)
+    v = pattern_code(labels[x] for x in points)
     counts = Counter(x for x, _ in sample)
-    heads = (graph.patterns[w] for w in graph.out[graph.index[v]])
-    charged = sum(counts[x] for h in heads for x, a, b in zip(points, v, h) if a != b)
+    charged = sum(counts[points[-(h ^ v).bit_length()]] for h in graph.out[v])
     return Fraction(charged, len(sample))
 
 
@@ -246,7 +245,7 @@ EQUIVALENT = {
         "change only on a longer staircase: 1 869 -> 3 809 extend calls"
     ),
     ("pcl.learners", "OneInclusionGraph.__init__", "j > i"): (
-        "j = i never holds: the neighbour q differs from p at coordinate c; "
+        "j = i never holds: the neighbour code j differs from i at one point's bit; "
         "the work is the same"
     ),
     ("pcl.learners", "OneInclusionGraph._repair_orientation", "guard <= 0"): (
@@ -296,7 +295,7 @@ def _answers() -> list:
             out.append((report.value, report.witness))
         for pts in combinations(range(n), 3):
             if cls.binary_patterns(pts):
-                out.append(OneInclusionGraph(cls, pts).out)
+                out.append(list(OneInclusionGraph(cls, pts).out.items()))
     return out
 
 
